@@ -4,17 +4,19 @@ elliptic integral of the first kind, and the Jacobi elliptic functions.
 No scipy.  Everything accepts floats or numpy arrays and returns the same
 kind.  Algorithms:
 
-* erf: Maclaurin series on |x| <= 2 (terms fall below 1e-18 within ~40
-  terms there), continued fraction for the complement beyond.
-* erfc / erfcx: Laplace continued fraction for x > 2, evaluated backward
-  at fixed depth; the scaled form erfcx = exp(x^2) erfc(x) is the primary
-  quantity so the tail never underflows.
+* erf / erfc / erfcx: one kernel, Cody's rational Chebyshev
+  approximations (Math. Comp. 23, 1969) on three ranges of |x|.  On
+  |x| <= 0.46875 it approximates erf itself; on 0.46875 < |x| <= 4 and on
+  |x| > 4 it approximates the scaled complement erfcx = exp(x^2) erfc(x),
+  so the tail never underflows before exp(-x^2) does.  Errors are within a
+  few ulp throughout (relative for erfc and erfcx).
 * erfi: term-recurrence series (all terms positive, condition number 1);
   overflows to +/-inf past x^2 ~ 700 like exp(x^2) itself.
 * ellip_k: arithmetic-geometric mean, K = pi / (2 AGM(1, k')).
 * jacobi_elliptic: descending Landen/AGM phase recurrence
-  (dlmf.nist.gov/22.20.ii) after argument reduction modulo 4K; dn is
-  recovered from 1 - k^2 sn^2, which keeps the identity exact.
+  (dlmf.nist.gov/22.20.ii) after argument reduction modulo 4K, with the
+  AGM stopped once c_n <= eps a_n; dn is recovered from 1 - k^2 sn^2,
+  which keeps the identity exact.
 """
 
 from typing import NamedTuple
@@ -22,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 _SQRT_PI = float(np.sqrt(np.pi))
-_SERIES_CUT = 2.0
-_CF_DEPTH = 64
+_INV_SQRT_PI = 1.0 / _SQRT_PI
 _EXP_OVERFLOW = 700.0
+_EPS = float(np.finfo(float).eps)
 
 
 class EllipticTriple(NamedTuple):
@@ -44,57 +46,133 @@ def _finish(arr, scalar):
     return float(arr) if scalar else arr
 
 
-def _erf_series(ax):
-    """Maclaurin sum of erf on |x| <= _SERIES_CUT (ax nonnegative)."""
-    x2 = ax * ax
-    term = ax.copy()
-    total = ax.copy()
-    for n in range(1, 48):
-        term = term * (-x2) * (2 * n - 1) / (n * (2 * n + 1))
-        total += term
-    return (2.0 / _SQRT_PI) * total
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969) 631-637; coefficients as in his CALERF.
+# |x| <= 0.46875:  erf(x) = x P(x^2) / Q(x^2)
+_CODY_A = (3.16112374387056560e00, 1.13864154151050156e02,
+           3.77485237685302021e02, 3.20937758913846947e03,
+           1.85777706184603153e-1)
+_CODY_B = (2.36012909523441209e01, 2.44024637934444173e02,
+           1.28261652607737228e03, 2.84423683343917062e03)
+# 0.46875 < |x| <= 4:  erfcx(x) = P(x) / Q(x)
+_CODY_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02,
+           8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03,
+           2.15311535474403846e-8)
+_CODY_D = (1.57449261107098347e01, 1.17693950891312499e02,
+           5.37181101862009858e02, 1.62138957456669019e03,
+           3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+# |x| > 4:  erfcx(x) = (1/sqrt(pi) - x^-2 P(x^-2) / Q(x^-2)) / x
+_CODY_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2,
+           6.58749161529837803e-4, 1.63153871373020978e-2)
+_CODY_Q = (2.56852019228982242e00, 1.87295284992346725e00,
+           5.27905102951428412e-1, 6.05183413124413191e-2,
+           2.33520497626869185e-3)
+_CODY_SMALL = 0.46875
+_CODY_MID = 4.0
 
 
-def _erfcx_cf(x):
-    """Scaled complement erfcx on x >= _SERIES_CUT via the Laplace continued
-    fraction, evaluated backward at fixed depth."""
-    half_inv_x2 = 0.5 / (x * x)
-    t = np.ones_like(x)
-    for n in range(_CF_DEPTH, 0, -1):
-        t = 1.0 + n * half_inv_x2 / t
-    return 1.0 / (t * x * _SQRT_PI)
+# The kernels below update arrays in place: on large inputs a fresh
+# temporary per operation costs more than the arithmetic.
+
+def _rational(y, num, den):
+    """Cody's nested evaluation of num(y) / den(y); the leading numerator
+    coefficient is num[-1] and the denominator is monic."""
+    xnum = num[-1] * y
+    xden = y.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        xnum += a
+        xnum *= y
+        xden += b
+        xden *= y
+    xnum += num[-2]
+    xden += den[-1]
+    xnum /= xden
+    return xnum
+
+
+def _exp_sq(y, sign):
+    """exp(sign * y^2) with y^2 split as s^2 + (y - s)(y + s), s = y rounded
+    down to 1/16, so the rounding of y^2 does not reach the exponential."""
+    y = np.minimum(y, 40.0)  # a copy; exp(+-1600) is already inf or 0
+    s = np.trunc(16.0 * y)
+    s /= 16.0
+    rest = y - s
+    y += s
+    rest *= y  # (y - s)(y + s)
+    rest *= sign
+    s *= s
+    s *= sign
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+        np.exp(rest, out=rest)
+    s *= rest
+    return s
+
+
+def _cody(arr, kind):
+    """Cody's erf, erfc or erfcx (kind) of |arr|, before the sign fix-up.
+
+    Near zero the kernel returns erf itself, in the other two ranges the
+    scaled complement erfcx, so erfc is never 1 - erf in the tail.
+    """
+    ax = np.abs(arr).ravel()  # at least 1-d, so the ranges work in place
+    out = np.empty_like(ax)
+    small = ax <= _CODY_SMALL
+    mid = ~small & (ax <= _CODY_MID)
+    big = ax > _CODY_MID
+    for mask, eval_range in ((small, _near_zero), (mid, _middle), (big, _tail)):
+        if mask.all():
+            out = eval_range(ax, kind)
+        elif mask.any():
+            out[mask] = eval_range(ax[mask], kind)
+    return out.reshape(arr.shape)
+
+
+def _near_zero(y, kind):
+    val = y * _rational(y * y, _CODY_A, _CODY_B)
+    if kind == "erf":
+        return val
+    val = 1.0 - val
+    return val if kind == "erfc" else np.exp(y * y) * val
+
+
+def _middle(y, kind):
+    return _unscale(_rational(y, _CODY_C, _CODY_D), y, kind)
+
+
+def _tail(y, kind):
+    with np.errstate(over="ignore"):
+        inv2 = 1.0 / (y * y)
+    val = (_INV_SQRT_PI - inv2 * _rational(inv2, _CODY_P, _CODY_Q)) / y
+    return _unscale(val, y, kind)
+
+
+def _unscale(scaled, y, kind):
+    """erfcx on |x| > 0.46875 turned into the requested function."""
+    if kind == "erfcx":
+        return scaled
+    tail = _exp_sq(y, -1.0) * scaled
+    return tail if kind == "erfc" else (0.5 - tail) + 0.5
 
 
 def erf(x):
     """Error function, odd by construction, +/-1 to machine precision for
     |x| > 6."""
     arr, scalar = _prepare(x, "erf")
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUT
-    if small.any():
-        out[small] = _erf_series(ax[small])
-    big = ~small
-    if big.any():
-        xb = ax[big]
-        out[big] = 1.0 - np.exp(-xb * xb) * _erfcx_cf(xb)
-    out = np.copysign(out, arr)
+    out = np.copysign(_cody(arr, "erf"), arr)
     return _finish(out, scalar)
 
 
 def erfc(x):
     """Complement 1 - erf(x), computed directly in the tail (no subtraction
-    of nearly equal quantities for x > 2)."""
+    of nearly equal quantities for x > 0.46875); underflows to 0 past
+    x ~ 27."""
     arr, scalar = _prepare(x, "erfc")
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUT
-    if small.any():
-        out[small] = 1.0 - _erf_series(ax[small])
-    big = ~small
-    if big.any():
-        xb = ax[big]
-        out[big] = np.exp(-xb * xb) * _erfcx_cf(xb)
+    out = _cody(arr, "erfc")
     neg = arr < 0
     out[neg] = 2.0 - out[neg]
     return _finish(out, scalar)
@@ -102,25 +180,13 @@ def erfc(x):
 
 def erfcx(x):
     """Scaled complement exp(x^2) erfc(x).  Decays like 1/(x sqrt(pi)) for
-    large positive x; overflows to +inf for x < -sqrt(700) or so, where
+    large positive x; overflows to +inf for x < -26.6 or so, where
     exp(x^2) itself overflows."""
     arr, scalar = _prepare(x, "erfcx")
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUT
-    if small.any():
-        xs = ax[small]
-        out[small] = np.exp(xs * xs) * (1.0 - _erf_series(xs))
-    big = ~small
-    if big.any():
-        out[big] = _erfcx_cf(ax[big])
+    out = _cody(arr, "erfcx")
     neg = arr < 0
     if neg.any():
-        xn = ax[neg]
-        x2 = xn * xn
-        with np.errstate(over="ignore"):
-            doubled = np.where(x2 < _EXP_OVERFLOW, 2.0 * np.exp(x2), np.inf)
-        out[neg] = doubled - out[neg]
+        out[neg] = 2.0 * _exp_sq(-arr[neg], 1.0) - out[neg]
     return _finish(out, scalar)
 
 
@@ -166,6 +232,21 @@ def ellip_k(k):
     return np.pi / (2.0 * a)
 
 
+def _agm_ladder(k):
+    """AGM stages a_n, c_n from (1, k', k) until c_n <= eps a_n.
+
+    The stop is relative: c_n stalls near one ulp of a_n - b_n, so an
+    absolute test on c_n may never be met and would run the stage cap.
+    """
+    a, b, c = 1.0, float(np.sqrt((1.0 - k) * (1.0 + k))), k
+    a_list, c_list = [a], [c]
+    while c > _EPS * a and len(a_list) < 40:
+        a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
+        a_list.append(a)
+        c_list.append(c)
+    return a_list, c_list
+
+
 def jacobi_elliptic(u, k):
     """Jacobi sn, cn, dn at real argument u and scalar modulus k in [0, 1].
 
@@ -189,12 +270,7 @@ def jacobi_elliptic(u, k):
     period = 4.0 * big_k
     u_red = arr - period * np.round(arr / period)
 
-    a_list, b_list, c_list = [1.0], [float(np.sqrt((1.0 - k) * (1.0 + k)))], [k]
-    while abs(c_list[-1]) > 1e-17 and len(a_list) < 40:
-        an, bn = a_list[-1], b_list[-1]
-        a_list.append(0.5 * (an + bn))
-        b_list.append(float(np.sqrt(an * bn)))
-        c_list.append(0.5 * (an - bn))
+    a_list, c_list = _agm_ladder(k)
     n_stages = len(a_list) - 1
 
     phi = (2.0**n_stages) * a_list[n_stages] * u_red

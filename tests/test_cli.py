@@ -222,6 +222,42 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert "flux" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_corruption_refused(self, tmp_path, capsys, value):
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "sech", f"--corrupt-rho={value}",
+                     "--out", str(out)])
+        assert code == 1
+        assert "corrupt_rho" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_results_fail_every_gate(self, monkeypatch, tmp_path):
+        # NaN compares false with any threshold; each gate must still fail,
+        # including the pde_residual worst over several times
+        from modcnls.transform import ConstraintResiduals
+
+        nan = float("nan")
+        monkeypatch.setattr(
+            "modcnls.cli.verify_constraints",
+            lambda *a, **k: ConstraintResiduals(nan, 0.0, nan))
+        monkeypatch.setattr("modcnls.cli.potential_identity_check",
+                            lambda *a, **k: nan)
+        calls = []
+
+        def residual(*args, **kwargs):
+            calls.append(args)
+            return (nan, 0.0) if len(calls) == 2 else (1e-9, 1e-9)
+
+        monkeypatch.setattr("modcnls.cli.pde_residual", residual)
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "sech", "--out", str(out)])
+        assert code == 2 and len(calls) == 5
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == ["continuity", "flux",
+                                      "potential_identity", "pde_residual"]
+        assert report["pass"] is False
+        assert report["pde_residual"]["worst1"] != report["pde_residual"]["worst1"]
+
 
 class TestPropagateCommand:
     def test_short_run_with_perturbation(self, tmp_path):

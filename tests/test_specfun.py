@@ -5,7 +5,9 @@ Oracles used here, none of which share code with the implementation:
 * K(k): mpmath.ellipk (note mpmath takes m = k^2).
 * sn/cn/dn: RK4 integration of the defining system sn' = cn dn,
   cn' = -sn dn, dn' = -k^2 sn cn from the origin.
-* mpmath spot values for the erf family tails.
+* mpmath spot values for the erf family tails, and dense mpmath grids
+  across the range breakpoints of the erf kernel (|x| = 0.46875 and 4).
+* scipy.special.ellipj for sn/cn/dn at the package's modulus 1/sqrt(2).
 """
 
 import math
@@ -13,8 +15,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ellipj
 
 from modcnls.specfun import (
+    _agm_ladder,
     ellip_k,
     erf,
     erfc,
@@ -130,6 +134,67 @@ class TestErfFamily:
                 fn(np.array([0.0, np.inf]))
 
 
+def around(x0, half_width=0.05, n=201):
+    """Dense grid through x0 that contains x0 and its two neighbours."""
+    grid = np.linspace(x0 - half_width, x0 + half_width, n)
+    return np.concatenate([grid, [np.nextafter(x0, -1.0), x0,
+                                  np.nextafter(x0, 10.0)]])
+
+
+class TestErfBreakpoints:
+    """erf, erfc and erfcx against mpmath where the kernel switches range."""
+
+    GRID = np.concatenate([around(0.46875), around(4.0)])
+
+    @staticmethod
+    def ref(fn, x):
+        return float(fn(mpmath.mpf(float(x))))
+
+    def test_erf_both_signs(self):
+        for x in np.concatenate([self.GRID, -self.GRID]):
+            want = self.ref(mpmath.erf, x)
+            assert abs(erf(x) - want) <= 4e-16 * max(1.0, abs(want)), x
+
+    def test_erfc_relative_both_signs(self):
+        for x in np.concatenate([self.GRID, -self.GRID]):
+            want = self.ref(mpmath.erfc, x)
+            assert abs(erfc(x) - want) <= 1e-15 * want, x
+
+    def test_erfcx_relative_both_signs(self):
+        scaled = lambda z: mpmath.erfc(z) * mpmath.exp(z * z)  # noqa: E731
+        for x in np.concatenate([self.GRID, -self.GRID]):
+            want = self.ref(scaled, x)
+            assert abs(erfcx(x) - want) <= 1e-15 * want, x
+
+    def test_erfc_tail_to_underflow(self):
+        # past x ~ 26.55 erfc leaves the normal range of doubles
+        for x in np.linspace(4.0, 26.5, 451):
+            want = self.ref(mpmath.erfc, x)
+            assert abs(erfc(x) - want) <= 1e-15 * want, x
+        assert erfc(27.5) == 0.0 and erfc(1e300) == 0.0
+        assert erf(1e300) == 1.0 and erfc(-1e300) == 2.0
+
+    def test_erfcx_far_tail(self):
+        scaled = lambda z: mpmath.erfc(z) * mpmath.exp(z * z)  # noqa: E731
+        for x in np.concatenate([np.linspace(4.0, 50.0, 231),
+                                 [1e3, 1e6, 1e10]]):
+            want = self.ref(scaled, x)
+            assert abs(erfcx(x) - want) <= 1e-15 * want, x
+        for x in np.linspace(-26.0, -4.0, 111):
+            want = self.ref(scaled, x)
+            assert abs(erfcx(x) - want) <= 1e-15 * want, x
+        assert erfcx(-1e300) == np.inf
+
+    def test_array_matches_scalar_across_ranges(self):
+        # one call spanning all three ranges masks and scatters correctly
+        x = np.linspace(-6.0, 6.0, 1203).reshape(3, 401)
+        for fn in (erf, erfc, erfcx):
+            got = fn(x)
+            assert got.shape == x.shape
+            want = np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestEllipK:
     def test_frozen_values(self):
         # oracle values, frozen: mpmath.ellipk(k^2)
@@ -226,6 +291,18 @@ class TestJacobiElliptic:
         np.testing.assert_allclose(sm, -sp, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cm, cp, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dm, dp, rtol=0, atol=1e-12)
+
+    def test_agm_ladder_stops_early_at_package_modulus(self):
+        # c_n stalls near one ulp of a_n - b_n (5.6e-17 here), so only a
+        # relative stop ends the ladder; five stages reach c_n <= eps a_n
+        k = 1.0 / math.sqrt(2.0)
+        a_list, c_list = _agm_ladder(k)
+        assert len(a_list) - 1 <= 6
+        assert c_list[-1] <= np.finfo(float).eps * a_list[-1]
+        u = np.linspace(-12.0, 12.0, 2001)
+        want = ellipj(u, k * k)[:3]  # scipy takes m = k^2
+        for got, ref in zip(jacobi_elliptic(u, k), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=2e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

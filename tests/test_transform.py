@@ -19,6 +19,7 @@ from modcnls.families import (
     sech_family,
 )
 from modcnls.modulation import closed_form_trace, drive_f
+from modcnls import transform
 from modcnls.transform import (
     CoefficientSampler,
     StretchSpec,
@@ -34,6 +35,43 @@ from modcnls.transform import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def d1_nan_padded(f, h, axis):
+    """Fourth-order first derivative over the whole lattice, nan on the
+    two-deep edges: the unblocked form verify_constraints replaced."""
+    out = np.full_like(f, np.nan)
+    sl = [slice(None)] * f.ndim
+
+    def ix(k):
+        s = sl.copy()
+        s[axis] = slice(2 + k, f.shape[axis] - 2 + k or None)
+        return tuple(s)
+
+    core = sl.copy()
+    core[axis] = slice(2, -2)
+    out[tuple(core)] = (
+        -f[ix(2)] + 8.0 * f[ix(1)] - 8.0 * f[ix(-1)] + f[ix(-2)]
+    ) / (12.0 * h)
+    return out
+
+
+def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
+    """Oracle: the three constraint residuals from one whole-lattice sample
+    with nan-padded stencils, maximized over the core [2:-2, 4:-4]."""
+    lat = sample_transform_lattice(family, trace, x, t)
+    rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
+    if corrupt_rho:
+        rho = rho * (1.0 + corrupt_rho * x[None, :])
+    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
+    rho_t = d1_nan_padded(rho, ht, axis=0)
+    eta_x = d1_nan_padded(eta, hx, axis=1)
+    zeta_t = d1_nan_padded(zeta, ht, axis=0)
+    zeta_x = d1_nan_padded(zeta, hx, axis=1)
+    r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
+    r8 = zeta_t + 2.0 * eta_x * zeta_x
+    r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
+    return tuple(float(np.nanmax(np.abs(r[2:-2, 4:-4]))) for r in (r7, r8, r9))
 
 
 def all_family_trace_pairs(t_end=2.0):
@@ -223,6 +261,52 @@ class TestVerifyConstraints:
         t = np.linspace(0.0, 1.0, 6144)
         r = verify_constraints(fam, tr, x, t)
         assert r.worst < 1e-5, str(r)
+
+    @pytest.mark.parametrize("kind, drive, nx, nt, corrupt", [
+        ("elliptic", "quasiperiodic", 640, 1000, 0.0),
+        ("elliptic", "periodic", 768, 1536, 0.01),
+        ("sech", "periodic", 512, 1536, 0.0),
+        ("dark_bright", "periodic", 512, 512, 0.0),
+    ])
+    def test_blocked_walk_matches_whole_lattice(self, kind, drive, nx, nt,
+                                                corrupt):
+        fam = {"elliptic": elliptic_family(1), "sech": sech_family(),
+               "dark_bright": dark_bright_family(0.5)}[kind]
+        tr = default_trace(fam, drive, 1.0)
+        half = 1.0 if kind == "elliptic" else 5.0
+        x = np.linspace(-half, half, nx)
+        t = np.linspace(0.0, 1.0, nt)
+        rows = transform._BLOCK_POINTS // nx
+        # several blocks, the last one short
+        assert nt - 4 > 2 * rows and (nt - 4) % rows != 0
+        r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
+        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
+        assert (r.continuity, r.advection, r.flux) == want
+
+    def test_non_finite_lattice_value_is_not_dropped(self):
+        # one bad phase sample inside the core must surface as nan
+        fam = sech_family()
+        good = default_trace(fam, "periodic", 1.0)
+
+        def a_at(t):
+            a = np.array(good.a_at(t), dtype=float)
+            a[np.abs(np.asarray(t) - 0.5) < 1e-3] = np.nan
+            return a
+
+        tr = SimpleNamespace(chi_at=good.chi_at, dchi_dt_at=good.dchi_dt_at,
+                             a_at=a_at)
+        r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
+                               np.linspace(0, 1, 513))
+        assert math.isnan(r.continuity) and math.isnan(r.worst)
+        assert math.isnan(transform.ConstraintResiduals(0.0, np.nan, 1.0).worst)
+
+    def test_non_finite_corruption_refused(self):
+        fam = sech_family()
+        tr = default_trace(fam, "periodic", 1.0)
+        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 512)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="corrupt_rho"):
+                verify_constraints(fam, tr, x, t, corrupt_rho=bad)
 
     def test_corrupted_envelope_is_caught(self):
         fam = elliptic_family(1)
