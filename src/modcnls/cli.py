@@ -304,6 +304,9 @@ def _constraint_lattice(family, drive):
 
 
 def cmd_verify(cfg):
+    if not np.isfinite(cfg["corrupt_rho"]):
+        raise ValidationError(
+            f"corrupt_rho must be finite, got {cfg['corrupt_rho']}")
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
     t_end = max(cfg["t_end"], 1.0)

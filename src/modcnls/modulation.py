@@ -9,8 +9,13 @@ chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
 path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
 
+Each source has one evaluator of (chi, chi', chi''); a trace's sample arrays
+and its *_at queries both come from it.
+
 Conventions fixed here and relied on elsewhere:
 
+* the drive is f = 1 + epsilon cos(omega0 t), with epsilon = 0 for the
+  constant drive;
 * default initial data z1 = (sqrt(2), 0), z2 = (0, 1), so W = sqrt(2);
   chi is invariant under rescaling z2 since z2 enters as z2/W.
 * a(t) = int_0^t chi^-2 ds for the oscillator-driven sources (it cancels the
@@ -19,8 +24,8 @@ Conventions fixed here and relied on elsewhere:
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -43,76 +48,104 @@ def drive_f(kind, t, epsilon=0.5, omega0=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def make_drive(kind, epsilon=0.5, omega0=1.0) -> Callable:
-    if kind not in DRIVE_KINDS:
-        raise ValueError(f"make_drive: unknown kind {kind!r}")
-    if kind == "constant":
-        return lambda t: 1.0
-    eps, w0 = float(epsilon), float(omega0)
-    return lambda t: 1.0 + eps * math.cos(w0 * t)
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class MathieuState:
-    t: float
-    z1: float
-    dz1: float
-    z2: float
-    dz2: float
+def _uniform_times(t_end, dt):
+    """0, dt, ..., n dt with n dt >= t_end."""
+    n = int(math.ceil(t_end / dt - 1e-12))
+    return dt * np.arange(n + 1)
 
-    @property
-    def wronskian(self):
-        return self.z1 * self.dz2 - self.dz1 * self.z2
+
+def _hermite(times, t, *pairs):
+    """Cubic Hermite interpolants at t of (values, slopes) pairs on the
+    uniform grid times; at a node each returns the node's value exactly."""
+    h = float(times[1] - times[0])
+    j = np.clip((np.floor((t - times[0]) / h)).astype(int), 0, len(times) - 2)
+    # the rounded quotient can place a node at the far end of the interval
+    # before it, where th would miss 1 by an ulp
+    th = np.where(t == times[j + 1], 1.0, (t - times[j]) / h)
+    om = 1.0 - th
+    h00 = (1.0 + 2.0 * th) * om * om
+    h10 = th * om * om
+    h01 = th * th * (3.0 - 2.0 * th)
+    h11 = th * th * (th - 1.0)
+    return [h00 * y[j] + h * h10 * dy[j] + h01 * y[j + 1] + h * h11 * dy[j + 1]
+            for y, dy in pairs]
+
+
+def _closed_form_width(t):
+    """(chi, chi', chi'') of chi = sqrt(1 + 15 cos^2 2t) / 2."""
+    c = np.cos(2.0 * t)
+    chi = np.sqrt(1.0 + 15.0 * c * c) / 2.0
+    s4 = np.sin(4.0 * t)
+    dchi = -(15.0 / 4.0) * s4 / chi
+    d2chi = -15.0 * np.cos(4.0 * t) / chi - (225.0 / 16.0) * s4 * s4 / chi**3
+    return chi, dchi, d2chi
+
+
+def _closed_form_a(t):
+    # int_0^t 4 ds / (1 + 15 cos^2 2s); the arctan form is pole-free
+    # because 5 + 3 cos 4t never vanishes
+    return t - 0.5 * np.arctan(3.0 * np.sin(4.0 * t) / (5.0 + 3.0 * np.cos(4.0 * t)))
+
+
+def _two_tone_width(alpha, beta, t):
+    """(chi, chi', chi'') of chi = 1 + alpha sin t + beta sin(sqrt2 t)."""
+    s1, s2 = np.sin(t), np.sin(_SQRT2 * t)
+    chi = 1.0 + alpha * s1 + beta * s2
+    dchi = alpha * np.cos(t) + _SQRT2 * beta * np.cos(_SQRT2 * t)
+    d2chi = -alpha * s1 - 2.0 * beta * s2
+    return chi, dchi, d2chi
+
+
+def _oscillator_width(z1, dz1, z2, dz2, ddz1, ddz2, w):
+    """(chi, chi', chi'') of chi = sqrt(2 z1^2 + 2 z2^2 / W^2) from the
+    oscillator pair and its first two derivatives."""
+    w2 = w**2
+    chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
+    dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
+    d2chi = (
+        2.0 * dz1 * dz1 + 2.0 * z1 * ddz1
+        + (2.0 * dz2 * dz2 + 2.0 * z2 * ddz2) / w2
+    ) / chi - dchi * dchi / chi
+    return chi, dchi, d2chi
 
 
 @dataclass
 class MathieuPath:
-    """Trajectory of the parametric oscillator pair on a uniform time grid."""
+    """Trajectory of the parametric oscillator pair on a uniform time grid.
+
+    ddz1, ddz2 are the accelerations -4 f z at the nodes, the slopes of the
+    Hermite interpolant of dz1, dz2.
+    """
 
     times: np.ndarray
     z1: np.ndarray
     dz1: np.ndarray
     z2: np.ndarray
     dz2: np.ndarray
+    ddz1: np.ndarray
+    ddz2: np.ndarray
     w: float
 
-    def __len__(self):
-        return len(self.times)
 
-    def __getitem__(self, i) -> MathieuState:
-        return MathieuState(
-            float(self.times[i]), float(self.z1[i]), float(self.dz1[i]),
-            float(self.z2[i]), float(self.dz2[i]),
-        )
-
-    @property
-    def wronskian(self):
-        return self.z1 * self.dz2 - self.dz1 * self.z2
-
-
-def integrate_mathieu(f, t_end, dt=1e-4, z1_init=(_SQRT2, 0.0), z2_init=(0.0, 1.0)):
-    """Classical RK4 for z'' + 4 f(t) z = 0, both solutions at once.
-
-    Returns a MathieuPath sampled at 0, dt, ..., n dt with n dt >= t_end.
-    """
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("integrate_mathieu: t_end and dt must be positive")
-    n = int(math.ceil(t_end / dt - 1e-12))
-    times = dt * np.arange(n + 1)
-    z1 = np.empty(n + 1); v1 = np.empty(n + 1)
-    z2 = np.empty(n + 1); v2 = np.empty(n + 1)
+def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
+    """Classical RK4 for z'' + 4 f(t) z = 0, both solutions at once."""
+    times = _uniform_times(t_end, h)
+    z1, v1, z2, v2 = np.empty((4, len(times)))
     a1, b1 = float(z1_init[0]), float(z1_init[1])
     a2, b2 = float(z2_init[0]), float(z2_init[1])
     z1[0], v1[0], z2[0], v2[0] = a1, b1, a2, b2
     w = a1 * b2 - b1 * a2
     if abs(w) < 1e-12:
-        raise ValueError("integrate_mathieu: initial data are linearly dependent")
-    h = dt
-    f0 = float(f(0.0))
-    for i in range(n):
-        t = times[i]
-        fm = float(f(t + 0.5 * h))
-        f1 = float(f(t + h))
+        raise ValueError("mathieu_trace: initial data are linearly dependent")
+    f0 = 1.0 + epsilon * math.cos(omega0 * 0.0)
+    for i in range(len(times) - 1):
+        t = i * h  # bit-equal to times[i]
+        fm = 1.0 + epsilon * math.cos(omega0 * (t + 0.5 * h))
+        f1 = 1.0 + epsilon * math.cos(omega0 * (t + h))
         # k-stage slopes for (z, v) with v' = -4 f z
         k1z, k1v = b1, -4.0 * f0 * a1
         l1z, l1v = b2, -4.0 * f0 * a2
@@ -128,15 +161,8 @@ def integrate_mathieu(f, t_end, dt=1e-4, z1_init=(_SQRT2, 0.0), z2_init=(0.0, 1.
         b2 += h * (l1v + 2.0 * l2v + 2.0 * l3v + l4v) / 6.0
         z1[i + 1], v1[i + 1], z2[i + 1], v2[i + 1] = a1, b1, a2, b2
         f0 = f1
-    return MathieuPath(times, z1, v1, z2, v2, w)
-
-
-def chi_from_mathieu(state: MathieuState, w: Optional[float] = None):
-    """Width from an oscillator state: sqrt(2 z1^2 + 2 z2^2 / W^2)."""
-    w = state.wronskian if w is None else float(w)
-    if abs(w) < 1e-12:
-        raise ValueError("chi_from_mathieu: Wronskian vanished")
-    return math.sqrt(2.0 * state.z1**2 + 2.0 * state.z2**2 / w**2)
+    f = 1.0 + epsilon * np.cos(omega0 * times)
+    return MathieuPath(times, z1, v1, z2, v2, -4.0 * f * z1, -4.0 * f * z2, w)
 
 
 def _cumulative_simpson(y, h):
@@ -166,11 +192,13 @@ class ModulationTrace:
     """Sampled chi(t), derivatives, and phase offset, plus exact evaluators.
 
     The sample arrays are what gets exported; the *_at query methods are what
-    the propagator and residual suites call, and they do not interpolate the
-    samples for the analytic sources (closed_form_f1, explicit_ex3).  For the
-    mathieu source queries go through cubic Hermite interpolation of the
-    oscillator trajectory itself, after which chi and its derivatives follow
-    from exact algebra, with z'' = -4 f(t) z supplying the second derivative.
+    the propagator and residual suites call.  Both come from the source's one
+    evaluator, so a query at a sample time returns the sample.  The analytic
+    sources (closed_form_f1, explicit_ex3) evaluate their formulas at any t.
+    The mathieu source interpolates the oscillator trajectory by cubic
+    Hermite, with z'' = -4 f(t) z supplying the slopes of z', and chi and
+    its derivatives follow from exact algebra; it only answers inside the
+    integrated window.
     """
 
     times: np.ndarray
@@ -180,14 +208,11 @@ class ModulationTrace:
     a: np.ndarray
     source: str
     path: Optional[MathieuPath] = None
-    f: Optional[Callable] = None
     alpha: float = 0.0
     beta: float = 0.0
     drive_kind: str = "constant"
     epsilon: float = 0.0
     omega0: float = 1.0
-    ddz1: np.ndarray = field(default=None, repr=False)
-    ddz2: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.source not in TRACE_SOURCES:
@@ -196,14 +221,6 @@ class ModulationTrace:
             raise ValueError("ModulationTrace: chi samples must be positive and finite")
         if abs(float(self.a[0])) > 1e-15:
             raise ValueError("ModulationTrace: a must start at 0")
-        if self.source == "mathieu" and self.path is not None and self.ddz1 is None:
-            fn = np.asarray([self.f(t) for t in self.path.times])
-            self.ddz1 = -4.0 * fn * self.path.z1
-            self.ddz2 = -4.0 * fn * self.path.z2
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
@@ -216,106 +233,43 @@ class ModulationTrace:
             )
         return np.clip(t, lo, hi)
 
-    def _hermite(self, t, y, dy):
-        ts = self.path.times
-        h = float(ts[1] - ts[0])
-        j = np.clip((np.floor((t - ts[0]) / h)).astype(int), 0, len(ts) - 2)
-        th = (t - ts[j]) / h
-        om = 1.0 - th
-        h00 = (1.0 + 2.0 * th) * om * om
-        h10 = th * om * om
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return h00 * y[j] + h * h10 * dy[j] + h01 * y[j + 1] + h * h11 * dy[j + 1]
-
-    def _mathieu_point(self, t):
+    def _width(self, t):
+        """(chi, chi', chi'') at t from this trace's source."""
+        t = self._check_range(t)
+        if self.source == "closed_form_f1":
+            return _closed_form_width(t)
+        if self.source == "explicit_ex3":
+            return _two_tone_width(self.alpha, self.beta, t)
         p = self.path
-        z1 = self._hermite(t, p.z1, p.dz1)
-        dz1 = self._hermite(t, p.dz1, self.ddz1)
-        z2 = self._hermite(t, p.z2, p.dz2)
-        dz2 = self._hermite(t, p.dz2, self.ddz2)
-        return z1, dz1, z2, dz2
+        z1, dz1, z2, dz2 = _hermite(p.times, t, (p.z1, p.dz1), (p.dz1, p.ddz1),
+                                    (p.z2, p.dz2), (p.dz2, p.ddz2))
+        f = 1.0 + self.epsilon * np.cos(self.omega0 * t)
+        return _oscillator_width(z1, dz1, z2, dz2, -4.0 * f * z1, -4.0 * f * z2, p.w)
 
     def chi_at(self, t):
-        t = self._check_range(t)
-        if self.source == "closed_form_f1":
-            c = np.cos(2.0 * t)
-            out = np.sqrt(1.0 + 15.0 * c * c) / 2.0
-        elif self.source == "explicit_ex3":
-            out = 1.0 + self.alpha * np.sin(t) + self.beta * np.sin(_SQRT2 * t)
-        else:
-            z1, _, z2, _ = self._mathieu_point(t)
-            out = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / self.path.w**2)
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(self._width(t)[0])
 
     def dchi_dt_at(self, t):
-        t = self._check_range(t)
-        if self.source == "closed_form_f1":
-            out = -(15.0 / 4.0) * np.sin(4.0 * t) / self.chi_at(t)
-        elif self.source == "explicit_ex3":
-            out = self.alpha * np.cos(t) + _SQRT2 * self.beta * np.cos(_SQRT2 * t)
-        else:
-            z1, dz1, z2, dz2 = self._mathieu_point(t)
-            w2 = self.path.w**2
-            chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
-            out = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(self._width(t)[1])
 
     def d2chi_dt2_at(self, t):
-        t = self._check_range(t)
-        if self.source == "closed_form_f1":
-            chi = self.chi_at(t)
-            s4 = np.sin(4.0 * t)
-            out = -15.0 * np.cos(4.0 * t) / chi - (225.0 / 16.0) * s4 * s4 / chi**3
-        elif self.source == "explicit_ex3":
-            out = -self.alpha * np.sin(t) - 2.0 * self.beta * np.sin(_SQRT2 * t)
-        else:
-            z1, dz1, z2, dz2 = self._mathieu_point(t)
-            ft = np.asarray([self.f(s) for s in np.atleast_1d(t)])
-            ft = ft[0] if np.ndim(t) == 0 else ft
-            ddz1 = -4.0 * ft * z1
-            ddz2 = -4.0 * ft * z2
-            w2 = self.path.w**2
-            chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
-            dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
-            out = (
-                2.0 * dz1 * dz1 + 2.0 * z1 * ddz1
-                + (2.0 * dz2 * dz2 + 2.0 * z2 * ddz2) / w2
-            ) / chi - dchi * dchi / chi
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(self._width(t)[2])
 
     def a_at(self, t):
         t = self._check_range(t)
         if self.source == "closed_form_f1":
-            # int_0^t 4 ds / (1 + 15 cos^2 2s); the arctan form is pole-free
-            # because 5 + 3 cos 4t never vanishes
-            out = t - 0.5 * np.arctan(3.0 * np.sin(4.0 * t) / (5.0 + 3.0 * np.cos(4.0 * t)))
+            out = _closed_form_a(t)
         elif self.source == "explicit_ex3":
-            out = np.zeros_like(np.asarray(t, dtype=float))
+            out = np.zeros_like(t)
         else:
-            inv2 = 1.0 / self.chi**2
-            out = self._hermite_on_times(t, self.a, inv2)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _hermite_on_times(self, t, y, dy):
-        ts = self.times
-        h = float(ts[1] - ts[0])
-        j = np.clip((np.floor((t - ts[0]) / h)).astype(int), 0, len(ts) - 2)
-        th = (t - ts[j]) / h
-        om = 1.0 - th
-        h00 = (1.0 + 2.0 * th) * om * om
-        h10 = th * om * om
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return h00 * y[j] + h * h10 * dy[j] + h01 * y[j + 1] + h * h11 * dy[j + 1]
+            out = _hermite(self.times, t, (self.a, 1.0 / self.chi**2))[0]
+        return _scalar(out)
 
     def adot_at(self, t):
         if self.source == "explicit_ex3":
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            return float(out) if t.ndim == 0 else out
-        chi = self.chi_at(t)
-        return 1.0 / (chi * chi)
+            return _scalar(np.zeros_like(np.asarray(t, dtype=float)))
+        chi = self._width(t)[0]
+        return _scalar(1.0 / (chi * chi))
 
 
 def accumulate_a(trace: ModulationTrace) -> ModulationTrace:
@@ -329,77 +283,42 @@ def accumulate_a(trace: ModulationTrace) -> ModulationTrace:
     return replace(trace, a=a)
 
 
-def eta(x, chi, dchi_dt, a):
-    """Quadratic phase (dchi/dt / 4 chi) x^2 + a."""
-    if not np.all(np.asarray(chi) > 0):
-        raise ValueError("eta: chi must be positive")
-    x = np.asarray(x, dtype=float)
-    out = (dchi_dt / (4.0 * chi)) * x * x + a
-    return float(out) if out.ndim == 0 else out
-
-
-def chi_explicit_ex3(alpha, beta, t):
-    """Two-tone width 1 + alpha sin t + beta sin(sqrt2 t); needs |alpha|+|beta| < 1."""
-    if abs(alpha) + abs(beta) >= 1.0:
-        raise ValueError("chi_explicit_ex3: requires |alpha| + |beta| < 1")
-    t = np.asarray(t, dtype=float)
-    out = 1.0 + alpha * np.sin(t) + beta * np.sin(_SQRT2 * t)
-    return float(out) if out.ndim == 0 else out
-
-
 def closed_form_trace(t_end, dt=1e-3) -> ModulationTrace:
     """Analytic trace for the constant drive f = 1."""
-    tr = ModulationTrace(
-        times=np.array([0.0, dt]), chi=np.array([2.0, 2.0]),
-        dchi_dt=np.zeros(2), d2chi_dt2=np.zeros(2), a=np.zeros(2),
-        source="closed_form_f1", drive_kind="constant",
-    )
-    n = int(math.ceil(t_end / dt - 1e-12))
-    times = dt * np.arange(n + 1)
-    tr.times = times
-    tr.chi = tr.chi_at(times)
-    tr.dchi_dt = tr.dchi_dt_at(times)
-    tr.d2chi_dt2 = tr.d2chi_dt2_at(times)
-    tr.a = tr.a_at(times)
-    return tr
+    times = _uniform_times(t_end, dt)
+    chi, dchi, d2chi = _closed_form_width(times)
+    return ModulationTrace(times, chi, dchi, d2chi, _closed_form_a(times),
+                           source="closed_form_f1")
 
 
 def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
                   z1_init=(_SQRT2, 0.0), z2_init=(0.0, 1.0)) -> ModulationTrace:
-    """Trace built by integrating the parametric oscillator for any drive."""
-    f = make_drive(kind, epsilon, omega0)
-    path = integrate_mathieu(f, t_end, dt, z1_init, z2_init)
-    w2 = path.w**2
-    chi = np.sqrt(2.0 * path.z1**2 + 2.0 * path.z2**2 / w2)
-    dchi = (2.0 * path.z1 * path.dz1 + 2.0 * path.z2 * path.dz2 / w2) / chi
-    fn = np.asarray([f(t) for t in path.times])
-    ddz1 = -4.0 * fn * path.z1
-    ddz2 = -4.0 * fn * path.z2
-    d2chi = (
-        2.0 * path.dz1**2 + 2.0 * path.z1 * ddz1
-        + (2.0 * path.dz2**2 + 2.0 * path.z2 * ddz2) / w2
-    ) / chi - dchi**2 / chi
-    tr = ModulationTrace(
-        times=path.times, chi=chi, dchi_dt=dchi, d2chi_dt2=d2chi,
-        a=np.zeros_like(chi), source="mathieu", path=path, f=f,
-        drive_kind=kind, epsilon=float(epsilon), omega0=float(omega0),
-        ddz1=ddz1, ddz2=ddz2,
-    )
-    return accumulate_a(tr)
+    """Trace built by integrating the parametric oscillator for any drive.
+
+    The oscillator path is sampled at 0, dt, ..., n dt with n dt >= t_end and
+    kept as the trace's path.
+    """
+    if kind not in DRIVE_KINDS:
+        raise ValueError(f"mathieu_trace: unknown drive kind {kind!r}")
+    if not (t_end > 0 and dt > 0):
+        raise ValueError("mathieu_trace: t_end and dt must be positive")
+    # the constant drive is f = 1 + 0 cos(0 t), whatever omega0 was given
+    eps, w0 = ((float(epsilon), float(omega0)) if kind == "quasiperiodic"
+               else (0.0, 0.0))
+    path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
+    chi, dchi, d2chi = _oscillator_width(path.z1, path.dz1, path.z2, path.dz2,
+                                         path.ddz1, path.ddz2, path.w)
+    a = _cumulative_simpson(1.0 / chi**2, float(dt))
+    return ModulationTrace(path.times, chi, dchi, d2chi, a, source="mathieu",
+                           path=path, drive_kind=kind, epsilon=eps, omega0=w0)
 
 
 def explicit_trace(alpha, beta, t_end, dt=1e-3) -> ModulationTrace:
     """Analytic trace for the prescribed two-tone width (phase offset 0)."""
     if abs(alpha) + abs(beta) >= 1.0:
         raise ValueError("explicit_trace: requires |alpha| + |beta| < 1")
-    n = int(math.ceil(t_end / dt - 1e-12))
-    times = dt * np.arange(n + 1)
-    tr = ModulationTrace(
-        times=times, chi=np.ones_like(times), dchi_dt=np.zeros_like(times),
-        d2chi_dt2=np.zeros_like(times), a=np.zeros_like(times),
-        source="explicit_ex3", alpha=float(alpha), beta=float(beta),
-    )
-    tr.chi = tr.chi_at(times)
-    tr.dchi_dt = tr.dchi_dt_at(times)
-    tr.d2chi_dt2 = tr.d2chi_dt2_at(times)
-    return tr
+    alpha, beta = float(alpha), float(beta)
+    times = _uniform_times(t_end, dt)
+    chi, dchi, d2chi = _two_tone_width(alpha, beta, times)
+    return ModulationTrace(times, chi, dchi, d2chi, np.zeros_like(times),
+                           source="explicit_ex3", alpha=alpha, beta=beta)

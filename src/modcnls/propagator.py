@@ -46,6 +46,14 @@ class PropagationConfig:
             raise ValidationError("PropagationConfig: dt must be positive")
         if not (np.isfinite(self.t_end) and self.t_end > self.t_start):
             raise ValidationError("PropagationConfig: t_end must exceed t_start")
+        span = self.t_end - self.t_start
+        if abs(self.n_steps * self.dt - span) > 1e-9 * span:
+            raise ValidationError(
+                f"PropagationConfig: t_end {self.t_end:g} is not a whole "
+                f"number of steps of dt {self.dt:g} from t_start "
+                f"{self.t_start:g} ({span / self.dt:.6g} steps); the run "
+                f"would end at t = {self.t_start + self.n_steps * self.dt:g}"
+            )
         if self.record_stride < 1:
             raise ValidationError("PropagationConfig: record_stride must be >= 1")
         amp = self.perturbation_amplitude

@@ -164,12 +164,12 @@ def potential(family, trace, x, t):
     flat_bump: harmonic part plus a localized dip independent of component.
     """
     x = np.asarray(x, dtype=float)
-    chi = trace.chi_at(t)
     s = family.stretch
     if s.kind == "gaussian":
         f = drive_f(trace.drive_kind, t, trace.epsilon, trace.omega0)
         v = f * x * x
         return np.stack([v, v])
+    chi = trace.chi_at(t)
     d2chi = trace.d2chi_dt2_at(t)
     if s.kind == "inverse_gaussian":
         g2 = s.gamma**2

@@ -229,7 +229,8 @@ class TestVerifyCommand:
                      "--out", str(out)])
         assert code == 1
         assert "corrupt_rho" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        # refused before any width trace or output directory is made
+        assert not out.exists()
 
     def test_non_finite_results_fail_every_gate(self, monkeypatch, tmp_path):
         # NaN compares false with any threshold; each gate must still fail,
@@ -308,6 +309,16 @@ class TestPropagateCommand:
         for name in ("diagnostics_unperturbed.csv",
                      "diagnostics_perturbed.csv"):
             assert data_lines(a / name) == data_lines(b / name)
+
+    @pytest.mark.parametrize("dt", ["0.4", "0.3"])
+    def test_partial_last_step_refused(self, tmp_path, capsys, dt):
+        out = tmp_path / "p"
+        code = main(["propagate", "--family", "elliptic", "--t-end", "1.0",
+                     "--dt", dt, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "whole number of steps" in err and f"dt {dt}" in err
+        assert not out.exists()
 
     def test_divergence_maps_to_exit_three(self, monkeypatch, tmp_path):
         def blow_up(*args, **kwargs):

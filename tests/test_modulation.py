@@ -16,14 +16,9 @@ import pytest
 from modcnls.modulation import (
     ModulationTrace,
     accumulate_a,
-    chi_explicit_ex3,
-    chi_from_mathieu,
     closed_form_trace,
     drive_f,
-    eta,
     explicit_trace,
-    integrate_mathieu,
-    make_drive,
     mathieu_trace,
 )
 
@@ -44,15 +39,11 @@ class TestDrive:
             1.0 + 0.5 * np.cos(t),
         )
 
-    def test_make_drive_matches(self):
-        f = make_drive("quasiperiodic", 0.3, 2.0)
-        assert abs(f(1.1) - drive_f("quasiperiodic", 1.1, 0.3, 2.0)) < 1e-15
-
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             drive_f("chirp", 0.0)
         with pytest.raises(ValueError):
-            make_drive("chirp")
+            mathieu_trace("chirp", 1.0)
 
 
 class TestMathieuIntegration:
@@ -62,9 +53,9 @@ class TestMathieuIntegration:
         assert err < 1e-9, f"chi deviates from closed form by {err:.3e}"
 
     def test_wronskian_conserved(self):
-        f = make_drive("quasiperiodic", 0.5, 1.0)
-        path = integrate_mathieu(f, 10.0, dt=1e-4)
-        drift = np.abs(path.wronskian - path.w).max()
+        path = mathieu_trace("quasiperiodic", 10.0, dt=1e-4).path
+        wronskian = path.z1 * path.dz2 - path.dz1 * path.z2
+        drift = np.abs(wronskian - path.w).max()
         assert path.w == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert drift < 1e-8, f"Wronskian drifted by {drift:.3e}"
 
@@ -81,19 +72,22 @@ class TestMathieuIntegration:
         assert np.abs(res).max() < 1e-9
 
     def test_state_access(self):
-        f = make_drive("constant")
-        path = integrate_mathieu(f, 1.0, dt=1e-3)
-        st = path[0]
-        assert st.z1 == pytest.approx(math.sqrt(2.0))
-        assert st.wronskian == pytest.approx(math.sqrt(2.0))
-        assert chi_from_mathieu(st) == pytest.approx(2.0)
-        assert len(path) == 1001
+        tr = mathieu_trace("constant", 1.0, dt=1e-3)
+        path = tr.path
+        assert path.z1[0] == pytest.approx(math.sqrt(2.0))
+        assert tr.chi[0] == pytest.approx(2.0)
+        assert len(path.times) == 1001
+        # node accelerations z'' = -4 f z with f = 1
+        np.testing.assert_array_equal(path.ddz1, -4.0 * path.z1)
+        np.testing.assert_array_equal(path.ddz2, -4.0 * path.z2)
 
     def test_degenerate_initial_data_rejected(self):
         with pytest.raises(ValueError):
-            integrate_mathieu(make_drive("constant"), 1.0, z2_init=(math.sqrt(2.0), 0.0))
+            mathieu_trace("constant", 1.0, z2_init=(math.sqrt(2.0), 0.0))
         with pytest.raises(ValueError):
-            integrate_mathieu(make_drive("constant"), -1.0)
+            mathieu_trace("constant", -1.0)
+        with pytest.raises(ValueError):
+            mathieu_trace("quasiperiodic", 1.0, omega0=float("nan"))
 
 
 class TestClosedFormTrace:
@@ -139,9 +133,16 @@ class TestClosedFormTrace:
         assert tr.a_at(math.pi / 2.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_samples_match_queries(self):
-        tr = closed_form_trace(3.0, dt=1e-3)
-        np.testing.assert_array_equal(tr.chi, tr.chi_at(tr.times))
-        np.testing.assert_array_equal(tr.a, tr.a_at(tr.times))
+        # samples and queries come from one evaluator per source, so a query
+        # at a sample time must return the sample bit for bit
+        for tr in (closed_form_trace(3.0, dt=1e-3),
+                   mathieu_trace("quasiperiodic", 3.0, dt=1e-3),
+                   explicit_trace(0.3, 0.2, 3.0, dt=1e-3)):
+            np.testing.assert_array_equal(tr.chi, tr.chi_at(tr.times))
+            np.testing.assert_array_equal(tr.dchi_dt, tr.dchi_dt_at(tr.times))
+            np.testing.assert_array_equal(tr.d2chi_dt2,
+                                          tr.d2chi_dt2_at(tr.times))
+            np.testing.assert_array_equal(tr.a, tr.a_at(tr.times))
 
 
 class TestMathieuTraceQueries:
@@ -179,9 +180,6 @@ class TestExplicitTrace:
         t = np.linspace(0, 10, 101)
         want = 1.0 + 0.3 * np.sin(t) + 0.2 * np.sin(math.sqrt(2.0) * t)
         np.testing.assert_allclose(tr.chi_at(t), want, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(
-            chi_explicit_ex3(0.3, 0.2, t), want, rtol=0, atol=1e-15
-        )
 
     def test_phase_offset_identically_zero(self):
         tr = explicit_trace(-0.4, 0.25, 6.0)
@@ -202,7 +200,7 @@ class TestExplicitTrace:
         with pytest.raises(ValueError):
             explicit_trace(0.7, 0.3, 1.0)
         with pytest.raises(ValueError):
-            chi_explicit_ex3(0.6, 0.5, 0.0)
+            explicit_trace(-0.6, 0.5, 1.0)
 
 
 class TestPhaseAccumulation:
@@ -253,14 +251,3 @@ class TestTraceValidation:
                 d2chi_dt2=np.zeros(3), a=np.ones(3), source="explicit_ex3",
             )
 
-
-class TestEta:
-    def test_quadratic_phase(self):
-        x = np.linspace(-3, 3, 7)
-        out = eta(x, chi=2.0, dchi_dt=1.0, a=0.25)
-        np.testing.assert_allclose(out, x * x / 8.0 + 0.25)
-        assert isinstance(eta(1.0, 2.0, 1.0, 0.0), float)
-
-    def test_positive_width_required(self):
-        with pytest.raises(ValueError):
-            eta(0.0, chi=-1.0, dchi_dt=0.0, a=0.0)

@@ -74,6 +74,22 @@ class TestPropagationConfig:
         cfg = PropagationConfig(self.grid(), dt=1e-3, t_end=0.5)
         assert cfg.n_steps == 500
 
+    def test_rejects_horizon_off_the_step_lattice(self):
+        # round() would stop dt = 0.4 at t = 0.8 and dt = 0.3 at t = 0.9;
+        # a coarse grid keeps these steps inside the resolution guard
+        grid = SpatialGrid(16.0, 64)
+        for dt, steps in ((0.4, "2.5 steps"), (0.3, "3.33333 steps")):
+            with pytest.raises(ValidationError, match=steps) as exc:
+                PropagationConfig(grid, dt=dt, t_end=1.0)
+            assert "t_end 1 " in str(exc.value)
+            assert f"dt {dt:g} " in str(exc.value)
+        with pytest.raises(ValidationError, match="whole number of steps"):
+            PropagationConfig(grid, dt=0.25, t_end=1.0, t_start=0.1)
+        # rounding error in t_end - t_start or dt is no partial step
+        assert PropagationConfig(grid, dt=0.1, t_end=0.3).n_steps == 3
+        assert PropagationConfig(grid, dt=0.25, t_end=1.1,
+                                 t_start=0.1).n_steps == 4
+
 
 class TestStep:
     def test_free_gaussian_dispersion(self):
