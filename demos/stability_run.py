@@ -1,9 +1,9 @@
 """Split-step propagation of the elliptic pair, clean and perturbed.
 
-The analytic solution is fed to the integrator twice: once untouched,
-to measure how well the scheme tracks it, and once with a 3 percent
-multiplicative perturbation, to see the deviation stay bounded.  Takes
-roughly ten seconds.
+The analytic solution is fed to the integrator twice, as one two-member
+ensemble: once untouched, to measure how well the scheme tracks it, and
+once with a 3 percent multiplicative perturbation, to see the deviation
+stay bounded.
 """
 
 import os
@@ -30,13 +30,12 @@ cfg = PropagationConfig(grid, dt=5e-4, t_end=t_end,
 print(f"grid: {grid.n_points} points on [-{grid.half_width:g}, "
       f"{grid.half_width:g}), {cfg.n_steps} steps of dt={cfg.dt:g}")
 
-clean = propagate(initial, cfg, reference=(fam, trace))
+seed = 42
+clean, shaken = propagate([initial, perturb(initial, 0.03, seed)], cfg,
+                          reference=(fam, trace))
 print(f"clean run: max profile error {clean.max_profile_error():.2e}, "
       f"norm drift {clean.norm_drift():.2e}")
 
-seed = 42
-shaken = propagate(perturb(initial, 0.03, seed), cfg,
-                   reference=(fam, trace))
 report = stability_verdict(shaken, threshold=0.1)
 print(f"3% perturbed run (seed {seed}): max deviation "
       f"{report.max_profile_error:.4f} at t={report.time_of_max:.3f}, "

@@ -16,9 +16,8 @@ from .errors import (DarkBackgroundError, DivergenceError,
 from .grid import SpatialGrid
 from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
                       EllipticTriple)
-from .modulation import (ModulationTrace, MathieuPath, accumulate_a,
-                         closed_form_trace, drive_f, explicit_trace,
-                         mathieu_trace)
+from .modulation import (ModulationTrace, MathieuPath, closed_form_trace,
+                         drive_f, explicit_trace, mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
                         eta_of, g_of, potential, potential_from_transform,
                         potential_identity_check, rho_of,

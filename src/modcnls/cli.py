@@ -362,39 +362,42 @@ def cmd_propagate(cfg):
             "the dark-bright background wraps around the periodic box; "
             "propagation is refused without --override-dark"
         )
+    if not 0.0 <= cfg["perturb"] < 0.2:
+        raise ValidationError(
+            f"--perturb must lie in [0, 0.2), got {cfg['perturb']:g}; larger "
+            "values void the small-perturbation premise")
     grid = _grid_from(cfg, family, "propagate")
     trace = _trace_from(cfg, family, cfg["t_end"] + 1e-2)
     run = PropagationConfig(
         grid, dt=cfg["dt"], t_end=cfg["t_end"],
         coefficient_source=CoefficientSampler(family, trace),
-        perturbation_amplitude=cfg["perturb"], rng_seed=cfg["seed"],
         record_stride=cfg["stride"],
     )
     psi0 = assemble(family, trace, grid.x, 0.0)
     out = _prepare_out(cfg)
     ext = "csv" if cfg["format"] == "csv" else "jsonl"
 
-    diag_clean = propagate(psi0, run, reference=(family, trace),
-                           override_dark=cfg["override_dark"])
-    write_diagnostics(os.path.join(out, f"diagnostics_unperturbed.{ext}"),
-                      diag_clean, _meta(cfg, perturbed="no"), cfg["format"])
+    members = [psi0]
+    if cfg["perturb"] > 0:
+        members.append(perturb(psi0, cfg["perturb"], cfg["seed"],
+                               mode=cfg["perturb_mode"]))
+    # the clean run and its perturbed twin step together as one ensemble
+    diags = propagate(members, run, reference=(family, trace),
+                      override_dark=cfg["override_dark"])
+    for diag, name, tag in zip(diags, ("unperturbed", "perturbed"),
+                               ("no", "yes")):
+        write_diagnostics(os.path.join(out, f"diagnostics_{name}.{ext}"),
+                          diag, _meta(cfg, perturbed=tag), cfg["format"])
     summary = {
         "config": {k: v for k, v in cfg.items()},
         "unperturbed": {
-            "max_profile_error": diag_clean.max_profile_error(),
-            "norm_drift": diag_clean.norm_drift(),
+            "max_profile_error": diags[0].max_profile_error(),
+            "norm_drift": diags[0].norm_drift(),
         },
     }
     code = 0
-    if cfg["perturb"] > 0:
-        noisy = perturb(psi0, cfg["perturb"], cfg["seed"],
-                        mode=cfg["perturb_mode"])
-        diag_pert = propagate(noisy, run, reference=(family, trace),
-                              override_dark=cfg["override_dark"])
-        write_diagnostics(os.path.join(out, f"diagnostics_perturbed.{ext}"),
-                          diag_pert, _meta(cfg, perturbed="yes"),
-                          cfg["format"])
-        report = stability_verdict(diag_pert, threshold=0.1)
+    if len(diags) > 1:
+        report = stability_verdict(diags[1], threshold=0.1)
         summary["perturbed"] = {
             "max_profile_error": report.max_profile_error,
             "time_of_max": report.time_of_max,

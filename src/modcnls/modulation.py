@@ -24,7 +24,8 @@ Conventions fixed here and relied on elsewhere:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -255,6 +256,11 @@ class ModulationTrace:
     def d2chi_dt2_at(self, t):
         return _scalar(self._width(t)[2])
 
+    @cached_property
+    def _adot(self):
+        """a' = chi^-2 at the samples, the slopes of a's Hermite interpolant."""
+        return 1.0 / self.chi**2
+
     def a_at(self, t):
         t = self._check_range(t)
         if self.source == "closed_form_f1":
@@ -262,7 +268,7 @@ class ModulationTrace:
         elif self.source == "explicit_ex3":
             out = np.zeros_like(t)
         else:
-            out = _hermite(self.times, t, (self.a, 1.0 / self.chi**2))[0]
+            out = _hermite(self.times, t, (self.a, self._adot))[0]
         return _scalar(out)
 
     def adot_at(self, t):
@@ -270,17 +276,6 @@ class ModulationTrace:
             return _scalar(np.zeros_like(np.asarray(t, dtype=float)))
         chi = self._width(t)[0]
         return _scalar(1.0 / (chi * chi))
-
-
-def accumulate_a(trace: ModulationTrace) -> ModulationTrace:
-    """Fill the phase offset a = int chi^-2 dt by cumulative Simpson."""
-    if np.any(trace.chi <= 0):
-        raise ValueError("accumulate_a: chi samples must be positive")
-    dts = np.diff(trace.times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("accumulate_a: time grid must be uniform")
-    a = _cumulative_simpson(1.0 / trace.chi**2, float(dts[0]))
-    return replace(trace, a=a)
 
 
 def closed_form_trace(t_end, dt=1e-3) -> ModulationTrace:

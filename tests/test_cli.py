@@ -310,6 +310,17 @@ class TestPropagateCommand:
                      "diagnostics_perturbed.csv"):
             assert data_lines(a / name) == data_lines(b / name)
 
+    @pytest.mark.parametrize("amplitude", ["0.2", "-0.01", "nan"])
+    def test_perturbation_outside_small_range_refused(self, tmp_path, capsys,
+                                                      amplitude):
+        # beyond 20 percent the small-perturbation premise is void
+        out = tmp_path / "p"
+        code = main(["propagate", "--family", "elliptic", "--t-end", "0.1",
+                     "--dt", "1e-3", "--perturb", amplitude, "--out", str(out)])
+        assert code == 1
+        assert "--perturb must lie in [0, 0.2)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt", ["0.4", "0.3"])
     def test_partial_last_step_refused(self, tmp_path, capsys, dt):
         out = tmp_path / "p"

@@ -1,8 +1,7 @@
-"""The quick demos run to completion against the current package.
+"""Every demo runs to completion against the current package.
 
 Each demo is copied into a temporary directory and run from there, so the
-CSV files it writes next to itself stay out of the source tree.  The
-stability demo is left out: it is a long propagation run.
+CSV files it writes next to itself stay out of the source tree.
 """
 
 import os
@@ -21,6 +20,7 @@ WRITES = {
     "family_gallery.py": ("fields_elliptic.csv", "fields_sech.csv",
                           "fields_dark_bright.csv"),
     "special_function_tour.py": ("elliptic_triple.csv",),
+    "stability_run.py": ("diagnostics_clean.csv", "diagnostics_perturbed.csv"),
     "width_modulation_tour.py": ("chi_constant.csv", "chi_quasiperiodic.csv"),
 }
 

@@ -9,13 +9,14 @@ of chi under rescaling the second solution.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modcnls.modulation import (
     ModulationTrace,
-    accumulate_a,
+    _cumulative_simpson,
     closed_form_trace,
     drive_f,
     explicit_trace,
@@ -201,6 +202,18 @@ class TestExplicitTrace:
             explicit_trace(0.7, 0.3, 1.0)
         with pytest.raises(ValueError):
             explicit_trace(-0.6, 0.5, 1.0)
+
+
+def accumulate_a(trace):
+    # oracle: the phase offset a = int chi^-2 dt from a trace's own chi
+    # samples, by the cumulative Simpson rule mathieu_trace uses
+    if np.any(trace.chi <= 0):
+        raise ValueError("accumulate_a: chi samples must be positive")
+    dts = np.diff(trace.times)
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
+        raise ValueError("accumulate_a: time grid must be uniform")
+    return replace(trace, a=_cumulative_simpson(1.0 / trace.chi**2,
+                                                float(dts[0])))
 
 
 class TestPhaseAccumulation:

@@ -15,6 +15,9 @@ from modcnls.propagator import (ConstantCoefficients, DiagnosticsTrace,
                                 propagate, stability_verdict, step)
 from modcnls.transform import CoefficientSampler
 
+COLUMNS = ("times", "norm1", "norm2", "profile_error1", "profile_error2",
+           "peak_pos1")
+
 
 def free_gaussian(x, t, a=1.0):
     # i psi_t = -psi_xx with psi(x,0) = exp(-x^2/(2a)) spreads the complex
@@ -46,23 +49,9 @@ class TestPropagationConfig:
         with pytest.raises(ValidationError):
             PropagationConfig(self.grid(), dt=1e-3, t_end=1.0, t_start=2.0)
 
-    def test_rejects_bad_stride_and_seed(self):
+    def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError):
             PropagationConfig(self.grid(), dt=1e-3, t_end=1.0, record_stride=0)
-        with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=1.0, rng_seed=-1)
-
-    def test_rejects_large_perturbation(self):
-        # beyond 20 percent the small-perturbation premise is void
-        with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=1.0,
-                              perturbation_amplitude=0.2)
-        with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=1.0,
-                              perturbation_amplitude=-0.01)
-        cfg = PropagationConfig(self.grid(), dt=1e-3, t_end=1.0,
-                                perturbation_amplitude=0.19)
-        assert cfg.perturbation_amplitude == 0.19
 
     def test_rejects_dt_exceeding_resolution_bound(self):
         # N/4L = 25.6 cycles; dt (N/4L)^2 > pi refused
@@ -209,17 +198,80 @@ class TestPropagate:
     def test_determinism_bitwise(self):
         fam, tr, grid = family_setup(sech_family, t_end=0.21)
         cfg = PropagationConfig(grid, dt=1e-3, t_end=0.2,
-                                coefficient_source=CoefficientSampler(fam, tr),
-                                perturbation_amplitude=0.03, rng_seed=7)
+                                coefficient_source=CoefficientSampler(fam, tr))
         runs = []
         for _ in range(2):
-            psi0 = perturb(assemble(fam, tr, grid.x, 0.0),
-                           cfg.perturbation_amplitude, cfg.rng_seed)
+            psi0 = perturb(assemble(fam, tr, grid.x, 0.0), 0.03, 7)
             runs.append(propagate(psi0, cfg, reference=(fam, tr)))
         a, b = runs
-        for name in ("norm1", "norm2", "profile_error1", "profile_error2",
-                     "peak_pos1"):
+        for name in COLUMNS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_ensemble_members_match_solo_runs(self):
+        fam, tr, grid = family_setup(sech_family, t_end=0.21)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.2,
+                                coefficient_source=CoefficientSampler(fam, tr),
+                                record_stride=7)
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        members = [psi0] + [perturb(psi0, 0.03, seed) for seed in (1, 2)]
+        solo = [propagate(m, cfg, reference=(fam, tr)) for m in members]
+        for size in (2, 3):
+            traces = propagate(members[:size], cfg, reference=(fam, tr))
+            assert len(traces) == size
+            for alone, together in zip(solo, traces):
+                for name in COLUMNS:
+                    assert np.array_equal(getattr(alone, name),
+                                          getattr(together, name)), name
+
+    @pytest.mark.parametrize("stride, times", [
+        (1, np.arange(11) * 1e-3),
+        (3, [0.0, 3e-3, 6e-3, 9e-3, 1e-2]),
+        (25, [0.0, 1e-2]),
+    ])
+    def test_records_end_at_t_end(self, stride, times):
+        grid = SpatialGrid(10.0, 128)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=1e-2,
+                                coefficient_source=ConstantCoefficients(),
+                                record_stride=stride)
+        psi = np.ones(128, dtype=complex)
+        diag = propagate(FieldPair(grid.x, psi, psi, 0.0), cfg)
+        np.testing.assert_allclose(diag.times, times, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("stride", [10, 40, 1000])
+    def test_divergence_caught_within_check_stride(self, stride):
+        # the fields are checked every 25 steps, whatever the record stride
+        grid = SpatialGrid(10.0, 128)
+        t_nan = 0.0405
+
+        class TurnsNaN:
+            def potential(self, x, t):
+                return np.full((2, len(x)), np.nan if t >= t_nan else 0.0)
+
+            def couplings(self, x, t):
+                return np.zeros((2, 2, len(x)))
+
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.2,
+                                coefficient_source=TurnsNaN(),
+                                record_stride=stride)
+        psi = np.ones(128, dtype=complex)
+        with pytest.raises(DivergenceError) as info:
+            propagate([FieldPair(grid.x, psi, psi, 0.0)] * 2, cfg)
+        assert t_nan <= info.value.t <= t_nan + 25 * cfg.dt
+
+    def test_member_off_the_grid_refused(self):
+        grid = SpatialGrid(10.0, 128)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.1,
+                                coefficient_source=ConstantCoefficients())
+        psi = np.ones(128, dtype=complex)
+        good = FieldPair(grid.x, psi, psi, 0.0)
+        wider = SpatialGrid(12.0, 128).x
+        for bad in (FieldPair(wider, psi, psi, 0.0),
+                    FieldPair(grid.x[:64], psi[:64], psi[:64], 0.0),
+                    FieldPair(grid.x, psi, psi[:64], 0.0)):
+            with pytest.raises(ValidationError, match="member 1"):
+                propagate([good, bad], cfg)
+        with pytest.raises(ValidationError, match="no initial fields"):
+            propagate([], cfg)
 
     def test_dark_family_refused_without_override(self):
         fam = dark_bright_family(0.5)
@@ -384,6 +436,22 @@ class TestPdeResidual:
 
 
 class TestConvergenceOrder:
+    def test_second_order_in_dt_through_propagate(self):
+        # the merged kinetic steps keep the scheme second order: halving dt
+        # quarters the final profile error
+        fam = sech_family()
+        tr = default_trace(fam, drive="periodic", t_end=0.51)
+        grid = SpatialGrid(25.0, 1024)
+        errs = []
+        for dt in (1e-3, 5e-4):
+            cfg = PropagationConfig(grid, dt=dt, t_end=0.3,
+                                    coefficient_source=CoefficientSampler(fam, tr))
+            diag = propagate(assemble(fam, tr, grid.x, 0.0), cfg,
+                             reference=(fam, tr))
+            assert diag.times[-1] == pytest.approx(0.3)
+            errs.append(max(diag.profile_error1[-1], diag.profile_error2[-1]))
+        assert 3.5 <= errs[0] / errs[1] <= 4.5
+
     def test_second_order_in_dt(self):
         fam = sech_family()
         tr = default_trace(fam, drive="periodic", t_end=0.51)
