@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import (DarkBackgroundError, DivergenceError, ValidationError,
                      VerificationError)
-from .export import (FORMATS, write_coefficients, write_diagnostics,
-                     write_fields, write_manifest, write_modulation)
+from .export import (EXTENSIONS, FORMATS, write_coefficients,
+                     write_diagnostics, write_fields, write_manifest,
+                     write_modulation)
 from .families import (FAMILY_KINDS, assemble, dark_bright_family,
                        default_grid, default_trace, elliptic_family,
                        sech_family)
@@ -141,6 +142,8 @@ def _coerce(key, raw):
         if key in ("stride",):
             return int(raw)
         return float(raw)
+    if key == "format" and raw not in FORMATS:
+        raise ValidationError(f"config: unknown format {raw!r}")
     if isinstance(template, bool):
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
@@ -210,12 +213,9 @@ def _trace_from(cfg, family, t_end):
 
 
 def _grid_from(cfg, family, purpose):
-    n = cfg["N"]
-    if n < 8 or n & (n - 1):
-        raise ValidationError(f"N must be a power of two >= 8, got {n}")
     if cfg["L"] is not None:
-        return SpatialGrid(cfg["L"], n)
-    return default_grid(family, purpose, n_points=n, drive=cfg["drive"])
+        return SpatialGrid(cfg["L"], cfg["N"])
+    return default_grid(family, purpose, n_points=cfg["N"], drive=cfg["drive"])
 
 
 def _prepare_out(cfg):
@@ -249,7 +249,7 @@ def cmd_solution(cfg):
     times = _snapshot_times(cfg)
     trace = _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
     out = _prepare_out(cfg)
-    ext = "csv" if cfg["format"] == "csv" else "jsonl"
+    ext = EXTENSIONS[cfg["format"]]
     names = []
     for idx, t in enumerate(times):
         fields = assemble(family, trace, grid.x, t)
@@ -274,7 +274,7 @@ def cmd_potential(cfg):
     trace = _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
     sampler = CoefficientSampler(family, trace)
     out = _prepare_out(cfg)
-    ext = "csv" if cfg["format"] == "csv" else "jsonl"
+    ext = EXTENSIONS[cfg["format"]]
     names = [f"coefficients.{ext}"]
     write_coefficients(os.path.join(out, names[0]), sampler, grid.x, times,
                        _meta(cfg), cfg["format"])
@@ -375,7 +375,7 @@ def cmd_propagate(cfg):
     )
     psi0 = assemble(family, trace, grid.x, 0.0)
     out = _prepare_out(cfg)
-    ext = "csv" if cfg["format"] == "csv" else "jsonl"
+    ext = EXTENSIONS[cfg["format"]]
 
     members = [psi0]
     if cfg["perturb"] > 0:
@@ -416,7 +416,7 @@ def cmd_mathieu_trace(cfg):
     trace = mathieu_trace(kind, cfg["t_end"], dt=cfg["dt"],
                           epsilon=cfg["epsilon"], omega0=cfg["omega0"])
     out = _prepare_out(cfg)
-    ext = "csv" if cfg["format"] == "csv" else "jsonl"
+    ext = EXTENSIONS[cfg["format"]]
     write_modulation(os.path.join(out, f"trace.{ext}"), trace,
                      _meta(cfg), cfg["format"])
     write_manifest(os.path.join(out, "manifest.json"), dict(cfg))

@@ -8,7 +8,9 @@ same configuration byte-identical.
 
 Two row formats: csv (a comment header of "# key = value" lines, then a
 column-name row, then data rows) and json-lines (a meta object on the first
-line, then one object per row).
+line, then one object per row).  Tables are rendered a column at a time:
+one tolist() per column, and a column shared by many rows, such as the x
+of a coefficient lattice, is rendered once.
 """
 
 import json
@@ -16,7 +18,8 @@ import os
 
 import numpy as np
 
-FORMATS = ("csv", "json-lines")
+EXTENSIONS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file suffix
+FORMATS = tuple(EXTENSIONS)
 
 FIELD_COLUMNS = ("x", "re_psi1", "im_psi1", "re_psi2", "im_psi2",
                  "abs2_psi1", "abs2_psi2")
@@ -24,10 +27,6 @@ COEFFICIENT_COLUMNS = ("x", "t", "v1", "v2", "g11", "g12", "g21", "g22")
 DIAGNOSTICS_COLUMNS = ("t", "norm1", "norm2", "profile_error1",
                        "profile_error2", "peak_pos1")
 TRACE_COLUMNS = ("t", "chi", "dchi_dt", "a")
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def atomic_write_text(path, text):
@@ -38,55 +37,67 @@ def atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def _render(columns, rows, meta, fmt):
+def _cells(values, fmt):
+    """One column as cells: repr texts for csv, Python floats for json-lines."""
+    floats = np.asarray(values, dtype=float).tolist()
+    return list(map(repr, floats)) if fmt == "csv" else floats
+
+
+def _write(path, columns, blocks, meta, fmt):
+    """Write the rows of each block, a sequence of one cell list per column."""
     if fmt == "csv":
-        lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
-    if fmt == "json-lines":
+        lines = [f"# {k} = {meta[k]}" for k in sorted(meta)] + [",".join(columns)]
+        row_text = ",".join
+    elif fmt == "json-lines":
         lines = [json.dumps({"meta": meta}, sort_keys=True)]
-        for row in rows:
-            lines.append(json.dumps(
-                {c: float(v) for c, v in zip(columns, row)}, sort_keys=True))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        def row_text(row):
+            return json.dumps(dict(zip(columns, row)), sort_keys=True)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    for cells in blocks:
+        lines.extend(map(row_text, zip(*cells)))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_columns(path, columns, data, meta, fmt):
+    _write(path, columns, [[_cells(col, fmt) for col in data]], meta, fmt)
 
 
 def write_table(path, columns, rows, meta, fmt="csv"):
-    atomic_write_text(path, _render(columns, rows, meta, fmt))
+    data = np.array(list(rows), dtype=float).reshape(-1, len(columns))
+    _write_columns(path, columns, data.T, meta, fmt)
 
 
 def write_fields(path, fields, meta, fmt="csv"):
     """One snapshot of both components in the seven-column field layout."""
-    rows = zip(fields.x, fields.psi1.real, fields.psi1.imag,
-               fields.psi2.real, fields.psi2.imag,
-               np.abs(fields.psi1) ** 2, np.abs(fields.psi2) ** 2)
-    write_table(path, FIELD_COLUMNS, rows, meta, fmt)
+    data = (fields.x, fields.psi1.real, fields.psi1.imag,
+            fields.psi2.real, fields.psi2.imag,
+            np.abs(fields.psi1) ** 2, np.abs(fields.psi2) ** 2)
+    _write_columns(path, FIELD_COLUMNS, data, meta, fmt)
 
 
 def write_coefficients(path, sampler, x, times, meta, fmt="csv"):
     """Potential and coupling lattice, t outer, x inner."""
-    rows = []
-    for t in times:
-        v = sampler.potential(x, t)
-        g = sampler.couplings(x, t)
-        for i in range(len(x)):
-            rows.append((x[i], t, v[0, i], v[1, i],
-                         g[0, 0, i], g[0, 1, i], g[1, 0, i], g[1, 1, i]))
-    write_table(path, COEFFICIENT_COLUMNS, rows, meta, fmt)
+    x_cells = _cells(x, fmt)
+
+    def block(t):
+        v, g = sampler.potential(x, t), sampler.couplings(x, t)
+        return [x_cells, _cells([t], fmt) * len(x_cells)] + [
+            _cells(col, fmt) for col in (v[0], v[1], g[0, 0], g[0, 1],
+                                         g[1, 0], g[1, 1])]
+
+    _write(path, COEFFICIENT_COLUMNS, map(block, times), meta, fmt)
 
 
 def write_diagnostics(path, diag, meta, fmt="csv"):
-    rows = zip(diag.times, diag.norm1, diag.norm2,
-               diag.profile_error1, diag.profile_error2, diag.peak_pos1)
-    write_table(path, DIAGNOSTICS_COLUMNS, rows, meta, fmt)
+    data = (diag.times, diag.norm1, diag.norm2,
+            diag.profile_error1, diag.profile_error2, diag.peak_pos1)
+    _write_columns(path, DIAGNOSTICS_COLUMNS, data, meta, fmt)
 
 
 def write_modulation(path, trace, meta, fmt="csv"):
-    rows = zip(trace.times, trace.chi, trace.dchi_dt, trace.a)
-    write_table(path, TRACE_COLUMNS, rows, meta, fmt)
+    data = (trace.times, trace.chi, trace.dchi_dt, trace.a)
+    _write_columns(path, TRACE_COLUMNS, data, meta, fmt)
 
 
 def write_manifest(path, config):

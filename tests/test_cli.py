@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 from modcnls.cli import main
-from modcnls.errors import DivergenceError
-from modcnls.export import (atomic_write_text, write_table, FIELD_COLUMNS,
-                            COEFFICIENT_COLUMNS)
+from modcnls.errors import DivergenceError, ValidationError
+from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
+                            write_diagnostics, write_fields, write_modulation,
+                            write_table, COEFFICIENT_COLUMNS,
+                            DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
+from modcnls.families import FieldPair, sech_family
+from modcnls.grid import SpatialGrid
+from modcnls.modulation import closed_form_trace
+from modcnls.propagator import DiagnosticsTrace
+from modcnls.transform import CoefficientSampler
 
 
 def data_lines(path):
@@ -57,6 +64,117 @@ class TestExportHelpers:
         assert json.loads(lines[1]) == {"a": 1.5, "b": 2.5}
 
 
+def render_rows(columns, rows, meta, fmt):
+    # oracle: the row-wise renderer, one repr(float(v)) per value
+    if fmt == "csv":
+        lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(repr(float(v)) for v in row))
+        return "\n".join(lines) + "\n"
+    lines = [json.dumps({"meta": meta}, sort_keys=True)]
+    for row in rows:
+        lines.append(json.dumps(
+            {c: float(v) for c, v in zip(columns, row)}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+# values whose text is easy to get wrong: non-finite, signed zero, the
+# smallest subnormal, a huge one, and a short decimal with no exact binary
+SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300,
+            0.1]
+META = {"b": "2", "a": "x y", "t": repr(0.25)}
+
+
+def mixed_column(rng, n):
+    col = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    col[rng.choice(n, len(SPECIALS), replace=False)] = SPECIALS
+    return col
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+class TestColumnRendering:
+    """Every writer against the row-wise oracle, byte for byte."""
+
+    def test_write_table(self, tmp_path, fmt):
+        rows = [(v, -v, 1) for v in SPECIALS] + [(1 / 3, 2.0920992401062033,
+                                                   -1e-300)]
+        target = tmp_path / "t"
+        write_table(str(target), ("a", "b", "c"), rows, META, fmt)
+        assert target.read_text() == render_rows(("a", "b", "c"), rows, META,
+                                                 fmt)
+
+    def test_empty_table(self, tmp_path, fmt):
+        target = tmp_path / "t"
+        write_table(str(target), ("a", "b"), [], META, fmt)
+        assert target.read_text() == render_rows(("a", "b"), [], META, fmt)
+
+    def test_write_fields(self, tmp_path, fmt):
+        rng = np.random.default_rng(3)
+        n = 64
+        x = mixed_column(rng, n)
+        psi1, psi2 = np.empty((2, n), complex)
+        for psi in (psi1, psi2):
+            psi.real, psi.imag = mixed_column(rng, n), mixed_column(rng, n)
+        target = tmp_path / "f"
+        with np.errstate(over="ignore"):  # |1e300|^2
+            write_fields(str(target), FieldPair(x, psi1, psi2, 0.25), META,
+                         fmt)
+            rows = zip(x, psi1.real, psi1.imag, psi2.real, psi2.imag,
+                       np.abs(psi1) ** 2, np.abs(psi2) ** 2)
+        assert target.read_text() == render_rows(FIELD_COLUMNS, rows, META,
+                                                 fmt)
+
+    def test_write_coefficients(self, tmp_path, fmt):
+        fam = sech_family()
+        sampler = CoefficientSampler(fam, closed_form_trace(1.0))
+        x = SpatialGrid(20.0, 64).x
+        x[:len(SPECIALS)] = SPECIALS  # the shared x column, specials included
+        times = [0.0, 0.1, 0.7]
+        calls = []
+
+        def counted(name, method):
+            def call(x, t):
+                calls.append((name, t))
+                return method(x, t)
+            return call
+
+        for name in ("potential", "couplings"):
+            setattr(sampler, name, counted(name, getattr(sampler, name)))
+        target = tmp_path / "c"
+        with np.errstate(over="ignore", invalid="ignore"):
+            write_coefficients(str(target), sampler, x, times, META, fmt)
+            # one potential and one couplings sample per time
+            assert calls == [(name, t) for t in times
+                             for name in ("potential", "couplings")]
+            rows = []
+            for t in times:
+                v = sampler.potential(x, t)
+                g = sampler.couplings(x, t)
+                for i in range(len(x)):
+                    rows.append((x[i], t, v[0, i], v[1, i], g[0, 0, i],
+                                 g[0, 1, i], g[1, 0, i], g[1, 1, i]))
+        assert target.read_text() == render_rows(COEFFICIENT_COLUMNS, rows,
+                                                 META, fmt)
+
+    def test_write_diagnostics(self, tmp_path, fmt):
+        rng = np.random.default_rng(4)
+        cols = [mixed_column(rng, 40) for _ in DIAGNOSTICS_COLUMNS]
+        cols[1:3] = rng.uniform(0.5, 2.0, (2, 40))  # norms must be positive
+        target = tmp_path / "d"
+        write_diagnostics(str(target), DiagnosticsTrace(*cols), META, fmt)
+        assert target.read_text() == render_rows(DIAGNOSTICS_COLUMNS,
+                                                 zip(*cols), META, fmt)
+
+    def test_write_modulation(self, tmp_path, fmt):
+        trace = closed_form_trace(0.5, dt=1e-2)
+        target = tmp_path / "m"
+        write_modulation(str(target), trace, META, fmt)
+        rows = zip(trace.times, trace.chi, trace.dchi_dt, trace.a)
+        assert target.read_text() == render_rows(TRACE_COLUMNS, rows, META,
+                                                 fmt)
+
+
 class TestConfigResolution:
     def test_flags_over_config_file_over_defaults(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -96,6 +214,15 @@ class TestConfigResolution:
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["solution", "--config", str(tmp_path / "nope")]) == 1
 
+    def test_unknown_format_in_config_file_rejected(self, tmp_path, capsys):
+        # the parser's choices do not see a config file
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = xml\n")
+        out = tmp_path / "o"
+        assert main(["solution", "--config", str(conf), "--out", str(out)]) == 1
+        assert "unknown format 'xml'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidationGates:
     def test_grid_size_must_be_power_of_two(self, tmp_path, capsys):
@@ -106,6 +233,12 @@ class TestValidationGates:
 
     def test_zero_points_rejected(self, tmp_path):
         assert main(["solution", "--N", "0", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("n", [0, 4, 6, 12, 1000, 1023])
+    def test_grid_itself_demands_power_of_two(self, n):
+        # the rule lives in SpatialGrid, so library callers get it too
+        with pytest.raises(ValidationError, match="power of two"):
+            SpatialGrid(10.0, n)
 
     def test_bad_family_parameter(self, tmp_path):
         # |alpha| + |beta| >= 1 leaves the width able to vanish

@@ -47,11 +47,62 @@ class TestDrive:
             mathieu_trace("chirp", 1.0)
 
 
+def chi_rk4_longdouble(t_end, h, epsilon, omega0):
+    # oracle: the same classical RK4, stepped one step after another in
+    # extended precision, so its own rounding sits far below float64's
+    L = np.longdouble
+    hl, eps, w0 = L(h), L(epsilon), L(omega0)
+    n = int(math.ceil(t_end / h - 1e-12))
+
+    def drive(t):
+        return 1 + eps * np.cos(w0 * t)
+
+    y = [np.sqrt(L(2)), L(0), L(0), L(1)]  # z1, z1', z2, z2'
+    chi = [L(2)]
+    for i in range(n):
+        t = L(i) * hl
+        f0, fm, f1 = drive(t), drive(t + hl / 2), drive(t + hl)
+        for k in (0, 2):
+            z, v = y[k], y[k + 1]
+            k1z, k1v = v, -4 * f0 * z
+            k2z, k2v = v + hl / 2 * k1v, -4 * fm * (z + hl / 2 * k1z)
+            k3z, k3v = v + hl / 2 * k2v, -4 * fm * (z + hl / 2 * k2z)
+            k4z, k4v = v + hl * k3v, -4 * f1 * (z + hl * k3z)
+            y[k] = z + hl * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
+            y[k + 1] = v + hl * (k1v + 2 * k2v + 2 * k3v + k4v) / 6
+        # chi = sqrt(2 z1^2 + 2 z2^2 / W^2) with W = sqrt 2
+        chi.append(np.sqrt(2 * y[0] ** 2 + y[2] ** 2))
+    return np.array(chi)
+
+
 class TestMathieuIntegration:
     def test_reproduces_closed_form_width(self):
         tr = mathieu_trace("constant", 10.0, dt=1e-4)
         err = np.abs(tr.chi - chi_exact(tr.times)).max()
-        assert err < 1e-9, f"chi deviates from closed form by {err:.3e}"
+        assert err < 5e-14, f"chi deviates from closed form by {err:.3e}"
+
+    @pytest.mark.parametrize("kind, epsilon, omega0", [
+        ("quasiperiodic", 0.5, 1.0),
+        ("quasiperiodic", 0.5, 4.0),  # parametric resonance: chi grows
+        ("constant", 0.0, 0.0),
+    ])
+    def test_matches_extended_precision_rk4(self, kind, epsilon, omega0):
+        # same method, same step: the difference is float64 rounding alone
+        tr = mathieu_trace(kind, 5.0, dt=1e-3, epsilon=epsilon, omega0=omega0)
+        want = chi_rk4_longdouble(5.0, 1e-3, epsilon, omega0)
+        err = float(np.max(np.abs(tr.chi - want) / want))
+        assert err < 1e-14, f"relative chi error {err:.3e}"
+
+    def test_path_does_not_depend_on_horizon(self):
+        # the path at a node is the same bits whatever t_end it was built to
+        paths = [mathieu_trace("quasiperiodic", t_end, dt=1e-4).path
+                 for t_end in (3.3, 10.002, 11.0)]
+        longest = paths[-1]
+        for path in paths[:-1]:
+            n = len(path.times)
+            for name in ("times", "z1", "dz1", "z2", "dz2", "ddz1", "ddz2"):
+                np.testing.assert_array_equal(getattr(path, name),
+                                              getattr(longest, name)[:n])
 
     def test_wronskian_conserved(self):
         path = mathieu_trace("quasiperiodic", 10.0, dt=1e-4).path
