@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -25,9 +26,8 @@ from .errors import (DarkBackgroundError, DivergenceError, ValidationError,
 from .export import (EXTENSIONS, FORMATS, write_coefficients,
                      write_diagnostics, write_fields, write_manifest,
                      write_modulation)
-from .families import (FAMILY_KINDS, assemble, dark_bright_family,
-                       default_grid, default_trace, elliptic_family,
-                       sech_family)
+from .families import (assemble, dark_bright_family, default_grid,
+                       default_trace, elliptic_family, sech_family)
 from .grid import SpatialGrid
 from .modulation import mathieu_trace
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
@@ -60,6 +60,13 @@ DEFAULTS = {
     "corrupt_rho": 0.0,
 }
 
+# the allowed values of the choice keys, for flags and config files alike
+CHOICES = {"family": ("elliptic", "sech", "dark-bright"),
+           "drive": ("periodic", "quasiperiodic"),
+           "perturb_mode": ("multiplicative", "additive"),
+           "mu_sign": ("standard", "flipped"),
+           "format": FORMATS}
+
 # per-command fallbacks for the time-stepping knobs
 COMMAND_DEFAULTS = {
     "solution": {"t_end": 10.0, "dt": 1e-3, "stride": 250},
@@ -90,8 +97,7 @@ def build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None,
                        help="key=value file applied between defaults and flags")
-        p.add_argument("--family", choices=("elliptic", "sech", "dark-bright"),
-                       default=None)
+        p.add_argument("--family", choices=CHOICES["family"], default=None)
         p.add_argument("--n", type=int, default=None,
                        help="elliptic mode index")
         p.add_argument("--gamma", type=float, default=None,
@@ -106,8 +112,7 @@ def build_parser():
                        help="drive modulation depth")
         p.add_argument("--omega0", type=float, default=None,
                        help="drive modulation frequency")
-        p.add_argument("--drive", choices=("periodic", "quasiperiodic"),
-                       default=None)
+        p.add_argument("--drive", choices=CHOICES["drive"], default=None)
         p.add_argument("--L", type=float, default=None,
                        help="grid half width (default sized per family)")
         p.add_argument("--N", type=int, default=None,
@@ -119,15 +124,15 @@ def build_parser():
         p.add_argument("--perturb", type=float, default=None,
                        help="perturbation amplitude for propagate")
         p.add_argument("--perturb-mode", dest="perturb_mode",
-                       choices=("multiplicative", "additive"), default=None)
+                       choices=CHOICES["perturb_mode"], default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--override-dark", dest="override_dark",
                        action="store_const", const=True, default=None)
         p.add_argument("--mu-sign", dest="mu_sign",
-                       choices=("standard", "flipped"), default=None,
+                       choices=CHOICES["mu_sign"], default=None,
                        help="sign convention of the chemical-potential pair")
-        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--format", choices=CHOICES["format"], default=None)
         p.add_argument("--corrupt-rho", dest="corrupt_rho", type=float,
                        default=None, help="verify: scale rho by (1 + c x)")
     return parser
@@ -142,8 +147,8 @@ def _coerce(key, raw):
         if key in ("stride",):
             return int(raw)
         return float(raw)
-    if key == "format" and raw not in FORMATS:
-        raise ValidationError(f"config: unknown format {raw!r}")
+    if key in CHOICES and raw not in CHOICES[key]:
+        raise ValidationError(f"config: unknown {key} {raw!r}")
     if isinstance(template, bool):
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
@@ -196,9 +201,7 @@ def resolve(args):
 
 
 def _family_from(cfg):
-    kind = cfg["family"].replace("-", "_")
-    if kind not in FAMILY_KINDS:
-        raise ValidationError(f"unknown family {cfg['family']!r}")
+    kind = cfg["family"].replace("-", "_")  # a CHOICES["family"] value
     if kind == "elliptic":
         return elliptic_family(cfg["n"])
     if kind == "sech":
@@ -315,18 +318,21 @@ def cmd_verify(cfg):
     failures = []
 
     x_lat, t_lat = _constraint_lattice(family, cfg["drive"])
+    clock = [time.perf_counter()]
     residuals = verify_constraints(family, trace, x_lat, t_lat,
                                    corrupt_rho=cfg["corrupt_rho"])
     # every gate passes only on value <= threshold, so NaN fails
     for name in ("continuity", "advection", "flux"):
         if not getattr(residuals, name) <= 1e-5:
             failures.append(name)
+    clock.append(time.perf_counter())
 
     half = {"elliptic": 10.0, "sech": 20.0, "dark_bright": 15.0}[family.kind]
     x_pot = np.linspace(-half, half, 768)
     gap = potential_identity_check(family, trace, x_pot, min(1.3, t_end))
     if not gap <= 1e-4:
         failures.append("potential_identity")
+    clock.append(time.perf_counter())
 
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     times = sorted(rng.uniform(0.05, min(5.0, t_end), 5).tolist())
@@ -335,6 +341,7 @@ def cmd_verify(cfg):
                       for t in times]).max(axis=0).tolist()
     if not (worst[0] <= 1e-4 and worst[1] <= 1e-4):
         failures.append("pde_residual")
+    clock.append(time.perf_counter())
 
     report = {
         "config": {k: v for k, v in cfg.items()},
@@ -347,6 +354,9 @@ def cmd_verify(cfg):
         "potential_identity": {"gap": gap, "threshold": 1e-4},
         "pde_residual": {"times": times, "worst1": worst[0],
                          "worst2": worst[1], "threshold": 1e-4},
+        "timing": dict(zip(("constraints_s", "potential_identity_s",
+                            "pde_residual_s"), np.diff(clock).tolist()),
+                       constraint_workers=residuals.workers),
         "failures": failures,
         "pass": not failures,
     }

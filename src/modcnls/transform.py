@@ -24,6 +24,7 @@ finite differences on a space-time lattice as an independent check.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ from .specfun import erf, erfi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
-_BLOCK_POINTS = 100_000  # lattice points per verify_constraints block
+_BLOCK_POINTS = 100_000  # lattice points in flight in verify_constraints
+_MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -246,6 +248,7 @@ class ConstraintResiduals:
     continuity: float      # rho rho_t + (rho^2 eta_x)_x
     advection: float       # zeta_t + 2 eta_x zeta_x
     flux: float            # (rho^2 zeta_x)_x
+    workers: int = 1       # column strips walked in parallel
 
     @property
     def worst(self):
@@ -253,45 +256,24 @@ class ConstraintResiduals:
         return float(np.max([self.continuity, self.advection, self.flux]))
 
 
-def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
-    """Finite-difference residuals of the three transform constraints.
+def _strip_count(columns):
+    """One strip per usable CPU, each at least _MIN_STRIP_COLUMNS wide."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, columns // _MIN_STRIP_COLUMNS))
 
-    x and t must be uniform lattices, at least 256 x 64 points; residuals are
-    maximized over the interior (4 points trimmed in x, 2 in t to clear the
-    fourth-order stencils).  A non-finite residual anywhere in the interior
-    makes that maximum NaN.  corrupt_rho multiplies the envelope by
-    (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
-    check has teeth.
 
-    The lattice is walked in blocks of interior t-rows, about
-    _BLOCK_POINTS lattice points each, so the working set stays
-    cache-sized whatever the lattice.  Each block is sampled with a two-row
-    halo on either side for the time stencils; every residual value is the
-    one a whole-lattice evaluation gives, bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not math.isfinite(corrupt_rho):
-        raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
-                         f"got {corrupt_rho}")
-    if len(x) < 256 or len(t) < 64:
-        raise LatticeTooCoarseError(
-            f"constraint lattice {len(x)} x {len(t)} below the 256 x 64 floor"
-        )
-    hx, ht = np.diff(x), np.diff(t)
-    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0] or np.max(np.abs(ht - ht[0])) > 1e-9 * ht[0]:
-        raise ValueError("verify_constraints: lattices must be uniform")
-    hx, ht = float(hx[0]), float(ht[0])
-    envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
-
-    rows = max(1, _BLOCK_POINTS // len(x))
+def _walk_strip(family, trace, x, t, envelope, rows, c0, c1):
+    """Worst residuals over interior columns c0:c1, walked in row blocks."""
+    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
+    xs = x[c0 - 4:c1 + 4]  # the x stencils reach four columns out
     worst = np.zeros(3)
     for r0 in range(2, len(t) - 2, rows):
         r1 = min(r0 + rows, len(t) - 2)
-        lat = sample_transform_lattice(family, trace, x, t[r0 - 2:r1 + 2])
+        lat = sample_transform_lattice(family, trace, xs, t[r0 - 2:r1 + 2])
         rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
         if envelope is not None:
-            rho = rho * envelope
+            rho = rho * envelope[c0 - 4:c1 + 4]
         # time stencils consume the halo; rows below are the block's own
         rho_t = interior_diff(rho, ht, axis=0)[:, 4:-4]
         zeta_t = interior_diff(zeta, ht, axis=0)[:, 4:-4]
@@ -305,8 +287,56 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
         r9 = interior_diff(rho_i * rho_i * zeta_x, hx, axis=1)
         # np.maximum and np.max both propagate NaN
         worst = np.maximum(worst, [np.max(np.abs(r)) for r in (r7, r8, r9)])
+    return worst
 
-    return ConstraintResiduals(*(float(w) for w in worst))
+
+def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
+    """Finite-difference residuals of the three transform constraints.
+
+    x and t must be uniform lattices, at least 256 x 64 points; residuals are
+    maximized over the interior (4 points trimmed in x, 2 in t to clear the
+    fourth-order stencils).  A non-finite residual anywhere in the interior
+    makes that maximum NaN.  corrupt_rho multiplies the envelope by
+    (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
+    check has teeth.
+
+    The interior columns are split into one strip per usable CPU (CPU
+    affinity, else os.cpu_count()), at least _MIN_STRIP_COLUMNS wide; the
+    caller walks one strip and helper threads the rest, in parallel as numpy
+    releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
+    with a 4-column x halo and a 2-row t halo; all strips' blocks together
+    hold at most _BLOCK_POINTS points.  Each residual is the whole-lattice
+    value bit for bit; the result is the elementwise maximum over strips.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not math.isfinite(corrupt_rho):
+        raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
+                         f"got {corrupt_rho}")
+    if len(x) < 256 or len(t) < 64:
+        raise LatticeTooCoarseError(
+            f"constraint lattice {len(x)} x {len(t)} below the 256 x 64 floor"
+        )
+    hx, ht = np.diff(x), np.diff(t)
+    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0] or np.max(np.abs(ht - ht[0])) > 1e-9 * ht[0]:
+        raise ValueError("verify_constraints: lattices must be uniform")
+    envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
+
+    columns = len(x) - 8
+    workers = _strip_count(columns)
+    edges = [4 + columns * k // workers for k in range(workers + 1)]
+    # the strips' blocks span columns + 8 * workers sampled columns in all
+    rows = max(1, _BLOCK_POINTS // (columns + 8 * workers))
+    from concurrent.futures import ThreadPoolExecutor  # lazy: loads logging
+    args = (family, trace, x, t, envelope, rows)
+    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+        strips = [helpers.submit(_walk_strip, *args, c0, c1)
+                  for c0, c1 in zip(edges[1:-1], edges[2:])]
+        worst = _walk_strip(*args, edges[0], edges[1])
+        for strip in strips:
+            worst = np.maximum(worst, strip.result())
+
+    return ConstraintResiduals(*(float(w) for w in worst), workers=workers)
 
 
 def potential_identity_check(family, trace, x, t, dt=1e-4):

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from modcnls import transform
 from modcnls.cli import main
 from modcnls.errors import DivergenceError, ValidationError
 from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
@@ -223,6 +224,21 @@ class TestConfigResolution:
         assert "unknown format 'xml'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("solution", "family", "elliptc"),
+        ("mathieu-trace", "drive", "foo"),
+        ("propagate", "perturb_mode", "additve"),
+        ("potential", "mu_sign", "flipd"),
+    ])
+    def test_unknown_choice_in_config_file_rejected(self, tmp_path, capsys,
+                                                    command, key, value):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+        assert f"unknown {key} '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidationGates:
     def test_grid_size_must_be_power_of_two(self, tmp_path, capsys):
@@ -338,6 +354,15 @@ class TestVerifyCommand:
         assert report["pass"] is True
         assert report["constraints"]["flux"] <= 1e-5
         assert report["pde_residual"]["worst1"] <= 1e-4
+
+    def test_report_times_its_phases(self, tmp_path):
+        out = tmp_path / "v"
+        assert main(["verify", "--family", "sech", "--out", str(out)]) == 0
+        timing = json.loads((out / "report.json").read_text())["timing"]
+        for phase in ("constraints_s", "potential_identity_s", "pde_residual_s"):
+            assert timing[phase] > 0, phase
+        # the sech periodic lattice has 512 columns, 504 of them interior
+        assert timing["constraint_workers"] == transform._strip_count(504)
 
     def test_dark_negative_lambda_passes(self, tmp_path):
         out = tmp_path / "v"

@@ -6,6 +6,10 @@ against finite-difference reconstruction from the (rho, eta, zeta) lattices.
 """
 
 import math
+import os
+import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,10 +280,14 @@ class TestVerifyConstraints:
         half = 1.0 if kind == "elliptic" else 5.0
         x = np.linspace(-half, half, nx)
         t = np.linspace(0.0, 1.0, nt)
-        rows = transform._BLOCK_POINTS // nx
+        # the blocks of all strips hold at most _BLOCK_POINTS points: each
+        # strip samples its interior columns plus a 4-column halo per side
+        workers = transform._strip_count(nx - 8)
+        rows = transform._BLOCK_POINTS // (nx - 8 + 8 * workers)
         # several blocks, the last one short
         assert nt - 4 > 2 * rows and (nt - 4) % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
+        assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
         assert (r.continuity, r.advection, r.flux) == want
 
@@ -344,3 +352,124 @@ class TestVerifyConstraints:
         t = np.linspace(0, 1, 512)
         r = verify_constraints(fam, tr, x, t)
         assert r.worst < 1e-4
+
+
+def force_strips(monkeypatch, workers):
+    monkeypatch.setattr(transform, "_strip_count", lambda columns: workers)
+
+
+class TestParallelWalk:
+    """verify_constraints splits the interior columns into strips walked on
+    separate threads; every residual must stay the whole-lattice value."""
+
+    @pytest.mark.parametrize("nx", [259, 643])
+    @pytest.mark.parametrize("corrupt", [0.0, 0.01])
+    def test_strips_match_whole_lattice(self, monkeypatch, nx, corrupt):
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x = np.linspace(-1.0, 1.0, nx)
+        t = np.linspace(0.0, 1.0, 1000)
+        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
+        for workers in (1, 2, 3):
+            force_strips(monkeypatch, workers)
+            # strips of unequal width, each walked in several row blocks
+            assert workers == 1 or (nx - 8) % workers != 0
+            assert 2 * (transform._BLOCK_POINTS // (nx - 8 + 8 * workers)) < 996
+            r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
+            assert r.workers == workers
+            assert (r.continuity, r.advection, r.flux) == want, workers
+
+    def test_shared_trace_cache_under_contention(self, monkeypatch):
+        # the strips share the trace, whose a' slopes are cached on first
+        # use: more strips than cores and a short switch interval must not
+        # change a residual
+        fam = elliptic_family(1)
+        x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 300)
+        want = whole_lattice_residuals(
+            fam, default_trace(fam, "quasiperiodic", 1.0), x, t)
+        force_strips(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                tr = default_trace(fam, "quasiperiodic", 1.0)  # empty cache
+                r = verify_constraints(fam, tr, x, t)
+                assert (r.continuity, r.advection, r.flux) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_strip_count_follows_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert transform._strip_count(2552) == 2552 // transform._MIN_STRIP_COLUMNS
+        assert transform._strip_count(249) == 1
+        assert transform._strip_count(100) == 1
+        # a platform without an affinity call falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert transform._strip_count(2552) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert transform._strip_count(2552) == 1
+
+    def test_nan_seen_by_the_last_strip_only(self, monkeypatch):
+        # constant width, so xi = x: zeta is NaN only for x > 4, which only
+        # the last of three strips over [-5, 5] samples
+        real = sech_family()
+        fam = SimpleNamespace(
+            stretch=SimpleNamespace(
+                fprime=real.stretch.fprime,
+                zeta=lambda xi: np.where(xi > 4.0, np.nan, real.stretch.zeta(xi))),
+            mu=real.mu, g_matrix=real.g_matrix)
+        tr = SimpleNamespace(chi_at=np.ones_like, dchi_dt_at=np.zeros_like,
+                             a_at=np.zeros_like)
+        force_strips(monkeypatch, 3)
+        r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
+                               np.linspace(0, 1, 300))
+        assert math.isnan(r.advection) and math.isnan(r.flux)
+        assert math.isfinite(r.continuity)  # continuity never reads zeta
+
+    def test_helper_failure_reaches_caller_and_no_thread_outlives(
+            self, monkeypatch):
+        fam = sech_family()
+        tr = default_trace(fam, "periodic", 1.0)
+        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
+        sample = transform.sample_transform_lattice
+        walkers = set()
+
+        def spy(family, trace, xs, ts):
+            walkers.add(threading.get_ident())
+            return sample(family, trace, xs, ts)
+
+        def failing(family, trace, xs, ts):
+            if xs[0] > 0:
+                raise RuntimeError("right strip cannot be sampled")
+            return sample(family, trace, xs, ts)
+
+        before = threading.active_count()
+        force_strips(monkeypatch, 3)
+        monkeypatch.setattr(transform, "sample_transform_lattice", spy)
+        verify_constraints(fam, tr, x, t)
+        # the caller walks one strip, two helpers the others
+        assert len(walkers) == 3 and threading.get_ident() in walkers
+        assert threading.active_count() == before
+        monkeypatch.setattr(transform, "sample_transform_lattice", failing)
+        with pytest.raises(RuntimeError, match="right strip cannot be sampled"):
+            verify_constraints(fam, tr, x, t)
+        assert threading.active_count() == before
+
+    def test_working_set_does_not_grow_with_workers(self, monkeypatch):
+        # the points in flight stay at _BLOCK_POINTS whatever the worker
+        # count; a full-size block per thread would double the peak
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
+        peaks = {}
+        for workers in (1, 2):
+            force_strips(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                verify_constraints(fam, tr, x, t)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.1 * peaks[1], peaks
