@@ -11,8 +11,7 @@ residuals, full-equation residuals, and split-step propagation.
 """
 
 from .errors import (DarkBackgroundError, DivergenceError,
-                     LatticeTooCoarseError, ValidationError,
-                     VerificationError)
+                     LatticeTooCoarseError, ValidationError)
 from .grid import SpatialGrid
 from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
                       EllipticTriple)

@@ -5,15 +5,22 @@ analytic lattices, verify runs the constraint/potential/equation residual
 suites, propagate runs split-step experiments with optional perturbation,
 and mathieu-trace dumps the integrated width trace.
 
+Each option is one row of OPTIONS; the parser, the defaults and the
+config-file reader come from the rows, and flag and config-file values pass
+through one converter, so both refuse the same values with the same message.
+
 Configuration precedence: built-in defaults, then a key=value config file
 given with --config, then command-line flags.  Exit codes: 0 success,
-1 validation or configuration error, 2 verification failure, 3 numerical
-divergence.
+1 a refused configuration (a bad flag, option value or config file, or a
+precondition checked before any work), 2 a verification or stability check
+ran and failed, 3 numerical divergence.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -21,8 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (DarkBackgroundError, DivergenceError, ValidationError,
-                     VerificationError)
+from .errors import DivergenceError, ValidationError
 from .export import (EXTENSIONS, FORMATS, write_coefficients,
                      write_diagnostics, write_fields, write_manifest,
                      write_modulation)
@@ -35,130 +41,91 @@ from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
 from .transform import (CoefficientSampler, potential_identity_check,
                         verify_constraints)
 
-DEFAULTS = {
-    "family": "elliptic",
-    "n": 1,
-    "gamma": 6.0,
-    "lam": 0.5,
-    "alpha": 0.3,
-    "beta": 0.2,
-    "epsilon": 0.5,
-    "omega0": 1.0,
-    "drive": "periodic",
-    "L": None,
-    "N": 1024,
-    "t_end": None,
-    "dt": None,
-    "stride": None,
-    "perturb": 0.03,
-    "perturb_mode": "multiplicative",
-    "seed": 42,
-    "out": None,
-    "override_dark": False,
-    "mu_sign": "standard",
-    "format": "csv",
-    "corrupt_rho": 0.0,
-}
 
-# the allowed values of the choice keys, for flags and config files alike
-CHOICES = {"family": ("elliptic", "sech", "dark-bright"),
-           "drive": ("periodic", "quasiperiodic"),
-           "perturb_mode": ("multiplicative", "additive"),
-           "mu_sign": ("standard", "flipped"),
-           "format": FORMATS}
+# one row per option; name is the flag and config-file spelling where it is
+# not the key, and domain is a (description, predicate) pair on the value
+Option = collections.namedtuple(
+    "Option", "key type default choices domain help name",
+    defaults=(None, (), None, None, None))
 
-# per-command fallbacks for the time-stepping knobs
-COMMAND_DEFAULTS = {
-    "solution": {"t_end": 10.0, "dt": 1e-3, "stride": 250},
-    "potential": {"t_end": 10.0, "dt": 1e-3, "stride": 250},
-    "verify": {"t_end": 5.0, "dt": 1e-4, "stride": 1},
-    "propagate": {"t_end": 10.0, "dt": 5e-4, "stride": 10},
-    "mathieu-trace": {"t_end": 10.0, "dt": 1e-4, "stride": 1},
-}
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
+OPTIONS = (
+    Option("family", str, "elliptic", ("elliptic", "sech", "dark-bright")),
+    Option("n", int, 1, help="elliptic mode index"),
+    Option("gamma", float, 6.0, help="sech width parameter"),
+    Option("lam", float, 0.5, name="lambda",
+           help="dark-bright shape parameter"),
+    Option("alpha", float, 0.3, help="dark-bright width tone at frequency 1"),
+    Option("beta", float, 0.2,
+           help="dark-bright width tone at frequency sqrt(2)"),
+    Option("epsilon", float, 0.5, help="drive modulation depth"),
+    Option("omega0", float, 1.0, help="drive modulation frequency"),
+    Option("drive", str, "periodic", ("periodic", "quasiperiodic")),
+    Option("L", float, help="grid half width (default sized per family)"),
+    Option("N", int, 1024, help="grid points, a power of two"),
+    # the stepping rows take their defaults from COMMANDS
+    Option("t_end", float, domain=_POSITIVE, help="time horizon"),
+    Option("dt", float, domain=_POSITIVE, help="time step"),
+    Option("stride", int, domain=(">= 1", lambda v: v >= 1),
+           help="steps between snapshots or records"),
+    Option("perturb", float, 0.03,
+           help="perturbation amplitude for propagate"),
+    Option("perturb_mode", str, "multiplicative",
+           ("multiplicative", "additive")),
+    Option("seed", int, 42, domain=(">= 0", lambda v: v >= 0)),
+    Option("out", str, help="output directory (default modcnls-<command>)"),
+    Option("mu_sign", str, "standard", ("standard", "flipped"),
+           help="sign convention of the chemical-potential pair"),
+    Option("format", str, "csv", FORMATS),
+    Option("corrupt_rho", float, 0.0, domain=("finite", math.isfinite),
+           help="verify: scale rho by (1 + c x)"),
+)
+
+
+def convert(opt, raw):
+    """The value of option opt written as the text raw, whether it came from
+    a flag or from a config file."""
+    if opt.choices and raw not in opt.choices:
+        raise ValidationError(f"unknown {opt.key} {raw!r}; choose from "
+                              + ", ".join(opt.choices))
+    try:
+        value = opt.type(raw)
+    except ValueError:
+        raise ValidationError(f"{opt.key} must be of type "
+                              f"{opt.type.__name__}, got {raw!r}") from None
+    if opt.domain and not opt.domain[1](value):
+        raise ValidationError(
+            f"{opt.key} must be {opt.domain[0]}, got {raw!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are refusals like any other (exit 1);
+    --help and --version still exit 0."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modcnls",
         description="Modulated coupled nonlinear Schrodinger toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solution", "dump analytic field snapshots"),
-        ("potential", "dump potential and coupling lattices"),
-        ("verify", "run constraint, potential, and equation residual suites"),
-        ("propagate", "run split-step propagation with diagnostics"),
-        ("mathieu-trace", "integrate and dump the width trace"),
-    ):
+    for name, (_, text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None,
                        help="key=value file applied between defaults and flags")
-        p.add_argument("--family", choices=CHOICES["family"], default=None)
-        p.add_argument("--n", type=int, default=None,
-                       help="elliptic mode index")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="sech width parameter")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="dark-bright shape parameter")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="dark-bright width tone at frequency 1")
-        p.add_argument("--beta", type=float, default=None,
-                       help="dark-bright width tone at frequency sqrt(2)")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="drive modulation depth")
-        p.add_argument("--omega0", type=float, default=None,
-                       help="drive modulation frequency")
-        p.add_argument("--drive", choices=CHOICES["drive"], default=None)
-        p.add_argument("--L", type=float, default=None,
-                       help="grid half width (default sized per family)")
-        p.add_argument("--N", type=int, default=None,
-                       help="grid points, a power of two")
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--stride", type=int, default=None,
-                       help="steps between snapshots or records")
-        p.add_argument("--perturb", type=float, default=None,
-                       help="perturbation amplitude for propagate")
-        p.add_argument("--perturb-mode", dest="perturb_mode",
-                       choices=CHOICES["perturb_mode"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--override-dark", dest="override_dark",
-                       action="store_const", const=True, default=None)
-        p.add_argument("--mu-sign", dest="mu_sign",
-                       choices=CHOICES["mu_sign"], default=None,
-                       help="sign convention of the chemical-potential pair")
-        p.add_argument("--format", choices=CHOICES["format"], default=None)
-        p.add_argument("--corrupt-rho", dest="corrupt_rho", type=float,
-                       default=None, help="verify: scale rho by (1 + c x)")
+        # values stay text here; resolve() converts flags and config alike
+        for opt in OPTIONS:
+            flag = "--" + (opt.name or opt.key).replace("_", "-")
+            p.add_argument(flag, dest=opt.key, help=opt.help,
+                           metavar="{%s}" % ",".join(opt.choices)
+                           if opt.choices else None)
     return parser
-
-
-def _coerce(key, raw):
-    template = DEFAULTS[key]
-    if key in ("L", "t_end", "dt", "stride", "out"):
-        # None-defaulted knobs carry their own types
-        if key == "out":
-            return raw
-        if key in ("stride",):
-            return int(raw)
-        return float(raw)
-    if key in CHOICES and raw not in CHOICES[key]:
-        raise ValidationError(f"config: unknown {key} {raw!r}")
-    if isinstance(template, bool):
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValidationError(f"config: bad boolean for {key}: {raw!r}")
-        return _BOOL_WORDS[word]
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    return raw
 
 
 def load_config_file(path):
@@ -174,25 +141,27 @@ def load_config_file(path):
             continue
         if "=" not in text:
             raise ValidationError(f"config file {path}:{i}: expected key=value")
-        key, value = text.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "lambda":
-            key = "lam"
-        if key not in DEFAULTS:
+        key, value = (part.strip() for part in text.split("=", 1))
+        opt = next((opt for opt in OPTIONS
+                    if key.replace("-", "_") in (opt.key, opt.name)), None)
+        if opt is None:
             raise ValidationError(f"config file {path}:{i}: unknown key {key!r}")
-        pairs[key] = _coerce(key, value.strip())
+        try:
+            pairs[opt.key] = convert(opt, value)
+        except ValidationError as exc:
+            raise ValidationError(f"config file {path}:{i}: {exc}") from None
     return pairs
 
 
 def resolve(args):
-    cfg = dict(DEFAULTS)
-    cfg.update(COMMAND_DEFAULTS[args.command])
+    cfg = {opt.key: opt.default for opt in OPTIONS}
+    cfg.update(COMMANDS[args.command][2])
     if args.config is not None:
         cfg.update(load_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+    for opt in OPTIONS:
+        raw = getattr(args, opt.key)
+        if raw is not None:
+            cfg[opt.key] = convert(opt, raw)
     if cfg["out"] is None:
         cfg["out"] = f"modcnls-{args.command}"
     cfg["command"] = args.command
@@ -201,10 +170,9 @@ def resolve(args):
 
 
 def _family_from(cfg):
-    kind = cfg["family"].replace("-", "_")  # a CHOICES["family"] value
-    if kind == "elliptic":
+    if cfg["family"] == "elliptic":
         return elliptic_family(cfg["n"])
-    if kind == "sech":
+    if cfg["family"] == "sech":
         return sech_family(cfg["gamma"])
     return dark_bright_family(cfg["lam"])
 
@@ -240,17 +208,18 @@ def _meta(cfg, **extra):
     return meta
 
 
-def _snapshot_times(cfg):
+def _dump_inputs(cfg, family):
+    """The grid, snapshot times and width trace of the two dump commands."""
+    grid = _grid_from(cfg, family, "export")
     interval = cfg["stride"] * cfg["dt"]
     count = int(np.floor(cfg["t_end"] / interval + 1e-9))
-    return [k * interval for k in range(count + 1)]
+    times = [k * interval for k in range(count + 1)]
+    return grid, times, _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
 
 
 def cmd_solution(cfg):
     family = _family_from(cfg)
-    grid = _grid_from(cfg, family, "export")
-    times = _snapshot_times(cfg)
-    trace = _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
+    grid, times, trace = _dump_inputs(cfg, family)
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]
     names = []
@@ -261,8 +230,7 @@ def cmd_solution(cfg):
                      _meta(cfg, t=repr(float(t))), cfg["format"])
         names.append(name)
     write_manifest(os.path.join(out, "manifest.json"),
-                   {**{k: v for k, v in cfg.items()},
-                    "times": times, "files": names})
+                   {**cfg, "times": times, "files": names})
     print(f"wrote {len(names)} field snapshots to {out}")
     return 0
 
@@ -272,9 +240,7 @@ def cmd_potential(cfg):
     if cfg["mu_sign"] == "flipped":
         family = dataclasses.replace(
             family, mu=(-family.mu[0], -family.mu[1]))
-    grid = _grid_from(cfg, family, "export")
-    times = _snapshot_times(cfg)
-    trace = _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
+    grid, times, trace = _dump_inputs(cfg, family)
     sampler = CoefficientSampler(family, trace)
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]
@@ -307,24 +273,21 @@ def _constraint_lattice(family, drive):
 
 
 def cmd_verify(cfg):
-    if not np.isfinite(cfg["corrupt_rho"]):
-        raise ValidationError(
-            f"corrupt_rho must be finite, got {cfg['corrupt_rho']}")
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
     t_end = max(cfg["t_end"], 1.0)
     trace = _trace_from(cfg, family, t_end + 1e-2)
     out = _prepare_out(cfg)
-    failures = []
 
     x_lat, t_lat = _constraint_lattice(family, cfg["drive"])
     clock = [time.perf_counter()]
     residuals = verify_constraints(family, trace, x_lat, t_lat,
                                    corrupt_rho=cfg["corrupt_rho"])
+    constraints = {name: getattr(residuals, name)
+                   for name in ("continuity", "advection", "flux")}
     # every gate passes only on value <= threshold, so NaN fails
-    for name in ("continuity", "advection", "flux"):
-        if not getattr(residuals, name) <= 1e-5:
-            failures.append(name)
+    failures = [name for name, value in constraints.items()
+                if not value <= 1e-5]
     clock.append(time.perf_counter())
 
     half = {"elliptic": 10.0, "sech": 20.0, "dark_bright": 15.0}[family.kind]
@@ -344,13 +307,8 @@ def cmd_verify(cfg):
     clock.append(time.perf_counter())
 
     report = {
-        "config": {k: v for k, v in cfg.items()},
-        "constraints": {
-            "continuity": residuals.continuity,
-            "advection": residuals.advection,
-            "flux": residuals.flux,
-            "threshold": 1e-5,
-        },
+        "config": dict(cfg),
+        "constraints": {**constraints, "threshold": 1e-5},
         "potential_identity": {"gap": gap, "threshold": 1e-4},
         "pde_residual": {"times": times, "worst1": worst[0],
                          "worst2": worst[1], "threshold": 1e-4},
@@ -367,11 +325,6 @@ def cmd_verify(cfg):
 
 def cmd_propagate(cfg):
     family = _family_from(cfg)
-    if family.kind == "dark_bright" and not cfg["override_dark"]:
-        raise DarkBackgroundError(
-            "the dark-bright background wraps around the periodic box; "
-            "propagation is refused without --override-dark"
-        )
     if not 0.0 <= cfg["perturb"] < 0.2:
         raise ValidationError(
             f"--perturb must lie in [0, 0.2), got {cfg['perturb']:g}; larger "
@@ -392,20 +345,18 @@ def cmd_propagate(cfg):
         members.append(perturb(psi0, cfg["perturb"], cfg["seed"],
                                mode=cfg["perturb_mode"]))
     # the clean run and its perturbed twin step together as one ensemble
-    diags = propagate(members, run, reference=(family, trace),
-                      override_dark=cfg["override_dark"])
+    diags = propagate(members, run, reference=(family, trace))
     for diag, name, tag in zip(diags, ("unperturbed", "perturbed"),
                                ("no", "yes")):
         write_diagnostics(os.path.join(out, f"diagnostics_{name}.{ext}"),
                           diag, _meta(cfg, perturbed=tag), cfg["format"])
     summary = {
-        "config": {k: v for k, v in cfg.items()},
+        "config": dict(cfg),
         "unperturbed": {
             "max_profile_error": diags[0].max_profile_error(),
             "norm_drift": diags[0].norm_drift(),
         },
     }
-    code = 0
     if len(diags) > 1:
         report = stability_verdict(diags[1], threshold=0.1)
         summary["perturbed"] = {
@@ -414,11 +365,9 @@ def cmd_propagate(cfg):
             "threshold": report.threshold,
         }
         summary["verdict"] = report.verdict
-        if not report.verdict:
-            code = 2
     write_manifest(os.path.join(out, "stability.json"), summary)
     print(json.dumps({k: summary[k] for k in summary if k != "config"}))
-    return code
+    return 0 if summary.get("verdict", True) else 2
 
 
 def cmd_mathieu_trace(cfg):
@@ -435,35 +384,34 @@ def cmd_mathieu_trace(cfg):
     return 0
 
 
-DISPATCH = {
-    "solution": cmd_solution,
-    "potential": cmd_potential,
-    "verify": cmd_verify,
-    "propagate": cmd_propagate,
-    "mathieu-trace": cmd_mathieu_trace,
+# each subcommand: its handler, its help and its stepping defaults
+COMMANDS = {
+    "solution": (cmd_solution, "dump analytic field snapshots",
+                 {"t_end": 10.0, "dt": 1e-3, "stride": 250}),
+    "potential": (cmd_potential, "dump potential and coupling lattices",
+                  {"t_end": 10.0, "dt": 1e-3, "stride": 250}),
+    "verify": (cmd_verify,
+               "run constraint, potential, and equation residual suites",
+               {"t_end": 5.0, "dt": 1e-4, "stride": 1}),
+    "propagate": (cmd_propagate, "run split-step propagation with diagnostics",
+                  {"t_end": 10.0, "dt": 5e-4, "stride": 10}),
+    "mathieu-trace": (cmd_mathieu_trace, "integrate and dump the width trace",
+                      {"t_end": 10.0, "dt": 1e-4, "stride": 1}),
 }
 
 
+# the exit code of each refusal; a check that ran and failed returns 2
+EXIT_CODES = {ValueError: 1, OSError: 1, DivergenceError: 3}
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve(args)
-        return DISPATCH[args.command](cfg)
-    except (ValidationError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command][0](resolve(args))
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DarkBackgroundError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"numerical divergence at t={exc.t:g}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

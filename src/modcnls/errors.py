@@ -2,7 +2,8 @@
 
 Plain ValueError is used for scalar domain errors (bad function arguments);
 the classes here mark conditions that callers are expected to branch on,
-in particular the CLI exit-code mapping.
+in particular the CLI exit-code map: a ValidationError (or any ValueError)
+is a refusal, exit 1, and a DivergenceError is exit 3.
 """
 
 
@@ -14,14 +15,11 @@ class LatticeTooCoarseError(ValidationError):
     """A residual lattice is below the minimum resolution for finite differences."""
 
 
-class VerificationError(RuntimeError):
-    """A residual or invariant check ran to completion and exceeded its tolerance."""
-
-
-class DarkBackgroundError(RuntimeError):
+class DarkBackgroundError(ValidationError):
     """Split-step propagation was requested for a field with a nondecaying
-    background, which the periodic spectral transform cannot represent.
-    Pass the explicit override to proceed anyway."""
+    background, which the periodic spectral transform wraps around the box
+    edge, so the scheme would integrate a different problem.  Raised when
+    the PropagationConfig is built, before any step or output."""
 
 
 class DivergenceError(RuntimeError):

@@ -49,6 +49,12 @@ class PropagationConfig:
     record_stride: int = 10
 
     def __post_init__(self):
+        family = getattr(self.coefficient_source, "family", None)
+        if family is not None and family.kind == "dark_bright":
+            raise DarkBackgroundError(
+                "PropagationConfig: the dark-bright first component tends to "
+                "a nonzero background, which the periodic box wraps around "
+                "its edge; split-step propagation of it is refused")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("PropagationConfig: dt must be positive")
         if not (np.isfinite(self.t_end) and self.t_end > self.t_start):
@@ -225,8 +231,7 @@ def _reference_callable(reference):
     return lambda t, x: assemble(family, trace, x, t)
 
 
-def propagate(initial, cfg: PropagationConfig, reference=None,
-              override_dark=False):
+def propagate(initial, cfg: PropagationConfig, reference=None):
     """Evolve initial fields to cfg.t_end, recording diagnostics.
 
     initial is one FieldPair, which gives one DiagnosticsTrace, or a
@@ -239,17 +244,9 @@ def propagate(initial, cfg: PropagationConfig, reference=None,
     without it those columns are nan.  It is evaluated once per record for
     all members.
 
-    The dark-bright family is refused by default: its first component tends
-    to a nonzero background, which the periodic Fourier representation wraps
-    around the box edge, so the scheme would integrate a different problem.
-    Pass override_dark=True to run anyway.
+    There is no dark-bright propagation: PropagationConfig refuses its
+    coefficient source (see DarkBackgroundError).
     """
-    fam = getattr(cfg.coefficient_source, "family", None)
-    if fam is not None and fam.kind == "dark_bright" and not override_dark:
-        raise DarkBackgroundError(
-            "dark background is incompatible with the periodic split-step "
-            "representation; pass override_dark=True to force"
-        )
     single = isinstance(initial, FieldPair)
     members = [initial] if single else list(initial)
     psi = _stack(members, cfg, "propagate")

@@ -1,13 +1,17 @@
 """Command-line behavior: config resolution, output files, exit codes,
 and byte-level reproducibility."""
 
+import argparse
 import json
 import os
+import pathlib
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from modcnls import transform
+from modcnls import cli, transform
 from modcnls.cli import main
 from modcnls.errors import DivergenceError, ValidationError
 from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
@@ -240,6 +244,132 @@ class TestConfigResolution:
         assert not out.exists()
 
 
+def all_parsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [parser, *sub.choices.values()]
+
+
+def flag_of(opt):
+    return "--" + (opt.name or opt.key).replace("_", "-")
+
+
+class TestOptionTable:
+    """Flags and config files are two spellings of the same OPTIONS rows."""
+
+    # a valid value other than the mathieu-trace default, for every row
+    VALID = {"family": "sech", "n": "2", "gamma": "5.5", "lam": "-0.25",
+             "alpha": "0.1", "beta": "0.15", "epsilon": "0.25",
+             "omega0": "1.5", "drive": "quasiperiodic", "L": "12.5",
+             "N": "256", "t_end": "0.03", "dt": "5e-4", "stride": "3",
+             "perturb": "0.05", "perturb_mode": "additive", "seed": "7",
+             "out": None, "mu_sign": "flipped", "format": "json-lines",
+             "corrupt_rho": "0.01"}
+    # cheap stepping for the rows not under test
+    QUICK = {"t_end": "0.02", "dt": "1e-3"}
+
+    def test_parser_dests_are_the_table(self):
+        keys = {opt.key for opt in cli.OPTIONS}
+        assert set(self.VALID) == keys
+        for parser in all_parsers()[1:]:
+            dests = {a.dest for a in parser._actions} - {"help"}
+            assert dests == keys | {"config"}, parser.prog
+
+    @pytest.mark.parametrize("opt", cli.OPTIONS, ids=lambda opt: opt.key)
+    def test_flag_and_config_file_resolve_alike(self, tmp_path, opt):
+        out = tmp_path / "o"
+        value = self.VALID[opt.key] or str(out)  # out: the run's own path
+        quick = [arg for key, text in self.QUICK.items() if key != opt.key
+                 for arg in (f"--{key.replace('_', '-')}", text)]
+        tail = [] if opt.key == "out" else ["--out", str(out)]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag_of(opt)[2:]} = {value}\n")
+        manifests = []
+        for given in ([flag_of(opt), value], ["--config", str(conf)]):
+            assert main(["mathieu-trace", *quick, *given, *tail]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            shutil.rmtree(out)
+        default = cli.resolve(cli.build_parser().parse_args(["mathieu-trace"]))
+        assert manifests[0] == manifests[1]
+        assert manifests[0][opt.key] != default[opt.key]
+
+    @pytest.mark.parametrize(
+        "opt", [opt for opt in cli.OPTIONS if opt.key != "out"],
+        ids=lambda opt: opt.key)
+    def test_flag_and_config_file_refuse_alike(self, tmp_path, capsys, opt):
+        # any text is a valid out path, so out has no wrong value
+        bad = "bogus" if opt.choices else {int: "1.5", float: "one"}[opt.type]
+        out = tmp_path / "o"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{opt.key} = {bad}\n")
+        errors = []
+        for given in ([flag_of(opt), bad], ["--config", str(conf)]):
+            assert main(["solution", *given, "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert not out.exists()
+        by_flag = errors[0].removeprefix("error: ")
+        assert opt.key in by_flag and repr(bad) in by_flag
+        # the config file adds only its location
+        assert errors[1] == f"error: config file {conf}:1: {by_flag}"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["solution", "--family", "foo"], "unknown family 'foo'"),
+        (["solution", "--n", "1.5"], "n must be of type int"),
+        (["solution", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["solution", "--n"], "argument --n: expected one argument"),
+        (["solutoin"], "invalid choice: 'solutoin'"),
+    ])
+    def test_bad_flag_exits_one(self, tmp_path, capsys, argv, named):
+        # 2 is reserved for a check that ran and failed
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["propagate", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("solution", "t_end", "inf"),
+        ("mathieu-trace", "t_end", "inf"),
+        ("solution", "stride", "0"),
+        ("solution", "dt", "0"),
+        ("solution", "t_end", "-1"),
+        ("potential", "t_end", "-1"),
+        ("verify", "t_end", "nan"),
+        ("propagate", "seed", "-1"),
+    ])
+    def test_out_of_domain_refused(self, tmp_path, capsys, via, command, key,
+                                   value):
+        # each of these once crashed (overflow, division by zero, an empty
+        # snapshot list), named no key, or left an empty output directory
+        out = tmp_path / "o"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        given = ([f"--{key.replace('_', '-')}", value] if via == "flag"
+                 else ["--config", str(conf)])
+        assert main([command, *given, "--out", str(out)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_names_exactly_the_parser_flags(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## Command line\n")[1]
+        section = section.split("\n## ")[0]
+        documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+        defined = {flag for parser in all_parsers()
+                   for action in parser._actions
+                   for flag in action.option_strings if flag != "-h"}
+        assert documented == defined - {"--help"}
+
+
 class TestValidationGates:
     def test_grid_size_must_be_power_of_two(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -447,16 +577,9 @@ class TestPropagateCommand:
         code = main(["propagate", "--family", "dark-bright", "--t-end", "0.1",
                      "--out", str(out)])
         assert code == 1
-        assert "override-dark" in capsys.readouterr().err
-        assert not (out / "stability.json").exists()
-
-    def test_dark_override_runs(self, tmp_path):
-        out = tmp_path / "p"
-        code = main(["propagate", "--family", "dark-bright", "--t-end",
-                     "0.05", "--dt", "1e-3", "--perturb", "0",
-                     "--override-dark", "--out", str(out)])
-        assert code == 0
-        assert (out / "diagnostics_unperturbed.csv").exists()
+        assert "dark-bright first component tends to a nonzero background" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seeded_reruns_byte_identical(self, tmp_path):
         args = ["propagate", "--family", "sech", "--t-end", "0.1",

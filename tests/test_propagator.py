@@ -1,6 +1,8 @@
 """Split-step propagation: scheme correctness, perturbations, diagnostics,
 and the full-equation residual oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ class TestPropagationConfig:
         with pytest.raises(ValidationError):
             PropagationConfig(SpatialGrid(10.0, 1024), dt=1e-2, t_end=1.0)
         PropagationConfig(SpatialGrid(10.0, 1024), dt=1e-3, t_end=1.0)
+
+    def test_dark_background_refused(self):
+        # refused when the config is built, so neither step() nor
+        # propagate() can be handed a dark-bright source
+        fam = dark_bright_family(0.5)
+        tr = default_trace(fam, t_end=0.11)
+        grid = default_grid(fam, "propagate")
+        sampler = CoefficientSampler(fam, tr)
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        with pytest.raises(DarkBackgroundError, match="nonzero background"):
+            PropagationConfig(grid, dt=1e-3, t_end=0.1,
+                              coefficient_source=sampler)
+        with pytest.raises(DarkBackgroundError):
+            step(psi0, 0.0, PropagationConfig(grid, dt=1e-3, t_end=1e-3,
+                                              coefficient_source=sampler))
+        free = PropagationConfig(grid, dt=1e-3, t_end=0.1,
+                                 coefficient_source=ConstantCoefficients())
+        with pytest.raises(DarkBackgroundError):
+            dataclasses.replace(free, coefficient_source=sampler)
+        # a refusal like any other bad configuration: exit 1 in the CLI
+        assert issubclass(DarkBackgroundError, ValidationError)
 
     def test_step_count(self):
         cfg = PropagationConfig(self.grid(), dt=1e-3, t_end=0.5)
@@ -272,18 +295,6 @@ class TestPropagate:
                 propagate([good, bad], cfg)
         with pytest.raises(ValidationError, match="no initial fields"):
             propagate([], cfg)
-
-    def test_dark_family_refused_without_override(self):
-        fam = dark_bright_family(0.5)
-        tr = default_trace(fam, t_end=0.11)
-        grid = default_grid(fam, "propagate")
-        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.1,
-                                coefficient_source=CoefficientSampler(fam, tr))
-        psi0 = assemble(fam, tr, grid.x, 0.0)
-        with pytest.raises(DarkBackgroundError):
-            propagate(psi0, cfg, reference=(fam, tr))
-        diag = propagate(psi0, cfg, reference=(fam, tr), override_dark=True)
-        assert len(diag) > 0
 
     def test_rejects_nonfinite_initial_fields(self):
         grid = SpatialGrid(10.0, 128)
