@@ -18,7 +18,7 @@ from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
 from .modulation import (ModulationTrace, MathieuPath, closed_form_trace,
                          drive_f, explicit_trace, mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
-                        eta_of, g_of, potential, potential_from_transform,
+                        eta_of, potential, potential_from_transform,
                         potential_identity_check, rho_of,
                         sample_transform_lattice, verify_constraints, xi_of,
                         zeta_of)

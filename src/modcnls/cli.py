@@ -272,6 +272,12 @@ def _constraint_lattice(family, drive):
     return np.linspace(-5, 5, 512), np.linspace(0, 1, 512)
 
 
+# half-width in xi = x / chi of the potential-identity lattice: the x
+# windows 10, 20 and 15 the check used at t = 1.3, over chi(1.3) of each
+# family's periodic-drive width (1.733; 1.482 for the two-tone width)
+_POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
+
+
 def cmd_verify(cfg):
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
@@ -290,9 +296,12 @@ def cmd_verify(cfg):
                 if not value <= 1e-5]
     clock.append(time.perf_counter())
 
-    half = {"elliptic": 10.0, "sech": 20.0, "dark_bright": 15.0}[family.kind]
-    x_pot = np.linspace(-half, half, 768)
-    gap = potential_identity_check(family, trace, x_pot, min(1.3, t_end))
+    # the trap identity is checked on x = chi(t) xi, so the lattice
+    # narrows with the fields and resolves them at any chi(t)
+    t_pot = min(1.3, t_end)
+    xi_half = _POTENTIAL_XI[family.kind]
+    x_pot = trace.chi_at(t_pot) * np.linspace(-xi_half, xi_half, 768)
+    gap = potential_identity_check(family, trace, x_pot, t_pot)
     if not gap <= 1e-4:
         failures.append("potential_identity")
     clock.append(time.perf_counter())
@@ -309,7 +318,8 @@ def cmd_verify(cfg):
     report = {
         "config": dict(cfg),
         "constraints": {**constraints, "threshold": 1e-5},
-        "potential_identity": {"gap": gap, "threshold": 1e-4},
+        "potential_identity": {"gap": gap, "threshold": 1e-4, "t": t_pot,
+                               "half_width": float(x_pot[-1])},
         "pde_residual": {"times": times, "worst1": worst[0],
                          "worst2": worst[1], "threshold": 1e-4},
         "timing": dict(zip(("constraints_s", "potential_identity_s",

@@ -154,8 +154,9 @@ def tail_envelope(xi, chi, n=1):
         rho sn(.) / dn(.) = (A0 sqrt(pi)/2) exp(-xi^2/2) erfcx(|xi|)
                             / sqrt(chi) * (sn(delta)/delta) / dn(delta)
 
-    Returns (envelope, sign) where envelope = rho |A_1| and the sign is that
-    of A_1: +1 on the left tail, (-1)^(n+1) on the right.
+    chi is a scalar or an array matching xi.  Returns (envelope, sign)
+    where envelope = rho |A_1| and the sign is that of A_1: +1 on the left
+    tail, (-1)^(n+1) on the right.
     """
     xi = np.asarray(xi, dtype=float)
     if np.any(np.abs(xi) < _TAIL_XI):
@@ -173,16 +174,24 @@ def tail_envelope(xi, chi, n=1):
         dn[m] = dn_d
     env = (
         (a0 / _SQRT2) * half * np.exp(-0.5 * xi * xi) * erfcx(ax)
-        / math.sqrt(chi) * ratio / dn
+        / np.sqrt(chi) * ratio / dn
     )
     sign = np.where(xi > 0, (-1.0) ** (n + 1), 1.0)
     return env, sign
 
 
-def assemble(family: FamilySpec, trace: ModulationTrace, x, t) -> FieldPair:
-    """Physical fields psi_1, psi_2 at time t on the grid x."""
+def assemble_rows(family: FamilySpec, trace: ModulationTrace, x, times):
+    """Physical fields at each of times on the grid x.
+
+    Returns (psi_1, psi_2), each of shape (len(times), len(x)); row i is
+    assemble(family, trace, x, times[i]) bit for bit, since every operation
+    acts elementwise.  One call serves a block of times, so the per-call
+    cost of the width queries and the Jacobi and erf kernels is paid once
+    per block.
+    """
     x = np.asarray(x, dtype=float)
-    chi = trace.chi_at(t)
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    chi = trace.chi_at(t)  # one row per time, broadcast along x
     dchi = trace.dchi_dt_at(t)
     a = trace.a_at(t)
     xi = x / chi
@@ -191,21 +200,30 @@ def assemble(family: FamilySpec, trace: ModulationTrace, x, t) -> FieldPair:
     if family.kind == "elliptic":
         mag1 = np.empty_like(xi)
         inner = np.abs(xi) < _TAIL_XI
+        xs, chis = np.broadcast_arrays(x, chi)
         if np.any(inner):
-            rho_in = rho_of(family.stretch, x[inner], chi)
-            zeta_in = zeta_of(family.stretch, x[inner], chi)
+            rho_in = rho_of(family.stretch, xs[inner], chis[inner])
+            zeta_in = zeta_of(family.stretch, xs[inner], chis[inner])
             a1_in, _ = reduced_amplitudes(family, zeta_in)
             mag1[inner] = rho_in * a1_in
-        if np.any(~inner):
-            env, sign = tail_envelope(xi[~inner], chi, family.n)
-            mag1[~inner] = env * sign
+        tail = ~inner
+        if np.any(tail):
+            env, sign = tail_envelope(xi[tail], chis[tail], family.n)
+            mag1[tail] = env * sign
         psi1 = mag1 * phase
-        return FieldPair(x, psi1, psi1 / _SQRT2, float(t))
+        return psi1, psi1 / _SQRT2
 
     rho = rho_of(family.stretch, x, chi)
     zeta = zeta_of(family.stretch, x, chi)
     a1, a2 = reduced_amplitudes(family, zeta)
-    return FieldPair(x, rho * a1 * phase, rho * a2 * phase, float(t))
+    return rho * a1 * phase, rho * a2 * phase
+
+
+def assemble(family: FamilySpec, trace: ModulationTrace, x, t) -> FieldPair:
+    """Physical fields psi_1, psi_2 at time t on the grid x."""
+    x = np.asarray(x, dtype=float)
+    (psi1,), (psi2,) = assemble_rows(family, trace, x, [t])
+    return FieldPair(x, psi1, psi2, float(t))
 
 
 def default_grid(family: FamilySpec, purpose="export", n_points=1024,

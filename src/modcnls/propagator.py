@@ -32,11 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkBackgroundError, DivergenceError, ValidationError
-from .families import FamilySpec, FieldPair, assemble
+from .families import FamilySpec, FieldPair, assemble, assemble_rows
 from .grid import SpatialGrid
 from .transform import CoefficientSampler, interior_diff
 
 _FINITE_CHECK_STRIDE = 25
+# reference points evaluated per call in propagate, four records of 1024
+# points: enough to share the per-call cost of the width queries and the
+# Jacobi and erf kernels, few enough that the block's temporaries stay in
+# cache and add no measurable peak memory
+_REFERENCE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,38 @@ def _stack(members, cfg, caller):
     return psi
 
 
+def _phase_factor(half, out, work):
+    """e^{2i half} into the complex array out, from one tangent.
+
+    With tau = tan(half), e^{2i half} = (1 + i tau)^2 / (1 + tau^2): the
+    real part is (1 - tau^2) / (1 + tau^2) and the imaginary part
+    2 tau / (1 + tau^2).  numpy's float64 tan runs SIMD loops where sin and
+    cos run scalar ones, so one tangent costs less than a cosine and a sine.
+    A non-finite half gives a non-finite factor.  half and work, a float
+    array of shape (2,) + half.shape, are overwritten.
+    """
+    tau, tau2, den = np.tan(half, out=half), work[0], work[1]
+    np.multiply(tau, tau, out=tau2)
+    np.add(tau2, 1.0, out=den)
+    np.subtract(1.0, tau2, out=tau2)
+    np.divide(tau2, den, out=tau2)
+    np.add(tau, tau, out=tau)
+    np.divide(tau, den, out=tau)
+    parts = out.view(float).reshape(out.shape + (2,))
+    parts[..., 0] = tau2
+    parts[..., 1] = tau
+    return out
+
+
+def _record_steps(n_steps, stride):
+    """The steps after which the kernel yields: every stride-th and the
+    last."""
+    steps = list(range(stride, n_steps + 1, stride))
+    if not steps or steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def _strang(psi, cfg, t0, n_steps, stride):
     """The stepping kernel: n_steps Strang steps of cfg.dt from t0 on psi,
     shape (members, 2, N), yielding (t, fields) after every stride-th step
@@ -178,29 +215,39 @@ def _strang(psi, cfg, t0, n_steps, stride):
     k2 = cfg.grid.wavenumbers**2
     half = np.exp(-1j * k2 * dt / 2.0)
     full = np.exp(-1j * k2 * dt)
+    records = set(_record_steps(n_steps, stride))
+    # the phase step's buffers, reused by every step
+    dens, angle = np.empty(psi.shape), np.empty(psi.shape)
+    work = np.empty((2,) + psi.shape)
+    turn = np.empty(psi.shape, dtype=complex)
     spec, kinetic = np.fft.fft(psi), half
     for i in range(n_steps):
         # the first step opens with a half kinetic step, the others with
         # the previous step's closing half merged in
-        psi = np.fft.ifft(kinetic * spec)
+        spec *= kinetic
+        psi = np.fft.ifft(spec)
         kinetic = full
         t_mid = t0 + (i + 0.5) * dt
         v = coeffs.potential(x, t_mid)
         g = coeffs.couplings(x, t_mid)
-        d = psi.real**2 + psi.imag**2
-        # component j turns by -dt (v_j + g_j1 |psi_1|^2 + g_j2 |psi_2|^2)
-        angle = -dt * (v + g[:, 0] * d[:, :1] + g[:, 1] * d[:, 1:])
-        turn = np.empty(psi.shape, dtype=complex)
-        np.cos(angle, out=turn.real)
-        np.sin(angle, out=turn.imag)
-        psi *= turn
+        second = work[0]
+        np.square(psi.real, out=dens)
+        dens += np.square(psi.imag, out=second)
+        # component j turns by theta_j = -dt (v_j + g_j1 |psi_1|^2
+        # + g_j2 |psi_2|^2); the factor is built from theta_j / 2
+        np.multiply(g[:, 0], dens[:, :1], out=angle)
+        np.multiply(g[:, 1], dens[:, 1:], out=second)
+        np.add(v, angle, out=angle)
+        angle += second
+        angle *= -0.5 * dt
+        psi *= _phase_factor(angle, turn, work)
         spec = np.fft.fft(psi)
         t = t0 + (i + 1) * dt
         last = i == n_steps - 1
         if ((i + 1) % _FINITE_CHECK_STRIDE == 0 or last) \
                 and not np.isfinite(spec).all():
             raise DivergenceError(t)
-        if (i + 1) % stride == 0 or last:
+        if i + 1 in records:
             yield t, np.fft.ifft(half * spec)
 
 
@@ -211,24 +258,49 @@ def step(fields: FieldPair, t, cfg: PropagationConfig) -> FieldPair:
     return FieldPair(fields.x, out[0, 0], out[0, 1], t_new)
 
 
-def _profile_error(psi, ref):
-    if ref is None:
-        return float("nan")
-    dens = np.abs(psi) ** 2
-    dens_ref = np.abs(ref) ** 2
-    scale = float(np.sqrt(np.sum(dens_ref**2)))
-    if scale == 0.0:
-        return float("nan")
-    return float(np.sqrt(np.sum((dens - dens_ref) ** 2)) / scale)
+def _references(reference, x, times):
+    """The reference (psi_1, psi_2) at each of times, in order.
 
-
-def _reference_callable(reference):
+    A (family, trace) pair is evaluated a block of times at a time, about
+    _REFERENCE_POINTS points per call; a callable once per time; without a
+    reference each is (None, None).
+    """
     if reference is None:
-        return lambda t, x: FieldPair(x, None, None, t)  # nan errors
-    if callable(reference):
-        return reference
-    family, trace = reference
-    return lambda t, x: assemble(family, trace, x, t)
+        for _ in times:
+            yield None, None
+    elif callable(reference):
+        for t in times:
+            exact = reference(t, x)
+            yield exact.psi1, exact.psi2
+    else:
+        family, trace = reference
+        rows = max(1, _REFERENCE_POINTS // len(x))
+        for k in range(0, len(times), rows):
+            yield from zip(*assemble_rows(family, trace, x, times[k:k + rows]))
+
+
+def _profile_errors(dens, exact):
+    """Relative L2 deviation of each density row of dens, shape
+    (members, N), from |exact|^2; nan without a reference or where the
+    reference density vanishes."""
+    if exact is None:
+        return np.full(len(dens), np.nan)
+    dens_ref = np.abs(exact) ** 2
+    scale = np.sqrt(np.sum(dens_ref**2))
+    if scale == 0.0:
+        return np.full(len(dens), np.nan)
+    return np.sqrt(np.sum((dens - dens_ref) ** 2, axis=-1)) / scale
+
+
+def _diagnostics(fields, exact, grid):
+    """One record's (norm1, norm2, profile_error1, profile_error2,
+    peak_pos1) for every member, shape (members, 5)."""
+    amp = np.abs(fields)
+    dens = amp**2
+    norms = np.sum(dens, axis=-1) * grid.dx
+    peak = grid.x[np.argmax(amp[:, 0], axis=-1)]
+    return np.column_stack([norms, _profile_errors(dens[:, 0], exact[0]),
+                            _profile_errors(dens[:, 1], exact[1]), peak])
 
 
 def propagate(initial, cfg: PropagationConfig, reference=None):
@@ -242,7 +314,8 @@ def propagate(initial, cfg: PropagationConfig, reference=None):
     reference is either a (family, trace) pair or a callable t, x ->
     FieldPair giving the analytic solution for the profile-error columns;
     without it those columns are nan.  It is evaluated once per record for
-    all members.
+    all members; a (family, trace) pair for a block of upcoming records at
+    once.
 
     There is no dark-bright propagation: PropagationConfig refuses its
     coefficient source (see DarkBackgroundError).
@@ -250,21 +323,18 @@ def propagate(initial, cfg: PropagationConfig, reference=None):
     single = isinstance(initial, FieldPair)
     members = [initial] if single else list(initial)
     psi = _stack(members, cfg, "propagate")
-    ref = _reference_callable(reference)
-    grid, x = cfg.grid, cfg.grid.x
-    rows = [[] for _ in members]
+    times = [cfg.t_start] + [cfg.t_start + k * cfg.dt for k in
+                             _record_steps(cfg.n_steps, cfg.record_stride)]
     records = itertools.chain(
         [(cfg.t_start, psi)],
         _strang(psi, cfg, cfg.t_start, cfg.n_steps, cfg.record_stride))
-    for t, fields in records:
-        exact = ref(t, x)
-        for (psi1, psi2), row in zip(fields, rows):
-            row.append((t, grid.norm(psi1), grid.norm(psi2),
-                        _profile_error(psi1, exact.psi1),
-                        _profile_error(psi2, exact.psi2),
-                        float(x[int(np.argmax(np.abs(psi1)))])))
-    traces = [DiagnosticsTrace(*(np.asarray(col) for col in zip(*row)))
-              for row in rows]
+    table = np.array([
+        _diagnostics(fields, exact, cfg.grid) for (_, fields), exact
+        in zip(records, _references(reference, cfg.grid.x, times))])
+    # (records, members, column) -> one contiguous column per member
+    columns = table.transpose(1, 2, 0).copy()
+    traces = [DiagnosticsTrace(np.array(times), *member)
+              for member in columns]
     return traces[0] if single else traces
 
 

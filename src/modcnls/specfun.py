@@ -275,8 +275,10 @@ def jacobi_elliptic(u, k):
 
     phi = (2.0**n_stages) * a_list[n_stages] * u_red
     for n in range(n_stages, 0, -1):
+        # c_n / a_n < 1 and |sin phi| <= 1 keep the arcsin argument inside
+        # [-1, 1] after rounding, so it needs no clipping
         ratio = c_list[n] / a_list[n]
-        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
+        phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
 
     sn = np.sin(phi)
     cn = np.cos(phi)

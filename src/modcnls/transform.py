@@ -134,13 +134,6 @@ def eta_of(x, chi, dchi_dt, a):
     return (dchi_dt / (4.0 * chi)) * x * x + a
 
 
-def g_of(stretch: StretchSpec, g_matrix, x, chi):
-    """Coupling profiles g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
-    prof = stretch.fprime_cubed(xi_of(x, chi)) / chi
-    g = np.asarray(g_matrix, dtype=float)
-    return g[:, :, None] * prof[None, None, :]
-
-
 def potential_from_transform(family, trace, x, t):
     """Trap from the transform algebra; no per-family shortcuts.
 
@@ -191,18 +184,26 @@ def potential(family, trace, x, t):
 
 
 class CoefficientSampler:
-    """Samples v_j(x, t) and g_jk(x, t) for a family along a width trace."""
+    """Samples v_j(x, t) and g_jk(x, t) for a family along a width trace.
+
+    The coupling matrix is shaped once, not per sample, and chi comes from
+    the trace, whose widths are positive by construction, so a sample
+    repeats no check.
+    """
 
     def __init__(self, family, trace):
         self.family = family
         self.trace = trace
+        self._g = np.asarray(family.g_matrix, dtype=float)[:, :, None]
 
     def potential(self, x, t):
         return potential(self.family, self.trace, x, t)
 
     def couplings(self, x, t):
+        """g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
         chi = self.trace.chi_at(t)
-        return g_of(self.family.stretch, self.family.g_matrix, x, chi)
+        xi = np.asarray(x, dtype=float) / chi
+        return self._g * (self.family.stretch.fprime_cubed(xi) / chi)
 
     def coefficients(self, x, t):
         return self.potential(x, t), self.couplings(x, t)

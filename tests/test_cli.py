@@ -494,6 +494,35 @@ class TestVerifyCommand:
         # the sech periodic lattice has 512 columns, 504 of them interior
         assert timing["constraint_workers"] == transform._strip_count(504)
 
+    @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
+    def test_short_horizon_passes(self, tmp_path, t_end):
+        # the trap identity is then checked at t = 1, where chi = 0.95; its
+        # lattice narrows with chi instead of staying on [-10, 10]
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "elliptic", "--drive", "periodic",
+                     "--t-end", t_end, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code == 0, report["failures"]
+        identity = report["potential_identity"]
+        assert identity["t"] == 1.0 and identity["gap"] <= 1e-4
+        assert identity["half_width"] < 10.0
+
+    @pytest.mark.parametrize("t_end", ["0.5", "5"])
+    def test_trap_off_by_a_harmonic_term_fails(self, tmp_path, monkeypatch,
+                                               t_end):
+        original = transform.potential
+
+        def off(family, trace, x, t):
+            return original(family, trace, x, t) + 1e-3 * np.asarray(x) ** 2
+
+        monkeypatch.setattr(transform, "potential", off)
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "elliptic", "--drive", "periodic",
+                     "--t-end", t_end, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code == 2
+        assert "potential_identity" in report["failures"]
+
     def test_dark_negative_lambda_passes(self, tmp_path):
         out = tmp_path / "v"
         code = main(["verify", "--family", "dark-bright", "--lambda", "-0.5",

@@ -16,6 +16,7 @@ from modcnls.families import (
     FieldPair,
     amplitude_a0,
     assemble,
+    assemble_rows,
     dark_bright_family,
     default_grid,
     default_trace,
@@ -24,7 +25,7 @@ from modcnls.families import (
     sech_family,
     tail_envelope,
 )
-from modcnls.transform import rho_of, zeta_of
+from modcnls.transform import eta_of, rho_of, zeta_of
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -196,6 +197,73 @@ class TestEllipticTail:
         )
         env, _ = tail_envelope(np.array([xi]), 1.0, 1)
         assert env[0] == pytest.approx(want, rel=1e-12)
+
+
+def assemble_oracle(family, trace, x, t):
+    """The fields at one time, assembled the way the package did before its
+    evaluator took a block of times."""
+    x = np.asarray(x, dtype=float)
+    chi = trace.chi_at(t)
+    dchi = trace.dchi_dt_at(t)
+    a = trace.a_at(t)
+    xi = x / chi
+    phase = np.exp(1j * eta_of(x, chi, dchi, a))
+    if family.kind == "elliptic":
+        mag1 = np.empty_like(xi)
+        inner = np.abs(xi) < 4.0
+        if np.any(inner):
+            rho_in = rho_of(family.stretch, x[inner], chi)
+            zeta_in = zeta_of(family.stretch, x[inner], chi)
+            a1_in, _ = reduced_amplitudes(family, zeta_in)
+            mag1[inner] = rho_in * a1_in
+        if np.any(~inner):
+            env, sign = tail_envelope(xi[~inner], chi, family.n)
+            mag1[~inner] = env * sign
+        psi1 = mag1 * phase
+        return psi1, psi1 / SQRT2
+    rho = rho_of(family.stretch, x, chi)
+    zeta = zeta_of(family.stretch, x, chi)
+    a1, a2 = reduced_amplitudes(family, zeta)
+    return rho * a1 * phase, rho * a2 * phase
+
+
+class TestAssembleRows:
+    FAMILIES = (elliptic_family(1), elliptic_family(2), sech_family(),
+                dark_bright_family(0.5))
+
+    @pytest.mark.parametrize("drive", ["periodic", "quasiperiodic"])
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f"{f.kind}-{f.n}")
+    def test_rows_are_the_per_time_fields(self, fam, drive):
+        tr = default_trace(fam, drive, 3.0)
+        x = default_grid(fam, drive=drive).x
+        rng = np.random.default_rng(21)
+        times = np.concatenate([[0.0], np.linspace(0.05, 2.95, 25),
+                                rng.uniform(0.0, 3.0, 6)])
+        psi1, psi2 = assemble_rows(fam, tr, x, times)
+        assert psi1.shape == psi2.shape == (len(times), len(x))
+        for row, t in enumerate(times):
+            want1, want2 = assemble_oracle(fam, tr, x, t)
+            np.testing.assert_array_equal(psi1[row], want1)
+            np.testing.assert_array_equal(psi2[row], want2)
+            single = assemble(fam, tr, x, t)
+            np.testing.assert_array_equal(single.psi1, want1)
+            np.testing.assert_array_equal(single.psi2, want2)
+            assert single.t == t
+        if fam.kind == "elliptic":
+            # chi(t) moves the |xi| = 4 seam across grid points, so the
+            # rows split into core and tail differently
+            chi = np.array([tr.chi_at(t) for t in times])
+            tails = (np.abs(x[None, :] / chi[:, None]) >= 4.0).sum(axis=1)
+            assert len(set(tails.tolist())) > 5
+
+    def test_scalar_and_array_width(self):
+        # tail_envelope takes chi per point as well as one chi for all
+        xi = np.array([-6.0, 4.5, 7.0])
+        chi = np.array([0.5, 1.0, 2.0])
+        env, _ = tail_envelope(xi, chi, 1)
+        for k in range(3):
+            one, _ = tail_envelope(xi[k:k + 1], float(chi[k]), 1)
+            assert env[k] == one[0]
 
 
 class TestAssembledFields:

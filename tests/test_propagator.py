@@ -2,7 +2,9 @@
 and the full-equation residual oracle."""
 
 import dataclasses
+import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from modcnls.grid import SpatialGrid
 from modcnls.propagator import (ConstantCoefficients, DiagnosticsTrace,
                                 PropagationConfig, pde_residual, perturb,
                                 propagate, stability_verdict, step)
+from modcnls import propagator
 from modcnls.transform import CoefficientSampler
 
 COLUMNS = ("times", "norm1", "norm2", "profile_error1", "profile_error2",
@@ -176,6 +179,171 @@ class TestStep:
         with pytest.raises(DivergenceError) as info:
             step(FieldPair(grid.x, psi, psi, 0.0), 0.0, cfg)
         assert info.value.t == pytest.approx(1e-3)
+
+
+def profile_error_oracle(psi, ref):
+    if ref is None:
+        return float("nan")
+    dens = np.abs(psi) ** 2
+    dens_ref = np.abs(ref) ** 2
+    scale = float(np.sqrt(np.sum(dens_ref**2)))
+    if scale == 0.0:
+        return float("nan")
+    return float(np.sqrt(np.sum((dens - dens_ref) ** 2)) / scale)
+
+
+def propagate_oracle(members, cfg, reference=None):
+    """The per-record, per-member diagnostics loop, with one reference call
+    per record, run on the package's stepping kernel."""
+    if reference is None:
+        ref = lambda t, x: FieldPair(x, None, None, t)  # noqa: E731
+    elif callable(reference):
+        ref = reference
+    else:
+        family, trace = reference
+        ref = lambda t, x: assemble(family, trace, x, t)  # noqa: E731
+    psi = propagator._stack(members, cfg, "oracle")
+    grid, x = cfg.grid, cfg.grid.x
+    rows = [[] for _ in members]
+    records = itertools.chain(
+        [(cfg.t_start, psi)],
+        propagator._strang(psi, cfg, cfg.t_start, cfg.n_steps,
+                           cfg.record_stride))
+    for t, fields in records:
+        exact = ref(t, x)
+        for (psi1, psi2), row in zip(fields, rows):
+            row.append((t, grid.norm(psi1), grid.norm(psi2),
+                        profile_error_oracle(psi1, exact.psi1),
+                        profile_error_oracle(psi2, exact.psi2),
+                        float(x[int(np.argmax(np.abs(psi1)))])))
+    return [DiagnosticsTrace(*(np.asarray(col) for col in zip(*row)))
+            for row in rows]
+
+
+class TestTangentPhaseFactor:
+    """propagator._phase_factor against cos + i sin and an mpmath oracle."""
+
+    SPECIAL = (0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, np.pi / 2,
+               -np.pi / 2)
+
+    def factor(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(theta.shape, dtype=complex)
+        return propagator._phase_factor(0.5 * theta, out,
+                                        np.empty((2,) + theta.shape))
+
+    def thetas(self):
+        rng = np.random.default_rng(8)
+        return np.concatenate([self.SPECIAL, rng.uniform(-50.0, 50.0, 600),
+                               rng.uniform(-1e3, 1e3, 600)])
+
+    def test_matches_cos_and_sin(self):
+        theta = self.thetas()
+        turn = self.factor(theta)
+        direct = np.cos(theta) + 1j * np.sin(theta)
+        assert np.abs(turn - direct).max() <= 4.5e-16
+        assert np.abs(np.abs(turn) - 1.0).max() <= 4.5e-16
+
+    def test_matches_mpmath(self):
+        theta = self.thetas()
+        turn = self.factor(theta)
+        with mpmath.workdps(40):
+            gap = max(abs(mpmath.mpc(complex(z)) - mpmath.expj(float(t)))
+                      for z, t in zip(turn, theta))
+        assert gap <= 4.5e-16
+
+    def test_special_angles(self):
+        turn = self.factor(self.SPECIAL)
+        assert turn[0] == 1.0 and not np.signbit(turn[0].imag)
+        # the sign of a zero angle survives into the imaginary part
+        assert turn[1].real == 1.0 and np.signbit(turn[1].imag)
+        assert turn[2].imag == 1e-300 and turn[3].imag == -1e-300
+        assert turn[4].real == -1.0 and turn[5].real == -1.0
+
+    def test_non_finite_angle_gives_non_finite_factor(self):
+        with np.errstate(invalid="ignore"):
+            turn = self.factor([np.nan, np.inf, -np.inf, 0.3])
+        assert not np.isfinite(turn[:3]).any()
+        assert np.isfinite(turn[3])
+
+    def test_kernel_divergence_on_infinite_potential(self):
+        grid = SpatialGrid(10.0, 128)
+        cfg = PropagationConfig(
+            grid, dt=1e-3, t_end=1.0,
+            coefficient_source=ConstantCoefficients(v=np.inf))
+        psi = np.ones(128, dtype=complex)
+        with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
+            step(FieldPair(grid.x, psi, psi, 0.0), 0.0, cfg)
+
+
+class TestDiagnosticsOracle:
+    """propagate's block references and vectorised records against the
+    per-record loop, column for column, bit for bit."""
+
+    def run(self, members, cfg, reference, monkeypatch, rows=3):
+        # a few records per block, so the blocks and a short last one show
+        monkeypatch.setattr(propagator, "_REFERENCE_POINTS",
+                            rows * cfg.grid.n_points)
+        got = propagate(members, cfg, reference=reference)
+        want = propagate_oracle(members, cfg, reference)
+        assert len(got) == len(want) == len(members)
+        for a, b in zip(got, want):
+            for name in COLUMNS:
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name), name)
+        return got
+
+    def elliptic(self, stride, t_end=0.05):
+        fam, tr, grid = family_setup(elliptic_family, t_end=t_end + 0.01)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=t_end,
+                                coefficient_source=CoefficientSampler(fam, tr),
+                                record_stride=stride)
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        return fam, tr, cfg, psi0
+
+    def test_short_last_block(self, monkeypatch):
+        # 11 records in blocks of 3: the last block holds 2
+        fam, tr, cfg, psi0 = self.elliptic(stride=5)
+        diag, _ = self.run([psi0, perturb(psi0, 0.03, 4)], cfg, (fam, tr),
+                           monkeypatch)
+        assert len(diag) == 11 and np.isfinite(diag.profile_error1).all()
+
+    def test_stride_beyond_the_horizon(self, monkeypatch):
+        fam, tr, cfg, psi0 = self.elliptic(stride=1000)
+        (diag,) = self.run([psi0], cfg, (fam, tr), monkeypatch)
+        assert len(diag) == 2
+
+    def test_callable_reference(self, monkeypatch):
+        fam, tr, cfg, psi0 = self.elliptic(stride=7)
+        self.run([psi0], cfg, lambda t, x: assemble(fam, tr, x, t),
+                 monkeypatch)
+
+    def test_without_reference(self, monkeypatch):
+        fam, tr, cfg, psi0 = self.elliptic(stride=4)
+        (diag,) = self.run([psi0], cfg, None, monkeypatch)
+        assert np.isnan(diag.profile_error2).all()
+
+    def test_three_member_ensemble(self, monkeypatch):
+        fam, tr, grid = family_setup(sech_family, t_end=0.06)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.05,
+                                coefficient_source=CoefficientSampler(fam, tr),
+                                record_stride=4)
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        members = [psi0] + [perturb(psi0, 0.03, seed, mode)
+                            for seed, mode in ((1, "multiplicative"),
+                                               (2, "additive"))]
+        traces = self.run(members, cfg, (fam, tr), monkeypatch, rows=5)
+        assert not np.array_equal(traces[1].norm1, traces[2].norm1)
+
+    def test_default_block(self):
+        # at N = 1024 a block holds four records; 13 records leave one over
+        fam, tr, cfg, psi0 = self.elliptic(stride=4, t_end=0.048)
+        assert propagator._REFERENCE_POINTS // cfg.grid.n_points == 4
+        got = propagate([psi0], cfg, reference=(fam, tr))[0]
+        want = propagate_oracle([psi0], cfg, (fam, tr))[0]
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), name)
 
 
 class TestPropagate:

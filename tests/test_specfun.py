@@ -222,7 +222,33 @@ class TestEllipK:
                 ellip_k(bad)
 
 
+def jacobi_clipped_oracle(u, k):
+    """sn, cn, dn by the package's phase recurrence with the arcsin argument
+    clipped to [-1, 1], as it ran before the clip was dropped."""
+    period = 4.0 * ellip_k(k)
+    u_red = u - period * np.round(u / period)
+    a_list, c_list = _agm_ladder(k)
+    n_stages = len(a_list) - 1
+    phi = (2.0**n_stages) * a_list[n_stages] * u_red
+    for n in range(n_stages, 0, -1):
+        ratio = c_list[n] / a_list[n]
+        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - (k * sn) * (k * sn))
+
+
 class TestJacobiElliptic:
+    @pytest.mark.parametrize("k", [1e-9, 0.1, 0.5, 1.0 / math.sqrt(2.0),
+                                   0.9, 0.999, 1.0 - 1e-9])
+    def test_unclipped_recurrence_is_the_clipped_one(self, k):
+        # c_n / a_n < 1 and |sin phi| <= 1: the clip never acted
+        big_k = ellip_k(k)
+        u = np.concatenate([np.linspace(-6.5 * big_k, 6.5 * big_k, 20001),
+                            big_k * np.arange(-6.0, 7.0)])
+        for got, want in zip(jacobi_elliptic(u, k),
+                             jacobi_clipped_oracle(u, k)):
+            np.testing.assert_array_equal(got, want)
+
     def test_against_ode_oracle(self):
         for k in (0.3, 1.0 / math.sqrt(2.0), 0.95):
             us, vals = jacobi_ode_oracle(6.0, k)

@@ -27,7 +27,6 @@ from modcnls import transform
 from modcnls.transform import (
     CoefficientSampler,
     StretchSpec,
-    g_of,
     potential,
     potential_from_transform,
     potential_identity_check,
@@ -168,7 +167,7 @@ class TestCoefficientMaps:
             zeta_x = s.fprime(xi_of(x, chi)) / chi
             rho = rho_of(s, x, chi)
             direct = fam.g_matrix[:, :, None] * (zeta_x**2 / rho**2)[None, None, :]
-            packed = g_of(s, fam.g_matrix, x, chi)
+            packed = CoefficientSampler(fam, tr).couplings(x, 0.7)
             # atol floor: the localizing stretch underflows both routes far out
             np.testing.assert_allclose(packed, direct, rtol=1e-12, atol=1e-200), fam.kind
 
