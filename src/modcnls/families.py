@@ -180,18 +180,11 @@ def tail_envelope(xi, chi, n=1):
     return env, sign
 
 
-def assemble_rows(family: FamilySpec, trace: ModulationTrace, x, times):
-    """Physical fields at each of times on the grid x.
-
-    Returns (psi_1, psi_2), each of shape (len(times), len(x)); row i is
-    assemble(family, trace, x, times[i]) bit for bit, since every operation
-    acts elementwise.  One call serves a block of times, so the per-call
-    cost of the width queries and the Jacobi and erf kernels is paid once
-    per block.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(times, dtype=float).reshape(-1, 1)
-    chi = trace.chi_at(t)  # one row per time, broadcast along x
+def _fields(family: FamilySpec, trace: ModulationTrace, x, t):
+    """psi_1, psi_2 on the grid x at t, a float or a column of times of
+    shape (nt, 1), which gives one row per time.  Every operation acts
+    elementwise, so each row is the float-t result bit for bit."""
+    chi = trace.chi_at(t)
     dchi = trace.dchi_dt_at(t)
     a = trace.a_at(t)
     xi = x / chi
@@ -222,8 +215,20 @@ def assemble_rows(family: FamilySpec, trace: ModulationTrace, x, times):
 def assemble(family: FamilySpec, trace: ModulationTrace, x, t) -> FieldPair:
     """Physical fields psi_1, psi_2 at time t on the grid x."""
     x = np.asarray(x, dtype=float)
-    (psi1,), (psi2,) = assemble_rows(family, trace, x, [t])
-    return FieldPair(x, psi1, psi2, float(t))
+    return FieldPair(x, *_fields(family, trace, x, t), float(t))
+
+
+def assemble_rows(family: FamilySpec, trace: ModulationTrace, x, times):
+    """Physical fields at each of times on the grid x.
+
+    Returns (psi_1, psi_2), each of shape (len(times), len(x)); row i is
+    assemble(family, trace, x, times[i]) bit for bit, from the same
+    evaluator.  One call serves a block of times, so the per-call cost of
+    the width queries and the Jacobi and erf kernels is paid once per
+    block.
+    """
+    x = np.asarray(x, dtype=float)
+    return _fields(family, trace, x, np.asarray(times, dtype=float)[:, None])
 
 
 def default_grid(family: FamilySpec, purpose="export", n_points=1024,
