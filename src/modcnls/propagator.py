@@ -219,6 +219,7 @@ def _strang(psi, cfg, t0, n_steps, stride):
     # the phase step's buffers, reused by every step
     dens, angle = np.empty(psi.shape), np.empty(psi.shape)
     work = np.empty((2,) + psi.shape)
+    second = work[0]
     turn = np.empty(psi.shape, dtype=complex)
     spec, kinetic = np.fft.fft(psi), half
     for i in range(n_steps):
@@ -230,7 +231,6 @@ def _strang(psi, cfg, t0, n_steps, stride):
         t_mid = t0 + (i + 0.5) * dt
         v = coeffs.potential(x, t_mid)
         g = coeffs.couplings(x, t_mid)
-        second = work[0]
         np.square(psi.real, out=dens)
         dens += np.square(psi.imag, out=second)
         # component j turns by theta_j = -dt (v_j + g_j1 |psi_1|^2
