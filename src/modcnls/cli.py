@@ -214,7 +214,7 @@ def _dump_inputs(cfg, family):
     interval = cfg["stride"] * cfg["dt"]
     count = int(np.floor(cfg["t_end"] / interval + 1e-9))
     times = [k * interval for k in range(count + 1)]
-    return grid, times, _trace_from(cfg, family, cfg["t_end"] + 2 * cfg["dt"])
+    return grid, times, _trace_from(cfg, family, cfg["t_end"])
 
 
 def cmd_solution(cfg):
@@ -277,12 +277,16 @@ def _constraint_lattice(family, drive):
 # family's periodic-drive width (1.733; 1.482 for the two-tone width)
 _POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
 
+# the five-level time stencils of verify's residual checks, at their
+# default step 1e-4, reach two steps past the latest time they check
+_STENCIL_REACH = 2 * 1e-4
+
 
 def cmd_verify(cfg):
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
     t_end = max(cfg["t_end"], 1.0)
-    trace = _trace_from(cfg, family, t_end + 1e-2)
+    trace = _trace_from(cfg, family, t_end + _STENCIL_REACH)
     out = _prepare_out(cfg)
 
     x_lat, t_lat = _constraint_lattice(family, cfg["drive"])
@@ -340,7 +344,7 @@ def cmd_propagate(cfg):
             f"--perturb must lie in [0, 0.2), got {cfg['perturb']:g}; larger "
             "values void the small-perturbation premise")
     grid = _grid_from(cfg, family, "propagate")
-    trace = _trace_from(cfg, family, cfg["t_end"] + 1e-2)
+    trace = _trace_from(cfg, family, cfg["t_end"])
     run = PropagationConfig(
         grid, dt=cfg["dt"], t_end=cfg["t_end"],
         coefficient_source=CoefficientSampler(family, trace),

@@ -10,7 +10,8 @@ path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
 
 Each source has one evaluator of (chi, chi', chi''); a trace's sample arrays
-and its *_at queries both come from it.
+and its *_at queries both come from it.  An integrated trace answers only
+inside the window it was built to and refuses any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
 formed by a scan in log2 n vectorised passes (Blelloch, CMU-CS-90-190).
@@ -25,15 +26,19 @@ Conventions fixed here and relied on elsewhere:
   chi is invariant under rescaling z2 since z2 enters as z2/W.
 * a(t) = int_0^t chi^-2 ds for the oscillator-driven sources (it cancels the
   constant term of the harmonic-trap potential); a identically 0 for the
-  explicit two-tone source.
+  explicit two-tone source.  On the oscillator path a needs no quadrature:
+  w = z1 + i z2/W has |w|^2 = chi^2/2 and Im(conj(w) w') = 1, so
+  a' = chi^-2 = (arg w)'/2 and a is half the unwrapped phase of w (Milne,
+  Phys. Rev. 35, 863, 1930).
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 DRIVE_KINDS = ("constant", "quasiperiodic")
@@ -119,6 +124,12 @@ def _oscillator_width(z1, dz1, z2, dz2, ddz1, ddz2, w):
     return chi, dchi, d2chi
 
 
+def _oscillator_phase(z1, z2, w):
+    """arg(z1 + i z2/W) in (-pi, pi]; z2/W is a real division, which
+    rounds alike for scalar and array queries."""
+    return np.angle(z1 + 1j * (z2 / w))
+
+
 @dataclass
 class MathieuPath:
     """Trajectory of the parametric oscillator pair on a uniform time grid.
@@ -150,8 +161,8 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     w = a1 * b2 - b1 * a2
     if abs(w) < 1e-12:
         raise ValueError("mathieu_trace: initial data are linearly dependent")
-    f = 1.0 + epsilon * np.cos(omega0 * times)
-    fm = 1.0 + epsilon * np.cos(omega0 * (times[:-1] + 0.5 * h))
+    f = drive_f("quasiperiodic", times, epsilon, omega0)
+    fm = drive_f("quasiperiodic", times[:-1] + 0.5 * h, epsilon, omega0)
     z, v = np.eye(2)[..., None]  # the unit vectors (1, 0) and (0, 1)
     k1z, k1v = v, -4.0 * f[:-1] * z
     k2z, k2v = v + 0.5 * h * k1v, -4.0 * fm * (z + 0.5 * h * k1z)
@@ -175,28 +186,6 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     return MathieuPath(times, z1, v1, z2, v2, -4.0 * f * z1, -4.0 * f * z2, w)
 
 
-def _cumulative_simpson(y, h):
-    """Cumulative integral on a uniform grid, composite Simpson (O(h^4))."""
-    n = len(y)
-    if n < 3:
-        raise ValueError("cumulative Simpson needs at least 3 samples")
-    out = np.empty(n)
-    out[0] = 0.0
-    # odd indices: quadratic through the three nearest nodes
-    odd = np.arange(1, n, 2)
-    inner = odd[odd <= n - 2]
-    out[inner] = (h / 12.0) * (5.0 * y[inner - 1] + 8.0 * y[inner] - y[inner + 1])
-    # even indices: standard Simpson pairs, accumulated
-    even = np.arange(2, n, 2)
-    if len(even):
-        pair = (h / 3.0) * (y[even - 2] + 4.0 * y[even - 1] + y[even])
-        out[even] = np.cumsum(pair)
-    out[inner] += out[inner - 1]
-    if (n - 1) % 2 == 1:
-        out[n - 1] = out[n - 2] + (h / 12.0) * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
-    return out
-
-
 @dataclass
 class ModulationTrace:
     """Sampled chi(t), derivatives, and phase offset, plus exact evaluators.
@@ -206,8 +195,8 @@ class ModulationTrace:
     evaluator, so a query at a sample time returns the sample.  The analytic
     sources (closed_form_f1, explicit_ex3) evaluate their formulas at any t.
     The mathieu source interpolates the oscillator trajectory by cubic
-    Hermite, with z'' = -4 f(t) z supplying the slopes of z', and chi and
-    its derivatives follow from exact algebra; it only answers inside the
+    Hermite, with z'' = -4 f(t) z supplying the slopes of z', and chi, its
+    derivatives and a follow from exact algebra; it only answers inside the
     integrated window.
     """
 
@@ -233,14 +222,17 @@ class ModulationTrace:
             raise ValueError("ModulationTrace: a must start at 0")
 
     def _check_range(self, t):
+        """t as an array; refused outside the window of an integrated trace."""
         t = np.asarray(t, dtype=float)
-        lo, hi = float(self.times[0]), float(self.times[-1])
         if self.source != "mathieu":
             return t  # analytic sources extend to all t
-        if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
-            raise ValueError(
-                f"trace query t outside [{lo:.6g}, {hi:.6g}]; integrate further first"
-            )
+        lo, hi = float(self.times[0]), float(self.times[-1])
+        outside = (t < lo - 1e-9) | (t > hi + 1e-9)
+        if np.any(outside):
+            asked = float(t[outside].flat[0])
+            raise ValidationError(
+                f"width trace queried at t = {asked!r}, outside its window "
+                f"[{lo:.6g}, {hi:.6g}]; build it to a later horizon")
         return np.clip(t, lo, hi)
 
     def _width(self, t):
@@ -253,7 +245,7 @@ class ModulationTrace:
         p = self.path
         z1, dz1, z2, dz2 = _hermite(p.times, t, (p.z1, p.dz1), (p.dz1, p.ddz1),
                                     (p.z2, p.dz2), (p.dz2, p.ddz2))
-        f = 1.0 + self.epsilon * np.cos(self.omega0 * t)
+        f = drive_f("quasiperiodic", t, self.epsilon, self.omega0)
         return _oscillator_width(z1, dz1, z2, dz2, -4.0 * f * z1, -4.0 * f * z2, p.w)
 
     def chi_at(self, t):
@@ -265,11 +257,6 @@ class ModulationTrace:
     def d2chi_dt2_at(self, t):
         return _scalar(self._width(t)[2])
 
-    @cached_property
-    def _adot(self):
-        """a' = chi^-2 at the samples, the slopes of a's Hermite interpolant."""
-        return 1.0 / self.chi**2
-
     def a_at(self, t):
         t = self._check_range(t)
         if self.source == "closed_form_f1":
@@ -277,7 +264,15 @@ class ModulationTrace:
         elif self.source == "explicit_ex3":
             out = np.zeros_like(t)
         else:
-            out = _hermite(self.times, t, (self.a, self._adot))[0]
+            # a at the nearest node j plus half the turn of w from t_j to
+            # t, which is far below pi, so wrapping it recovers it
+            p = self.path
+            j = np.rint(t / p.times[1]).astype(int)  # times are k dt
+            z1, z2 = _hermite(p.times, t, (p.z1, p.dz1), (p.z2, p.dz2))
+            turn = (_oscillator_phase(z1, z2, p.w)
+                    - _oscillator_phase(p.z1[j], p.z2[j], p.w))
+            turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
+            out = self.a[j] + 0.5 * turn
         return _scalar(out)
 
     def adot_at(self, t):
@@ -300,7 +295,8 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     """Trace built by integrating the parametric oscillator for any drive.
 
     The oscillator path is sampled at 0, dt, ..., n dt with n dt >= t_end and
-    kept as the trace's path.
+    kept as the trace's path; a is half the unwrapped phase of
+    w = z1 + i z2/W, counted from its start.
     """
     if kind not in DRIVE_KINDS:
         raise ValueError(f"mathieu_trace: unknown drive kind {kind!r}")
@@ -312,7 +308,8 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
     chi, dchi, d2chi = _oscillator_width(path.z1, path.dz1, path.z2, path.dz2,
                                          path.ddz1, path.ddz2, path.w)
-    a = _cumulative_simpson(1.0 / chi**2, float(dt))
+    phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
+    a = 0.5 * (phase - phase[0])
     return ModulationTrace(path.times, chi, dchi, d2chi, a, source="mathieu",
                            path=path, drive_kind=kind, epsilon=eps, omega0=w0)
 

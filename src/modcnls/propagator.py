@@ -388,14 +388,9 @@ def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace, dt=1e-4):
     families (their fields vanish at the box edge) and a fourth-order
     difference restricted to the interior for the dark-bright family, whose
     background is anti-periodic across the edge.  Returns the pair of
-    max-norm residuals (component 1, component 2).
+    max-norm residuals (component 1, component 2).  A stencil level outside
+    the trace's window is refused by the trace.
     """
-    # closed-form and explicit widths evaluate anywhere; only an integrated
-    # trace is confined to its tabulated window
-    if getattr(trace, "source", "") == "mathieu" and \
-            t - 2 * dt < trace.times[0] - 1e-12:
-        raise ValidationError("pde_residual: the five-level stencil needs "
-                              "t - 2 dt inside the integrated trace")
     x = grid.x
     sampler = CoefficientSampler(family, trace)
     v = sampler.potential(x, t)

@@ -20,7 +20,7 @@ from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
                             DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
 from modcnls.families import FieldPair, sech_family
 from modcnls.grid import SpatialGrid
-from modcnls.modulation import closed_form_trace
+from modcnls.modulation import _closed_form_a, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
 
@@ -601,6 +601,19 @@ class TestPropagateCommand:
         assert (out / "diagnostics_unperturbed.csv").exists()
         assert not (out / "diagnostics_perturbed.csv").exists()
 
+    @pytest.mark.parametrize("t_end", ["0.3", "0.7", "1.1", "2.9"])
+    def test_quasiperiodic_trace_ends_at_the_horizon(self, tmp_path, t_end):
+        # the integrated width is built to --t-end itself, and no step or
+        # record asks it for a later time
+        out = tmp_path / "p"
+        code = main(["propagate", "--family", "elliptic", "--drive",
+                     "quasiperiodic", "--t-end", t_end, "--perturb", "0",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(str(out / "diagnostics_unperturbed.csv"))
+        assert rows[-1, 0] == pytest.approx(float(t_end))
+        assert rows[:, 3].max() <= 1e-3
+
     def test_dark_family_refused(self, tmp_path, capsys):
         out = tmp_path / "p"
         code = main(["propagate", "--family", "dark-bright", "--t-end", "0.1",
@@ -662,6 +675,16 @@ class TestMathieuTraceCommand:
         assert rows[0, 1] == pytest.approx(2.0)  # chi(0)
         assert rows[0, 3] == 0.0  # a(0)
         assert (rows[:, 1] > 0).all()
+
+    def test_horizon_below_one_step(self, tmp_path):
+        # two nodes, 0 and dt, cover the horizon; a(dt) = int_0^dt chi^-2
+        out = tmp_path / "m"
+        code = main(["mathieu-trace", "--drive", "periodic", "--t-end", "1e-5",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(str(out / "trace.csv"))
+        assert rows[:, 0].tolist() == [0.0, 1e-4]
+        assert rows[1, 3] == pytest.approx(_closed_form_a(1e-4), rel=1e-13)
 
     def test_constant_drive_matches_closed_form(self, tmp_path):
         out = tmp_path / "m"

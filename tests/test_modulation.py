@@ -9,14 +9,14 @@ of chi under rescaling the second solution.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from modcnls.errors import ValidationError
 from modcnls.modulation import (
     ModulationTrace,
-    _cumulative_simpson,
+    _closed_form_a,
     closed_form_trace,
     drive_f,
     explicit_trace,
@@ -214,10 +214,11 @@ class TestMathieuTraceQueries:
         assert np.abs(tr.chi - chi_exact(tr.times)).max() <= 1e-6
 
     def test_out_of_range_query_rejected(self):
+        # the refusal names the first t asked outside and the window
         tr = mathieu_trace("constant", 2.0, dt=1e-3)
-        with pytest.raises(ValueError):
-            tr.chi_at(2.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"t = 2\.5,.*\[0, 2\]"):
+            tr.chi_at(np.array([1.0, 2.5, 3.0]))
+        with pytest.raises(ValidationError, match=r"t = -0\.5,"):
             tr.a_at(-0.5)
 
     def test_adot_is_inverse_square_width(self):
@@ -255,41 +256,41 @@ class TestExplicitTrace:
             explicit_trace(-0.6, 0.5, 1.0)
 
 
-def accumulate_a(trace):
-    # oracle: the phase offset a = int chi^-2 dt from a trace's own chi
-    # samples, by the cumulative Simpson rule mathieu_trace uses
-    if np.any(trace.chi <= 0):
-        raise ValueError("accumulate_a: chi samples must be positive")
-    dts = np.diff(trace.times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
-        raise ValueError("accumulate_a: time grid must be uniform")
-    return replace(trace, a=_cumulative_simpson(1.0 / trace.chi**2,
-                                                float(dts[0])))
+class TestPhaseFromOscillator:
+    """a = arg(z1 + i z2/W)/2 on the oscillator path, no quadrature."""
 
+    def test_constant_drive_matches_closed_form(self):
+        tr = mathieu_trace("constant", 10.0, dt=1e-4)
+        assert np.abs(tr.a - _closed_form_a(tr.times)).max() < 2e-14
+        t = np.random.default_rng(21).uniform(0, 10, 300)
+        assert np.abs(tr.a_at(t) - _closed_form_a(t)).max() < 2e-14
 
-class TestPhaseAccumulation:
-    def test_cumulative_simpson_accuracy(self):
-        # integrate 1/chi^2 for the constant drive; compare to closed form
-        dt = 1e-3
-        times = dt * np.arange(5001)
-        tr = ModulationTrace(
-            times=times, chi=chi_exact(times), dchi_dt=np.zeros_like(times),
-            d2chi_dt2=np.zeros_like(times), a=np.zeros_like(times),
-            source="closed_form_f1",
-        )
-        tr2 = accumulate_a(tr)
-        want = tr.a_at(times)
-        # fourth-order in dt: the 1e-4 production step sits far below this
-        assert np.abs(tr2.a - want).max() < 2e-9
+    def test_increasing_and_continuous_across_the_branch_cut(self):
+        # arg w = 2a passes the cut at odd multiples of pi; a must go on
+        # rising by a' dt there, with no jump of pi
+        tr = mathieu_trace("quasiperiodic", 10.0, dt=1e-4)
+        t = np.linspace(0.0, 10.0, 200001)
+        a = tr.a_at(t)
+        step = np.diff(a)
+        assert 2.0 * a[-1] > 3.0 * math.pi  # crossed the cut at least twice
+        assert step.min() > 0.0
+        # each step is a' dt at its midpoint up to the rule's 9e-12
+        mid = 0.5 * (t[1:] + t[:-1])
+        assert np.abs(step - tr.adot_at(mid) * np.diff(t)).max() < 1e-10
 
-    def test_nonuniform_grid_rejected(self):
-        times = np.array([0.0, 0.1, 0.3, 0.4])
-        tr = ModulationTrace(
-            times=times, chi=np.ones(4), dchi_dt=np.zeros(4),
-            d2chi_dt2=np.zeros(4), a=np.zeros(4), source="explicit_ex3",
-        )
-        with pytest.raises(ValueError):
-            accumulate_a(tr)
+    def test_central_difference_matches_adot(self):
+        tr = mathieu_trace("quasiperiodic", 10.0, dt=1e-4)
+        t = np.linspace(0.01, 9.99, 997)
+        h = 3e-6
+        fd = (tr.a_at(t + h) - tr.a_at(t - h)) / (2.0 * h)
+        assert np.abs(fd - tr.adot_at(t)).max() < 1e-8
+
+    def test_rescaling_second_solution_leaves_a_alone(self):
+        tr = mathieu_trace("quasiperiodic", 5.0, dt=1e-4)
+        tr3 = mathieu_trace("quasiperiodic", 5.0, dt=1e-4, z2_init=(0.0, 3.0))
+        assert np.abs(tr.a - tr3.a).max() < 1e-14
+        t = np.linspace(0.0, 5.0, 333)
+        assert np.abs(tr.a_at(t) - tr3.a_at(t)).max() < 1e-14
 
 
 class TestTraceValidation:
@@ -314,4 +315,3 @@ class TestTraceValidation:
                 times=np.arange(3.0), chi=np.ones(3), dchi_dt=np.zeros(3),
                 d2chi_dt2=np.zeros(3), a=np.ones(3), source="explicit_ex3",
             )
-

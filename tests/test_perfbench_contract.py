@@ -30,19 +30,37 @@ def test_every_traced_attribute_exists():
     assert missing == []
 
 
-def test_traced_propagate_counts_its_layers(tmp_path):
+def traced_metrics(*argvs):
+    """The tracer's metrics over CLI runs of argvs, each of which must exit 0."""
     layers = load_layers()
     tracer = layers.Tracer(modcnls)
-    argv = ["propagate", "--family", "elliptic", "--drive", "periodic",
-            "--perturb", "0.03", "--seed", "1", "--t-end", "0.05",
-            "--out", str(tmp_path / "out")]
     with tracer.installed():
-        code = tracer.span("cli", modcnls.cli.main, (argv,))
-    assert code == 0
+        for argv in argvs:
+            assert tracer.span("cli", modcnls.cli.main, (argv,)) == 0, argv
     metrics = tracer.metrics()
-    for name in ("transform.sampler_calls", "families.assemble_calls",
-                 "specfun.jacobi_points"):
-        assert metrics[name] > 0, name
     errors = {name: value for name, value in metrics.items()
               if name.endswith(".errors") and value}
     assert errors == {}
+    return metrics
+
+
+def test_traced_propagate_counts_its_layers(tmp_path):
+    metrics = traced_metrics(
+        ["propagate", "--family", "elliptic", "--drive", "periodic",
+         "--perturb", "0.03", "--seed", "1", "--t-end", "0.05",
+         "--out", str(tmp_path / "out")])
+    for name in ("transform.sampler_calls", "families.assemble_calls",
+                 "specfun.jacobi_points"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_dump_counts_its_layers(tmp_path):
+    # the dump workload's commands at its smoke horizon
+    common = ["--family", "sech", "--drive", "quasiperiodic",
+              "--t-end", "0.25"]
+    metrics = traced_metrics(
+        *[[command, *common, "--out", str(tmp_path / command)]
+          for command in ("solution", "potential")])
+    for name in ("export.rows", "export.bytes", "modulation.mathieu_steps",
+                 "transform.sampler_calls", "families.assemble_calls"):
+        assert metrics[name] > 0, name

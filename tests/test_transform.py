@@ -379,9 +379,8 @@ class TestParallelWalk:
             assert (r.continuity, r.advection, r.flux) == want, workers
 
     def test_shared_trace_cache_under_contention(self, monkeypatch):
-        # the strips share the trace, whose a' slopes are cached on first
-        # use: more strips than cores and a short switch interval must not
-        # change a residual
+        # the strips share one trace: more strips than cores and a short
+        # switch interval must not change a residual
         fam = elliptic_family(1)
         x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 300)
         want = whole_lattice_residuals(
@@ -391,7 +390,7 @@ class TestParallelWalk:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                tr = default_trace(fam, "quasiperiodic", 1.0)  # empty cache
+                tr = default_trace(fam, "quasiperiodic", 1.0)  # a fresh trace
                 r = verify_constraints(fam, tr, x, t)
                 assert (r.continuity, r.advection, r.flux) == want
         finally:
@@ -434,9 +433,15 @@ class TestParallelWalk:
         x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
         sample = transform.sample_transform_lattice
         walkers = set()
+        # each walker's first sample waits for the other two, so the strips
+        # overlap and the pool cannot reuse one thread for both of its
+        # strips; a walk that never starts the third fails the wait
+        started = threading.Barrier(3, timeout=30)
 
         def spy(family, trace, xs, ts):
-            walkers.add(threading.get_ident())
+            if threading.get_ident() not in walkers:
+                walkers.add(threading.get_ident())
+                started.wait()
             return sample(family, trace, xs, ts)
 
         def failing(family, trace, xs, ts):
