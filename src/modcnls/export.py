@@ -10,7 +10,8 @@ Two row formats: csv (a comment header of "# key = value" lines, then a
 column-name row, then data rows) and json-lines (a meta object on the first
 line, then one object per row).  Tables are rendered a column at a time:
 one tolist() per column, and a column shared by many rows, such as the x
-of a coefficient lattice, is rendered once.
+of a coefficient lattice, is rendered once, as is each distinct coefficient
+column of a block.
 """
 
 import json
@@ -77,14 +78,24 @@ def write_fields(path, fields, meta, fmt="csv"):
 
 
 def write_coefficients(path, sampler, x, times, meta, fmt="csv"):
-    """Potential and coupling lattice, t outer, x inner."""
+    """Potential and coupling lattice, t outer, x inner.
+
+    Within a block, columns with the same bytes (v2 = v1 when mu1 = mu2,
+    g21 = g12 always) are rendered once; equal bytes, not equal values, so
+    +0.0 and -0.0 or two NaN payloads each keep their own text.
+    """
     x_cells = _cells(x, fmt)
 
     def block(t):
         v, g = sampler.potential(x, t), sampler.couplings(x, t)
-        return [x_cells, _cells([t], fmt) * len(x_cells)] + [
-            _cells(col, fmt) for col in (v[0], v[1], g[0, 0], g[0, 1],
-                                         g[1, 0], g[1, 1])]
+        rendered = {}
+        cells = [x_cells, _cells([t], fmt) * len(x_cells)]
+        for col in (v[0], v[1], g[0, 0], g[0, 1], g[1, 0], g[1, 1]):
+            key = np.asarray(col, dtype=float).tobytes()
+            if key not in rendered:
+                rendered[key] = _cells(col, fmt)
+            cells.append(rendered[key])
+        return cells
 
     _write(path, COEFFICIENT_COLUMNS, map(block, times), meta, fmt)
 

@@ -41,6 +41,10 @@ import numpy as np
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
+# largest h * 2 sqrt(max|f|), the oscillator's turn per step, that
+# mathieu_trace accepts; at 0.2 RK4 keeps chi within 4.6e-4 of the closed
+# form over 10 s of the constant drive, at 0.8 it is 0.12 off
+_STEP_BOUND = 0.2
 DRIVE_KINDS = ("constant", "quasiperiodic")
 TRACE_SOURCES = ("closed_form_f1", "mathieu", "explicit_ex3")
 
@@ -296,7 +300,9 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
 
     The oscillator path is sampled at 0, dt, ..., n dt with n dt >= t_end and
     kept as the trace's path; a is half the unwrapped phase of
-    w = z1 + i z2/W, counted from its start.
+    w = z1 + i z2/W, counted from its start.  A step with
+    dt * 2 sqrt(max|f|) above _STEP_BOUND, max|f| = 1 + |epsilon|, is
+    refused with a ValidationError: RK4 no longer resolves the oscillator.
     """
     if kind not in DRIVE_KINDS:
         raise ValueError(f"mathieu_trace: unknown drive kind {kind!r}")
@@ -305,6 +311,12 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     # the constant drive is f = 1 + 0 cos(0 t), whatever omega0 was given
     eps, w0 = ((float(epsilon), float(omega0)) if kind == "quasiperiodic"
                else (0.0, 0.0))
+    ratio = dt * 2.0 * math.sqrt(1.0 + abs(eps))
+    if ratio > _STEP_BOUND:
+        raise ValidationError(
+            f"mathieu_trace: dt = {dt!r} does not resolve the {kind} drive "
+            f"(epsilon = {eps!r}): dt * 2 sqrt(max|f|) = {ratio:.3g} exceeds "
+            f"{_STEP_BOUND}")
     path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
     chi, dchi, d2chi = _oscillator_width(path.z1, path.dz1, path.z2, path.dz2,
                                          path.ddz1, path.ddz2, path.w)

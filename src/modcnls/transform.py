@@ -209,19 +209,27 @@ class CoefficientSampler:
         return self.potential(x, t), self.couplings(x, t)
 
 
+def _width_rows(trace, t):
+    """chi, chi' and a at the times t, each as a 1-D array."""
+    return tuple(np.atleast_1d(query(t)) for query in
+                 (trace.chi_at, trace.dchi_dt_at, trace.a_at))
+
+
+def _lattice_fields(stretch, x, chi, dchi, a):
+    """rho, eta, zeta of shape (len(chi), len(x)) from the width rows."""
+    xi = x[None, :] / chi[:, None]
+    rho = 1.0 / np.sqrt(chi[:, None] * stretch.fprime(xi))
+    eta = (dchi[:, None] / (4.0 * chi[:, None])) * x[None, :] ** 2 + a[:, None]
+    return rho, eta, stretch.zeta(xi)
+
+
 def sample_transform_lattice(family, trace, x, t):
     """rho, eta, zeta on the (t, x) lattice, each of shape (nt, nx)."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    s = family.stretch
-    chi = np.atleast_1d(trace.chi_at(t))
-    dchi = np.atleast_1d(trace.dchi_dt_at(t))
-    a = np.atleast_1d(trace.a_at(t))
-    xi = x[None, :] / chi[:, None]
-    rho = 1.0 / np.sqrt(chi[:, None] * s.fprime(xi))
-    eta = (dchi[:, None] / (4.0 * chi[:, None])) * x[None, :] ** 2 + a[:, None]
-    zeta = s.zeta(xi)
-    return {"rho": rho, "eta": eta, "zeta": zeta, "chi": chi, "x": x, "t": t}
+    width = _width_rows(trace, t)
+    rho, eta, zeta = _lattice_fields(family.stretch, x, *width)
+    return {"rho": rho, "eta": eta, "zeta": zeta, "chi": width[0], "x": x, "t": t}
 
 
 def interior_diff(f, h, axis, order=1):
@@ -264,15 +272,19 @@ def _strip_count(columns):
     return max(1, min(cpus, columns // _MIN_STRIP_COLUMNS))
 
 
-def _walk_strip(family, trace, x, t, envelope, rows, c0, c1):
-    """Worst residuals over interior columns c0:c1, walked in row blocks."""
-    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
+def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
+    """Worst residuals over interior columns c0:c1, walked in row blocks.
+
+    width holds the rows chi, chi', a of the whole t lattice, ht its step.
+    """
+    hx = float(x[1] - x[0])
     xs = x[c0 - 4:c1 + 4]  # the x stencils reach four columns out
+    nt = len(width[0])
     worst = np.zeros(3)
-    for r0 in range(2, len(t) - 2, rows):
-        r1 = min(r0 + rows, len(t) - 2)
-        lat = sample_transform_lattice(family, trace, xs, t[r0 - 2:r1 + 2])
-        rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
+    for r0 in range(2, nt - 2, rows):
+        r1 = min(r0 + rows, nt - 2)
+        rho, eta, zeta = _lattice_fields(
+            stretch, xs, *(w[r0 - 2:r1 + 2] for w in width))
         if envelope is not None:
             rho = rho * envelope[c0 - 4:c1 + 4]
         # time stencils consume the halo; rows below are the block's own
@@ -306,7 +318,9 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     caller walks one strip and helper threads the rest, in parallel as numpy
     releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
     with a 4-column x halo and a 2-row t halo; all strips' blocks together
-    hold at most _BLOCK_POINTS points.  Each residual is the whole-lattice
+    hold at most _BLOCK_POINTS points.  The width chi, chi' and a is sampled
+    once over all of t, on the calling thread, and every strip reads its
+    blocks' rows from those samples.  Each residual is the whole-lattice
     value bit for bit; the result is the elementwise maximum over strips.
     """
     x = np.asarray(x, dtype=float)
@@ -329,7 +343,9 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     # the strips' blocks span columns + 8 * workers sampled columns in all
     rows = max(1, _BLOCK_POINTS // (columns + 8 * workers))
     from concurrent.futures import ThreadPoolExecutor  # lazy: loads logging
-    args = (family, trace, x, t, envelope, rows)
+    # the width is sampled once, here, and every strip reads its rows
+    args = (family.stretch, x, float(t[1] - t[0]), _width_rows(trace, t),
+            envelope, rows)
     with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
         strips = [helpers.submit(_walk_strip, *args, c0, c1)
                   for c0, c1 in zip(edges[1:-1], edges[2:])]

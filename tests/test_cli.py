@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestColumnRendering:
                                  g[0, 1, i], g[1, 0, i], g[1, 1, i]))
         assert target.read_text() == render_rows(COEFFICIENT_COLUMNS, rows,
                                                  META, fmt)
+
+    def test_coefficient_columns_apart_by_a_zero_sign(self, tmp_path, fmt):
+        # v2 = v1 and g21 = g12 in value, but not in the sign of a zero;
+        # g11 has v1's bytes and g22 g21's, so those two may share
+        v = np.array([[0.0, 1.5], [-0.0, 1.5]])
+        g = np.array([[[0.0, 1.5], [0.0, 3.0]], [[-0.0, 3.0], [-0.0, 3.0]]])
+        sampler = SimpleNamespace(potential=lambda x, t: v,
+                                  couplings=lambda x, t: g)
+        x, times = np.array([-1.0, 1.0]), [0.0, 0.5]
+        target = tmp_path / "c"
+        write_coefficients(str(target), sampler, x, times, META, fmt)
+        rows = [(x[i], t, *v[:, i], *g[:, :, i].ravel())
+                for t in times for i in range(len(x))]
+        text = target.read_text()
+        assert text == render_rows(COEFFICIENT_COLUMNS, rows, META, fmt)
+        assert text.count("-0.0") == 6  # v2, g21, g22 in both blocks
 
     def test_write_diagnostics(self, tmp_path, fmt):
         rng = np.random.default_rng(4)
@@ -695,3 +712,10 @@ class TestMathieuTraceCommand:
         t = rows[:, 0]
         chi_exact = np.sqrt(1 + 15 * np.cos(2 * t) ** 2) / 2
         np.testing.assert_allclose(rows[:, 1], chi_exact, atol=1e-7)
+
+    def test_unresolved_step_refused_before_output(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = main(["mathieu-trace", "--dt", "0.4", "--out", str(out)])
+        assert code == 1
+        assert "does not resolve" in capsys.readouterr().err
+        assert not out.exists()

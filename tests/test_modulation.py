@@ -141,6 +141,22 @@ class TestMathieuIntegration:
         with pytest.raises(ValueError):
             mathieu_trace("quasiperiodic", 1.0, omega0=float("nan"))
 
+    @pytest.mark.parametrize("kind, dt, ratio", [
+        ("constant", 0.4, "0.8"),  # dt * 2 sqrt(1)
+        ("quasiperiodic", 0.09, "0.22"),  # dt * 2 sqrt(1 + 0.5)
+    ])
+    def test_unresolved_step_refused(self, kind, dt, ratio):
+        with pytest.raises(ValidationError) as info:
+            mathieu_trace(kind, 10.0, dt=dt)
+        for part in (f"dt = {dt}", f"{kind} drive", f"= {ratio} exceeds 0.2"):
+            assert part in str(info.value), str(info.value)
+
+    def test_step_just_below_the_bound_accepted(self):
+        tr = mathieu_trace("constant", 10.0, dt=0.099)
+        exact = np.sqrt(1.0 + 15.0 * np.cos(2.0 * tr.times) ** 2) / 2.0
+        assert np.max(np.abs(tr.chi - exact) / exact) < 5e-4
+        mathieu_trace("quasiperiodic", 10.0, dt=0.08)  # ratio 0.196
+
 
 class TestClosedFormTrace:
     def test_range_and_special_points(self):

@@ -431,35 +431,59 @@ class TestParallelWalk:
         fam = sech_family()
         tr = default_trace(fam, "periodic", 1.0)
         x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
-        sample = transform.sample_transform_lattice
+        sample = transform._lattice_fields
         walkers = set()
-        # each walker's first sample waits for the other two, so the strips
+        # each walker's first block waits for the other two, so the strips
         # overlap and the pool cannot reuse one thread for both of its
         # strips; a walk that never starts the third fails the wait
         started = threading.Barrier(3, timeout=30)
 
-        def spy(family, trace, xs, ts):
+        def spy(stretch, xs, *width):
             if threading.get_ident() not in walkers:
                 walkers.add(threading.get_ident())
                 started.wait()
-            return sample(family, trace, xs, ts)
+            return sample(stretch, xs, *width)
 
-        def failing(family, trace, xs, ts):
+        def failing(stretch, xs, *width):
             if xs[0] > 0:
                 raise RuntimeError("right strip cannot be sampled")
-            return sample(family, trace, xs, ts)
+            return sample(stretch, xs, *width)
 
         before = threading.active_count()
         force_strips(monkeypatch, 3)
-        monkeypatch.setattr(transform, "sample_transform_lattice", spy)
+        monkeypatch.setattr(transform, "_lattice_fields", spy)
         verify_constraints(fam, tr, x, t)
         # the caller walks one strip, two helpers the others
         assert len(walkers) == 3 and threading.get_ident() in walkers
         assert threading.active_count() == before
-        monkeypatch.setattr(transform, "sample_transform_lattice", failing)
+        monkeypatch.setattr(transform, "_lattice_fields", failing)
         with pytest.raises(RuntimeError, match="right strip cannot be sampled"):
             verify_constraints(fam, tr, x, t)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_width_sampled_once_on_the_calling_thread(self, monkeypatch,
+                                                      workers):
+        fam = elliptic_family(1)
+        real = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 300)
+        calls = []
+
+        def counted(name):
+            def query(ts):
+                calls.append((name, threading.get_ident(), np.array(ts)))
+                return getattr(real, name)(ts)
+            return query
+
+        names = ("chi_at", "dchi_dt_at", "a_at")
+        tr = SimpleNamespace(**{name: counted(name) for name in names})
+        force_strips(monkeypatch, workers)
+        r = verify_constraints(fam, tr, x, t)
+        assert r.workers == workers
+        assert sorted(name for name, _, _ in calls) == sorted(names)
+        for _, thread, ts in calls:
+            assert thread == threading.get_ident()
+            np.testing.assert_array_equal(ts, t)
 
     def test_working_set_does_not_grow_with_workers(self, monkeypatch):
         # the points in flight stay at _BLOCK_POINTS whatever the worker
