@@ -233,23 +233,24 @@ def sample_transform_lattice(family, trace, x, t):
 
 
 def interior_diff(f, h, axis, order=1):
-    """Fourth-order central difference of order 1 or 2 along axis.
+    """Sixth-order central difference of order 1 or 2 along axis.
 
-    Only points with two neighbours on each side get a value, so the result
-    is four shorter along axis than f.
+    Only points with three neighbours on each side get a value, so the result
+    is six shorter along axis than f.  The weights are Fornberg's (Math.
+    Comp. 51, 1988), applied to the symmetric pairs f[i+k] -+ f[i-k].
     """
     n = f.shape[axis]
 
     def at(k):
         idx = [slice(None)] * f.ndim
-        idx[axis] = slice(2 + k, n - 2 + k)
+        idx[axis] = slice(3 + k, n - 3 + k)
         return f[tuple(idx)]
 
     if order == 1:
-        return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
-    return (
-        -at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)
-    ) / (12.0 * h * h)
+        return (45.0 * (at(1) - at(-1)) - 9.0 * (at(2) - at(-2))
+                + (at(3) - at(-3))) / (60.0 * h)
+    return (270.0 * (at(1) + at(-1)) - 27.0 * (at(2) + at(-2))
+            + 2.0 * (at(3) + at(-3)) - 490.0 * at(0)) / (180.0 * h * h)
 
 
 @dataclass(frozen=True)
@@ -278,25 +279,25 @@ def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
     width holds the rows chi, chi', a of the whole t lattice, ht its step.
     """
     hx = float(x[1] - x[0])
-    xs = x[c0 - 4:c1 + 4]  # the x stencils reach four columns out
+    xs = x[c0 - 6:c1 + 6]  # two x stencils in a row reach six columns out
     nt = len(width[0])
     worst = np.zeros(3)
-    for r0 in range(2, nt - 2, rows):
-        r1 = min(r0 + rows, nt - 2)
+    for r0 in range(3, nt - 3, rows):
+        r1 = min(r0 + rows, nt - 3)
         rho, eta, zeta = _lattice_fields(
-            stretch, xs, *(w[r0 - 2:r1 + 2] for w in width))
+            stretch, xs, *(w[r0 - 3:r1 + 3] for w in width))
         if envelope is not None:
-            rho = rho * envelope[c0 - 4:c1 + 4]
+            rho = rho * envelope[c0 - 6:c1 + 6]
         # time stencils consume the halo; rows below are the block's own
-        rho_t = interior_diff(rho, ht, axis=0)[:, 4:-4]
-        zeta_t = interior_diff(zeta, ht, axis=0)[:, 4:-4]
-        rho, eta, zeta = rho[2:-2], eta[2:-2], zeta[2:-2]
-        eta_x = interior_diff(eta, hx, axis=1)  # columns 2:-2
+        rho_t = interior_diff(rho, ht, axis=0)[:, 6:-6]
+        zeta_t = interior_diff(zeta, ht, axis=0)[:, 6:-6]
+        rho, eta, zeta = rho[3:-3], eta[3:-3], zeta[3:-3]
+        eta_x = interior_diff(eta, hx, axis=1)  # columns 3:-3
         zeta_x = interior_diff(zeta, hx, axis=1)
-        rho_i = rho[:, 2:-2]
+        rho_i = rho[:, 3:-3]
 
-        r7 = rho[:, 4:-4] * rho_t + interior_diff(rho_i * rho_i * eta_x, hx, axis=1)
-        r8 = zeta_t + 2.0 * eta_x[:, 2:-2] * zeta_x[:, 2:-2]
+        r7 = rho[:, 6:-6] * rho_t + interior_diff(rho_i * rho_i * eta_x, hx, axis=1)
+        r8 = zeta_t + 2.0 * eta_x[:, 3:-3] * zeta_x[:, 3:-3]
         r9 = interior_diff(rho_i * rho_i * zeta_x, hx, axis=1)
         # np.maximum and np.max both propagate NaN
         worst = np.maximum(worst, [np.max(np.abs(r)) for r in (r7, r8, r9)])
@@ -307,8 +308,8 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     """Finite-difference residuals of the three transform constraints.
 
     x and t must be uniform lattices, at least 256 x 64 points; residuals are
-    maximized over the interior (4 points trimmed in x, 2 in t to clear the
-    fourth-order stencils).  A non-finite residual anywhere in the interior
+    maximized over the interior (6 points trimmed in x, 3 in t to clear the
+    sixth-order stencils).  A non-finite residual anywhere in the interior
     makes that maximum NaN.  corrupt_rho multiplies the envelope by
     (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
     check has teeth.
@@ -317,7 +318,7 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     affinity, else os.cpu_count()), at least _MIN_STRIP_COLUMNS wide; the
     caller walks one strip and helper threads the rest, in parallel as numpy
     releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
-    with a 4-column x halo and a 2-row t halo; all strips' blocks together
+    with a 6-column x halo and a 3-row t halo; all strips' blocks together
     hold at most _BLOCK_POINTS points.  The width chi, chi' and a is sampled
     once over all of t, on the calling thread, and every strip reads its
     blocks' rows from those samples.  Each residual is the whole-lattice
@@ -337,11 +338,11 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
         raise ValueError("verify_constraints: lattices must be uniform")
     envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
 
-    columns = len(x) - 8
+    columns = len(x) - 12
     workers = _strip_count(columns)
-    edges = [4 + columns * k // workers for k in range(workers + 1)]
-    # the strips' blocks span columns + 8 * workers sampled columns in all
-    rows = max(1, _BLOCK_POINTS // (columns + 8 * workers))
+    edges = [6 + columns * k // workers for k in range(workers + 1)]
+    # the strips' blocks span columns + 12 * workers sampled columns in all
+    rows = max(1, _BLOCK_POINTS // (columns + 12 * workers))
     from concurrent.futures import ThreadPoolExecutor  # lazy: loads logging
     # the width is sampled once, here, and every strip reads its rows
     args = (family.stretch, x, float(t[1] - t[0]), _width_rows(trace, t),
@@ -360,23 +361,23 @@ def potential_identity_check(family, trace, x, t, dt=1e-4):
     """Max gap between the closed-form trap and its finite-difference origin.
 
     Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 with
-    fourth-order stencils (five time levels around t) and compares with
+    sixth-order stencils (seven time levels around t) and compares with
     potential(...) on the interior of x.
     """
     x = np.asarray(x, dtype=float)
-    ts = t + dt * np.arange(-2.0, 3.0)
+    ts = t + dt * np.arange(-3.0, 4.0)
     lat = sample_transform_lattice(family, trace, x, ts)
     rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
     hx = float(x[1] - x[0])
 
-    inner = slice(2, -2)  # the points the x stencils reach
-    rho_xx = interior_diff(rho[2], hx, axis=0, order=2)
-    eta_x = interior_diff(eta[2], hx, axis=0)
-    zeta_x = interior_diff(zeta[2], hx, axis=0)
-    # five-level fourth-order time derivative at the middle level
+    inner = slice(3, -3)  # the points the x stencils reach
+    rho_xx = interior_diff(rho[3], hx, axis=0, order=2)
+    eta_x = interior_diff(eta[3], hx, axis=0)
+    zeta_x = interior_diff(zeta[3], hx, axis=0)
+    # seven-level sixth-order time derivative at the middle level
     eta_t = interior_diff(eta, dt, axis=0)[0, inner]
 
-    base = rho_xx / rho[2, inner] - eta_t - eta_x**2
+    base = rho_xx / rho[3, inner] - eta_t - eta_x**2
     v_fd = np.stack([base - mu_j * zeta_x**2 for mu_j in family.mu])
     v_cf = potential(family, trace, x, t)[:, inner]
     gap = np.abs(v_fd - v_cf)[:, inner]

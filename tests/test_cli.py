@@ -7,6 +7,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -352,6 +354,17 @@ class TestOptionTable:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
+    def test_runs_as_a_module(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "modcnls", "--help"],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert "mathieu-trace" in run.stdout
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", [
         ("solution", "t_end", "inf"),
@@ -513,16 +526,55 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
     def test_short_horizon_passes(self, tmp_path, t_end):
-        # the trap identity is then checked at t = 1, where chi = 0.95; its
-        # lattice narrows with chi instead of staying on [-10, 10]
+        # the trap identity is then checked up to t = 1, where chi = 0.95;
+        # its lattice narrows with chi instead of staying on [-10, 10]
         out = tmp_path / "v"
         code = main(["verify", "--family", "elliptic", "--drive", "periodic",
                      "--t-end", t_end, "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert code == 0, report["failures"]
         identity = report["potential_identity"]
-        assert identity["t"] == 1.0 and identity["gap"] <= 1e-4
-        assert identity["half_width"] < 10.0
+        assert identity["times"] == pytest.approx(np.linspace(3e-4, 1.0, 5))
+        assert identity["t"] in identity["times"]
+        assert identity["gap"] <= 1e-4 and identity["half_width"] < 10.0
+        assert report["constraints"]["lattice"]["t"] == [0.0, 1.0, 1537]
+
+    def test_whole_horizon_is_checked(self, tmp_path, monkeypatch):
+        walked = []
+
+        def spy(family, trace, x, t, **kwargs):
+            walked.append(np.array(t))
+            return transform.verify_constraints(family, trace, x, t, **kwargs)
+
+        monkeypatch.setattr("modcnls.cli.verify_constraints", spy)
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "sech", "--drive", "periodic",
+                     "--t-end", "3", "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code == 0, report["failures"]
+        (t,) = walked
+        assert t[0] == 0.0 and t[-1] == 3.0
+        assert len(t) - 1 >= 1536 * 3
+        assert report["constraints"]["lattice"] == {
+            "x": [-5.0, 5.0, 640], "t": [0.0, 3.0, len(t)]}
+        # the trap identity reaches the horizon too
+        assert report["potential_identity"]["times"][-1] == 3.0
+
+    def test_full_equation_times_span_the_horizon(self, tmp_path,
+                                                  monkeypatch):
+        from modcnls.transform import ConstraintResiduals
+
+        times = []
+        monkeypatch.setattr("modcnls.cli.verify_constraints",
+                            lambda *a, **k: ConstraintResiduals(0.0, 0.0, 0.0))
+        monkeypatch.setattr(
+            "modcnls.cli.pde_residual",
+            lambda family, grid, t, trace: times.append(t) or (0.0, 0.0))
+        code = main(["verify", "--family", "sech", "--t-end", "8",
+                     "--out", str(tmp_path / "v")])
+        assert code == 0 and len(times) == 5
+        # a time past 5 shows the draw is not capped below the horizon
+        assert 0.05 <= min(times) and 5.0 < max(times) <= 8.0
 
     @pytest.mark.parametrize("t_end", ["0.5", "5"])
     def test_trap_off_by_a_harmonic_term_fails(self, tmp_path, monkeypatch,

@@ -41,27 +41,28 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def d1_nan_padded(f, h, axis):
-    """Fourth-order first derivative over the whole lattice, nan on the
-    two-deep edges: the unblocked form verify_constraints replaced."""
+    """Sixth-order first derivative over the whole lattice, nan on the
+    three-deep edges: the unblocked form verify_constraints replaced."""
     out = np.full_like(f, np.nan)
     sl = [slice(None)] * f.ndim
 
     def ix(k):
         s = sl.copy()
-        s[axis] = slice(2 + k, f.shape[axis] - 2 + k or None)
+        s[axis] = slice(3 + k, f.shape[axis] - 3 + k or None)
         return tuple(s)
 
     core = sl.copy()
-    core[axis] = slice(2, -2)
+    core[axis] = slice(3, -3)
     out[tuple(core)] = (
-        -f[ix(2)] + 8.0 * f[ix(1)] - 8.0 * f[ix(-1)] + f[ix(-2)]
-    ) / (12.0 * h)
+        45.0 * (f[ix(1)] - f[ix(-1)]) - 9.0 * (f[ix(2)] - f[ix(-2)])
+        + (f[ix(3)] - f[ix(-3)])
+    ) / (60.0 * h)
     return out
 
 
 def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     """Oracle: the three constraint residuals from one whole-lattice sample
-    with nan-padded stencils, maximized over the core [2:-2, 4:-4]."""
+    with nan-padded stencils, maximized over the core [3:-3, 6:-6]."""
     lat = sample_transform_lattice(family, trace, x, t)
     rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
     if corrupt_rho:
@@ -74,7 +75,7 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
     r8 = zeta_t + 2.0 * eta_x * zeta_x
     r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
-    return tuple(float(np.nanmax(np.abs(r[2:-2, 4:-4]))) for r in (r7, r8, r9))
+    return tuple(float(np.nanmax(np.abs(r[3:-3, 6:-6]))) for r in (r7, r8, r9))
 
 
 def all_family_trace_pairs(t_end=2.0):
@@ -255,15 +256,29 @@ class TestVerifyConstraints:
             r = verify_constraints(fam, tr, x, t)
             assert r.worst < 1e-5, f"{fam.kind}/{drive}: {r}"
 
-    def test_dense_lattice_for_hard_squeeze(self):
-        # quasiperiodic drive squeezes harder; residual budget needs the
-        # denser lattice
+    def test_hard_squeeze_over_the_default_horizon(self):
+        # quasiperiodic drive squeezes hardest; verify's lattice over its
+        # default horizon t <= 5 must still clear the budget
         fam = elliptic_family(1)
-        tr = default_trace(fam, "quasiperiodic", 1.0)
-        x = np.linspace(-1.0, 1.0, 2560)
-        t = np.linspace(0.0, 1.0, 6144)
+        tr = default_trace(fam, "quasiperiodic", 5.0)
+        x = np.linspace(-1.0, 1.0, 640)
+        t = np.linspace(0.0, 5.0, 1536 * 5 + 1)
         r = verify_constraints(fam, tr, x, t)
         assert r.worst < 1e-5, str(r)
+
+    def test_defect_past_the_first_unit_of_time_is_caught(self):
+        # chi' off by 1e-3 only for t > 1.5: a walk over [0, 1] cannot see
+        # it, a walk over [0, 3] must
+        fam = elliptic_family(1)
+        good = default_trace(fam, "periodic", 3.0)
+        tr = SimpleNamespace(
+            chi_at=good.chi_at, a_at=good.a_at,
+            dchi_dt_at=lambda t: good.dchi_dt_at(t) + 1e-3 * (np.asarray(t) > 1.5))
+        x = np.linspace(-1.0, 1.0, 640)
+        r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 1537))
+        assert r.worst <= 1e-5, str(r)
+        r = verify_constraints(fam, tr, x, np.linspace(0.0, 3.0, 1536 * 3 + 1))
+        assert r.continuity > 1e-5, str(r)
 
     @pytest.mark.parametrize("kind, drive, nx, nt, corrupt", [
         ("elliptic", "quasiperiodic", 640, 1000, 0.0),
@@ -280,11 +295,11 @@ class TestVerifyConstraints:
         x = np.linspace(-half, half, nx)
         t = np.linspace(0.0, 1.0, nt)
         # the blocks of all strips hold at most _BLOCK_POINTS points: each
-        # strip samples its interior columns plus a 4-column halo per side
-        workers = transform._strip_count(nx - 8)
-        rows = transform._BLOCK_POINTS // (nx - 8 + 8 * workers)
+        # strip samples its interior columns plus a 6-column halo per side
+        workers = transform._strip_count(nx - 12)
+        rows = transform._BLOCK_POINTS // (nx - 12 + 12 * workers)
         # several blocks, the last one short
-        assert nt - 4 > 2 * rows and (nt - 4) % rows != 0
+        assert nt - 6 > 2 * rows and (nt - 6) % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
         assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
@@ -372,8 +387,8 @@ class TestParallelWalk:
         for workers in (1, 2, 3):
             force_strips(monkeypatch, workers)
             # strips of unequal width, each walked in several row blocks
-            assert workers == 1 or (nx - 8) % workers != 0
-            assert 2 * (transform._BLOCK_POINTS // (nx - 8 + 8 * workers)) < 996
+            assert workers == 1 or (nx - 12) % workers != 0
+            assert 2 * (transform._BLOCK_POINTS // (nx - 12 + 12 * workers)) < 994
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
             assert r.workers == workers
             assert (r.continuity, r.advection, r.flux) == want, workers
