@@ -25,8 +25,8 @@ for name, fam in (("elliptic", elliptic_family(n=1)),
     trace = default_trace(fam, drive="periodic", t_end=1.0)
     grid = default_grid(fam, "export")
     fields = assemble(fam, trace, grid.x, t_snap)
-    n1, n2 = fields.norms()
-    a1, a2 = fields.abs2()
+    a1, a2 = np.abs(fields.psi1) ** 2, np.abs(fields.psi2) ** 2
+    n1, n2 = a1.sum() * grid.dx, a2.sum() * grid.dx
     print(f"{name}: half width {grid.half_width:g}, "
           f"norms ({n1:.6f}, {n2:.6f}), "
           f"peak densities ({a1.max():.4f}, {a2.max():.4f})")

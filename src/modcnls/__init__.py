@@ -26,8 +26,8 @@ from .families import (FamilySpec, FieldPair, amplitude_a0, assemble,
                        dark_bright_family, default_grid, default_trace,
                        elliptic_family, reduced_amplitudes, sech_family,
                        tail_envelope)
-from .propagator import (ConstantCoefficients, DiagnosticsTrace,
-                         PropagationConfig, StabilityReport, pde_residual,
-                         perturb, propagate, stability_verdict, step)
+from .propagator import (DiagnosticsTrace, PropagationConfig,
+                         StabilityReport, pde_residual, perturb, propagate,
+                         stability_verdict, step)
 
 __version__ = "0.1.0"

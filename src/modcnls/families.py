@@ -131,16 +131,6 @@ class FieldPair:
     psi2: np.ndarray
     t: float = 0.0
 
-    def abs2(self):
-        return np.abs(self.psi1) ** 2, np.abs(self.psi2) ** 2
-
-    def norms(self):
-        dx = float(self.x[1] - self.x[0])
-        return (
-            float(np.sum(np.abs(self.psi1) ** 2) * dx),
-            float(np.sum(np.abs(self.psi2) ** 2) * dx),
-        )
-
 
 def tail_envelope(xi, chi, n=1):
     """Stable |rho A_1| on the far elliptic tail, |xi| >= 4, with its sign.

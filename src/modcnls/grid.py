@@ -35,7 +35,3 @@ class SpatialGrid:
     @property
     def dx(self):
         return 2.0 * self.half_width / self.n_points
-
-    def norm(self, psi):
-        """Discrete L2 norm squared, sum |psi|^2 dx."""
-        return float(np.sum(np.abs(psi) ** 2) * self.dx)

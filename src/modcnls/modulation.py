@@ -9,9 +9,10 @@ chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
 path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
 
-Each source has one evaluator of (chi, chi', chi''); a trace's sample arrays
-and its *_at queries both come from it.  An integrated trace answers only
-inside the window it was built to and refuses any other t.
+Each factory hands its trace one evaluator of (chi, chi', chi'') and one of
+a; a trace's sample arrays and its *_at queries both come from them.  An
+integrated trace answers only inside the window it was built to and refuses
+any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
 formed by a scan in log2 n vectorised passes (Blelloch, CMU-CS-90-190).
@@ -32,9 +33,10 @@ Conventions fixed here and relied on elsewhere:
   Phys. Rev. 35, 863, 1930).
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +48,6 @@ _SQRT2 = math.sqrt(2.0)
 # form over 10 s of the constant drive, at 0.8 it is 0.12 off
 _STEP_BOUND = 0.2
 DRIVE_KINDS = ("constant", "quasiperiodic")
-TRACE_SOURCES = ("closed_form_f1", "mathieu", "explicit_ex3")
 
 
 def drive_f(kind, t, epsilon=0.5, omega0=1.0):
@@ -190,18 +191,39 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     return MathieuPath(times, z1, v1, z2, v2, -4.0 * f * z1, -4.0 * f * z2, w)
 
 
+def _path_width(p, epsilon, omega0, t):
+    """(chi, chi', chi'') at t from the Hermite interpolant of the path p,
+    with z'' = -4 f(t) z supplying the slopes of z'."""
+    z1, dz1, z2, dz2 = _hermite(p.times, t, (p.z1, p.dz1), (p.dz1, p.ddz1),
+                                (p.z2, p.dz2), (p.dz2, p.ddz2))
+    f = drive_f("quasiperiodic", t, epsilon, omega0)
+    return _oscillator_width(z1, dz1, z2, dz2, -4.0 * f * z1, -4.0 * f * z2, p.w)
+
+
+def _path_phase(p, a, t):
+    """a at t from its node values a: a at the nearest node j plus half the
+    turn of w from t_j to t, which is far below pi, so wrapping it
+    recovers it."""
+    j = np.rint(t / p.times[1]).astype(int)  # times are k dt
+    z1, z2 = _hermite(p.times, t, (p.z1, p.dz1), (p.z2, p.dz2))
+    turn = (_oscillator_phase(z1, z2, p.w)
+            - _oscillator_phase(p.z1[j], p.z2[j], p.w))
+    turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
+    return a[j] + 0.5 * turn
+
+
 @dataclass
 class ModulationTrace:
-    """Sampled chi(t), derivatives, and phase offset, plus exact evaluators.
+    """Sampled chi(t), derivatives, and phase offset, plus their evaluators.
 
     The sample arrays are what gets exported; the *_at query methods are what
-    the propagator and residual suites call.  Both come from the source's one
-    evaluator, so a query at a sample time returns the sample.  The analytic
-    sources (closed_form_f1, explicit_ex3) evaluate their formulas at any t.
-    The mathieu source interpolates the oscillator trajectory by cubic
-    Hermite, with z'' = -4 f(t) z supplying the slopes of z', and chi, its
-    derivatives and a follow from exact algebra; it only answers inside the
-    integrated window.
+    the propagator and residual suites call.  Both come from the evaluators
+    the trace's factory sets, width(t) -> (chi, chi', chi'') and
+    phase(t) -> a, so a query at a sample time returns the sample.  drive is
+    the (kind, epsilon, omega0) whose Ermakov-Pinney equation chi solves,
+    with a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
+    integrated trace keeps its oscillator path and only answers inside the
+    window it was built to; every other trace answers at any t.
     """
 
     times: np.ndarray
@@ -209,17 +231,12 @@ class ModulationTrace:
     dchi_dt: np.ndarray
     d2chi_dt2: np.ndarray
     a: np.ndarray
-    source: str
+    width: Callable
+    phase: Callable
+    drive: Optional[tuple] = None
     path: Optional[MathieuPath] = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    drive_kind: str = "constant"
-    epsilon: float = 0.0
-    omega0: float = 1.0
 
     def __post_init__(self):
-        if self.source not in TRACE_SOURCES:
-            raise ValueError(f"ModulationTrace: unknown source {self.source!r}")
         if np.any(self.chi <= 0) or not np.isfinite(self.chi).all():
             raise ValueError("ModulationTrace: chi samples must be positive and finite")
         if abs(float(self.a[0])) > 1e-15:
@@ -228,8 +245,8 @@ class ModulationTrace:
     def _check_range(self, t):
         """t as an array; refused outside the window of an integrated trace."""
         t = np.asarray(t, dtype=float)
-        if self.source != "mathieu":
-            return t  # analytic sources extend to all t
+        if self.path is None:
+            return t  # the analytic widths extend to all t
         lo, hi = float(self.times[0]), float(self.times[-1])
         outside = (t < lo - 1e-9) | (t > hi + 1e-9)
         if np.any(outside):
@@ -239,50 +256,23 @@ class ModulationTrace:
                 f"[{lo:.6g}, {hi:.6g}]; build it to a later horizon")
         return np.clip(t, lo, hi)
 
-    def _width(self, t):
-        """(chi, chi', chi'') at t from this trace's source."""
-        t = self._check_range(t)
-        if self.source == "closed_form_f1":
-            return _closed_form_width(t)
-        if self.source == "explicit_ex3":
-            return _two_tone_width(self.alpha, self.beta, t)
-        p = self.path
-        z1, dz1, z2, dz2 = _hermite(p.times, t, (p.z1, p.dz1), (p.dz1, p.ddz1),
-                                    (p.z2, p.dz2), (p.dz2, p.ddz2))
-        f = drive_f("quasiperiodic", t, self.epsilon, self.omega0)
-        return _oscillator_width(z1, dz1, z2, dz2, -4.0 * f * z1, -4.0 * f * z2, p.w)
-
     def chi_at(self, t):
-        return _scalar(self._width(t)[0])
+        return _scalar(self.width(self._check_range(t))[0])
 
     def dchi_dt_at(self, t):
-        return _scalar(self._width(t)[1])
+        return _scalar(self.width(self._check_range(t))[1])
 
     def d2chi_dt2_at(self, t):
-        return _scalar(self._width(t)[2])
+        return _scalar(self.width(self._check_range(t))[2])
 
     def a_at(self, t):
-        t = self._check_range(t)
-        if self.source == "closed_form_f1":
-            out = _closed_form_a(t)
-        elif self.source == "explicit_ex3":
-            out = np.zeros_like(t)
-        else:
-            # a at the nearest node j plus half the turn of w from t_j to
-            # t, which is far below pi, so wrapping it recovers it
-            p = self.path
-            j = np.rint(t / p.times[1]).astype(int)  # times are k dt
-            z1, z2 = _hermite(p.times, t, (p.z1, p.dz1), (p.z2, p.dz2))
-            turn = (_oscillator_phase(z1, z2, p.w)
-                    - _oscillator_phase(p.z1[j], p.z2[j], p.w))
-            turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
-            out = self.a[j] + 0.5 * turn
-        return _scalar(out)
+        return _scalar(self.phase(self._check_range(t)))
 
     def adot_at(self, t):
-        if self.source == "explicit_ex3":
-            return _scalar(np.zeros_like(np.asarray(t, dtype=float)))
-        chi = self._width(t)[0]
+        t = self._check_range(t)
+        if self.drive is None:
+            return _scalar(np.zeros_like(t))
+        chi = self.width(t)[0]
         return _scalar(1.0 / (chi * chi))
 
 
@@ -291,7 +281,8 @@ def closed_form_trace(t_end, dt=1e-3) -> ModulationTrace:
     times = _uniform_times(t_end, dt)
     chi, dchi, d2chi = _closed_form_width(times)
     return ModulationTrace(times, chi, dchi, d2chi, _closed_form_a(times),
-                           source="closed_form_f1")
+                           _closed_form_width, _closed_form_a,
+                           drive=("constant", 0.0, 0.0))
 
 
 def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
@@ -322,8 +313,10 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
                                          path.ddz1, path.ddz2, path.w)
     phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
     a = 0.5 * (phase - phase[0])
-    return ModulationTrace(path.times, chi, dchi, d2chi, a, source="mathieu",
-                           path=path, drive_kind=kind, epsilon=eps, omega0=w0)
+    return ModulationTrace(path.times, chi, dchi, d2chi, a,
+                           functools.partial(_path_width, path, eps, w0),
+                           functools.partial(_path_phase, path, a),
+                           drive=(kind, eps, w0), path=path)
 
 
 def explicit_trace(alpha, beta, t_end, dt=1e-3) -> ModulationTrace:
@@ -332,6 +325,7 @@ def explicit_trace(alpha, beta, t_end, dt=1e-3) -> ModulationTrace:
         raise ValueError("explicit_trace: requires |alpha| + |beta| < 1")
     alpha, beta = float(alpha), float(beta)
     times = _uniform_times(t_end, dt)
-    chi, dchi, d2chi = _two_tone_width(alpha, beta, times)
+    width = functools.partial(_two_tone_width, alpha, beta)
+    chi, dchi, d2chi = width(times)
     return ModulationTrace(times, chi, dchi, d2chi, np.zeros_like(times),
-                           source="explicit_ex3", alpha=alpha, beta=beta)
+                           width, np.zeros_like)

@@ -20,9 +20,9 @@ e.g. a clean run and its perturbed twins, share one coefficient sample per
 step and one reference solution per record.
 
 Coefficient sources are duck-typed: anything with potential(x, t) -> (2, nx)
-and couplings(x, t) -> (2, 2, nx) works, e.g. CoefficientSampler or the
-ConstantCoefficients helper below.  Perturbations draw from numpy's PCG64 so
-seeded runs reproduce bit for bit across platforms.
+and couplings(x, t) -> (2, 2, nx) works, e.g. CoefficientSampler.  Every run
+starts at t = 0.  Perturbations draw from numpy's PCG64 so seeded runs
+reproduce bit for bit across platforms.
 """
 
 import itertools
@@ -49,8 +49,7 @@ class PropagationConfig:
     grid: SpatialGrid
     dt: float
     t_end: float
-    coefficient_source: object = None
-    t_start: float = 0.0
+    coefficient_source: object
     record_stride: int = 10
 
     def __post_init__(self):
@@ -62,15 +61,14 @@ class PropagationConfig:
                 "its edge; split-step propagation of it is refused")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("PropagationConfig: dt must be positive")
-        if not (np.isfinite(self.t_end) and self.t_end > self.t_start):
-            raise ValidationError("PropagationConfig: t_end must exceed t_start")
-        span = self.t_end - self.t_start
-        if abs(self.n_steps * self.dt - span) > 1e-9 * span:
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValidationError("PropagationConfig: t_end must be positive")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValidationError(
                 f"PropagationConfig: t_end {self.t_end:g} is not a whole "
-                f"number of steps of dt {self.dt:g} from t_start "
-                f"{self.t_start:g} ({span / self.dt:.6g} steps); the run "
-                f"would end at t = {self.t_start + self.n_steps * self.dt:g}"
+                f"number of steps of dt {self.dt:g} "
+                f"({self.t_end / self.dt:.6g} steps); the run would end at "
+                f"t = {self.n_steps * self.dt:g}"
             )
         if self.record_stride < 1:
             raise ValidationError("PropagationConfig: record_stride must be >= 1")
@@ -86,25 +84,7 @@ class PropagationConfig:
 
     @property
     def n_steps(self):
-        return int(round((self.t_end - self.t_start) / self.dt))
-
-
-class ConstantCoefficients:
-    """Fixed-in-time coefficient source; the default gives free propagation."""
-
-    def __init__(self, v=None, g=None):
-        self._v = v
-        self._g = g
-
-    def potential(self, x, t):
-        if self._v is None:
-            return np.zeros((2, len(x)))
-        return np.broadcast_to(self._v, (2, len(x))).copy()
-
-    def couplings(self, x, t):
-        if self._g is None:
-            return np.zeros((2, 2, len(x)))
-        return np.broadcast_to(self._g, (2, 2, len(x))).copy()
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -153,14 +133,9 @@ class StabilityReport:
     time_of_max: float
     threshold: float
 
-    def __bool__(self):
-        return self.verdict
-
 
 def _stack(members, cfg, caller):
     """Validated (members, 2, N) complex copy of the members' fields."""
-    if cfg.coefficient_source is None:
-        raise ValidationError(f"{caller}: cfg.coefficient_source is required")
     if not members:
         raise ValidationError(f"{caller}: no initial fields")
     n = cfg.grid.n_points
@@ -262,16 +237,12 @@ def _references(reference, x, times):
     """The reference (psi_1, psi_2) at each of times, in order.
 
     A (family, trace) pair is evaluated a block of times at a time, about
-    _REFERENCE_POINTS points per call; a callable once per time; without a
-    reference each is (None, None).
+    _REFERENCE_POINTS points per call; without a reference each is
+    (None, None).
     """
     if reference is None:
         for _ in times:
             yield None, None
-    elif callable(reference):
-        for t in times:
-            exact = reference(t, x)
-            yield exact.psi1, exact.psi2
     else:
         family, trace = reference
         rows = max(1, _REFERENCE_POINTS // len(x))
@@ -311,11 +282,9 @@ def propagate(initial, cfg: PropagationConfig, reference=None):
     per member in order.  Each member's trace is bit for bit that of its
     own run.
 
-    reference is either a (family, trace) pair or a callable t, x ->
-    FieldPair giving the analytic solution for the profile-error columns;
-    without it those columns are nan.  It is evaluated once per record for
-    all members; a (family, trace) pair for a block of upcoming records at
-    once.
+    reference is a (family, trace) pair giving the analytic solution for
+    the profile-error columns; without it those columns are nan.  It is
+    evaluated for all members at once, a block of upcoming records per call.
 
     There is no dark-bright propagation: PropagationConfig refuses its
     coefficient source (see DarkBackgroundError).
@@ -323,11 +292,10 @@ def propagate(initial, cfg: PropagationConfig, reference=None):
     single = isinstance(initial, FieldPair)
     members = [initial] if single else list(initial)
     psi = _stack(members, cfg, "propagate")
-    times = [cfg.t_start] + [cfg.t_start + k * cfg.dt for k in
-                             _record_steps(cfg.n_steps, cfg.record_stride)]
+    times = [0.0] + [k * cfg.dt for k in
+                     _record_steps(cfg.n_steps, cfg.record_stride)]
     records = itertools.chain(
-        [(cfg.t_start, psi)],
-        _strang(psi, cfg, cfg.t_start, cfg.n_steps, cfg.record_stride))
+        [(0.0, psi)], _strang(psi, cfg, 0.0, cfg.n_steps, cfg.record_stride))
     table = np.array([
         _diagnostics(fields, exact, cfg.grid) for (_, fields), exact
         in zip(records, _references(reference, cfg.grid.x, times))])

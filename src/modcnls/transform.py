@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeTooCoarseError
+from .errors import LatticeTooCoarseError, ValidationError
 from .modulation import drive_f
 from .specfun import erf, erfi
 
@@ -67,29 +67,15 @@ class StretchSpec:
         if self.kind == "flat_bump" and not self.lam > -1.0:
             raise ValueError("StretchSpec: lam must exceed -1 to keep F' > 0")
 
-    def fprime(self, xi):
+    def fprime(self, xi, power=1):
+        """F'(xi) ** power; the exponential stretches take the power inside
+        the exponent, so the clip bounds the argument of the result."""
         xi = np.asarray(xi, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-xi * xi)
+            return np.exp(-power * xi * xi)
         if self.kind == "inverse_gaussian":
-            return _clipped_exp(xi * xi / (3.0 * self.gamma**2))
-        return 1.0 + self.lam * np.exp(-xi * xi)
-
-    def fprime_squared(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-2.0 * xi * xi)
-        if self.kind == "inverse_gaussian":
-            return _clipped_exp(2.0 * xi * xi / (3.0 * self.gamma**2))
-        return self.fprime(xi) ** 2
-
-    def fprime_cubed(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-3.0 * xi * xi)
-        if self.kind == "inverse_gaussian":
-            return _clipped_exp(xi * xi / self.gamma**2)
-        return self.fprime(xi) ** 3
+            return _clipped_exp(power * xi * xi / (3.0 * self.gamma**2))
+        return (1.0 + self.lam * np.exp(-xi * xi)) ** power
 
     def zeta(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -147,7 +133,7 @@ def potential_from_transform(family, trace, x, t):
     xi = x / chi
     s = family.stretch
     base = s.curvature_term(xi) / chi**2 - (d2chi / (4.0 * chi)) * x * x - adot
-    zx2 = s.fprime_squared(xi) / chi**2
+    zx2 = s.fprime(xi, 2) / chi**2
     return np.stack([base - mu_j * zx2 for mu_j in family.mu])
 
 
@@ -157,13 +143,29 @@ def potential(family, trace, x, t):
     gaussian stretch: the width equation collapses everything to f(t) x^2.
     inverse_gaussian: harmonic part plus a shifted-Gaussian well per component.
     flat_bump: harmonic part plus a localized dip independent of component.
+
+    The gaussian form holds only for a width that solves the Ermakov-Pinney
+    equation of a drive f, and the flat_bump form only for a prescribed
+    width (a' = 0) and mu = (0, 0); any other pairing is refused with a
+    ValidationError.  The inverse_gaussian form holds for every width.
     """
     x = np.asarray(x, dtype=float)
     s = family.stretch
     if s.kind == "gaussian":
-        f = drive_f(trace.drive_kind, t, trace.epsilon, trace.omega0)
-        v = f * x * x
+        if trace.drive is None:
+            raise ValidationError(
+                f"potential: the {family.kind} trap f(t) x^2 holds only for "
+                f"a width that solves the Ermakov-Pinney equation of its "
+                f"drive f; got a prescribed width (drive None)")
+        kind, epsilon, omega0 = trace.drive
+        v = drive_f(kind, t, epsilon, omega0) * x * x
         return np.stack([v, v])
+    if s.kind == "flat_bump" and (trace.drive is not None
+                                  or tuple(family.mu) != (0.0, 0.0)):
+        raise ValidationError(
+            f"potential: the {family.kind} flat-bump trap holds only for a "
+            f"prescribed width (a' = 0, drive None) and mu = (0, 0); got "
+            f"drive {trace.drive} and mu = {family.mu}")
     chi = trace.chi_at(t)
     d2chi = trace.d2chi_dt2_at(t)
     if s.kind == "inverse_gaussian":
@@ -173,7 +175,7 @@ def potential(family, trace, x, t):
         const = -1.0 / (3.0 * g2 * chi**2) - trace.adot_at(t)
         well = _clipped_exp(2.0 * xi * xi / (3.0 * g2)) / chi**2
         return np.stack([quad + const - mu_j * well for mu_j in family.mu])
-    # flat_bump: mu = 0 for both components, a = 0
+    # flat_bump, whose a' and mu vanish, as checked above
     xi = x / chi
     e = s.lam * np.exp(-xi * xi)
     w = 1.0 + e
@@ -203,10 +205,7 @@ class CoefficientSampler:
         """g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
         chi = self.trace.chi_at(t)
         xi = np.asarray(x, dtype=float) / chi
-        return self._g * (self.family.stretch.fprime_cubed(xi) / chi)
-
-    def coefficients(self, x, t):
-        return self.potential(x, t), self.couplings(x, t)
+        return self._g * (self.family.stretch.fprime(xi, 3) / chi)
 
 
 def _width_rows(trace, t):

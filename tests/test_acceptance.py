@@ -221,7 +221,7 @@ def test_criterion_6_stability_reproduction():
         worst = 0.0
         for diag in diags:
             verdict = stability_verdict(diag, threshold=0.1)
-            ok = ok and bool(verdict)
+            ok = ok and verdict.verdict
             worst = max(worst, verdict.max_profile_error)
         details.append(f"{name}: worst deviation {worst:.3f}")
 
@@ -313,7 +313,7 @@ def test_criterion_7_figure_data(tmp_path):
 def test_criterion_8_free_propagation():
     t0 = time.perf_counter()
     grid = SpatialGrid(16.0, 512)
-    from modcnls.propagator import ConstantCoefficients
+    from coefficient_helpers import ConstantCoefficients
     cfg = PropagationConfig(grid, dt=1e-3, t_end=1.0,
                             coefficient_source=ConstantCoefficients())
     psi0 = np.exp(-grid.x**2 / 2.0).astype(complex)

@@ -13,7 +13,6 @@ import pytest
 
 from modcnls.errors import ValidationError
 from modcnls.families import (
-    FieldPair,
     amplitude_a0,
     assemble,
     assemble_rows,
@@ -310,8 +309,9 @@ class TestAssembledFields:
         fam = elliptic_family(1)
         tr = default_trace(fam, "periodic", 3.0)
         g = default_grid(fam)
-        n0 = assemble(fam, tr, g.x, 0.0).norms()
-        n1 = assemble(fam, tr, g.x, 1.3).norms()
+        n0, n1 = [[float(np.sum(np.abs(psi) ** 2) * g.dx)
+                   for psi in (fp.psi1, fp.psi2)]
+                  for fp in (assemble(fam, tr, g.x, t) for t in (0.0, 1.3))]
         assert n0[0] == pytest.approx(n1[0], rel=1e-9)
         assert n0[1] == pytest.approx(n1[1], rel=1e-9)
         assert n0[1] == pytest.approx(n0[0] / 2.0, rel=1e-12)
@@ -374,18 +374,13 @@ class TestDefaults:
             default_grid(sech_family(), "plot")
 
     def test_traces(self):
-        assert default_trace(elliptic_family(1), "periodic", 1.0).source == "closed_form_f1"
-        assert default_trace(elliptic_family(1), "quasiperiodic", 1.0).source == "mathieu"
-        assert default_trace(dark_bright_family(0.2), t_end=1.0).source == "explicit_ex3"
+        # the closed form, the integrated oscillator and the two-tone width
+        closed = default_trace(elliptic_family(1), "periodic", 1.0)
+        assert closed.drive == ("constant", 0.0, 0.0) and closed.path is None
+        quasi = default_trace(elliptic_family(1), "quasiperiodic", 1.0)
+        assert quasi.drive == ("quasiperiodic", 0.5, 1.0)
+        assert quasi.path is not None
+        two_tone = default_trace(dark_bright_family(0.2), t_end=1.0)
+        assert two_tone.drive is None and two_tone.path is None
         with pytest.raises(ValidationError):
             default_trace(sech_family(), "chirp", 1.0)
-
-    def test_field_pair_diagnostics(self):
-        x = np.linspace(-1, 1, 5)
-        fp = FieldPair(x, np.ones(5, complex), 2j * np.ones(5), t=0.5)
-        p1, p2 = fp.abs2()
-        np.testing.assert_array_equal(p1, 1.0)
-        np.testing.assert_array_equal(p2, 4.0)
-        n1, n2 = fp.norms()
-        assert n1 == pytest.approx(2.5)  # left-closed grid, dx = 0.5
-        assert n2 == pytest.approx(10.0)

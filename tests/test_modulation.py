@@ -17,6 +17,7 @@ from modcnls.errors import ValidationError
 from modcnls.modulation import (
     ModulationTrace,
     _closed_form_a,
+    _closed_form_width,
     closed_form_trace,
     drive_f,
     explicit_trace,
@@ -212,6 +213,24 @@ class TestClosedFormTrace:
                                           tr.d2chi_dt2_at(tr.times))
             np.testing.assert_array_equal(tr.a, tr.a_at(tr.times))
 
+    def test_only_an_integrated_trace_has_a_window(self):
+        # the analytic widths answer past their samples from the same
+        # formulas; the oscillator's path ends where it was integrated to
+        t = np.array([-1.0, 4.5])
+        closed = closed_form_trace(3.0)
+        np.testing.assert_allclose(closed.chi_at(t), chi_exact(t),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(closed.a_at(t), _closed_form_a(t))
+        two_tone = explicit_trace(0.3, 0.2, 3.0)
+        want = 1.0 + 0.3 * np.sin(t) + 0.2 * np.sin(math.sqrt(2.0) * t)
+        np.testing.assert_allclose(two_tone.chi_at(t), want, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(two_tone.adot_at(t), 0.0)
+        integrated = mathieu_trace("quasiperiodic", 3.0)
+        for query in (integrated.chi_at, integrated.a_at, integrated.adot_at):
+            with pytest.raises(ValidationError, match="outside its window"):
+                query(t)
+
 
 class TestMathieuTraceQueries:
     def test_off_grid_queries_match_closed_form(self):
@@ -310,24 +329,16 @@ class TestPhaseFromOscillator:
 
 
 class TestTraceValidation:
-    def test_bad_source(self):
-        with pytest.raises(ValueError):
-            ModulationTrace(
-                times=np.arange(3.0), chi=np.ones(3), dchi_dt=np.zeros(3),
-                d2chi_dt2=np.zeros(3), a=np.zeros(3), source="spline",
-            )
+    def build(self, chi, a):
+        return ModulationTrace(
+            times=np.arange(3.0), chi=chi, dchi_dt=np.zeros(3),
+            d2chi_dt2=np.zeros(3), a=a, width=_closed_form_width,
+            phase=np.zeros_like)
 
     def test_nonpositive_chi(self):
         with pytest.raises(ValueError):
-            ModulationTrace(
-                times=np.arange(3.0), chi=np.array([1.0, 0.0, 1.0]),
-                dchi_dt=np.zeros(3), d2chi_dt2=np.zeros(3), a=np.zeros(3),
-                source="explicit_ex3",
-            )
+            self.build(np.array([1.0, 0.0, 1.0]), np.zeros(3))
 
     def test_nonzero_start_phase(self):
         with pytest.raises(ValueError):
-            ModulationTrace(
-                times=np.arange(3.0), chi=np.ones(3), dchi_dt=np.zeros(3),
-                d2chi_dt2=np.zeros(3), a=np.ones(3), source="explicit_ex3",
-            )
+            self.build(np.ones(3), np.ones(3))

@@ -50,7 +50,7 @@ def test_traced_propagate_counts_its_layers(tmp_path):
          "--perturb", "0.03", "--seed", "1", "--t-end", "0.05",
          "--out", str(tmp_path / "out")])
     for name in ("transform.sampler_calls", "families.assemble_calls",
-                 "specfun.jacobi_points"):
+                 "specfun.jacobi_points", "modulation.query_calls"):
         assert metrics[name] > 0, name
 
 
@@ -74,5 +74,6 @@ def test_traced_verify_counts_its_layers(tmp_path):
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
     assert metrics["transform.lattice_points"] == 640 * 1537
-    for name in ("specfun.erf_points", "transform.constraints_s"):
+    for name in ("specfun.erf_points", "transform.constraints_s",
+                 "modulation.query_points"):
         assert metrics[name] > 0, name

@@ -14,11 +14,13 @@ from modcnls.families import (assemble, dark_bright_family, default_grid,
                               default_trace, elliptic_family, sech_family,
                               FieldPair)
 from modcnls.grid import SpatialGrid
-from modcnls.propagator import (ConstantCoefficients, DiagnosticsTrace,
-                                PropagationConfig, pde_residual, perturb,
-                                propagate, stability_verdict, step)
+from modcnls.propagator import (DiagnosticsTrace, PropagationConfig,
+                                pde_residual, perturb, propagate,
+                                stability_verdict, step)
 from modcnls import propagator
 from modcnls.transform import CoefficientSampler
+
+from coefficient_helpers import ConstantCoefficients
 
 COLUMNS = ("times", "norm1", "norm2", "profile_error1", "profile_error2",
            "peak_pos1")
@@ -31,6 +33,11 @@ def free_gaussian(x, t, a=1.0):
     return np.sqrt(a / s) * np.exp(-(x**2) / (2 * s))
 
 
+def norm(grid, psi):
+    """Discrete L2 norm squared, sum |psi|^2 dx."""
+    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+
 def family_setup(maker, drive="periodic", t_end=1.01, purpose="propagate"):
     fam = maker()
     tr = default_trace(fam, drive=drive, t_end=t_end)
@@ -39,30 +46,32 @@ def family_setup(maker, drive="periodic", t_end=1.01, purpose="propagate"):
 
 
 class TestPropagationConfig:
-    def grid(self):
-        return SpatialGrid(16.0, 512)
+    def config(self, grid=None, **kwargs):
+        return PropagationConfig(grid or SpatialGrid(16.0, 512),
+                                 coefficient_source=ConstantCoefficients(),
+                                 **kwargs)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=0.0, t_end=1.0)
+            self.config(dt=0.0, t_end=1.0)
         with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=-1e-3, t_end=1.0)
+            self.config(dt=-1e-3, t_end=1.0)
 
     def test_rejects_empty_time_window(self):
         with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=0.0)
+            self.config(dt=1e-3, t_end=0.0)
         with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=1.0, t_start=2.0)
+            self.config(dt=1e-3, t_end=-1.0)
 
     def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError):
-            PropagationConfig(self.grid(), dt=1e-3, t_end=1.0, record_stride=0)
+            self.config(dt=1e-3, t_end=1.0, record_stride=0)
 
     def test_rejects_dt_exceeding_resolution_bound(self):
         # N/4L = 25.6 cycles; dt (N/4L)^2 > pi refused
         with pytest.raises(ValidationError):
-            PropagationConfig(SpatialGrid(10.0, 1024), dt=1e-2, t_end=1.0)
-        PropagationConfig(SpatialGrid(10.0, 1024), dt=1e-3, t_end=1.0)
+            self.config(SpatialGrid(10.0, 1024), dt=1e-2, t_end=1.0)
+        self.config(SpatialGrid(10.0, 1024), dt=1e-3, t_end=1.0)
 
     def test_dark_background_refused(self):
         # refused when the config is built, so neither step() nor
@@ -86,8 +95,7 @@ class TestPropagationConfig:
         assert issubclass(DarkBackgroundError, ValidationError)
 
     def test_step_count(self):
-        cfg = PropagationConfig(self.grid(), dt=1e-3, t_end=0.5)
-        assert cfg.n_steps == 500
+        assert self.config(dt=1e-3, t_end=0.5).n_steps == 500
 
     def test_rejects_horizon_off_the_step_lattice(self):
         # round() would stop dt = 0.4 at t = 0.8 and dt = 0.3 at t = 0.9;
@@ -95,15 +103,15 @@ class TestPropagationConfig:
         grid = SpatialGrid(16.0, 64)
         for dt, steps in ((0.4, "2.5 steps"), (0.3, "3.33333 steps")):
             with pytest.raises(ValidationError, match=steps) as exc:
-                PropagationConfig(grid, dt=dt, t_end=1.0)
+                self.config(grid, dt=dt, t_end=1.0)
             assert "t_end 1 " in str(exc.value)
             assert f"dt {dt:g} " in str(exc.value)
         with pytest.raises(ValidationError, match="whole number of steps"):
-            PropagationConfig(grid, dt=0.25, t_end=1.0, t_start=0.1)
-        # rounding error in t_end - t_start or dt is no partial step
-        assert PropagationConfig(grid, dt=0.1, t_end=0.3).n_steps == 3
-        assert PropagationConfig(grid, dt=0.25, t_end=1.1,
-                                 t_start=0.1).n_steps == 4
+            self.config(grid, dt=0.25, t_end=0.9)
+        # rounding error in t_end or dt is no partial step: 0.3 / 0.1 and
+        # 0.7 / 0.1 fall an ulp short of 3 and 7
+        assert self.config(grid, dt=0.1, t_end=0.3).n_steps == 3
+        assert self.config(grid, dt=0.1, t_end=0.7).n_steps == 7
 
 
 class TestStep:
@@ -148,15 +156,13 @@ class TestStep:
         f0 = assemble(fam, tr, grid.x, 0.0)
         f1 = step(f0, 0.0, cfg)
         for before, after in ((f0.psi1, f1.psi1), (f0.psi2, f1.psi2)):
-            n0, n1 = grid.norm(before), grid.norm(after)
+            n0, n1 = norm(grid, before), norm(grid, after)
             assert abs(n1 - n0) / n0 <= 1e-10
 
     def test_requires_coefficient_source_and_matching_grid(self):
         grid = SpatialGrid(10.0, 128)
-        cfg = PropagationConfig(grid, dt=1e-3, t_end=1.0)
-        psi = np.ones(128, dtype=complex)
-        with pytest.raises(ValidationError):
-            step(FieldPair(grid.x, psi, psi, 0.0), 0.0, cfg)
+        with pytest.raises(TypeError, match="coefficient_source"):
+            PropagationConfig(grid, dt=1e-3, t_end=1.0)
         cfg = PropagationConfig(grid, dt=1e-3, t_end=1.0,
                                 coefficient_source=ConstantCoefficients())
         short = np.ones(64, dtype=complex)
@@ -197,8 +203,6 @@ def propagate_oracle(members, cfg, reference=None):
     per record, run on the package's stepping kernel."""
     if reference is None:
         ref = lambda t, x: FieldPair(x, None, None, t)  # noqa: E731
-    elif callable(reference):
-        ref = reference
     else:
         family, trace = reference
         ref = lambda t, x: assemble(family, trace, x, t)  # noqa: E731
@@ -206,13 +210,12 @@ def propagate_oracle(members, cfg, reference=None):
     grid, x = cfg.grid, cfg.grid.x
     rows = [[] for _ in members]
     records = itertools.chain(
-        [(cfg.t_start, psi)],
-        propagator._strang(psi, cfg, cfg.t_start, cfg.n_steps,
-                           cfg.record_stride))
+        [(0.0, psi)],
+        propagator._strang(psi, cfg, 0.0, cfg.n_steps, cfg.record_stride))
     for t, fields in records:
         exact = ref(t, x)
         for (psi1, psi2), row in zip(fields, rows):
-            row.append((t, grid.norm(psi1), grid.norm(psi2),
+            row.append((t, norm(grid, psi1), norm(grid, psi2),
                         profile_error_oracle(psi1, exact.psi1),
                         profile_error_oracle(psi2, exact.psi2),
                         float(x[int(np.argmax(np.abs(psi1)))])))
@@ -312,11 +315,6 @@ class TestDiagnosticsOracle:
         fam, tr, cfg, psi0 = self.elliptic(stride=1000)
         (diag,) = self.run([psi0], cfg, (fam, tr), monkeypatch)
         assert len(diag) == 2
-
-    def test_callable_reference(self, monkeypatch):
-        fam, tr, cfg, psi0 = self.elliptic(stride=7)
-        self.run([psi0], cfg, lambda t, x: assemble(fam, tr, x, t),
-                 monkeypatch)
 
     def test_without_reference(self, monkeypatch):
         fam, tr, cfg, psi0 = self.elliptic(stride=4)
@@ -475,11 +473,9 @@ class TestPropagate:
             propagate(FieldPair(grid.x, bad, psi, 0.0), cfg)
 
     def test_requires_source(self):
-        grid = SpatialGrid(10.0, 128)
-        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.1)
-        psi = np.ones(128, dtype=complex)
-        with pytest.raises(ValidationError):
-            propagate(FieldPair(grid.x, psi, psi, 0.0), cfg)
+        # a run without a coefficient source cannot even be configured
+        with pytest.raises(TypeError, match="coefficient_source"):
+            PropagationConfig(SpatialGrid(10.0, 128), dt=1e-3, t_end=0.1)
 
 
 class TestPerturb:
@@ -555,7 +551,6 @@ class TestStabilityVerdict:
         assert stability_verdict(self.synthetic(0.05), 0.1).verdict
         report = stability_verdict(self.synthetic(0.5), 0.1)
         assert not report.verdict
-        assert not report
         assert report.max_profile_error == pytest.approx(0.5)
         assert report.time_of_max == pytest.approx(1.0)
 

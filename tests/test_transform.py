@@ -5,6 +5,7 @@ ways: against the generic transform algebra evaluated per stretch, and
 against finite-difference reconstruction from the (rho, eta, zeta) lattices.
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -15,14 +16,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from modcnls.errors import LatticeTooCoarseError
+from modcnls.errors import LatticeTooCoarseError, ValidationError
 from modcnls.families import (
     dark_bright_family,
+    default_grid,
     default_trace,
     elliptic_family,
     sech_family,
 )
-from modcnls.modulation import closed_form_trace, drive_f
+from modcnls.modulation import (closed_form_trace, drive_f, explicit_trace,
+                                mathieu_trace)
 from modcnls import transform
 from modcnls.transform import (
     CoefficientSampler,
@@ -141,12 +144,12 @@ class TestStretchSpec:
             StretchSpec("flat_bump", lam=0.3),
         ):
             f = s.fprime(xi)
-            np.testing.assert_allclose(s.fprime_squared(xi), f * f, rtol=1e-13)
-            np.testing.assert_allclose(s.fprime_cubed(xi), f**3, rtol=1e-13)
+            np.testing.assert_allclose(s.fprime(xi, 2), f * f, rtol=1e-13)
+            np.testing.assert_allclose(s.fprime(xi, 3), f**3, rtol=1e-13)
 
     def test_clipping_keeps_finite(self):
         s = StretchSpec("inverse_gaussian", gamma=1.0)
-        out = s.fprime_cubed(np.array([50.0]))
+        out = s.fprime(np.array([50.0]), 3)
         assert np.isfinite(out).all() and out[0] > 1e300
 
     def test_validation(self):
@@ -191,6 +194,42 @@ class TestCoefficientMaps:
                 gap = np.abs(vp - vt).max()
                 assert gap < 1e-10, f"{fam.kind} t={t}: gap {gap:.2e}"
 
+    # the printed forms hold only for the widths they were derived with:
+    # f(t) x^2 needs a chi that solves the Ermakov-Pinney equation of f with
+    # a' = chi^-2, the flat bump a prescribed chi with a' = 0
+    WIDTHS = {
+        "closed_form": lambda: closed_form_trace(3.0),
+        "mathieu_quasiperiodic": lambda: mathieu_trace("quasiperiodic", 3.0),
+        "two_tone": lambda: explicit_trace(0.3, 0.2, 3.0),
+    }
+    REFUSED = {("elliptic", "two_tone"), ("dark_bright", "closed_form"),
+               ("dark_bright", "mathieu_quasiperiodic")}
+
+    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("maker", [elliptic_family, sech_family,
+                                       dark_bright_family])
+    def test_printed_trap_holds_for_its_width_or_refuses(self, maker, width):
+        fam, tr = maker(), self.WIDTHS[width]()
+        x = default_grid(fam).x
+        for t in (0.0, 0.9, 1.8, 2.7):
+            if (fam.kind, width) in self.REFUSED:
+                with pytest.raises(ValidationError, match=(
+                        rf"the {fam.kind} .* holds only for .*; got "
+                        r"(a prescribed width|drive \(')")):
+                    potential(fam, tr, x, t)
+                continue
+            want = potential_from_transform(fam, tr, x, t)
+            scale = np.where(want != 0, np.abs(want), 1.0)
+            gap = np.abs(potential(fam, tr, x, t) - want) / scale
+            # elementwise relative, the benchmark's potential_vs_transform
+            assert gap.max() <= 1e-11, f"{fam.kind} {width} t={t}"
+
+    def test_flat_bump_refuses_nonzero_mu(self):
+        fam = dataclasses.replace(dark_bright_family(), mu=(0.0, -1.0))
+        with pytest.raises(ValidationError,
+                           match=r"got drive None and mu = \(0\.0, -1\.0\)"):
+            potential(fam, explicit_trace(0.3, 0.2, 1.0), np.zeros(3), 0.5)
+
     def test_harmonic_trap_strength_follows_drive(self):
         # localizing stretch: v = f(t) x^2 exactly, for either drive
         fam = elliptic_family(1)
@@ -198,7 +237,8 @@ class TestCoefficientMaps:
         for drive in ("periodic", "quasiperiodic"):
             tr = default_trace(fam, drive, 3.0)
             for t in (0.4, 2.2):
-                f = drive_f(tr.drive_kind, t, tr.epsilon, tr.omega0)
+                kind, epsilon, omega0 = tr.drive
+                f = drive_f(kind, t, epsilon, omega0)
                 v = potential(fam, tr, x, t)
                 np.testing.assert_allclose(v[0], f * x * x, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(v[1], v[0], rtol=0)
@@ -208,10 +248,9 @@ class TestCoefficientMaps:
         tr = default_trace(fam, "periodic", 2.0)
         sam = CoefficientSampler(fam, tr)
         x = np.linspace(-20, 20, 128)
-        v, g = sam.coefficients(x, 1.0)
+        v, g = sam.potential(x, 1.0), sam.couplings(x, 1.0)
         assert v.shape == (2, 128) and g.shape == (2, 2, 128)
-        np.testing.assert_array_equal(v, sam.potential(x, 1.0))
-        np.testing.assert_array_equal(g, sam.couplings(x, 1.0))
+        np.testing.assert_array_equal(v, potential(fam, tr, x, 1.0))
         # zero diagonal entry of G stays zero everywhere
         assert np.all(g[1, 1] == 0.0)
 
