@@ -38,7 +38,8 @@ from .grid import SpatialGrid
 from .modulation import mathieu_trace
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
-from .transform import (CoefficientSampler, potential_identity_check,
+from .transform import (STENCIL_DEPTH, CoefficientSampler,
+                        constraint_window, potential_identity_check,
                         verify_constraints)
 
 
@@ -261,11 +262,11 @@ def cmd_potential(cfg):
 
 def _constraint_lattice(family, t_end):
     """The constraint walk's lattice over [0, t_end]: 640 columns on
-    |x| <= 1 (elliptic) or |x| <= 5, and 1536 rows per unit of time, where
-    the sixth-order residuals clear 1e-5 for every family and drive."""
+    |x| <= 1 (elliptic) or |x| <= 5, and 768 rows per unit of time, where
+    the eighth-order residuals clear 1e-5 for every family and drive."""
     half = 1.0 if family.kind == "elliptic" else 5.0
     return (np.linspace(-half, half, 640),
-            np.linspace(0.0, t_end, math.ceil(1536 * t_end) + 1))
+            np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1))
 
 
 # half-width in xi = x / chi of the potential-identity lattice: the x
@@ -273,9 +274,9 @@ def _constraint_lattice(family, t_end):
 # family's periodic-drive width (1.733; 1.482 for the two-tone width)
 _POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
 
-# the seven-level time stencils of verify's residual checks, at their
-# default step 1e-4, reach three steps to either side of a time they check
-_STENCIL_REACH = 3 * 1e-4
+# the time stencils of verify's residual checks, at their default step
+# 1e-4, reach STENCIL_DEPTH steps to either side of a time they check
+_STENCIL_REACH = STENCIL_DEPTH * 1e-4
 
 
 def cmd_verify(cfg):
@@ -318,12 +319,15 @@ def cmd_verify(cfg):
         failures.append("pde_residual")
     clock.append(time.perf_counter())
 
+    # the x and t ranges the residuals were maximized over
+    x_in, t_in = constraint_window(x_lat, t_lat)
     report = {
         "config": dict(cfg),
         "constraints": {
             **constraints, "threshold": 1e-5,
             "lattice": {"x": [float(x_lat[0]), float(x_lat[-1]), len(x_lat)],
-                        "t": [0.0, t_end, len(t_lat)]}},
+                        "t": [0.0, t_end, len(t_lat)],
+                        "interior": {"x": list(x_in), "t": list(t_in)}}},
         "potential_identity": {
             "gap": float(gaps[k]), "threshold": 1e-4, "t": float(t_pots[k]),
             "times": t_pots.tolist(),

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DarkBackgroundError, DivergenceError, ValidationError
 from .families import FamilySpec, FieldPair, assemble, assemble_rows
 from .grid import SpatialGrid
-from .transform import CoefficientSampler, interior_diff
+from .transform import STENCIL_DEPTH, CoefficientSampler, interior_diff
 
 _FINITE_CHECK_STRIDE = 25
 # reference points evaluated per call in propagate, four records of 1024
@@ -351,11 +351,12 @@ def stability_verdict(trace: DiagnosticsTrace, threshold=0.1) -> StabilityReport
 def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace, dt=1e-4):
     """Max residual of each governing equation on the assembled exact fields.
 
-    The time derivative uses a seven-level sixth-order stencil of assembled
-    fields around t.  The space derivative is spectral for the localized
-    families (their fields vanish at the box edge) and a sixth-order
-    difference restricted to the interior for the dark-bright family, whose
-    background is anti-periodic across the edge.  Returns the pair of
+    The time derivative uses an eighth-order stencil of assembled fields at
+    2 * STENCIL_DEPTH + 1 levels around t, one assemble call per level.  The
+    space derivative is spectral for the localized families (their fields
+    vanish at the box edge) and an eighth-order difference restricted to the
+    interior for the dark-bright family, whose background is anti-periodic
+    across the edge.  Returns the pair of
     max-norm residuals (component 1, component 2).  A stencil level outside
     the trace's window is refused by the trace.
     """
@@ -363,23 +364,24 @@ def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace, dt=1e-4):
     sampler = CoefficientSampler(family, trace)
     v = sampler.potential(x, t)
     g = sampler.couplings(x, t)
-    levels = [assemble(family, trace, x, t + k * dt) for k in range(-3, 4)]
+    d = STENCIL_DEPTH
+    levels = [assemble(family, trace, x, t + k * dt) for k in range(-d, d + 1)]
     psis = [np.stack([lv.psi1 for lv in levels]),
             np.stack([lv.psi2 for lv in levels])]
-    dens = [np.abs(psis[0][3]) ** 2, np.abs(psis[1][3]) ** 2]
+    dens = [np.abs(psis[0][d]) ** 2, np.abs(psis[1][d]) ** 2]
     spectral = family.kind in ("elliptic", "sech")
     out = []
     for j in (0, 1):
         p = psis[j]
         psi_t = interior_diff(p, dt, axis=0)[0]
-        mid = p[3]
+        mid = p[d]
         if spectral:
             psi_xx = np.fft.ifft(-grid.wavenumbers**2 * np.fft.fft(mid))
             core = slice(None)
         else:
             # zero-padded where the stencil does not reach; outside the core
-            psi_xx = np.pad(interior_diff(mid, grid.dx, axis=0, order=2), 3)
-            core = slice(3, -3)
+            psi_xx = np.pad(interior_diff(mid, grid.dx, axis=0, order=2), d)
+            core = slice(d, -d)
         res = (
             1j * psi_t + psi_xx - v[j] * mid
             - (g[j, 0] * dens[0] + g[j, 1] * dens[1]) * mid

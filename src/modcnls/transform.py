@@ -38,6 +38,9 @@ _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
 _BLOCK_POINTS = 100_000  # lattice points in flight in verify_constraints
 _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
+# neighbours on each side that interior_diff reads; every halo, trim and
+# time-level count of the finite-difference checks follows from it
+STENCIL_DEPTH = 4
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -232,24 +235,40 @@ def sample_transform_lattice(family, trace, x, t):
 
 
 def interior_diff(f, h, axis, order=1):
-    """Sixth-order central difference of order 1 or 2 along axis.
+    """Eighth-order central difference of order 1 or 2 along axis.
 
-    Only points with three neighbours on each side get a value, so the result
-    is six shorter along axis than f.  The weights are Fornberg's (Math.
-    Comp. 51, 1988), applied to the symmetric pairs f[i+k] -+ f[i-k].
+    Only points with STENCIL_DEPTH neighbours on each side get a value, so
+    the result is 2 * STENCIL_DEPTH shorter along axis than f, and an axis
+    shorter than 2 * STENCIL_DEPTH + 1 points is refused.  The weights are
+    Fornberg's (Math. Comp. 51, 1988), applied to the symmetric pairs
+    f[i+k] -+ f[i-k].
     """
+    d = STENCIL_DEPTH
     n = f.shape[axis]
+    if n < 2 * d + 1:
+        raise ValueError(f"interior_diff: axis {axis} has {n} points, the "
+                         f"stencil needs at least {2 * d + 1}")
 
     def at(k):
         idx = [slice(None)] * f.ndim
-        idx[axis] = slice(3 + k, n - 3 + k)
+        idx[axis] = slice(d + k, n - d + k)
         return f[tuple(idx)]
 
     if order == 1:
-        return (45.0 * (at(1) - at(-1)) - 9.0 * (at(2) - at(-2))
-                + (at(3) - at(-3))) / (60.0 * h)
-    return (270.0 * (at(1) + at(-1)) - 27.0 * (at(2) + at(-2))
-            + 2.0 * (at(3) + at(-3)) - 490.0 * at(0)) / (180.0 * h * h)
+        return (672.0 * (at(1) - at(-1)) - 168.0 * (at(2) - at(-2))
+                + 32.0 * (at(3) - at(-3)) - 3.0 * (at(4) - at(-4))) / (840.0 * h)
+    return (8064.0 * (at(1) + at(-1)) - 1008.0 * (at(2) + at(-2))
+            + 128.0 * (at(3) + at(-3)) - 9.0 * (at(4) + at(-4))
+            - 14350.0 * at(0)) / (5040.0 * h * h)
+
+
+def constraint_window(x, t):
+    """The x and t ranges verify_constraints maximizes its residuals over:
+    the lattice less the 2 * STENCIL_DEPTH columns and the STENCIL_DEPTH
+    rows its stencils consume at each edge."""
+    d = STENCIL_DEPTH
+    return ((float(x[2 * d]), float(x[-2 * d - 1])),
+            (float(t[d]), float(t[-d - 1])))
 
 
 @dataclass(frozen=True)
@@ -277,26 +296,28 @@ def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
 
     width holds the rows chi, chi', a of the whole t lattice, ht its step.
     """
+    d = STENCIL_DEPTH
     hx = float(x[1] - x[0])
-    xs = x[c0 - 6:c1 + 6]  # two x stencils in a row reach six columns out
+    xs = x[c0 - 2 * d:c1 + 2 * d]  # two x stencils in a row reach 2d out
     nt = len(width[0])
     worst = np.zeros(3)
-    for r0 in range(3, nt - 3, rows):
-        r1 = min(r0 + rows, nt - 3)
+    for r0 in range(d, nt - d, rows):
+        r1 = min(r0 + rows, nt - d)
         rho, eta, zeta = _lattice_fields(
-            stretch, xs, *(w[r0 - 3:r1 + 3] for w in width))
+            stretch, xs, *(w[r0 - d:r1 + d] for w in width))
         if envelope is not None:
-            rho = rho * envelope[c0 - 6:c1 + 6]
+            rho = rho * envelope[c0 - 2 * d:c1 + 2 * d]
         # time stencils consume the halo; rows below are the block's own
-        rho_t = interior_diff(rho, ht, axis=0)[:, 6:-6]
-        zeta_t = interior_diff(zeta, ht, axis=0)[:, 6:-6]
-        rho, eta, zeta = rho[3:-3], eta[3:-3], zeta[3:-3]
-        eta_x = interior_diff(eta, hx, axis=1)  # columns 3:-3
+        rho_t = interior_diff(rho, ht, axis=0)[:, 2 * d:-2 * d]
+        zeta_t = interior_diff(zeta, ht, axis=0)[:, 2 * d:-2 * d]
+        rho, eta, zeta = rho[d:-d], eta[d:-d], zeta[d:-d]
+        eta_x = interior_diff(eta, hx, axis=1)  # columns d:-d
         zeta_x = interior_diff(zeta, hx, axis=1)
-        rho_i = rho[:, 3:-3]
+        rho_i = rho[:, d:-d]
 
-        r7 = rho[:, 6:-6] * rho_t + interior_diff(rho_i * rho_i * eta_x, hx, axis=1)
-        r8 = zeta_t + 2.0 * eta_x[:, 3:-3] * zeta_x[:, 3:-3]
+        r7 = (rho[:, 2 * d:-2 * d] * rho_t
+              + interior_diff(rho_i * rho_i * eta_x, hx, axis=1))
+        r8 = zeta_t + 2.0 * eta_x[:, d:-d] * zeta_x[:, d:-d]
         r9 = interior_diff(rho_i * rho_i * zeta_x, hx, axis=1)
         # np.maximum and np.max both propagate NaN
         worst = np.maximum(worst, [np.max(np.abs(r)) for r in (r7, r8, r9)])
@@ -307,9 +328,10 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     """Finite-difference residuals of the three transform constraints.
 
     x and t must be uniform lattices, at least 256 x 64 points; residuals are
-    maximized over the interior (6 points trimmed in x, 3 in t to clear the
-    sixth-order stencils).  A non-finite residual anywhere in the interior
-    makes that maximum NaN.  corrupt_rho multiplies the envelope by
+    maximized over the interior, constraint_window(x, t) (2 * STENCIL_DEPTH
+    points trimmed in x, STENCIL_DEPTH in t to clear the eighth-order
+    stencils).  A non-finite residual anywhere in the interior makes that
+    maximum NaN.  corrupt_rho multiplies the envelope by
     (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
     check has teeth.
 
@@ -317,10 +339,10 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     affinity, else os.cpu_count()), at least _MIN_STRIP_COLUMNS wide; the
     caller walks one strip and helper threads the rest, in parallel as numpy
     releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
-    with a 6-column x halo and a 3-row t halo; all strips' blocks together
-    hold at most _BLOCK_POINTS points.  The width chi, chi' and a is sampled
-    once over all of t, on the calling thread, and every strip reads its
-    blocks' rows from those samples.  Each residual is the whole-lattice
+    with a 2 * STENCIL_DEPTH-column x halo and a STENCIL_DEPTH-row t halo;
+    all strips' blocks together hold at most _BLOCK_POINTS points.  The
+    width chi, chi' and a is sampled once over all of t, on the calling
+    thread, and every strip reads its blocks' rows from those samples.  Each residual is the whole-lattice
     value bit for bit; the result is the elementwise maximum over strips.
     """
     x = np.asarray(x, dtype=float)
@@ -337,11 +359,12 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
         raise ValueError("verify_constraints: lattices must be uniform")
     envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
 
-    columns = len(x) - 12
+    halo = 2 * STENCIL_DEPTH
+    columns = len(x) - 2 * halo
     workers = _strip_count(columns)
-    edges = [6 + columns * k // workers for k in range(workers + 1)]
-    # the strips' blocks span columns + 12 * workers sampled columns in all
-    rows = max(1, _BLOCK_POINTS // (columns + 12 * workers))
+    edges = [halo + columns * k // workers for k in range(workers + 1)]
+    # the strips' blocks span columns + 2 * halo * workers sampled columns
+    rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
     from concurrent.futures import ThreadPoolExecutor  # lazy: loads logging
     # the width is sampled once, here, and every strip reads its rows
     args = (family.stretch, x, float(t[1] - t[0]), _width_rows(trace, t),
@@ -360,23 +383,24 @@ def potential_identity_check(family, trace, x, t, dt=1e-4):
     """Max gap between the closed-form trap and its finite-difference origin.
 
     Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 with
-    sixth-order stencils (seven time levels around t) and compares with
-    potential(...) on the interior of x.
+    eighth-order stencils (2 * STENCIL_DEPTH + 1 time levels around t) and
+    compares with potential(...) on the interior of x.
     """
+    d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
-    ts = t + dt * np.arange(-3.0, 4.0)
+    ts = t + dt * np.arange(-d, d + 1.0)
     lat = sample_transform_lattice(family, trace, x, ts)
     rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
     hx = float(x[1] - x[0])
 
-    inner = slice(3, -3)  # the points the x stencils reach
-    rho_xx = interior_diff(rho[3], hx, axis=0, order=2)
-    eta_x = interior_diff(eta[3], hx, axis=0)
-    zeta_x = interior_diff(zeta[3], hx, axis=0)
-    # seven-level sixth-order time derivative at the middle level
+    inner = slice(d, -d)  # the points the x stencils reach
+    rho_xx = interior_diff(rho[d], hx, axis=0, order=2)
+    eta_x = interior_diff(eta[d], hx, axis=0)
+    zeta_x = interior_diff(zeta[d], hx, axis=0)
+    # time derivative at the middle level
     eta_t = interior_diff(eta, dt, axis=0)[0, inner]
 
-    base = rho_xx / rho[3, inner] - eta_t - eta_x**2
+    base = rho_xx / rho[d, inner] - eta_t - eta_x**2
     v_fd = np.stack([base - mu_j * zeta_x**2 for mu_j in family.mu])
     v_cf = potential(family, trace, x, t)[:, inner]
     gap = np.abs(v_fd - v_cf)[:, inner]

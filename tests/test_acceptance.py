@@ -145,7 +145,7 @@ def test_criterion_3_constraint_suite():
 
 def test_criterion_4_full_pde_residuals():
     t0 = time.perf_counter()
-    # times drawn once in [0.05, 5]; the lower margin keeps the seven-level
+    # times drawn once in [0.05, 5]; the lower margin keeps the nine-level
     # stencil inside an integrated trace's tabulated window
     rng = np.random.Generator(np.random.PCG64(42))
     times = 0.05 + 4.95 * rng.random(5)

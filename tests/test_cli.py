@@ -3,6 +3,7 @@ and byte-level reproducibility."""
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import re
@@ -21,7 +22,8 @@ from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
                             write_diagnostics, write_fields, write_modulation,
                             write_table, COEFFICIENT_COLUMNS,
                             DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
-from modcnls.families import FieldPair, sech_family
+from modcnls.families import (FieldPair, dark_bright_family, default_trace,
+                              elliptic_family, sech_family)
 from modcnls.grid import SpatialGrid
 from modcnls.modulation import _closed_form_a, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
@@ -521,8 +523,8 @@ class TestVerifyCommand:
         timing = json.loads((out / "report.json").read_text())["timing"]
         for phase in ("constraints_s", "potential_identity_s", "pde_residual_s"):
             assert timing[phase] > 0, phase
-        # the sech periodic lattice has 512 columns, 504 of them interior
-        assert timing["constraint_workers"] == transform._strip_count(504)
+        # the sech lattice has 640 columns, 624 of them interior
+        assert timing["constraint_workers"] == transform._strip_count(624)
 
     @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
     def test_short_horizon_passes(self, tmp_path, t_end):
@@ -534,10 +536,15 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert code == 0, report["failures"]
         identity = report["potential_identity"]
-        assert identity["times"] == pytest.approx(np.linspace(3e-4, 1.0, 5))
+        assert identity["times"] == pytest.approx(np.linspace(4e-4, 1.0, 5))
         assert identity["t"] in identity["times"]
         assert identity["gap"] <= 1e-4 and identity["half_width"] < 10.0
-        assert report["constraints"]["lattice"]["t"] == [0.0, 1.0, 1537]
+        lattice = report["constraints"]["lattice"]
+        assert lattice["t"] == [0.0, 1.0, 769]
+        # residuals maximized over |x| <= 0.975, t in [4/768, 1 - 4/768]
+        assert lattice["interior"]["x"] == pytest.approx([-0.975, 0.975],
+                                                         abs=1e-4)
+        assert lattice["interior"]["t"] == pytest.approx([4 / 768, 764 / 768])
 
     def test_whole_horizon_is_checked(self, tmp_path, monkeypatch):
         walked = []
@@ -554,9 +561,13 @@ class TestVerifyCommand:
         assert code == 0, report["failures"]
         (t,) = walked
         assert t[0] == 0.0 and t[-1] == 3.0
-        assert len(t) - 1 >= 1536 * 3
+        assert len(t) - 1 >= 768 * 3
+        # the residuals are maximized over the lattice less the 8 columns
+        # and 4 rows the stencils consume at each edge
+        x = np.linspace(-5.0, 5.0, 640)
         assert report["constraints"]["lattice"] == {
-            "x": [-5.0, 5.0, 640], "t": [0.0, 3.0, len(t)]}
+            "x": [-5.0, 5.0, 640], "t": [0.0, 3.0, len(t)],
+            "interior": {"x": [x[8], x[-9]], "t": [t[4], t[-5]]}}
         # the trap identity reaches the horizon too
         assert report["potential_identity"]["times"][-1] == 3.0
 
@@ -644,6 +655,36 @@ class TestVerifyCommand:
                                       "potential_identity", "pde_residual"]
         assert report["pass"] is False
         assert report["pde_residual"]["worst1"] != report["pde_residual"]["worst1"]
+
+
+class TestConstraintLatticeRule:
+    """The one lattice rule of verify's constraint walk must clear the 1e-5
+    gate on every family and drive, and still catch a 1e-3 defect."""
+
+    @pytest.mark.parametrize("t_end", [1.0, 5.0])
+    @pytest.mark.parametrize("family, drive", [
+        (elliptic_family(1), "periodic"),
+        (elliptic_family(1), "quasiperiodic"),
+        (sech_family(3.0), "periodic"),
+        (sech_family(3.0), "quasiperiodic"),
+        (sech_family(6.0), "periodic"),
+        (sech_family(6.0), "quasiperiodic"),
+        (dark_bright_family(0.5), "periodic"),
+        (dark_bright_family(-0.5), "periodic"),
+    ], ids=["elliptic-periodic", "elliptic-quasiperiodic",
+            "sech3-periodic", "sech3-quasiperiodic",
+            "sech6-periodic", "sech6-quasiperiodic",
+            "dark_bright+0.5", "dark_bright-0.5"])
+    def test_rule_clears_the_gate_and_keeps_its_teeth(self, family, drive,
+                                                      t_end):
+        trace = default_trace(family, drive, t_end + cli._STENCIL_REACH)
+        x, t = cli._constraint_lattice(family, t_end)
+        assert len(t) == math.ceil(768 * t_end) + 1
+        clean = transform.verify_constraints(family, trace, x, t)
+        assert clean.worst < 1e-5, str(clean)
+        corrupt = transform.verify_constraints(family, trace, x, t,
+                                               corrupt_rho=1e-3)
+        assert corrupt.worst > 1e-5, str(corrupt)
 
 
 class TestPropagateCommand:

@@ -67,13 +67,13 @@ def test_traced_dump_counts_its_layers(tmp_path):
 
 
 def test_traced_verify_counts_its_layers(tmp_path):
-    # the constraint walk on a 640 x 1537 lattice; the erf count is only
+    # the constraint walk on a 640 x 769 lattice; the erf count is only
     # checked for being nonzero, as spans on the strip threads share the
     # tracer's one span stack
     metrics = traced_metrics(
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
-    assert metrics["transform.lattice_points"] == 640 * 1537
+    assert metrics["transform.lattice_points"] == 640 * 769
     for name in ("specfun.erf_points", "transform.constraints_s",
                  "modulation.query_points"):
         assert metrics[name] > 0, name

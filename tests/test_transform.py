@@ -30,6 +30,7 @@ from modcnls import transform
 from modcnls.transform import (
     CoefficientSampler,
     StretchSpec,
+    interior_diff,
     potential,
     potential_from_transform,
     potential_identity_check,
@@ -44,28 +45,28 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def d1_nan_padded(f, h, axis):
-    """Sixth-order first derivative over the whole lattice, nan on the
-    three-deep edges: the unblocked form verify_constraints replaced."""
+    """Eighth-order first derivative over the whole lattice, nan on the
+    four-deep edges: the unblocked form verify_constraints replaced."""
     out = np.full_like(f, np.nan)
     sl = [slice(None)] * f.ndim
 
     def ix(k):
         s = sl.copy()
-        s[axis] = slice(3 + k, f.shape[axis] - 3 + k or None)
+        s[axis] = slice(4 + k, f.shape[axis] - 4 + k or None)
         return tuple(s)
 
     core = sl.copy()
-    core[axis] = slice(3, -3)
+    core[axis] = slice(4, -4)
     out[tuple(core)] = (
-        45.0 * (f[ix(1)] - f[ix(-1)]) - 9.0 * (f[ix(2)] - f[ix(-2)])
-        + (f[ix(3)] - f[ix(-3)])
-    ) / (60.0 * h)
+        672.0 * (f[ix(1)] - f[ix(-1)]) - 168.0 * (f[ix(2)] - f[ix(-2)])
+        + 32.0 * (f[ix(3)] - f[ix(-3)]) - 3.0 * (f[ix(4)] - f[ix(-4)])
+    ) / (840.0 * h)
     return out
 
 
 def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     """Oracle: the three constraint residuals from one whole-lattice sample
-    with nan-padded stencils, maximized over the core [3:-3, 6:-6]."""
+    with nan-padded stencils, maximized over the core [4:-4, 8:-8]."""
     lat = sample_transform_lattice(family, trace, x, t)
     rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
     if corrupt_rho:
@@ -78,7 +79,7 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
     r8 = zeta_t + 2.0 * eta_x * zeta_x
     r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
-    return tuple(float(np.nanmax(np.abs(r[3:-3, 6:-6]))) for r in (r7, r8, r9))
+    return tuple(float(np.nanmax(np.abs(r[4:-4, 8:-8]))) for r in (r7, r8, r9))
 
 
 def all_family_trace_pairs(t_end=2.0):
@@ -280,12 +281,39 @@ class TestLattice:
         )
 
 
+class TestInteriorDiff:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_eighth_order(self, order):
+        # halving h must cut the error on a smooth function by about 2^8;
+        # a sixth-order stencil would give only 2^6
+        errs = []
+        for h in (0.1, 0.05):
+            x = 1.0 + h * np.arange(-24, 25)
+            f = np.exp(np.sin(x))
+            exact = (np.cos(x) * f if order == 1
+                     else (np.cos(x) ** 2 - np.sin(x)) * f)
+            d = interior_diff(np.stack([f, 2.0 * f]), h, axis=1, order=order)
+            assert d.shape == (2, len(x) - 8)
+            np.testing.assert_array_equal(
+                d[0], interior_diff(f, h, axis=0, order=order))
+            errs.append(np.abs(d[0] - exact[4:-4]).max())
+        assert errs[0] / errs[1] >= 2 ** 7.5, errs
+
+    def test_short_axis_refused(self):
+        assert interior_diff(np.ones(9), 0.1, axis=0, order=2).shape == (1,)
+        for n in (0, 1, 8):
+            with pytest.raises(ValueError, match=f"has {n} points"):
+                interior_diff(np.ones(n), 0.1, axis=0)
+        with pytest.raises(ValueError, match="axis 0 has 8 points"):
+            interior_diff(np.ones((8, 100)), 0.1, axis=0, order=2)
+
+
 class TestVerifyConstraints:
     def test_residuals_small_all_families(self):
         cases = [
             (elliptic_family(1), "periodic", 1.0, 1024, 2048),
-            (sech_family(), "periodic", 5.0, 512, 1536),
-            (sech_family(), "quasiperiodic", 5.0, 768, 1536),
+            (sech_family(), "periodic", 5.0, 512, 768),
+            (sech_family(), "quasiperiodic", 5.0, 768, 768),
             (dark_bright_family(0.5), None, 5.0, 512, 512),
         ]
         for fam, drive, half, nx, nt in cases:
@@ -301,7 +329,7 @@ class TestVerifyConstraints:
         fam = elliptic_family(1)
         tr = default_trace(fam, "quasiperiodic", 5.0)
         x = np.linspace(-1.0, 1.0, 640)
-        t = np.linspace(0.0, 5.0, 1536 * 5 + 1)
+        t = np.linspace(0.0, 5.0, 768 * 5 + 1)
         r = verify_constraints(fam, tr, x, t)
         assert r.worst < 1e-5, str(r)
 
@@ -314,15 +342,15 @@ class TestVerifyConstraints:
             chi_at=good.chi_at, a_at=good.a_at,
             dchi_dt_at=lambda t: good.dchi_dt_at(t) + 1e-3 * (np.asarray(t) > 1.5))
         x = np.linspace(-1.0, 1.0, 640)
-        r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 1537))
+        r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 769))
         assert r.worst <= 1e-5, str(r)
-        r = verify_constraints(fam, tr, x, np.linspace(0.0, 3.0, 1536 * 3 + 1))
+        r = verify_constraints(fam, tr, x, np.linspace(0.0, 3.0, 768 * 3 + 1))
         assert r.continuity > 1e-5, str(r)
 
     @pytest.mark.parametrize("kind, drive, nx, nt, corrupt", [
         ("elliptic", "quasiperiodic", 640, 1000, 0.0),
         ("elliptic", "periodic", 768, 1536, 0.01),
-        ("sech", "periodic", 512, 1536, 0.0),
+        ("sech", "periodic", 512, 768, 0.0),
         ("dark_bright", "periodic", 512, 512, 0.0),
     ])
     def test_blocked_walk_matches_whole_lattice(self, kind, drive, nx, nt,
@@ -334,11 +362,11 @@ class TestVerifyConstraints:
         x = np.linspace(-half, half, nx)
         t = np.linspace(0.0, 1.0, nt)
         # the blocks of all strips hold at most _BLOCK_POINTS points: each
-        # strip samples its interior columns plus a 6-column halo per side
-        workers = transform._strip_count(nx - 12)
-        rows = transform._BLOCK_POINTS // (nx - 12 + 12 * workers)
+        # strip samples its interior columns plus an 8-column halo per side
+        workers = transform._strip_count(nx - 16)
+        rows = transform._BLOCK_POINTS // (nx - 16 + 16 * workers)
         # several blocks, the last one short
-        assert nt - 6 > 2 * rows and (nt - 6) % rows != 0
+        assert nt - 8 > 2 * rows and (nt - 8) % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
         assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
@@ -423,11 +451,11 @@ class TestParallelWalk:
         x = np.linspace(-1.0, 1.0, nx)
         t = np.linspace(0.0, 1.0, 1000)
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 4):
             force_strips(monkeypatch, workers)
             # strips of unequal width, each walked in several row blocks
-            assert workers == 1 or (nx - 12) % workers != 0
-            assert 2 * (transform._BLOCK_POINTS // (nx - 12 + 12 * workers)) < 994
+            assert workers == 1 or (nx - 16) % workers != 0
+            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 992
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
             assert r.workers == workers
             assert (r.continuity, r.advection, r.flux) == want, workers
