@@ -29,13 +29,14 @@ import numpy as np
 
 from . import __version__
 from .errors import DivergenceError, ValidationError
-from .export import (EXTENSIONS, FORMATS, write_coefficients,
+from .export import (EXTENSIONS, FIELD_COLUMNS, FORMATS, write_coefficients,
                      write_diagnostics, write_fields, write_manifest,
                      write_modulation)
 from .families import (assemble, dark_bright_family, default_grid,
                        default_trace, elliptic_family, sech_family)
 from .grid import SpatialGrid
 from .modulation import mathieu_trace
+from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
 from .transform import (STENCIL_DEPTH, CoefficientSampler,
@@ -223,13 +224,19 @@ def cmd_solution(cfg):
     grid, times, trace = _dump_inputs(cfg, family)
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]
-    names = []
-    for idx, t in enumerate(times):
-        fields = assemble(family, trace, grid.x, t)
+
+    def snapshot(idx):
+        fields = assemble(family, trace, grid.x, times[idx])
         name = f"fields_{idx:04d}.{ext}"
         write_fields(os.path.join(out, name), fields,
-                     _meta(cfg, t=repr(float(t))), cfg["format"])
-        names.append(name)
+                     _meta(cfg, t=repr(float(times[idx]))), cfg["format"])
+        return name
+
+    # each worker assembles and writes its own share of the snapshots
+    workers = worker_count(len(times),
+                           len(times) * len(grid.x) * len(FIELD_COLUMNS))
+    with forked_map(snapshot, range(len(times)), workers, out) as written:
+        names = list(written)
     write_manifest(os.path.join(out, "manifest.json"),
                    {**cfg, "times": times, "files": names})
     print(f"wrote {len(names)} field snapshots to {out}")

@@ -28,3 +28,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, t, message=None):
         self.t = t
         super().__init__(message or f"field became non-finite at t={t:.6g}")
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives a worker's pickle
+        return type(self), (self.t, str(self))

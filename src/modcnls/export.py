@@ -12,12 +12,21 @@ line, then one object per row).  Tables are rendered a column at a time:
 one tolist() per column, and a column shared by many rows, such as the x
 of a coefficient lattice, is rendered once, as is each distinct coefficient
 column of a block.
+
+A table is rendered in blocks of rows: one block per time of a coefficient
+lattice, _BLOCK_ROWS rows of any other table.  A table large enough to pay
+for it is rendered on one process per usable CPU (parallel.forked_map); the
+blocks come back as text and are streamed to the temp file in order.
 """
 
+import contextlib
+import itertools
 import json
 import os
 
 import numpy as np
+
+from . import parallel
 
 EXTENSIONS = {"csv": "csv", "json-lines": "jsonl"}  # format -> file suffix
 FORMATS = tuple(EXTENSIONS)
@@ -30,12 +39,26 @@ DIAGNOSTICS_COLUMNS = ("t", "norm1", "norm2", "profile_error1",
 TRACE_COLUMNS = ("t", "chi", "dchi_dt", "a")
 
 
+_BLOCK_ROWS = 4096  # rows of a one-array table rendered as one block
+
+
 def atomic_write_text(path, text):
     """Write text to path via a temp file in the same directory."""
+    _atomic_write(path, [text])
+
+
+def _atomic_write(path, texts):
+    """Write the texts, in order, to path via a temp file; the temp file is
+    removed if writing or producing a text raises."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(texts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _cells(values, fmt):
@@ -44,24 +67,35 @@ def _cells(values, fmt):
     return list(map(repr, floats)) if fmt == "csv" else floats
 
 
-def _write(path, columns, blocks, meta, fmt):
-    """Write the rows of each block, a sequence of one cell list per column."""
+def _write(path, columns, block_cells, jobs, rows, meta, fmt):
+    """Write the rows of block_cells(job) for each job, in order; a block is
+    one cell list per column, and rows is the table's row count."""
     if fmt == "csv":
-        lines = [f"# {k} = {meta[k]}" for k in sorted(meta)] + [",".join(columns)]
+        head = [f"# {k} = {meta[k]}" for k in sorted(meta)] + [",".join(columns)]
         row_text = ",".join
     elif fmt == "json-lines":
-        lines = [json.dumps({"meta": meta}, sort_keys=True)]
+        head = [json.dumps({"meta": meta}, sort_keys=True)]
         def row_text(row):
             return json.dumps(dict(zip(columns, row)), sort_keys=True)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    for cells in blocks:
-        lines.extend(map(row_text, zip(*cells)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def render(job):
+        return "\n".join([*map(row_text, zip(*block_cells(job))), ""])
+
+    workers = parallel.worker_count(len(jobs), rows * len(columns))
+    with parallel.forked_map(render, jobs, workers, path) as blocks:
+        _atomic_write(path, itertools.chain(["\n".join(head) + "\n"], blocks))
 
 
 def _write_columns(path, columns, data, meta, fmt):
-    _write(path, columns, [[_cells(col, fmt) for col in data]], meta, fmt)
+    rows = len(data[0])
+
+    def block_cells(r0):
+        return [_cells(col[r0:r0 + _BLOCK_ROWS], fmt) for col in data]
+
+    _write(path, columns, block_cells, range(0, rows, _BLOCK_ROWS), rows,
+           meta, fmt)
 
 
 def write_table(path, columns, rows, meta, fmt="csv"):
@@ -97,7 +131,8 @@ def write_coefficients(path, sampler, x, times, meta, fmt="csv"):
             cells.append(rendered[key])
         return cells
 
-    _write(path, COEFFICIENT_COLUMNS, map(block, times), meta, fmt)
+    _write(path, COEFFICIENT_COLUMNS, block, times, len(times) * len(x),
+           meta, fmt)
 
 
 def write_diagnostics(path, diag, meta, fmt="csv"):

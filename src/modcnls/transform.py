@@ -24,11 +24,11 @@ finite differences on a space-time lattice as an independent check.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import LatticeTooCoarseError, ValidationError
 from .modulation import drive_f
 from .specfun import erf, erfi
@@ -286,9 +286,7 @@ class ConstraintResiduals:
 
 def _strip_count(columns):
     """One strip per usable CPU, each at least _MIN_STRIP_COLUMNS wide."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(cpus, columns // _MIN_STRIP_COLUMNS))
+    return max(1, min(parallel.usable_cpus(), columns // _MIN_STRIP_COLUMNS))
 
 
 def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
@@ -335,8 +333,8 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
     check has teeth.
 
-    The interior columns are split into one strip per usable CPU (CPU
-    affinity, else os.cpu_count()), at least _MIN_STRIP_COLUMNS wide; the
+    The interior columns are split into one strip per usable CPU
+    (parallel.usable_cpus), at least _MIN_STRIP_COLUMNS wide; the
     caller walks one strip and helper threads the rest, in parallel as numpy
     releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
     with a 2 * STENCIL_DEPTH-column x halo and a STENCIL_DEPTH-row t halo;

@@ -4,6 +4,7 @@ and byte-level reproducibility."""
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from modcnls import cli, transform
+from modcnls import cli, export, transform
 from modcnls.cli import main
 from modcnls.errors import DivergenceError, ValidationError
 from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
@@ -28,6 +29,7 @@ from modcnls.grid import SpatialGrid
 from modcnls.modulation import _closed_form_a, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
+from worker_helpers import force_workers
 
 
 def data_lines(path):
@@ -56,6 +58,12 @@ class TestExportHelpers:
         atomic_write_text(str(target), "payload")
         assert target.read_text() == "payload"
         assert os.listdir(tmp_path) == ["data.txt"]
+
+    def test_failed_write_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "data.txt"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(target), "a lone surrogate \ud800")
+        assert os.listdir(tmp_path) == []
 
     def test_float_round_trip(self, tmp_path):
         values = [1 / 3, 0.1, 2.0920992401062033, 1e-300]
@@ -199,6 +207,49 @@ class TestColumnRendering:
         rows = zip(trace.times, trace.chi, trace.dchi_dt, trace.a)
         assert target.read_text() == render_rows(TRACE_COLUMNS, rows, META,
                                                  fmt)
+
+
+def writers():
+    """Each table writer, as write(path, fmt), on inputs of a few blocks."""
+    rng = np.random.default_rng(5)
+    n = 10
+    x = mixed_column(rng, n)
+    psi1, psi2 = np.empty((2, n), complex)
+    for psi in (psi1, psi2):
+        psi.real, psi.imag = mixed_column(rng, n), mixed_column(rng, n)
+    cols = [mixed_column(rng, n) for _ in DIAGNOSTICS_COLUMNS]
+    cols[1:3] = rng.uniform(0.5, 2.0, (2, n))  # norms must be positive
+    sampler = CoefficientSampler(sech_family(), closed_form_trace(1.0))
+    return {
+        "table": lambda path, fmt: write_table(
+            path, ("a", "b"), zip(x, x[::-1]), META, fmt),
+        "fields": lambda path, fmt: write_fields(
+            path, FieldPair(x, psi1, psi2, 0.25), META, fmt),
+        "coefficients": lambda path, fmt: write_coefficients(
+            path, sampler, np.linspace(-5.0, 5.0, 7), [0.0, 0.1, 0.7], META,
+            fmt),
+        "diagnostics": lambda path, fmt: write_diagnostics(
+            path, DiagnosticsTrace(*cols), META, fmt),
+        "modulation": lambda path, fmt: write_modulation(
+            path, closed_form_trace(0.2, dt=1e-2), META, fmt),
+    }
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("writer", sorted(writers()))
+def test_forked_blocks_write_the_same_bytes(tmp_path, monkeypatch, writer,
+                                            fmt):
+    # three-row blocks, so every table has a block boundary to get wrong
+    write = writers()[writer]
+    with np.errstate(over="ignore"):  # |1e300|^2
+        write(str(tmp_path / "serial"), fmt)
+        monkeypatch.setattr(export, "_BLOCK_ROWS", 3)
+        forked = force_workers(monkeypatch, 2)
+        write(str(tmp_path / "forked"), fmt)
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
+    assert ((tmp_path / "forked").read_bytes()
+            == (tmp_path / "serial").read_bytes())
 
 
 class TestConfigResolution:
@@ -430,6 +481,30 @@ class TestValidationGates:
                      "--stride", "2", "--out", str(blocker)]) == 1
 
 
+def dump_with_workers(monkeypatch, tmp_path, argv, workers):
+    """The files argv writes, by name, with `workers` processes forced, and
+    the number of workers forked.  --out is relative and the same for every
+    run, so the files' headers match too."""
+    run_dir = tmp_path / f"workers{workers}"
+    run_dir.mkdir()
+    with monkeypatch.context() as m:
+        m.chdir(run_dir)
+        forked = force_workers(m, workers)
+        assert main([*argv, "--out", "out"]) == 0
+    assert multiprocessing.active_children() == []
+    files = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+    return files, len(forked)
+
+
+def assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv, forks):
+    serial, none = dump_with_workers(monkeypatch, tmp_path, argv, 1)
+    forked, some = dump_with_workers(monkeypatch, tmp_path, argv, 2)
+    assert (none, some) == (0, forks)
+    assert sorted(forked) == sorted(serial)
+    for name in serial:
+        assert forked[name] == serial[name], name
+
+
 class TestSolutionCommand:
     def test_writes_snapshots_and_manifest(self, tmp_path):
         out = tmp_path / "sol"
@@ -472,6 +547,15 @@ class TestSolutionCommand:
         row = json.loads(lines[1])
         assert set(row) == set(FIELD_COLUMNS)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch, fmt):
+        # one worker writes the snapshots 0.1 to 0.2; one snapshot file is
+        # one block, so no file forks workers of its own
+        argv = ["solution", "--family", "sech", "--drive", "quasiperiodic",
+                "--t-end", "0.2", "--dt", "0.05", "--stride", "1",
+                "--N", "256", "--format", fmt]
+        assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv, 1)
+
 
 class TestPotentialCommand:
     def test_elliptic_harmonic_lattice(self, tmp_path):
@@ -506,6 +590,52 @@ class TestPotentialCommand:
         _, _, rows_f = read_csv(str(flip / "coefficients.csv"))
         assert not np.allclose(rows_b[:, 2], rows_f[:, 2])
         np.testing.assert_allclose(rows_b[:, 4:], rows_f[:, 4:], rtol=1e-15)
+
+    @pytest.mark.parametrize("family, fmt, forks", [
+        ("sech", "csv", 1), ("sech", "json-lines", 1),
+        ("dark-bright", "csv", 2)])  # and the zoom file
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                          family, fmt, forks):
+        argv = ["potential", "--family", family, "--drive", "quasiperiodic",
+                "--t-end", "0.2", "--dt", "0.05", "--stride", "1",
+                "--N", "256", "--format", fmt]
+        assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv,
+                                            forks)
+
+    @pytest.mark.parametrize("workers, failure", [
+        (1, "raises"), (2, "raises"), (2, "dies")])
+    def test_failed_late_block_leaves_no_file(self, tmp_path, monkeypatch,
+                                              capfd, workers, failure):
+        # times 0, 0.1, 0.2: with two processes, the block at 0.2 is the
+        # worker's, and so is the failure
+        forked = force_workers(monkeypatch, workers)
+        caller = os.getpid()
+        couplings = CoefficientSampler.couplings
+
+        def failing(self, x, t):
+            if t > 0.15:
+                if failure == "raises":
+                    raise ValueError(f"no couplings at t={t}")
+                assert os.getpid() != caller
+                os._exit(3)
+            return couplings(self, x, t)
+
+        monkeypatch.setattr(CoefficientSampler, "couplings", failing)
+        out = tmp_path / "pot"
+        code = main(["potential", "--family", "sech", "--t-end", "0.2",
+                     "--dt", "0.05", "--stride", "2", "--N", "256",
+                     "--out", str(out)])
+        err = capfd.readouterr().err  # the worker's output included
+        assert code == 1
+        assert len(forked) == workers - 1
+        if failure == "raises":
+            assert err == "error: no couplings at t=0.2\n"
+        else:
+            assert str(out / "coefficients.csv") in err
+            assert "Traceback" not in err
+        assert [name for name in os.listdir(out)
+                if name.startswith("coefficients") or ".tmp-" in name] == []
+        assert multiprocessing.active_children() == []
 
 
 class TestVerifyCommand:
@@ -785,6 +915,13 @@ class TestMathieuTraceCommand:
         assert rows[0, 1] == pytest.approx(2.0)  # chi(0)
         assert rows[0, 3] == 0.0  # a(0)
         assert (rows[:, 1] > 0).all()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch, fmt):
+        # 10,001 rows: three row blocks, one of them the caller's
+        argv = ["mathieu-trace", "--drive", "quasiperiodic", "--t-end", "1",
+                "--format", fmt]
+        assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv, 1)
 
     def test_horizon_below_one_step(self, tmp_path):
         # two nodes, 0 and dt, cover the horizon; a(dt) = int_0^dt chi^-2

@@ -6,10 +6,12 @@ stop.  These checks load the tracer from the checkout and fail fast instead.
 """
 
 import importlib.util
+import multiprocessing
 import pathlib
 
 import modcnls
 import modcnls.cli
+from worker_helpers import force_workers
 
 LAYERS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -54,7 +56,7 @@ def test_traced_propagate_counts_its_layers(tmp_path):
         assert metrics[name] > 0, name
 
 
-def test_traced_dump_counts_its_layers(tmp_path):
+def traced_dump(tmp_path):
     # the dump workload's commands at its smoke horizon
     common = ["--family", "sech", "--drive", "quasiperiodic",
               "--t-end", "0.25"]
@@ -64,6 +66,19 @@ def test_traced_dump_counts_its_layers(tmp_path):
     for name in ("export.rows", "export.bytes", "modulation.mathieu_steps",
                  "transform.sampler_calls", "families.assemble_calls"):
         assert metrics[name] > 0, name
+
+
+def test_traced_dump_counts_its_layers(tmp_path):
+    traced_dump(tmp_path)
+
+
+def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
+    # the tracer's wrappers also run inside the workers, which keep their
+    # own counts; the caller's share still counts
+    forked = force_workers(monkeypatch, 2)
+    traced_dump(tmp_path)
+    assert len(forked) == 2  # one worker per command
+    assert multiprocessing.active_children() == []
 
 
 def test_traced_verify_counts_its_layers(tmp_path):
