@@ -10,7 +10,8 @@ kind.  Algorithms:
   |x| > 4 it approximates the scaled complement erfcx = exp(x^2) erfc(x),
   so the tail never underflows before exp(-x^2) does.  Errors are within a
   few ulp throughout (relative for erfc and erfcx).
-* erfi: term-recurrence series (all terms positive, condition number 1);
+* erfi: term-recurrence series (all terms positive, condition number 1),
+  each element summed until its own terms fall below half an ulp;
   overflows to +/-inf past x^2 ~ 700 like exp(x^2) itself.
 * ellip_k: arithmetic-geometric mean, K = pi / (2 AGM(1, k')).
 * jacobi_elliptic: descending Landen/AGM phase recurrence
@@ -205,15 +206,32 @@ def erfi(x):
         xs = ax[ok]
         x2 = xs * xs
         term = xs.copy()
-        total = xs.copy()
-        x2max = float(x2.max()) if x2.size else 0.0
-        n_max = int(x2max + 12.0 * np.sqrt(x2max + 4.0)) + 48
-        for n in range(1, n_max):
-            term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
-            total += term
-            if n % 16 == 0 and bool(np.all(term <= 1e-17 * total + 1e-300)):
+        # total is sums until an element stops; from then on it holds the
+        # sums of the elements live indexes, which are still summing
+        sums = total = xs.copy()
+        live = None
+        n = 0
+        while True:
+            for n in range(n + 1, n + 17):
+                term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
+                total += term
+            # past a term of 1e-17 of the sum every term is below half
+            # an ulp of it, so an element stops at its own convergence
+            # with the bits it would reach summing on
+            done = term <= 1e-17 * total + 1e-300
+            if done.all():
                 break
-        out[ok] = (2.0 / _SQRT_PI) * total
+            if done.any():
+                left = ~done
+                if live is None:
+                    live = np.flatnonzero(left)
+                else:
+                    sums[live[done]] = total[done]
+                    live = live[left]
+                x2, term, total = x2[left], term[left], total[left]
+        if live is not None:
+            sums[live] = total
+        out[ok] = (2.0 / _SQRT_PI) * sums
     out = np.copysign(out, arr)
     return _finish(out, scalar)
 

@@ -651,7 +651,8 @@ class TestVerifyCommand:
         out = tmp_path / "v"
         assert main(["verify", "--family", "sech", "--out", str(out)]) == 0
         timing = json.loads((out / "report.json").read_text())["timing"]
-        for phase in ("constraints_s", "potential_identity_s", "pde_residual_s"):
+        for phase in ("trace_s", "constraints_s", "potential_identity_s",
+                      "pde_residual_s"):
             assert timing[phase] > 0, phase
         # the sech lattice has 640 columns, 624 of them interior
         assert timing["constraint_workers"] == transform._strip_count(624)

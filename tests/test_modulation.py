@@ -9,10 +9,12 @@ of chi under rescaling the second solution.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from modcnls import modulation
 from modcnls.errors import ValidationError
 from modcnls.modulation import (
     ModulationTrace,
@@ -95,15 +97,33 @@ class TestMathieuIntegration:
         assert err < 1e-14, f"relative chi error {err:.3e}"
 
     def test_path_does_not_depend_on_horizon(self):
-        # the path at a node is the same bits whatever t_end it was built to
+        # the path at a node is the same bits whatever t_end it was built
+        # to, on node counts around the scan's block edges and on long runs
+        b = modulation._BLOCK
+        counts = [2, b - 1, b, b + 1, 2 * b + 1]
         paths = [mathieu_trace("quasiperiodic", t_end, dt=1e-4).path
-                 for t_end in (3.3, 10.002, 11.0)]
+                 for t_end in [(k - 1) * 1e-4 for k in counts]
+                 + [3.3, 10.002, 11.0]]
+        assert [len(path.times) for path in paths[:len(counts)]] == counts
         longest = paths[-1]
         for path in paths[:-1]:
             n = len(path.times)
             for name in ("times", "z1", "dz1", "z2", "dz2", "ddz1", "ddz2"):
                 np.testing.assert_array_equal(getattr(path, name),
                                               getattr(longest, name)[:n])
+
+    def test_build_holds_little_beyond_the_trace(self):
+        # the scan works in place on one (block, 2, 2, blocks) array, so
+        # the t = 10 build (10^5 steps) peaks at most 6 MB above what the
+        # trace keeps
+        tracemalloc.start()
+        try:
+            trace = mathieu_trace("quasiperiodic", 10.0, dt=1e-4)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.times) == 100_001
+        assert peak - kept <= 6 * 2**20, f"{(peak - kept) / 2**20:.2f} MB"
 
     def test_wronskian_conserved(self):
         path = mathieu_trace("quasiperiodic", 10.0, dt=1e-4).path

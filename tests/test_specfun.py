@@ -40,6 +40,17 @@ def erf_series_oracle(x, terms=60):
     return 2.0 / math.sqrt(math.pi) * math.fsum(acc)
 
 
+def erfi_full_series(x):
+    # erfi's own term recurrence, summed on far past convergence: every
+    # term after the first 12 sqrt(x^2 + 4) beyond the peak adds nothing
+    x2 = x * x
+    term = total = abs(x)
+    for n in range(1, int(x2 + 12.0 * math.sqrt(x2 + 4.0)) + 48):
+        term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
+        total += term
+    return math.copysign(2.0 / math.sqrt(math.pi) * total, x)
+
+
 def jacobi_ode_oracle(u_max, k, h=1e-3, record_every=10):
     """Integrate sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn by RK4."""
     def rhs(y):
@@ -113,6 +124,20 @@ class TestErfFamily:
             want = float(mpmath.erfi(x))
             got = erfi(x)
             assert abs(got - want) <= 1e-13 * want, f"erfi({x}): {got} vs {want}"
+
+    def test_erfi_block_is_each_element_alone(self):
+        # every element stops at its own convergence with the bits that
+        # summing on to the block's slowest element would give
+        rng = np.random.default_rng(15)
+        x = np.concatenate([rng.uniform(-26.4, 26.4, 200),
+                            [0.0, 1e-300, 0.3, 3.0, 26.4]])
+        block = erfi(x)
+        alone = np.array([erfi(float(v)) for v in x])
+        np.testing.assert_array_equal(block.view(np.int64),
+                                      alone.view(np.int64))
+        np.testing.assert_array_equal(
+            block.view(np.int64),
+            np.array([erfi_full_series(v) for v in x]).view(np.int64))
 
     def test_erfi_odd_zero_overflow(self):
         assert erfi(0.0) == 0.0
