@@ -55,21 +55,30 @@ DRIVE_KINDS = ("constant", "quasiperiodic")
 
 
 def drive_f(kind, t, epsilon=0.5, omega0=1.0):
-    """Trap-strength drive: f = 1 (constant) or f = 1 + epsilon cos(omega0 t)."""
+    """Trap-strength drive: f = 1 (constant) or f = 1 + epsilon cos(omega0 t).
+
+    A float t gives a float without an array, from math.cos, which the
+    tests hold to the bits of numpy's cos: the element an array of t gives.
+    """
     if kind not in DRIVE_KINDS:
         raise ValueError(f"drive_f: unknown kind {kind!r}")
+    if kind == "quasiperiodic" and not (np.isfinite(epsilon)
+                                        and np.isfinite(omega0)):
+        raise ValueError("drive_f: epsilon and omega0 must be finite")
+    if isinstance(t, float):
+        return 1.0 if kind == "constant" else float(
+            1.0 + epsilon * math.cos(omega0 * t))
     t = np.asarray(t, dtype=float)
     if kind == "constant":
         out = np.ones_like(t)
     else:
-        if not (np.isfinite(epsilon) and np.isfinite(omega0)):
-            raise ValueError("drive_f: epsilon and omega0 must be finite")
         out = 1.0 + epsilon * np.cos(omega0 * t)
     return float(out) if out.ndim == 0 else out
 
 
 def _scalar(out):
-    return float(out) if np.ndim(out) == 0 else out
+    """A 0-d result as a float, an array as it is."""
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def _uniform_times(t_end, dt):
@@ -277,7 +286,10 @@ class ModulationTrace:
     the (kind, epsilon, omega0) whose Ermakov-Pinney equation chi solves,
     with a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
     integrated trace keeps its oscillator path and only answers inside the
-    window it was built to; every other trace answers at any t.
+    window it was built to; every other trace answers at any t, and a float
+    t there stays a float: the bits a 0-d array of t gives, and those of
+    the element of any array of t except the closed form's chi'', whose
+    chi**3 numpy rounds differently on an array.
     """
 
     times: np.ndarray
@@ -297,10 +309,11 @@ class ModulationTrace:
             raise ValueError("ModulationTrace: a must start at 0")
 
     def _check_range(self, t):
-        """t as an array; refused outside the window of an integrated trace."""
+        """t as an array, or as it is for a float t on an analytic trace;
+        refused outside the window of an integrated trace."""
+        if self.path is None:  # the analytic widths extend to all t
+            return t if isinstance(t, float) else np.asarray(t, dtype=float)
         t = np.asarray(t, dtype=float)
-        if self.path is None:
-            return t  # the analytic widths extend to all t
         lo, hi = float(self.times[0]), float(self.times[-1])
         outside = (t < lo - 1e-9) | (t > hi + 1e-9)
         if np.any(outside):
@@ -310,24 +323,28 @@ class ModulationTrace:
                 f"[{lo:.6g}, {hi:.6g}]; build it to a later horizon")
         return np.clip(t, lo, hi)
 
+    def width_at(self, t):
+        """(chi, chi', chi'', a') at t from one evaluation of the width."""
+        t = self._check_range(t)
+        chi, dchi, d2chi = map(_scalar, self.width(t))
+        adot = (_scalar(np.zeros_like(t)) if self.drive is None
+                else 1.0 / (chi * chi))
+        return chi, dchi, d2chi, adot
+
     def chi_at(self, t):
-        return _scalar(self.width(self._check_range(t))[0])
+        return self.width_at(t)[0]
 
     def dchi_dt_at(self, t):
-        return _scalar(self.width(self._check_range(t))[1])
+        return self.width_at(t)[1]
 
     def d2chi_dt2_at(self, t):
-        return _scalar(self.width(self._check_range(t))[2])
+        return self.width_at(t)[2]
 
     def a_at(self, t):
         return _scalar(self.phase(self._check_range(t)))
 
     def adot_at(self, t):
-        t = self._check_range(t)
-        if self.drive is None:
-            return _scalar(np.zeros_like(t))
-        chi = self.width(t)[0]
-        return _scalar(1.0 / (chi * chi))
+        return self.width_at(t)[3]
 
 
 def closed_form_trace(t_end, dt=1e-3) -> ModulationTrace:

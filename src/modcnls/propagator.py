@@ -155,21 +155,19 @@ def _phase_factor(half, out, work):
 
     With tau = tan(half), e^{2i half} = (1 + i tau)^2 / (1 + tau^2): the
     real part is (1 - tau^2) / (1 + tau^2) and the imaginary part
-    2 tau / (1 + tau^2).  numpy's float64 tan runs SIMD loops where sin and
-    cos run scalar ones, so one tangent costs less than a cosine and a sine.
-    A non-finite half gives a non-finite factor.  half and work, a float
-    array of shape (2,) + half.shape, are overwritten.
+    2 tau / (1 + tau^2), each divided straight into its part of out.
+    numpy's float64 tan runs SIMD loops where sin and cos run scalar ones,
+    so one tangent costs less than a cosine and a sine.  A non-finite half
+    gives a non-finite factor.  half and work, a float array of shape
+    (2,) + half.shape, are overwritten.
     """
     tau, tau2, den = np.tan(half, out=half), work[0], work[1]
     np.multiply(tau, tau, out=tau2)
     np.add(tau2, 1.0, out=den)
     np.subtract(1.0, tau2, out=tau2)
-    np.divide(tau2, den, out=tau2)
+    np.divide(tau2, den, out=out.real)
     np.add(tau, tau, out=tau)
-    np.divide(tau, den, out=tau)
-    parts = out.view(float).reshape(out.shape + (2,))
-    parts[..., 0] = tau2
-    parts[..., 1] = tau
+    np.divide(tau, den, out=out.imag)
     return out
 
 
@@ -189,40 +187,46 @@ def _strang(psi, cfg, t0, n_steps, stride):
     coeffs, x, dt = cfg.coefficient_source, cfg.grid.x, cfg.dt
     k2 = cfg.grid.wavenumbers**2
     half = np.exp(-1j * k2 * dt / 2.0)
-    full = np.exp(-1j * k2 * dt)
+    # the merged kinetic factor in the fields' shape: an elementwise
+    # product costs less than one broadcast over members and components
+    full = np.broadcast_to(np.exp(-1j * k2 * dt), psi.shape).copy()
     records = set(_record_steps(n_steps, stride))
-    # the phase step's buffers, reused by every step
+    # the step's buffers and their views, made once: the FFTs write into
+    # field and spec, the phase step into the rest
+    field, spec = np.empty_like(psi), np.fft.fft(psi)
     dens, angle = np.empty(psi.shape), np.empty(psi.shape)
     work = np.empty((2,) + psi.shape)
     second = work[0]
     turn = np.empty(psi.shape, dtype=complex)
-    spec, kinetic = np.fft.fft(psi), half
+    re, im, dens1, dens2 = field.real, field.imag, dens[:, :1], dens[:, 1:]
+    kinetic = half
     for i in range(n_steps):
         # the first step opens with a half kinetic step, the others with
         # the previous step's closing half merged in
         spec *= kinetic
-        psi = np.fft.ifft(spec)
+        np.fft.ifft(spec, out=field)
         kinetic = full
         t_mid = t0 + (i + 0.5) * dt
         v = coeffs.potential(x, t_mid)
         g = coeffs.couplings(x, t_mid)
-        np.square(psi.real, out=dens)
-        dens += np.square(psi.imag, out=second)
+        np.square(re, out=dens)
+        dens += np.square(im, out=second)
         # component j turns by theta_j = -dt (v_j + g_j1 |psi_1|^2
         # + g_j2 |psi_2|^2); the factor is built from theta_j / 2
-        np.multiply(g[:, 0], dens[:, :1], out=angle)
-        np.multiply(g[:, 1], dens[:, 1:], out=second)
+        np.multiply(g[:, 0], dens1, out=angle)
+        np.multiply(g[:, 1], dens2, out=second)
         np.add(v, angle, out=angle)
         angle += second
         angle *= -0.5 * dt
-        psi *= _phase_factor(angle, turn, work)
-        spec = np.fft.fft(psi)
+        field *= _phase_factor(angle, turn, work)
+        np.fft.fft(field, out=spec)
         t = t0 + (i + 1) * dt
         last = i == n_steps - 1
         if ((i + 1) % _FINITE_CHECK_STRIDE == 0 or last) \
                 and not np.isfinite(spec).all():
             raise DivergenceError(t)
         if i + 1 in records:
+            # a fresh array: the record outlives the step's buffers
             yield t, np.fft.ifft(half * spec)
 
 

@@ -154,6 +154,7 @@ def potential(family, trace, x, t):
     """
     x = np.asarray(x, dtype=float)
     s = family.stretch
+    v = np.empty((2,) + x.shape)
     if s.kind == "gaussian":
         if trace.drive is None:
             raise ValidationError(
@@ -161,31 +162,28 @@ def potential(family, trace, x, t):
                 f"a width that solves the Ermakov-Pinney equation of its "
                 f"drive f; got a prescribed width (drive None)")
         kind, epsilon, omega0 = trace.drive
-        v = drive_f(kind, t, epsilon, omega0) * x * x
-        return np.stack([v, v])
+        return np.multiply(drive_f(kind, t, epsilon, omega0) * x, x, out=v)
     if s.kind == "flat_bump" and (trace.drive is not None
                                   or tuple(family.mu) != (0.0, 0.0)):
         raise ValidationError(
             f"potential: the {family.kind} flat-bump trap holds only for a "
             f"prescribed width (a' = 0, drive None) and mu = (0, 0); got "
             f"drive {trace.drive} and mu = {family.mu}")
-    chi = trace.chi_at(t)
-    d2chi = trace.d2chi_dt2_at(t)
+    chi, _, d2chi, adot = trace.width_at(t)
+    xi = x / chi
     if s.kind == "inverse_gaussian":
         g2 = s.gamma**2
-        xi = x / chi
         quad = (1.0 / (9.0 * g2 * g2 * chi**4) - d2chi / (4.0 * chi)) * x * x
-        const = -1.0 / (3.0 * g2 * chi**2) - trace.adot_at(t)
+        const = -1.0 / (3.0 * g2 * chi**2) - adot
         well = _clipped_exp(2.0 * xi * xi / (3.0 * g2)) / chi**2
-        return np.stack([quad + const - mu_j * well for mu_j in family.mu])
+        return np.subtract(quad + const, np.multiply.outer(family.mu, well),
+                           out=v)
     # flat_bump, whose a' and mu vanish, as checked above
-    xi = x / chi
     e = s.lam * np.exp(-xi * xi)
     w = 1.0 + e
     s1 = -d2chi / (4.0 * chi)
     s2 = (e / (chi**2 * w)) * (1.0 + (e - 2.0) * xi * xi / w)
-    v = s1 * x * x + s2
-    return np.stack([v, v])
+    return np.add(s1 * x * x, s2, out=v)
 
 
 class CoefficientSampler:
@@ -206,7 +204,7 @@ class CoefficientSampler:
 
     def couplings(self, x, t):
         """g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
-        chi = self.trace.chi_at(t)
+        chi = self.trace.width_at(t)[0]
         xi = np.asarray(x, dtype=float) / chi
         return self._g * (self.family.stretch.fprime(xi, 3) / chi)
 

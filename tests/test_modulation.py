@@ -252,6 +252,78 @@ class TestClosedFormTrace:
                 query(t)
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+class TestScalarQueries:
+    """A float t skips the array path on an analytic trace and in drive_f;
+    it must still return the bits of the array path's element."""
+
+    QUERIES = ("chi_at", "dchi_dt_at", "d2chi_dt2_at", "a_at", "adot_at")
+    TRACES = {
+        "closed_form": lambda: closed_form_trace(3.0),
+        "two_tone": lambda: explicit_trace(0.3, 0.2, 3.0),
+        "mathieu": lambda: mathieu_trace("quasiperiodic", 3.0, dt=1e-3),
+    }
+
+    def times(self, lo, hi):
+        rng = np.random.default_rng(16)
+        edges = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+                 0.5 * (lo + hi)]
+        return np.concatenate([edges, rng.uniform(lo, hi, 300)])
+
+    @pytest.mark.parametrize("source", sorted(TRACES))
+    def test_float_t_gives_the_array_element(self, source):
+        tr = self.TRACES[source]()
+        # the analytic widths answer anywhere, the integrated one inside
+        # its window, edges included
+        lo, hi = ((float(tr.times[0]), float(tr.times[-1]))
+                  if tr.path is not None else (-4.0, 7.0))
+        t = self.times(lo, hi)
+        for name in self.QUERIES:
+            query = getattr(tr, name)
+            got = [query(tk) for tk in t.tolist()]
+            assert all(type(g) is float for g in got), name
+            # a 0-d array takes the array path to one element
+            assert same_bits(got, [query(np.asarray(tk)) for tk in t]), name
+            if (source, name) == ("closed_form", "d2chi_dt2_at"):
+                # chi**3 is numpy's SIMD power on an array and the C
+                # library's pow on one element, which differ in the last
+                # bit at some t, an ulp of a term of size up to 30; the
+                # trap has only ever read one element
+                np.testing.assert_allclose(got, query(t), rtol=0,
+                                           atol=np.spacing(32.0))
+                continue
+            assert same_bits(got, query(t)), f"{source} {name}"
+
+    def test_float_t_outside_an_integrated_window_is_refused(self):
+        tr = self.TRACES["mathieu"]()
+        for name in self.QUERIES + ("width_at",):
+            with pytest.raises(ValidationError, match=r"t = 3\.5,"):
+                getattr(tr, name)(3.5)
+            with pytest.raises(ValidationError, match=r"t = -0\.25,"):
+                getattr(tr, name)(-0.25)
+
+    @pytest.mark.parametrize("kind, epsilon, omega0", [
+        ("constant", 0.0, 0.0),
+        ("quasiperiodic", 0.5, 1.0),
+        ("quasiperiodic", 0.3, 2.7),
+    ])
+    def test_drive_float_t_gives_the_array_element(self, kind, epsilon,
+                                                   omega0):
+        # math.cos on the float path, numpy's cos on the array path: they
+        # must agree on every t, so 200,000 of them over a wide range
+        rng = np.random.default_rng(17)
+        t = np.concatenate([self.times(0.0, 10.0),
+                            rng.uniform(-1e3, 1e3, 200_000)])
+        got = [drive_f(kind, tk, epsilon, omega0) for tk in t.tolist()]
+        assert all(type(g) is float for g in got[:10])
+        assert same_bits(got, drive_f(kind, t, epsilon, omega0))
+
+
 class TestMathieuTraceQueries:
     def test_off_grid_queries_match_closed_form(self):
         tr = mathieu_trace("constant", 10.0, dt=1e-4)

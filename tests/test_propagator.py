@@ -33,6 +33,12 @@ def free_gaussian(x, t, a=1.0):
     return np.sqrt(a / s) * np.exp(-(x**2) / (2 * s))
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits, so -0.0 and 0.0 differ and NaNs match."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def norm(grid, psi):
     """Discrete L2 norm squared, sum |psi|^2 dx."""
     return float(np.sum(np.abs(psi) ** 2) * grid.dx)
@@ -411,6 +417,33 @@ class TestPropagate:
                 for name in COLUMNS:
                     assert np.array_equal(getattr(alone, name),
                                           getattr(together, name)), name
+
+    def test_records_do_not_alias_the_kernel_buffers(self):
+        # the kernel steps in buffers it reuses; every record it hands out,
+        # kept past later steps, must still hold the fields of its own time
+        fam, tr, grid = family_setup(elliptic_family, t_end=0.06)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.05,
+                                coefficient_source=CoefficientSampler(fam, tr))
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        psi = propagator._stack([psi0, perturb(psi0, 0.03, 4)], cfg, "test")
+        start = psi.copy()
+        kept = list(propagator._strang(psi, cfg, 0.0, cfg.n_steps, 3))
+        # copied as they come, so this reference holds whatever happens
+        # to the buffers afterwards
+        fresh = {t: fields.copy() for t, fields in
+                 propagator._strang(psi, cfg, 0.0, cfg.n_steps, 1)}
+        assert len(kept) == 17 and same_bits(psi, start)
+        for t, fields in kept:
+            assert same_bits(fields, fresh[t]), t
+        chain, fields = [], psi0
+        for k in range(4):
+            fields = step(fields, k * cfg.dt, cfg)
+            chain.append(fields)
+        fields = psi0
+        for k, kept_fields in enumerate(chain):
+            fields = step(fields, k * cfg.dt, cfg)
+            assert same_bits(kept_fields.psi1, fields.psi1)
+            assert same_bits(kept_fields.psi2, fields.psi2)
 
     @pytest.mark.parametrize("stride, times", [
         (1, np.arange(11) * 1e-3),

@@ -6,6 +6,7 @@ against finite-difference reconstruction from the (rho, eta, zeta) lattices.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -40,6 +41,8 @@ from modcnls.transform import (
     xi_of,
     zeta_of,
 )
+
+from coefficient_helpers import couplings_oracle, potential_oracle
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -224,6 +227,32 @@ class TestCoefficientMaps:
             gap = np.abs(potential(fam, tr, x, t) - want) / scale
             # elementwise relative, the benchmark's potential_vs_transform
             assert gap.max() <= 1e-11, f"{fam.kind} {width} t={t}"
+
+    FAMILIES = {
+        "elliptic": elliptic_family, "sech": sech_family,
+        "dark_bright": dark_bright_family,
+        "sech_mixed_mu": lambda: dataclasses.replace(sech_family(),
+                                                     mu=(-1.0, 0.5)),
+    }
+
+    @pytest.mark.parametrize("family, width", sorted(
+        set(itertools.product(FAMILIES, WIDTHS)) - REFUSED))
+    def test_sampler_matches_the_oracle_bit_for_bit(self, family, width):
+        # the sampler writes both rows into one array and evaluates the
+        # width once; the oracle stacks rows and queries the width per
+        # quantity, the way the formulas read
+        fam, tr = self.FAMILIES[family](), self.WIDTHS[width]()
+        sampler = CoefficientSampler(fam, tr)
+        x = default_grid(fam).x
+        for t in np.linspace(0.0, 2.7, 10):
+            for asked in (float(t), np.float64(t), np.asarray(t)):
+                for got, want in (
+                        (sampler.potential(x, asked),
+                         potential_oracle(fam, tr, x, t)),
+                        (sampler.couplings(x, asked),
+                         couplings_oracle(fam, tr, x, t))):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), t
 
     def test_flat_bump_refuses_nonzero_mu(self):
         fam = dataclasses.replace(dark_bright_family(), mu=(0.0, -1.0))
