@@ -15,13 +15,13 @@ from .errors import (DarkBackgroundError, DivergenceError,
 from .grid import SpatialGrid
 from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
                       EllipticTriple)
-from .modulation import (ModulationTrace, MathieuPath, closed_form_trace,
-                         drive_f, explicit_trace, mathieu_trace)
+from .modulation import (ModulationTrace, MathieuPath, WidthSamples,
+                         closed_form_trace, drive_f, explicit_trace,
+                         mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
                         eta_of, potential, potential_from_transform,
                         potential_identity_check, rho_of,
-                        sample_transform_lattice, verify_constraints, xi_of,
-                        zeta_of)
+                        verify_constraints, xi_of, zeta_of)
 from .families import (FamilySpec, FieldPair, amplitude_a0, assemble,
                        dark_bright_family, default_grid, default_trace,
                        elliptic_family, reduced_amplitudes, sech_family,

@@ -405,13 +405,14 @@ def cmd_mathieu_trace(cfg):
     kind = "constant" if cfg["drive"] == "periodic" else "quasiperiodic"
     trace = mathieu_trace(kind, cfg["t_end"], dt=cfg["dt"],
                           epsilon=cfg["epsilon"], omega0=cfg["omega0"])
+    samples = trace.samples(trace.path.times)
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]
-    write_modulation(os.path.join(out, f"trace.{ext}"), trace,
+    write_modulation(os.path.join(out, f"trace.{ext}"), samples,
                      _meta(cfg), cfg["format"])
     write_manifest(os.path.join(out, "manifest.json"), dict(cfg))
     print(f"integrated width trace to t={cfg['t_end']:g}: "
-          f"chi in [{trace.chi.min():.6f}, {trace.chi.max():.6f}]")
+          f"chi in [{samples.chi.min():.6f}, {samples.chi.max():.6f}]")
     return 0
 
 

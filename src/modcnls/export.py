@@ -141,9 +141,9 @@ def write_diagnostics(path, diag, meta, fmt="csv"):
     _write_columns(path, DIAGNOSTICS_COLUMNS, data, meta, fmt)
 
 
-def write_modulation(path, trace, meta, fmt="csv"):
-    data = (trace.times, trace.chi, trace.dchi_dt, trace.a)
-    _write_columns(path, TRACE_COLUMNS, data, meta, fmt)
+def write_modulation(path, samples, meta, fmt="csv"):
+    """The columns of a trace's samples(times)."""
+    _write_columns(path, TRACE_COLUMNS, samples, meta, fmt)
 
 
 def write_manifest(path, config):

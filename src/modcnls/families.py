@@ -257,19 +257,19 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
 
 
 def default_trace(family: FamilySpec, drive="periodic", t_end=10.0,
-                  epsilon=0.5, omega0=1.0, alpha=0.3, beta=0.2, dt=1e-4
+                  epsilon=0.5, omega0=1.0, alpha=0.3, beta=0.2
                   ) -> ModulationTrace:
     """The width trace each family is normally run with.
 
     periodic: constant drive, served by the closed form.  quasiperiodic:
-    cosine-modulated drive, served by the oscillator integration.  The
-    dark-bright family always uses its prescribed two-tone width.
+    cosine-modulated drive, integrated to t_end; the analytic widths need
+    no horizon.  The dark-bright family uses its prescribed two-tone width.
     """
     if family.kind == "dark_bright":
-        return explicit_trace(alpha, beta, t_end)
+        return explicit_trace(alpha, beta)
     if drive == "periodic":
-        return closed_form_trace(t_end)
+        return closed_form_trace()
     if drive == "quasiperiodic":
-        return mathieu_trace("quasiperiodic", t_end, dt=dt,
+        return mathieu_trace("quasiperiodic", t_end,
                              epsilon=epsilon, omega0=omega0)
     raise ValidationError(f"default_trace: unknown drive {drive!r}")

@@ -9,9 +9,10 @@ chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
 path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
 
-Each factory hands its trace one evaluator of (chi, chi', chi'') and one of
-a; a trace's sample arrays and its *_at queries both come from them.  An
-integrated trace answers only inside the window it was built to and refuses
+A trace is what its factory hands it: one evaluator of (chi, chi', chi'')
+and one of a.  Its *_at queries and the samples(times) the export writes
+both come from them, so nothing is sampled until asked.  An integrated
+trace answers only inside the window of its oscillator path and refuses
 any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
@@ -36,6 +37,7 @@ Conventions fixed here and relied on elsewhere:
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +53,8 @@ _STEP_BOUND = 0.2
 # steps per block of the oscillator's prefix scan: the scan loops over a
 # block's positions in Python and over the block totals in log2 passes
 _BLOCK = 128
+# largest |z|, |z'| of a path mathieu_trace keeps; the width squares them
+_PATH_LIMIT = 1e100
 DRIVE_KINDS = ("constant", "quasiperiodic")
 
 
@@ -81,15 +85,12 @@ def _scalar(out):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
-def _uniform_times(t_end, dt):
-    """0, dt, ..., n dt with n dt >= t_end."""
-    n = int(math.ceil(t_end / dt - 1e-12))
-    return dt * np.arange(n + 1)
-
-
-def _hermite(times, t, *pairs):
-    """Cubic Hermite interpolants at t of (values, slopes) pairs on the
-    uniform grid times; at a node each returns the node's value exactly."""
+def _hermite(p, t, curvature=False):
+    """Cubic Hermite interpolants at t of z1, z2 and, with curvature, of
+    z1', z2' on the path p, whose node slopes are z' and z'' = -4 f z; at
+    a node each returns the node's value exactly.  Each node array is
+    gathered once at each end of t's interval."""
+    times = p.times
     h = float(times[1] - times[0])
     j = np.clip((np.floor((t - times[0]) / h)).astype(int), 0, len(times) - 2)
     # the rounded quotient can place a node at the far end of the interval
@@ -100,8 +101,17 @@ def _hermite(times, t, *pairs):
     h10 = th * om * om
     h01 = th * th * (3.0 - 2.0 * th)
     h11 = th * th * (th - 1.0)
-    return [h00 * y[j] + h * h10 * dy[j] + h01 * y[j + 1] + h * h11 * dy[j + 1]
-            for y, dy in pairs]
+    j1 = j + 1
+    out, ends = [], []
+    for z, dz in ((p.z1, p.dz1), (p.z2, p.dz2)):
+        z0, z1, v0, v1 = z[j], z[j1], dz[j], dz[j1]
+        out.append(h00 * z0 + h * h10 * v0 + h01 * z1 + h * h11 * v1)
+        ends.append((z0, z1, v0, v1))
+    if curvature:
+        a0, a1 = p.accel[j], p.accel[j1]
+        out += [h00 * v0 + h * h10 * (a0 * z0) + h01 * v1 + h * h11 * (a1 * z1)
+                for z0, z1, v0, v1 in ends]
+    return out
 
 
 def _closed_form_width(t):
@@ -110,7 +120,9 @@ def _closed_form_width(t):
     chi = np.sqrt(1.0 + 15.0 * c * c) / 2.0
     s4 = np.sin(4.0 * t)
     dchi = -(15.0 / 4.0) * s4 / chi
-    d2chi = -15.0 * np.cos(4.0 * t) / chi - (225.0 / 16.0) * s4 * s4 / chi**3
+    # chi cubed by products, which round alike for a float and an array
+    d2chi = (-15.0 * np.cos(4.0 * t) / chi
+             - (225.0 / 16.0) * s4 * s4 / (chi * chi * chi))
     return chi, dchi, d2chi
 
 
@@ -129,19 +141,6 @@ def _two_tone_width(alpha, beta, t):
     return chi, dchi, d2chi
 
 
-def _oscillator_width(z1, dz1, z2, dz2, ddz1, ddz2, w):
-    """(chi, chi', chi'') of chi = sqrt(2 z1^2 + 2 z2^2 / W^2) from the
-    oscillator pair and its first two derivatives."""
-    w2 = w**2
-    chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
-    dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
-    d2chi = (
-        2.0 * dz1 * dz1 + 2.0 * z1 * ddz1
-        + (2.0 * dz2 * dz2 + 2.0 * z2 * ddz2) / w2
-    ) / chi - dchi * dchi / chi
-    return chi, dchi, d2chi
-
-
 def _oscillator_phase(z1, z2, w):
     """arg(z1 + i z2/W) in (-pi, pi]; z2/W is a real division, which
     rounds alike for scalar and array queries."""
@@ -152,8 +151,8 @@ def _oscillator_phase(z1, z2, w):
 class MathieuPath:
     """Trajectory of the parametric oscillator pair on a uniform time grid.
 
-    ddz1, ddz2 are the accelerations -4 f z at the nodes, the slopes of the
-    Hermite interpolant of dz1, dz2.
+    accel is the node drive -4 f; times z, it gives the accelerations
+    z'' = -4 f z at the nodes, the slopes of the Hermite interpolant of z'.
     """
 
     times: np.ndarray
@@ -161,8 +160,7 @@ class MathieuPath:
     dz1: np.ndarray
     z2: np.ndarray
     dz2: np.ndarray
-    ddz1: np.ndarray
-    ddz2: np.ndarray
+    accel: np.ndarray
     w: float
 
 
@@ -192,12 +190,12 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     block totals; and one pass applying each block's carry.  Steps past
     the last node pad the last block and reach no node.
     """
-    times = _uniform_times(t_end, h)
+    n = int(math.ceil(t_end / h - 1e-12))  # n h >= t_end
+    times = h * np.arange(n + 1)
     (c1, d1), (c2, d2) = np.array([z1_init, z2_init], dtype=float).tolist()
     w = c1 * d2 - d1 * c2
     if abs(w) < 1e-12:
         raise ValueError("mathieu_trace: initial data are linearly dependent")
-    n = len(times) - 1
     blocks = -(-n // _BLOCK)
     a_node = np.zeros(blocks * _BLOCK + 1)
     a_node[:n + 1] = -4.0 * drive_f("quasiperiodic", times, epsilon, omega0)
@@ -248,19 +246,23 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
             body += q[:, row, 1].T * d
             body += start
             y.append(node[:n + 1])
-    del q
-    z1, v1, z2, v2 = y
-    a = a_node[:n + 1]
-    return MathieuPath(times, z1, v1, z2, v2, a * z1, a * z2, w)
+    return MathieuPath(times, *y, a_node[:n + 1], w)
 
 
 def _path_width(p, epsilon, omega0, t):
-    """(chi, chi', chi'') at t from the Hermite interpolant of the path p,
-    with z'' = -4 f(t) z supplying the slopes of z'."""
-    z1, dz1, z2, dz2 = _hermite(p.times, t, (p.z1, p.dz1), (p.dz1, p.ddz1),
-                                (p.z2, p.dz2), (p.dz2, p.ddz2))
-    f = drive_f("quasiperiodic", t, epsilon, omega0)
-    return _oscillator_width(z1, dz1, z2, dz2, -4.0 * f * z1, -4.0 * f * z2, p.w)
+    """(chi, chi', chi'') of chi = sqrt(2 z1^2 + 2 z2^2 / W^2) at t from the
+    Hermite interpolant of the path p, whose node drive gives the slopes of
+    z' and the drive at t gives z'' = -4 f(t) z."""
+    z1, z2, dz1, dz2 = _hermite(p, t, curvature=True)
+    accel = -4.0 * drive_f("quasiperiodic", t, epsilon, omega0)
+    w2 = p.w**2
+    chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
+    dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
+    d2chi = (
+        2.0 * dz1 * dz1 + 2.0 * z1 * (accel * z1)
+        + (2.0 * dz2 * dz2 + 2.0 * z2 * (accel * z2)) / w2
+    ) / chi - dchi * dchi / chi
+    return chi, dchi, d2chi
 
 
 def _path_phase(p, a, t):
@@ -268,45 +270,36 @@ def _path_phase(p, a, t):
     turn of w from t_j to t, which is far below pi, so wrapping it
     recovers it."""
     j = np.rint(t / p.times[1]).astype(int)  # times are k dt
-    z1, z2 = _hermite(p.times, t, (p.z1, p.dz1), (p.z2, p.dz2))
+    z1, z2 = _hermite(p, t)
     turn = (_oscillator_phase(z1, z2, p.w)
             - _oscillator_phase(p.z1[j], p.z2[j], p.w))
     turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
     return a[j] + 0.5 * turn
 
 
+# a trace's chi, chi' and a at the times: the columns the export writes
+WidthSamples = namedtuple("WidthSamples", "times chi dchi_dt a")
+
+
 @dataclass
 class ModulationTrace:
-    """Sampled chi(t), derivatives, and phase offset, plus their evaluators.
+    """chi(t), its derivatives and the phase offset a(t), as evaluators.
 
-    The sample arrays are what gets exported; the *_at query methods are what
-    the propagator and residual suites call.  Both come from the evaluators
-    the trace's factory sets, width(t) -> (chi, chi', chi'') and
-    phase(t) -> a, so a query at a sample time returns the sample.  drive is
-    the (kind, epsilon, omega0) whose Ermakov-Pinney equation chi solves,
-    with a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
+    A trace is the two evaluators its factory sets, width(t) -> (chi, chi',
+    chi'') and phase(t) -> a.  The *_at queries the propagator and residual
+    suites call and the samples(times) the export writes both come from
+    them, so a sample is the query's value bit for bit.  drive is the
+    (kind, epsilon, omega0) whose Ermakov-Pinney equation chi solves, with
+    a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
     integrated trace keeps its oscillator path and only answers inside the
-    window it was built to; every other trace answers at any t, and a float
-    t there stays a float: the bits a 0-d array of t gives, and those of
-    the element of any array of t except the closed form's chi'', whose
-    chi**3 numpy rounds differently on an array.
+    window of path.times; every other trace answers at any t, and a float
+    t there stays a float with the bits of the element of any array of t.
     """
 
-    times: np.ndarray
-    chi: np.ndarray
-    dchi_dt: np.ndarray
-    d2chi_dt2: np.ndarray
-    a: np.ndarray
     width: Callable
     phase: Callable
     drive: Optional[tuple] = None
     path: Optional[MathieuPath] = None
-
-    def __post_init__(self):
-        if np.any(self.chi <= 0) or not np.isfinite(self.chi).all():
-            raise ValueError("ModulationTrace: chi samples must be positive and finite")
-        if abs(float(self.a[0])) > 1e-15:
-            raise ValueError("ModulationTrace: a must start at 0")
 
     def _check_range(self, t):
         """t as an array, or as it is for a float t on an analytic trace;
@@ -314,7 +307,7 @@ class ModulationTrace:
         if self.path is None:  # the analytic widths extend to all t
             return t if isinstance(t, float) else np.asarray(t, dtype=float)
         t = np.asarray(t, dtype=float)
-        lo, hi = float(self.times[0]), float(self.times[-1])
+        lo, hi = float(self.path.times[0]), float(self.path.times[-1])
         outside = (t < lo - 1e-9) | (t > hi + 1e-9)
         if np.any(outside):
             asked = float(t[outside].flat[0])
@@ -346,13 +339,15 @@ class ModulationTrace:
     def adot_at(self, t):
         return self.width_at(t)[3]
 
+    def samples(self, times):
+        """chi, chi' and a at the times, from the queries' evaluators."""
+        times = np.asarray(times, dtype=float)
+        return WidthSamples(times, *self.width_at(times)[:2], self.a_at(times))
 
-def closed_form_trace(t_end, dt=1e-3) -> ModulationTrace:
+
+def closed_form_trace() -> ModulationTrace:
     """Analytic trace for the constant drive f = 1."""
-    times = _uniform_times(t_end, dt)
-    chi, dchi, d2chi = _closed_form_width(times)
-    return ModulationTrace(times, chi, dchi, d2chi, _closed_form_a(times),
-                           _closed_form_width, _closed_form_a,
+    return ModulationTrace(_closed_form_width, _closed_form_a,
                            drive=("constant", 0.0, 0.0))
 
 
@@ -365,6 +360,8 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     w = z1 + i z2/W, counted from its start.  A step with
     dt * 2 sqrt(max|f|) above _STEP_BOUND, max|f| = 1 + |epsilon|, is
     refused with a ValidationError: RK4 no longer resolves the oscillator.
+    So is a path that grows past _PATH_LIMIT, or is not finite, within
+    t_end: the width squares it.
     """
     if kind not in DRIVE_KINDS:
         raise ValueError(f"mathieu_trace: unknown drive kind {kind!r}")
@@ -380,23 +377,25 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
             f"(epsilon = {eps!r}): dt * 2 sqrt(max|f|) = {ratio:.3g} exceeds "
             f"{_STEP_BOUND}")
     path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
-    chi, dchi, d2chi = _oscillator_width(path.z1, path.dz1, path.z2, path.dz2,
-                                         path.ddz1, path.ddz2, path.w)
+    z = (path.z1, path.dz1, path.z2, path.dz2)
+    # a NaN fails both comparisons
+    if not all(-_PATH_LIMIT <= x.min() and x.max() <= _PATH_LIMIT for x in z):
+        grown = ~np.logical_and.reduce([np.abs(x) <= _PATH_LIMIT for x in z])
+        raise ValidationError(
+            f"mathieu_trace: the oscillator path of the {kind} drive "
+            f"(epsilon = {eps!r}, omega0 = {w0!r}) passes {_PATH_LIMIT:g} "
+            f"at t = {float(path.times[np.argmax(grown)]):.6g}: the drive is "
+            f"parametrically resonant; build to an earlier horizon")
     phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
     a = 0.5 * (phase - phase[0])
-    return ModulationTrace(path.times, chi, dchi, d2chi, a,
-                           functools.partial(_path_width, path, eps, w0),
+    return ModulationTrace(functools.partial(_path_width, path, eps, w0),
                            functools.partial(_path_phase, path, a),
                            drive=(kind, eps, w0), path=path)
 
 
-def explicit_trace(alpha, beta, t_end, dt=1e-3) -> ModulationTrace:
+def explicit_trace(alpha, beta) -> ModulationTrace:
     """Analytic trace for the prescribed two-tone width (phase offset 0)."""
-    if abs(alpha) + abs(beta) >= 1.0:
+    if not abs(alpha) + abs(beta) < 1.0:
         raise ValueError("explicit_trace: requires |alpha| + |beta| < 1")
-    alpha, beta = float(alpha), float(beta)
-    times = _uniform_times(t_end, dt)
-    width = functools.partial(_two_tone_width, alpha, beta)
-    chi, dchi, d2chi = width(times)
-    return ModulationTrace(times, chi, dchi, d2chi, np.zeros_like(times),
-                           width, np.zeros_like)
+    width = functools.partial(_two_tone_width, float(alpha), float(beta))
+    return ModulationTrace(width, np.zeros_like)

@@ -216,20 +216,12 @@ def _width_rows(trace, t):
 
 
 def _lattice_fields(stretch, x, chi, dchi, a):
-    """rho, eta, zeta of shape (len(chi), len(x)) from the width rows."""
-    xi = x[None, :] / chi[:, None]
-    rho = 1.0 / np.sqrt(chi[:, None] * stretch.fprime(xi))
-    eta = (dchi[:, None] / (4.0 * chi[:, None])) * x[None, :] ** 2 + a[:, None]
-    return rho, eta, stretch.zeta(xi)
-
-
-def sample_transform_lattice(family, trace, x, t):
-    """rho, eta, zeta on the (t, x) lattice, each of shape (nt, nx)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    width = _width_rows(trace, t)
-    rho, eta, zeta = _lattice_fields(family.stretch, x, *width)
-    return {"rho": rho, "eta": eta, "zeta": zeta, "chi": width[0], "x": x, "t": t}
+    """rho, eta, zeta of shape (len(chi), len(x)) from the width rows; rho
+    and zeta share one xi, as rho_of and zeta_of would each form it."""
+    x, chi = x[None, :], chi[:, None]
+    xi = x / chi
+    rho = 1.0 / np.sqrt(chi * stretch.fprime(xi))
+    return rho, eta_of(x, chi, dchi[:, None], a[:, None]), stretch.zeta(xi)
 
 
 def interior_diff(f, h, axis, order=1):
@@ -385,8 +377,7 @@ def potential_identity_check(family, trace, x, t, dt=1e-4):
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
     ts = t + dt * np.arange(-d, d + 1.0)
-    lat = sample_transform_lattice(family, trace, x, ts)
-    rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
+    rho, eta, zeta = _lattice_fields(family.stretch, x, *_width_rows(trace, ts))
     hx = float(x[1] - x[0])
 
     inner = slice(d, -d)  # the points the x stencils reach

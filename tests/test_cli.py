@@ -145,7 +145,7 @@ class TestColumnRendering:
 
     def test_write_coefficients(self, tmp_path, fmt):
         fam = sech_family()
-        sampler = CoefficientSampler(fam, closed_form_trace(1.0))
+        sampler = CoefficientSampler(fam, closed_form_trace())
         x = SpatialGrid(20.0, 64).x
         x[:len(SPECIALS)] = SPECIALS  # the shared x column, specials included
         times = [0.0, 0.1, 0.7]
@@ -201,10 +201,10 @@ class TestColumnRendering:
                                                  zip(*cols), META, fmt)
 
     def test_write_modulation(self, tmp_path, fmt):
-        trace = closed_form_trace(0.5, dt=1e-2)
+        samples = closed_form_trace().samples(1e-2 * np.arange(51))
         target = tmp_path / "m"
-        write_modulation(str(target), trace, META, fmt)
-        rows = zip(trace.times, trace.chi, trace.dchi_dt, trace.a)
+        write_modulation(str(target), samples, META, fmt)
+        rows = zip(*samples)
         assert target.read_text() == render_rows(TRACE_COLUMNS, rows, META,
                                                  fmt)
 
@@ -219,7 +219,7 @@ def writers():
         psi.real, psi.imag = mixed_column(rng, n), mixed_column(rng, n)
     cols = [mixed_column(rng, n) for _ in DIAGNOSTICS_COLUMNS]
     cols[1:3] = rng.uniform(0.5, 2.0, (2, n))  # norms must be positive
-    sampler = CoefficientSampler(sech_family(), closed_form_trace(1.0))
+    sampler = CoefficientSampler(sech_family(), closed_form_trace())
     return {
         "table": lambda path, fmt: write_table(
             path, ("a", "b"), zip(x, x[::-1]), META, fmt),
@@ -231,7 +231,8 @@ def writers():
         "diagnostics": lambda path, fmt: write_diagnostics(
             path, DiagnosticsTrace(*cols), META, fmt),
         "modulation": lambda path, fmt: write_modulation(
-            path, closed_form_trace(0.2, dt=1e-2), META, fmt),
+            path, closed_form_trace().samples(1e-2 * np.arange(21)), META,
+            fmt),
     }
 
 
@@ -949,4 +950,13 @@ class TestMathieuTraceCommand:
         code = main(["mathieu-trace", "--dt", "0.4", "--out", str(out)])
         assert code == 1
         assert "does not resolve" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resonant_drive_refused_before_output(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = main(["mathieu-trace", "--drive", "quasiperiodic",
+                     "--omega0", "4", "--t-end", "1000", "--dt", "0.05",
+                     "--out", str(out)])
+        assert code == 1
+        assert "parametrically resonant" in capsys.readouterr().err
         assert not out.exists()

@@ -17,9 +17,7 @@ import pytest
 from modcnls import modulation
 from modcnls.errors import ValidationError
 from modcnls.modulation import (
-    ModulationTrace,
     _closed_form_a,
-    _closed_form_width,
     closed_form_trace,
     drive_f,
     explicit_trace,
@@ -29,6 +27,11 @@ from modcnls.modulation import (
 
 def chi_exact(t):
     return np.sqrt(1.0 + 15.0 * np.cos(2.0 * t) ** 2) / 2.0
+
+
+def node_samples(tr):
+    """An integrated trace's samples at its path's nodes."""
+    return tr.samples(tr.path.times)
 
 
 class TestDrive:
@@ -80,8 +83,8 @@ def chi_rk4_longdouble(t_end, h, epsilon, omega0):
 
 class TestMathieuIntegration:
     def test_reproduces_closed_form_width(self):
-        tr = mathieu_trace("constant", 10.0, dt=1e-4)
-        err = np.abs(tr.chi - chi_exact(tr.times)).max()
+        s = node_samples(mathieu_trace("constant", 10.0, dt=1e-4))
+        err = np.abs(s.chi - chi_exact(s.times)).max()
         assert err < 5e-14, f"chi deviates from closed form by {err:.3e}"
 
     @pytest.mark.parametrize("kind, epsilon, omega0", [
@@ -93,7 +96,7 @@ class TestMathieuIntegration:
         # same method, same step: the difference is float64 rounding alone
         tr = mathieu_trace(kind, 5.0, dt=1e-3, epsilon=epsilon, omega0=omega0)
         want = chi_rk4_longdouble(5.0, 1e-3, epsilon, omega0)
-        err = float(np.max(np.abs(tr.chi - want) / want))
+        err = float(np.max(np.abs(node_samples(tr).chi - want) / want))
         assert err < 1e-14, f"relative chi error {err:.3e}"
 
     def test_path_does_not_depend_on_horizon(self):
@@ -108,21 +111,23 @@ class TestMathieuIntegration:
         longest = paths[-1]
         for path in paths[:-1]:
             n = len(path.times)
-            for name in ("times", "z1", "dz1", "z2", "dz2", "ddz1", "ddz2"):
+            for name in ("times", "z1", "dz1", "z2", "dz2", "accel"):
                 np.testing.assert_array_equal(getattr(path, name),
                                               getattr(longest, name)[:n])
 
     def test_build_holds_little_beyond_the_trace(self):
         # the scan works in place on one (block, 2, 2, blocks) array, so
         # the t = 10 build (10^5 steps) peaks at most 6 MB above what the
-        # trace keeps
+        # trace keeps; the trace keeps the times, five node rows and the
+        # node phases, seven arrays of 10^5 floats, and no samples
         tracemalloc.start()
         try:
             trace = mathieu_trace("quasiperiodic", 10.0, dt=1e-4)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(trace.times) == 100_001
+        assert len(trace.path.times) == 100_001
+        assert kept <= 5.5 * 2**20, f"kept {kept / 2**20:.2f} MB"
         assert peak - kept <= 6 * 2**20, f"{(peak - kept) / 2**20:.2f} MB"
 
     def test_wronskian_conserved(self):
@@ -135,24 +140,25 @@ class TestMathieuIntegration:
     def test_rescaling_second_solution_leaves_chi_alone(self):
         tr = mathieu_trace("quasiperiodic", 5.0, dt=1e-4)
         tr3 = mathieu_trace("quasiperiodic", 5.0, dt=1e-4, z2_init=(0.0, 3.0))
-        assert np.abs(tr.chi - tr3.chi).max() < 1e-12
+        assert np.abs(node_samples(tr).chi
+                      - node_samples(tr3).chi).max() < 1e-12
 
     def test_width_equation_residual(self):
         # chi'' + 4 f chi = 4 / chi^3 must hold for the quasiperiodic drive too
         tr = mathieu_trace("quasiperiodic", 8.0, dt=1e-4, epsilon=0.5, omega0=1.0)
-        f = drive_f("quasiperiodic", tr.times, 0.5, 1.0)
-        res = tr.d2chi_dt2 + 4.0 * f * tr.chi - 4.0 / tr.chi**3
+        f = drive_f("quasiperiodic", tr.path.times, 0.5, 1.0)
+        chi, _, d2chi, _ = tr.width_at(tr.path.times)
+        res = d2chi + 4.0 * f * chi - 4.0 / chi**3
         assert np.abs(res).max() < 1e-9
 
     def test_state_access(self):
         tr = mathieu_trace("constant", 1.0, dt=1e-3)
         path = tr.path
         assert path.z1[0] == pytest.approx(math.sqrt(2.0))
-        assert tr.chi[0] == pytest.approx(2.0)
+        assert tr.chi_at(0.0) == pytest.approx(2.0)
         assert len(path.times) == 1001
-        # node accelerations z'' = -4 f z with f = 1
-        np.testing.assert_array_equal(path.ddz1, -4.0 * path.z1)
-        np.testing.assert_array_equal(path.ddz2, -4.0 * path.z2)
+        # the node drive -4 f, with f = 1
+        np.testing.assert_array_equal(path.accel, -4.0)
 
     def test_degenerate_initial_data_rejected(self):
         with pytest.raises(ValueError):
@@ -173,28 +179,29 @@ class TestMathieuIntegration:
             assert part in str(info.value), str(info.value)
 
     def test_step_just_below_the_bound_accepted(self):
-        tr = mathieu_trace("constant", 10.0, dt=0.099)
-        exact = np.sqrt(1.0 + 15.0 * np.cos(2.0 * tr.times) ** 2) / 2.0
-        assert np.max(np.abs(tr.chi - exact) / exact) < 5e-4
+        s = node_samples(mathieu_trace("constant", 10.0, dt=0.099))
+        exact = chi_exact(s.times)
+        assert np.max(np.abs(s.chi - exact) / exact) < 5e-4
         mathieu_trace("quasiperiodic", 10.0, dt=0.08)  # ratio 0.196
 
 
 class TestClosedFormTrace:
     def test_range_and_special_points(self):
-        tr = closed_form_trace(10.0)
+        tr = closed_form_trace()
         assert tr.chi_at(0.0) == pytest.approx(2.0)
         assert tr.chi_at(math.pi / 4.0) == pytest.approx(0.5)
-        assert tr.chi.min() >= 0.5 - 1e-12 and tr.chi.max() <= 2.0 + 1e-12
+        chi = tr.chi_at(np.linspace(0.0, 10.0, 10_001))
+        assert chi.min() >= 0.5 - 1e-12 and chi.max() <= 2.0 + 1e-12
 
     def test_breathing_period(self):
-        tr = closed_form_trace(10.0)
+        tr = closed_form_trace()
         t = np.linspace(0, 5, 777)
         np.testing.assert_allclose(
             tr.chi_at(t + math.pi / 2.0), tr.chi_at(t), rtol=0, atol=1e-12
         )
 
     def test_derivatives_match_finite_differences(self):
-        tr = closed_form_trace(10.0)
+        tr = closed_form_trace()
         t = np.linspace(0.1, 9.9, 211)
         h = 1e-5
         fd1 = (tr.chi_at(t + h) - tr.chi_at(t - h)) / (2 * h)
@@ -204,11 +211,11 @@ class TestClosedFormTrace:
 
     def test_initial_curvature(self):
         # chi''(0) = 4/chi^3 - 4 chi at chi = 2: 1/2 - 8 = -7.5
-        tr = closed_form_trace(1.0)
+        tr = closed_form_trace()
         assert tr.d2chi_dt2_at(0.0) == pytest.approx(-7.5, abs=1e-12)
 
     def test_phase_offset_continuous_and_correct(self):
-        tr = closed_form_trace(10.0)
+        tr = closed_form_trace()
         # a' = 1/chi^2, checked by finite differences across the full range,
         # including through the tan poles of the naive antiderivative
         t = np.linspace(0.0, 9.99, 997)
@@ -221,27 +228,31 @@ class TestClosedFormTrace:
         assert tr.a_at(math.pi / 4.0) == pytest.approx(math.pi / 4.0, abs=1e-12)
         assert tr.a_at(math.pi / 2.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
-    def test_samples_match_queries(self):
-        # samples and queries come from one evaluator per source, so a query
-        # at a sample time must return the sample bit for bit
-        for tr in (closed_form_trace(3.0, dt=1e-3),
-                   mathieu_trace("quasiperiodic", 3.0, dt=1e-3),
-                   explicit_trace(0.3, 0.2, 3.0, dt=1e-3)):
-            np.testing.assert_array_equal(tr.chi, tr.chi_at(tr.times))
-            np.testing.assert_array_equal(tr.dchi_dt, tr.dchi_dt_at(tr.times))
-            np.testing.assert_array_equal(tr.d2chi_dt2,
-                                          tr.d2chi_dt2_at(tr.times))
-            np.testing.assert_array_equal(tr.a, tr.a_at(tr.times))
+    @pytest.mark.parametrize("source", ["closed_form", "two_tone",
+                                        "mathieu"])
+    def test_samples_match_queries(self, source):
+        # samples and queries come from one evaluator per source, so a
+        # sample must be the query's value bit for bit, at the nodes of an
+        # integrated trace and between them
+        tr = TestScalarQueries.TRACES[source]()
+        t = (np.linspace(0.0, 3.0, 3001) if tr.path is None
+             else tr.path.times)
+        for times in (t, 0.5 * (t[1:] + t[:-1]), t[:1]):
+            s = tr.samples(times)
+            assert same_bits(s.times, times)
+            assert same_bits(s.chi, tr.chi_at(times))
+            assert same_bits(s.dchi_dt, tr.dchi_dt_at(times))
+            assert same_bits(s.a, tr.a_at(times))
 
     def test_only_an_integrated_trace_has_a_window(self):
         # the analytic widths answer past their samples from the same
         # formulas; the oscillator's path ends where it was integrated to
         t = np.array([-1.0, 4.5])
-        closed = closed_form_trace(3.0)
+        closed = closed_form_trace()
         np.testing.assert_allclose(closed.chi_at(t), chi_exact(t),
                                    rtol=0, atol=1e-15)
         np.testing.assert_array_equal(closed.a_at(t), _closed_form_a(t))
-        two_tone = explicit_trace(0.3, 0.2, 3.0)
+        two_tone = explicit_trace(0.3, 0.2)
         want = 1.0 + 0.3 * np.sin(t) + 0.2 * np.sin(math.sqrt(2.0) * t)
         np.testing.assert_allclose(two_tone.chi_at(t), want, rtol=0,
                                    atol=1e-15)
@@ -264,8 +275,8 @@ class TestScalarQueries:
 
     QUERIES = ("chi_at", "dchi_dt_at", "d2chi_dt2_at", "a_at", "adot_at")
     TRACES = {
-        "closed_form": lambda: closed_form_trace(3.0),
-        "two_tone": lambda: explicit_trace(0.3, 0.2, 3.0),
+        "closed_form": closed_form_trace,
+        "two_tone": lambda: explicit_trace(0.3, 0.2),
         "mathieu": lambda: mathieu_trace("quasiperiodic", 3.0, dt=1e-3),
     }
 
@@ -280,7 +291,7 @@ class TestScalarQueries:
         tr = self.TRACES[source]()
         # the analytic widths answer anywhere, the integrated one inside
         # its window, edges included
-        lo, hi = ((float(tr.times[0]), float(tr.times[-1]))
+        lo, hi = ((float(tr.path.times[0]), float(tr.path.times[-1]))
                   if tr.path is not None else (-4.0, 7.0))
         t = self.times(lo, hi)
         for name in self.QUERIES:
@@ -289,14 +300,6 @@ class TestScalarQueries:
             assert all(type(g) is float for g in got), name
             # a 0-d array takes the array path to one element
             assert same_bits(got, [query(np.asarray(tk)) for tk in t]), name
-            if (source, name) == ("closed_form", "d2chi_dt2_at"):
-                # chi**3 is numpy's SIMD power on an array and the C
-                # library's pow on one element, which differ in the last
-                # bit at some t, an ulp of a term of size up to 30; the
-                # trap has only ever read one element
-                np.testing.assert_allclose(got, query(t), rtol=0,
-                                           atol=np.spacing(32.0))
-                continue
             assert same_bits(got, query(t)), f"{source} {name}"
 
     def test_float_t_outside_an_integrated_window_is_refused(self):
@@ -306,6 +309,17 @@ class TestScalarQueries:
                 getattr(tr, name)(3.5)
             with pytest.raises(ValidationError, match=r"t = -0\.25,"):
                 getattr(tr, name)(-0.25)
+
+    def test_closed_form_curvature_float_t_gives_the_array_element(self):
+        # chi'' divides by chi^3, which a power would round one way for a
+        # float and another for an array (the C library's pow against
+        # numpy's SIMD power), so 200,000 t over a wide range
+        rng = np.random.default_rng(18)
+        t = np.concatenate([self.times(0.0, 10.0),
+                            rng.uniform(-1e3, 1e3, 200_000)])
+        tr = closed_form_trace()
+        got = [tr.d2chi_dt2_at(tk) for tk in t.tolist()]
+        assert same_bits(got, tr.d2chi_dt2_at(t))
 
     @pytest.mark.parametrize("kind, epsilon, omega0", [
         ("constant", 0.0, 0.0),
@@ -332,13 +346,13 @@ class TestMathieuTraceQueries:
         assert np.abs(tr.chi_at(t) - chi_exact(t)).max() < 1e-9
         dchi = -(15.0 / 4.0) * np.sin(4.0 * t) / chi_exact(t)
         assert np.abs(tr.dchi_dt_at(t) - dchi).max() < 1e-8
-        cf = closed_form_trace(10.0)
+        cf = closed_form_trace()
         assert np.abs(tr.a_at(t) - cf.a_at(t)).max() < 1e-9
         assert np.abs(tr.d2chi_dt2_at(t) - cf.d2chi_dt2_at(t)).max() < 1e-6
 
     def test_agreement_tolerance_from_acceptance(self):
-        tr = mathieu_trace("constant", 10.0, dt=1e-4)
-        assert np.abs(tr.chi - chi_exact(tr.times)).max() <= 1e-6
+        s = node_samples(mathieu_trace("constant", 10.0, dt=1e-4))
+        assert np.abs(s.chi - chi_exact(s.times)).max() <= 1e-6
 
     def test_out_of_range_query_rejected(self):
         # the refusal names the first t asked outside and the window
@@ -356,19 +370,19 @@ class TestMathieuTraceQueries:
 
 class TestExplicitTrace:
     def test_two_tone_width(self):
-        tr = explicit_trace(0.3, 0.2, 10.0)
+        tr = explicit_trace(0.3, 0.2)
         t = np.linspace(0, 10, 101)
         want = 1.0 + 0.3 * np.sin(t) + 0.2 * np.sin(math.sqrt(2.0) * t)
         np.testing.assert_allclose(tr.chi_at(t), want, rtol=0, atol=1e-15)
 
     def test_phase_offset_identically_zero(self):
-        tr = explicit_trace(-0.4, 0.25, 6.0)
+        tr = explicit_trace(-0.4, 0.25)
         t = np.linspace(0, 6, 31)
         assert np.all(tr.a_at(t) == 0.0)
         assert np.all(tr.adot_at(t) == 0.0)
 
     def test_derivatives(self):
-        tr = explicit_trace(0.5, -0.3, 10.0)
+        tr = explicit_trace(0.5, -0.3)
         t = np.linspace(0, 10, 101)
         h = 1e-6
         fd = (tr.chi_at(t + h) - tr.chi_at(t - h)) / (2 * h)
@@ -378,9 +392,9 @@ class TestExplicitTrace:
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(ValueError):
-            explicit_trace(0.7, 0.3, 1.0)
+            explicit_trace(0.7, 0.3)
         with pytest.raises(ValueError):
-            explicit_trace(-0.6, 0.5, 1.0)
+            explicit_trace(-0.6, 0.5)
 
 
 class TestPhaseFromOscillator:
@@ -388,7 +402,8 @@ class TestPhaseFromOscillator:
 
     def test_constant_drive_matches_closed_form(self):
         tr = mathieu_trace("constant", 10.0, dt=1e-4)
-        assert np.abs(tr.a - _closed_form_a(tr.times)).max() < 2e-14
+        s = node_samples(tr)
+        assert np.abs(s.a - _closed_form_a(s.times)).max() < 2e-14
         t = np.random.default_rng(21).uniform(0, 10, 300)
         assert np.abs(tr.a_at(t) - _closed_form_a(t)).max() < 2e-14
 
@@ -415,22 +430,41 @@ class TestPhaseFromOscillator:
     def test_rescaling_second_solution_leaves_a_alone(self):
         tr = mathieu_trace("quasiperiodic", 5.0, dt=1e-4)
         tr3 = mathieu_trace("quasiperiodic", 5.0, dt=1e-4, z2_init=(0.0, 3.0))
-        assert np.abs(tr.a - tr3.a).max() < 1e-14
+        assert np.abs(node_samples(tr).a - node_samples(tr3).a).max() < 1e-14
         t = np.linspace(0.0, 5.0, 333)
         assert np.abs(tr.a_at(t) - tr3.a_at(t)).max() < 1e-14
 
 
 class TestTraceValidation:
-    def build(self, chi, a):
-        return ModulationTrace(
-            times=np.arange(3.0), chi=chi, dchi_dt=np.zeros(3),
-            d2chi_dt2=np.zeros(3), a=a, width=_closed_form_width,
-            phase=np.zeros_like)
+    """Each factory guarantees a finite, positive width with a' = chi^-2
+    or 0 and a(0) = 0, or refuses to build the trace."""
 
-    def test_nonpositive_chi(self):
-        with pytest.raises(ValueError):
-            self.build(np.array([1.0, 0.0, 1.0]), np.zeros(3))
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.6, 0.4),  # chi = 1 - |alpha| - |beta| = 0 can be reached
+        (-0.7, 0.5),
+        (float("nan"), 0.1),
+        (0.1, float("inf")),
+    ])
+    def test_two_tone_width_that_could_vanish_is_refused(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"\|alpha\| \+ \|beta\| < 1"):
+            explicit_trace(alpha, beta)
 
-    def test_nonzero_start_phase(self):
-        with pytest.raises(ValueError):
-            self.build(np.ones(3), np.ones(3))
+    def test_resonant_path_is_refused(self):
+        # epsilon = 0.5, omega0 = 4 sits in the first resonance tongue: the
+        # path grows by e about every 4 time units, past 1e100 by t = 930,
+        # and would overflow the width's squares not far beyond
+        with pytest.raises(ValidationError, match=r"passes 1e\+100 at "
+                           r"t = 925\.35: the drive is parametrically"):
+            mathieu_trace("quasiperiodic", 1000.0, dt=0.05, epsilon=0.5,
+                          omega0=4.0)
+        short = mathieu_trace("quasiperiodic", 500.0, dt=0.05, epsilon=0.5,
+                              omega0=4.0)
+        chi = node_samples(short).chi
+        assert np.isfinite(chi).all() and chi.max() > 1e50
+
+    def test_every_source_starts_at_zero_phase(self):
+        for tr in (closed_form_trace(), explicit_trace(0.3, 0.2),
+                   mathieu_trace("quasiperiodic", 1.0, dt=1e-3),
+                   mathieu_trace("constant", 1.0, dt=1e-3,
+                                 z2_init=(1.0, 3.0))):
+            assert tr.a_at(0.0) == 0.0

@@ -92,3 +92,14 @@ def test_traced_verify_counts_its_layers(tmp_path):
     for name in ("specfun.erf_points", "transform.constraints_s",
                  "modulation.query_points"):
         assert metrics[name] > 0, name
+
+
+def test_traced_mathieu_trace_counts_its_rows(tmp_path):
+    # write_modulation is handed the trace's samples at the path's nodes,
+    # and the tracer counts their times as the rows written
+    metrics = traced_metrics(
+        ["mathieu-trace", "--drive", "quasiperiodic", "--t-end", "0.5",
+         "--dt", "1e-3", "--out", str(tmp_path / "m")])
+    assert metrics["modulation.mathieu_steps"] == 500
+    assert metrics["export.rows"] == 501
+    assert metrics["export.bytes"] > 0

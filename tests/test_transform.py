@@ -35,8 +35,8 @@ from modcnls.transform import (
     potential,
     potential_from_transform,
     potential_identity_check,
+    eta_of,
     rho_of,
-    sample_transform_lattice,
     verify_constraints,
     xi_of,
     zeta_of,
@@ -69,9 +69,14 @@ def d1_nan_padded(f, h, axis):
 
 def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     """Oracle: the three constraint residuals from one whole-lattice sample
-    with nan-padded stencils, maximized over the core [4:-4, 8:-8]."""
-    lat = sample_transform_lattice(family, trace, x, t)
-    rho, eta, zeta = lat["rho"], lat["eta"], lat["zeta"]
+    of the transform's evaluators with nan-padded stencils, maximized over
+    the core [4:-4, 8:-8]."""
+    chi, dchi, a = (np.asarray(query(t))[:, None] for query in
+                    (trace.chi_at, trace.dchi_dt_at, trace.a_at))
+    xs = x[None, :]
+    rho = rho_of(family.stretch, xs, chi)
+    eta = eta_of(xs, chi, dchi, a)
+    zeta = zeta_of(family.stretch, xs, chi)
     if corrupt_rho:
         rho = rho * (1.0 + corrupt_rho * x[None, :])
     hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
@@ -202,9 +207,9 @@ class TestCoefficientMaps:
     # f(t) x^2 needs a chi that solves the Ermakov-Pinney equation of f with
     # a' = chi^-2, the flat bump a prescribed chi with a' = 0
     WIDTHS = {
-        "closed_form": lambda: closed_form_trace(3.0),
+        "closed_form": closed_form_trace,
         "mathieu_quasiperiodic": lambda: mathieu_trace("quasiperiodic", 3.0),
-        "two_tone": lambda: explicit_trace(0.3, 0.2, 3.0),
+        "two_tone": lambda: explicit_trace(0.3, 0.2),
     }
     REFUSED = {("elliptic", "two_tone"), ("dark_bright", "closed_form"),
                ("dark_bright", "mathieu_quasiperiodic")}
@@ -258,7 +263,7 @@ class TestCoefficientMaps:
         fam = dataclasses.replace(dark_bright_family(), mu=(0.0, -1.0))
         with pytest.raises(ValidationError,
                            match=r"got drive None and mu = \(0\.0, -1\.0\)"):
-            potential(fam, explicit_trace(0.3, 0.2, 1.0), np.zeros(3), 0.5)
+            potential(fam, explicit_trace(0.3, 0.2), np.zeros(3), 0.5)
 
     def test_harmonic_trap_strength_follows_drive(self):
         # localizing stretch: v = f(t) x^2 exactly, for either drive
@@ -293,21 +298,26 @@ class TestCoefficientMaps:
 
 
 class TestLattice:
-    def test_shapes_and_consistency(self):
-        fam = dark_bright_family(0.5)
-        tr = default_trace(fam, t_end=2.0)
+    @pytest.mark.parametrize("fam, drive", [
+        (dark_bright_family(0.5), "periodic"),
+        (sech_family(), "quasiperiodic"),
+    ])
+    def test_shapes_and_consistency(self, fam, drive):
+        # each row of the lattice the residual checks walk is the
+        # evaluators' fields at that row's time, bit for bit
+        tr = default_trace(fam, drive, t_end=2.0)
         x = np.linspace(-15, 15, 300)
         t = np.linspace(0, 2, 70)
-        lat = sample_transform_lattice(fam, tr, x, t)
-        assert lat["rho"].shape == (70, 300)
-        assert lat["eta"].shape == (70, 300)
-        assert lat["zeta"].shape == (70, 300)
-        np.testing.assert_allclose(
-            lat["rho"][13], rho_of(fam.stretch, x, tr.chi_at(float(t[13]))), rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            lat["zeta"][51], zeta_of(fam.stretch, x, tr.chi_at(float(t[51]))), rtol=1e-14
-        )
+        rho, eta, zeta = transform._lattice_fields(
+            fam.stretch, x, *transform._width_rows(tr, t))
+        assert rho.shape == eta.shape == zeta.shape == (70, 300)
+        for k in (0, 13, 51):
+            tk = float(t[k])
+            chi, dchi, a = tr.chi_at(tk), tr.dchi_dt_at(tk), tr.a_at(tk)
+            np.testing.assert_array_equal(rho[k], rho_of(fam.stretch, x, chi))
+            np.testing.assert_array_equal(eta[k], eta_of(x, chi, dchi, a))
+            np.testing.assert_array_equal(zeta[k],
+                                          zeta_of(fam.stretch, x, chi))
 
 
 class TestInteriorDiff:
@@ -457,7 +467,7 @@ class TestVerifyConstraints:
             mu=(0.0, 0.0),
             g_matrix=np.eye(2),
         )
-        tr = closed_form_trace(1.0)
+        tr = closed_form_trace()
         x = np.linspace(-4, 4, 640)
         t = np.linspace(0, 1, 512)
         r = verify_constraints(fam, tr, x, t)
