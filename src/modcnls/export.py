@@ -42,11 +42,6 @@ TRACE_COLUMNS = ("t", "chi", "dchi_dt", "a")
 _BLOCK_ROWS = 4096  # rows of a one-array table rendered as one block
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temp file in the same directory."""
-    _atomic_write(path, [text])
-
-
 def _atomic_write(path, texts):
     """Write the texts, in order, to path via a temp file; the temp file is
     removed if writing or producing a text raises."""
@@ -147,4 +142,4 @@ def write_modulation(path, samples, meta, fmt="csv"):
 
 
 def write_manifest(path, config):
-    atomic_write_text(path, json.dumps(config, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(config, sort_keys=True, indent=2) + "\n"])

@@ -174,8 +174,7 @@ def _fields(family: FamilySpec, trace: ModulationTrace, x, t):
     """psi_1, psi_2 on the grid x at t, a float or a column of times of
     shape (nt, 1), which gives one row per time.  Every operation acts
     elementwise, so each row is the float-t result bit for bit."""
-    chi = trace.chi_at(t)
-    dchi = trace.dchi_dt_at(t)
+    chi, dchi = trace.width_at(t)[:2]
     a = trace.a_at(t)
     xi = x / chi
     phase = np.exp(1j * eta_of(x, chi, dchi, a))

@@ -1,9 +1,10 @@
 """Work shared out over the CPUs this process may use.
 
 usable_cpus is the package's one rule for how many CPUs that is: the
-process's CPU affinity, else os.cpu_count().  The constraint walk runs one
-thread strip per usable CPU; the dump writers run one process per usable
-CPU through forked_map.
+process's CPU affinity, else os.cpu_count().  forked_map is the package's
+one way to use them: the constraint walk runs its column strips and the
+dump writers their blocks of rows on one process per usable CPU, as
+worker_count sizes them.  Nothing in the package starts a thread.
 """
 
 import contextlib

@@ -210,9 +210,10 @@ class CoefficientSampler:
 
 
 def _width_rows(trace, t):
-    """chi, chi' and a at the times t, each as a 1-D array."""
-    return tuple(np.atleast_1d(query(t)) for query in
-                 (trace.chi_at, trace.dchi_dt_at, trace.a_at))
+    """chi, chi' and a at the times t, each as a 1-D array; chi and chi'
+    come from one evaluation of the width."""
+    chi, dchi = trace.width_at(t)[:2]
+    return tuple(map(np.atleast_1d, (chi, dchi, trace.a_at(t))))
 
 
 def _lattice_fields(stretch, x, chi, dchi, a):
@@ -266,17 +267,14 @@ class ConstraintResiduals:
     continuity: float      # rho rho_t + (rho^2 eta_x)_x
     advection: float       # zeta_t + 2 eta_x zeta_x
     flux: float            # (rho^2 zeta_x)_x
-    workers: int = 1       # column strips walked in parallel
+    # column strips, run in parallel unless forked_map runs in-process:
+    # threads running, the caller itself a worker, or no fork
+    workers: int = 1
 
     @property
     def worst(self):
         # np.max propagates a NaN wherever it sits; the builtin max may not
         return float(np.max([self.continuity, self.advection, self.flux]))
-
-
-def _strip_count(columns):
-    """One strip per usable CPU, each at least _MIN_STRIP_COLUMNS wide."""
-    return max(1, min(parallel.usable_cpus(), columns // _MIN_STRIP_COLUMNS))
 
 
 def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
@@ -323,14 +321,15 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
     check has teeth.
 
-    The interior columns are split into one strip per usable CPU
-    (parallel.usable_cpus), at least _MIN_STRIP_COLUMNS wide; the
-    caller walks one strip and helper threads the rest, in parallel as numpy
-    releases the GIL in its ufuncs.  A strip is walked in blocks of t-rows
-    with a 2 * STENCIL_DEPTH-column x halo and a STENCIL_DEPTH-row t halo;
-    all strips' blocks together hold at most _BLOCK_POINTS points.  The
-    width chi, chi' and a is sampled once over all of t, on the calling
-    thread, and every strip reads its blocks' rows from those samples.  Each residual is the whole-lattice
+    The interior columns are split into parallel.worker_count strips, at
+    least _MIN_STRIP_COLUMNS wide, which run through parallel.forked_map:
+    the caller walks the first, forked processes the others (or the
+    caller all, where forked_map runs in-process).  A strip is walked in
+    blocks of t-rows with a 2 * STENCIL_DEPTH-column x halo and a
+    STENCIL_DEPTH-row t halo; all strips' blocks together hold at most
+    _BLOCK_POINTS points.  The width chi, chi' and a is sampled once over
+    all of t, by the caller before any fork, and every strip reads its
+    blocks' rows from those samples.  Each residual is the whole-lattice
     value bit for bit; the result is the elementwise maximum over strips.
     """
     x = np.asarray(x, dtype=float)
@@ -349,21 +348,18 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
 
     halo = 2 * STENCIL_DEPTH
     columns = len(x) - 2 * halo
-    workers = _strip_count(columns)
+    workers = parallel.worker_count(columns // _MIN_STRIP_COLUMNS,
+                                    len(x) * len(t))
     edges = [halo + columns * k // workers for k in range(workers + 1)]
     # the strips' blocks span columns + 2 * halo * workers sampled columns
     rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
-    from concurrent.futures import ThreadPoolExecutor  # lazy: loads logging
     # the width is sampled once, here, and every strip reads its rows
     args = (family.stretch, x, float(t[1] - t[0]), _width_rows(trace, t),
             envelope, rows)
-    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
-        strips = [helpers.submit(_walk_strip, *args, c0, c1)
-                  for c0, c1 in zip(edges[1:-1], edges[2:])]
-        worst = _walk_strip(*args, edges[0], edges[1])
-        for strip in strips:
-            worst = np.maximum(worst, strip.result())
-
+    with parallel.forked_map(lambda strip: _walk_strip(*args, *strip),
+                             zip(edges, edges[1:]), workers,
+                             "verify_constraints") as strips:
+        worst = np.max(list(strips), axis=0)  # np.max keeps a NaN
     return ConstraintResiduals(*(float(w) for w in worst), workers=workers)
 
 

@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from modcnls import cli, export, transform
+from modcnls import cli, export, parallel, transform
 from modcnls.cli import main
 from modcnls.errors import DivergenceError, ValidationError
-from modcnls.export import (FORMATS, atomic_write_text, write_coefficients,
+from modcnls.export import (FORMATS, _atomic_write, write_coefficients,
                             write_diagnostics, write_fields, write_modulation,
                             write_table, COEFFICIENT_COLUMNS,
                             DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
@@ -55,14 +55,14 @@ def read_csv(path):
 class TestExportHelpers:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         target = tmp_path / "data.txt"
-        atomic_write_text(str(target), "payload")
+        _atomic_write(str(target), ["payload"])
         assert target.read_text() == "payload"
         assert os.listdir(tmp_path) == ["data.txt"]
 
     def test_failed_write_leaves_no_temp(self, tmp_path):
         target = tmp_path / "data.txt"
         with pytest.raises(UnicodeEncodeError):
-            atomic_write_text(str(target), "a lone surrogate \ud800")
+            _atomic_write(str(target), ["a lone surrogate \ud800"])
         assert os.listdir(tmp_path) == []
 
     def test_float_round_trip(self, tmp_path):
@@ -651,12 +651,17 @@ class TestVerifyCommand:
     def test_report_times_its_phases(self, tmp_path):
         out = tmp_path / "v"
         assert main(["verify", "--family", "sech", "--out", str(out)]) == 0
-        timing = json.loads((out / "report.json").read_text())["timing"]
+        report = json.loads((out / "report.json").read_text())
+        timing = report["timing"]
         for phase in ("trace_s", "constraints_s", "potential_identity_s",
                       "pde_residual_s"):
             assert timing[phase] > 0, phase
         # the sech lattice has 640 columns, 624 of them interior
-        assert timing["constraint_workers"] == transform._strip_count(624)
+        nx, nt = (report["constraints"]["lattice"][axis][2]
+                  for axis in ("x", "t"))
+        assert nx == 640
+        assert timing["constraint_workers"] == parallel.worker_count(
+            624 // transform._MIN_STRIP_COLUMNS, nx * nt)
 
     @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
     def test_short_horizon_passes(self, tmp_path, t_end):

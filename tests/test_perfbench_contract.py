@@ -81,10 +81,10 @@ def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_traced_verify_counts_its_layers(tmp_path):
+def traced_verify(tmp_path):
     # the constraint walk on a 640 x 769 lattice; the erf count is only
-    # checked for being nonzero, as spans on the strip threads share the
-    # tracer's one span stack
+    # checked for being nonzero, as the strips that forked workers walk
+    # are counted in the workers
     metrics = traced_metrics(
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
@@ -92,6 +92,18 @@ def test_traced_verify_counts_its_layers(tmp_path):
     for name in ("specfun.erf_points", "transform.constraints_s",
                  "modulation.query_points"):
         assert metrics[name] > 0, name
+
+
+def test_traced_verify_counts_its_layers(tmp_path):
+    traced_verify(tmp_path)
+
+
+def test_traced_verify_in_forked_workers(tmp_path, monkeypatch):
+    # the caller's strip still counts while a worker walks the other
+    forked = force_workers(monkeypatch, 2)
+    traced_verify(tmp_path)
+    assert len(forked) == 1  # the walk's one worker
+    assert multiprocessing.active_children() == []
 
 
 def test_traced_mathieu_trace_counts_its_rows(tmp_path):

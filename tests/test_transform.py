@@ -8,10 +8,8 @@ against finite-difference reconstruction from the (rho, eta, zeta) lattices.
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
-import sys
-import threading
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +25,7 @@ from modcnls.families import (
 )
 from modcnls.modulation import (closed_form_trace, drive_f, explicit_trace,
                                 mathieu_trace)
-from modcnls import transform
+from modcnls import parallel, transform
 from modcnls.transform import (
     CoefficientSampler,
     StretchSpec,
@@ -43,6 +41,7 @@ from modcnls.transform import (
 )
 
 from coefficient_helpers import couplings_oracle, potential_oracle
+from worker_helpers import force_workers
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -377,9 +376,12 @@ class TestVerifyConstraints:
         # it, a walk over [0, 3] must
         fam = elliptic_family(1)
         good = default_trace(fam, "periodic", 3.0)
-        tr = SimpleNamespace(
-            chi_at=good.chi_at, a_at=good.a_at,
-            dchi_dt_at=lambda t: good.dchi_dt_at(t) + 1e-3 * (np.asarray(t) > 1.5))
+
+        def width_at(t):
+            chi, dchi, *rest = good.width_at(t)
+            return (chi, dchi + 1e-3 * (np.asarray(t) > 1.5), *rest)
+
+        tr = SimpleNamespace(width_at=width_at, a_at=good.a_at)
         x = np.linspace(-1.0, 1.0, 640)
         r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 769))
         assert r.worst <= 1e-5, str(r)
@@ -402,7 +404,8 @@ class TestVerifyConstraints:
         t = np.linspace(0.0, 1.0, nt)
         # the blocks of all strips hold at most _BLOCK_POINTS points: each
         # strip samples its interior columns plus an 8-column halo per side
-        workers = transform._strip_count(nx - 16)
+        workers = parallel.worker_count(
+            (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
         rows = transform._BLOCK_POINTS // (nx - 16 + 16 * workers)
         # several blocks, the last one short
         assert nt - 8 > 2 * rows and (nt - 8) % rows != 0
@@ -421,8 +424,7 @@ class TestVerifyConstraints:
             a[np.abs(np.asarray(t) - 0.5) < 1e-3] = np.nan
             return a
 
-        tr = SimpleNamespace(chi_at=good.chi_at, dchi_dt_at=good.dchi_dt_at,
-                             a_at=a_at)
+        tr = SimpleNamespace(width_at=good.width_at, a_at=a_at)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 513))
         assert math.isnan(r.continuity) and math.isnan(r.worst)
@@ -474,13 +476,10 @@ class TestVerifyConstraints:
         assert r.worst < 1e-4
 
 
-def force_strips(monkeypatch, workers):
-    monkeypatch.setattr(transform, "_strip_count", lambda columns: workers)
-
-
 class TestParallelWalk:
-    """verify_constraints splits the interior columns into strips walked on
-    separate threads; every residual must stay the whole-lattice value."""
+    """verify_constraints walks its column strips through forked_map: the
+    caller walks the first strip and forked processes the others, and
+    every residual must stay the whole-lattice value."""
 
     @pytest.mark.parametrize("nx", [259, 643])
     @pytest.mark.parametrize("corrupt", [0.0, 0.01])
@@ -490,135 +489,160 @@ class TestParallelWalk:
         x = np.linspace(-1.0, 1.0, nx)
         t = np.linspace(0.0, 1.0, 1000)
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
+        # strips of any width, so the 243 interior columns of nx = 259 split
+        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
         for workers in (1, 2, 4):
-            force_strips(monkeypatch, workers)
+            forked = force_workers(monkeypatch, workers)
             # strips of unequal width, each walked in several row blocks
             assert workers == 1 or (nx - 16) % workers != 0
             assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 992
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
-            assert r.workers == workers
+            assert r.workers == workers and len(forked) == workers - 1
             assert (r.continuity, r.advection, r.flux) == want, workers
+        assert multiprocessing.active_children() == []
 
-    def test_shared_trace_cache_under_contention(self, monkeypatch):
-        # the strips share one trace: more strips than cores and a short
-        # switch interval must not change a residual
+    def test_fresh_traces_on_more_workers_than_cpus(self, monkeypatch):
+        # each walk samples a fresh trace before its five strips fork; no
+        # walk may change a residual
         fam = elliptic_family(1)
         x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 300)
         want = whole_lattice_residuals(
             fam, default_trace(fam, "quasiperiodic", 1.0), x, t)
-        force_strips(monkeypatch, 5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                tr = default_trace(fam, "quasiperiodic", 1.0)  # a fresh trace
-                r = verify_constraints(fam, tr, x, t)
-                assert (r.continuity, r.advection, r.flux) == want
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
+        forked = force_workers(monkeypatch, 5)
+        for _ in range(3):
+            tr = default_trace(fam, "quasiperiodic", 1.0)  # a fresh trace
+            r = verify_constraints(fam, tr, x, t)
+            assert (r.continuity, r.advection, r.flux) == want
+        assert r.workers == 5 and len(forked) == 3 * 4
 
     def test_strip_count_follows_usable_cpus(self, monkeypatch):
+        # parallel.worker_count, the dump writers' rule: one strip per
+        # usable CPU, at most one per _MIN_STRIP_COLUMNS interior columns
+        # and per VALUES_PER_WORKER lattice values
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+
+        def strips(nx, nt):
+            x, t = np.linspace(-1.0, 1.0, nx), np.linspace(0.0, 1.0, nt)
+            workers = verify_constraints(fam, tr, x, t).workers
+            assert workers == parallel.worker_count(
+                (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
+            return workers
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
-        assert transform._strip_count(2552) == 2552 // transform._MIN_STRIP_COLUMNS
-        assert transform._strip_count(249) == 1
-        assert transform._strip_count(100) == 1
+        assert strips(643, 1000) == 4  # 627 interior columns
+        assert strips(643, 300) == 3   # 192,900 values
+        assert strips(259, 1000) == 1  # 243 interior columns
+        assert strips(256, 64) == 1
         # a platform without an affinity call falls back to the CPU count
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert transform._strip_count(2552) == 3
+        assert strips(643, 1000) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert transform._strip_count(2552) == 1
+        assert strips(643, 1000) == 1
+        assert multiprocessing.active_children() == []
 
     def test_nan_seen_by_the_last_strip_only(self, monkeypatch):
         # constant width, so xi = x: zeta is NaN only for x > 4, which only
-        # the last of three strips over [-5, 5] samples
+        # the last of three strips over [-5, 5] samples, in a worker
         real = sech_family()
         fam = SimpleNamespace(
             stretch=SimpleNamespace(
                 fprime=real.stretch.fprime,
                 zeta=lambda xi: np.where(xi > 4.0, np.nan, real.stretch.zeta(xi))),
             mu=real.mu, g_matrix=real.g_matrix)
-        tr = SimpleNamespace(chi_at=np.ones_like, dchi_dt_at=np.zeros_like,
-                             a_at=np.zeros_like)
-        force_strips(monkeypatch, 3)
+        tr = SimpleNamespace(
+            width_at=lambda t: (np.ones_like(t), *[np.zeros_like(t)] * 3),
+            a_at=np.zeros_like)
+        forked = force_workers(monkeypatch, 3)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 300))
+        assert r.workers == 3 and len(forked) == 2
         assert math.isnan(r.advection) and math.isnan(r.flux)
         assert math.isfinite(r.continuity)  # continuity never reads zeta
 
-    def test_helper_failure_reaches_caller_and_no_thread_outlives(
+    def test_worker_failure_reaches_caller_and_no_process_outlives(
             self, monkeypatch):
         fam = sech_family()
         tr = default_trace(fam, "periodic", 1.0)
         x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
         sample = transform._lattice_fields
-        walkers = set()
-        # each walker's first block waits for the other two, so the strips
-        # overlap and the pool cannot reuse one thread for both of its
-        # strips; a walk that never starts the third fails the wait
-        started = threading.Barrier(3, timeout=30)
+        caller = os.getpid()
 
         def spy(stretch, xs, *width):
-            if threading.get_ident() not in walkers:
-                walkers.add(threading.get_ident())
-                started.wait()
+            # the caller walks the first strip, a worker each of the others
+            if (os.getpid() == caller) != (xs[0] == x[0]):
+                raise AssertionError(f"the strip from x = {xs[0]} was walked "
+                                     f"by process {os.getpid()}")
             return sample(stretch, xs, *width)
 
         def failing(stretch, xs, *width):
-            if xs[0] > 0:
+            if os.getpid() != caller and xs[0] > 0:
                 raise RuntimeError("right strip cannot be sampled")
             return sample(stretch, xs, *width)
 
-        before = threading.active_count()
-        force_strips(monkeypatch, 3)
+        forked = force_workers(monkeypatch, 3)
         monkeypatch.setattr(transform, "_lattice_fields", spy)
-        verify_constraints(fam, tr, x, t)
-        # the caller walks one strip, two helpers the others
-        assert len(walkers) == 3 and threading.get_ident() in walkers
-        assert threading.active_count() == before
+        assert verify_constraints(fam, tr, x, t).workers == 3
+        assert len(forked) == 2
+        assert multiprocessing.active_children() == []
         monkeypatch.setattr(transform, "_lattice_fields", failing)
         with pytest.raises(RuntimeError, match="right strip cannot be sampled"):
             verify_constraints(fam, tr, x, t)
-        assert threading.active_count() == before
+        assert len(forked) == 4
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_width_sampled_once_on_the_calling_thread(self, monkeypatch,
-                                                      workers):
+    def test_width_sampled_once_on_the_calling_process(self, monkeypatch,
+                                                       workers):
         fam = elliptic_family(1)
         real = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 300)
+        caller = os.getpid()
         calls = []
 
         def counted(name):
             def query(ts):
-                calls.append((name, threading.get_ident(), np.array(ts)))
+                # a worker's calls would not reach this list, so a query
+                # made in a worker fails the walk instead
+                if os.getpid() != caller:
+                    raise AssertionError(f"{name} queried in a worker")
+                calls.append((name, np.array(ts)))
                 return getattr(real, name)(ts)
             return query
 
-        names = ("chi_at", "dchi_dt_at", "a_at")
+        names = ("width_at", "a_at")
         tr = SimpleNamespace(**{name: counted(name) for name in names})
-        force_strips(monkeypatch, workers)
+        forked = force_workers(monkeypatch, workers)
         r = verify_constraints(fam, tr, x, t)
-        assert r.workers == workers
-        assert sorted(name for name, _, _ in calls) == sorted(names)
-        for _, thread, ts in calls:
-            assert thread == threading.get_ident()
+        assert r.workers == workers and len(forked) == workers - 1
+        assert sorted(name for name, _ in calls) == sorted(names)
+        for _, ts in calls:
             np.testing.assert_array_equal(ts, t)
 
     def test_working_set_does_not_grow_with_workers(self, monkeypatch):
-        # the points in flight stay at _BLOCK_POINTS whatever the worker
-        # count; a full-size block per thread would double the peak
+        # all strips' blocks together hold at most _BLOCK_POINTS points,
+        # whatever the worker count; every process checks its own blocks,
+        # so a full-size block per process fails the walk
         fam = elliptic_family(1)
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
-        peaks = {}
+        sample = transform._lattice_fields
+        d = transform.STENCIL_DEPTH
         for workers in (1, 2):
-            force_strips(monkeypatch, workers)
-            tracemalloc.start()
-            try:
-                verify_constraints(fam, tr, x, t)
-                peaks[workers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[2] <= 1.1 * peaks[1], peaks
+            # each strip samples its interior columns and two 2d halos
+            budget = transform._BLOCK_POINTS // (2560 - 4 * d + 4 * d * workers)
+
+            def spy(stretch, xs, chi, *rest, budget=budget):
+                rows = len(chi) - 2 * d  # less the block's t halo
+                if rows > budget:
+                    raise AssertionError(f"a block of {rows} rows, "
+                                         f"{budget} allowed")
+                return sample(stretch, xs, chi, *rest)
+
+            forked = force_workers(monkeypatch, workers)
+            monkeypatch.setattr(transform, "_lattice_fields", spy)
+            r = verify_constraints(fam, tr, x, t)
+            assert r.workers == workers and len(forked) == workers - 1
