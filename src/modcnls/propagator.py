@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkBackgroundError, DivergenceError, ValidationError
+# assemble stays importable here: perfbench/layers.py wraps it by name
 from .families import FamilySpec, FieldPair, assemble, assemble_rows
 from .grid import SpatialGrid
 from .transform import STENCIL_DEPTH, CoefficientSampler, interior_diff
@@ -356,40 +357,32 @@ def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace, dt=1e-4):
     """Max residual of each governing equation on the assembled exact fields.
 
     The time derivative uses an eighth-order stencil of assembled fields at
-    2 * STENCIL_DEPTH + 1 levels around t, one assemble call per level.  The
-    space derivative is spectral for the localized families (their fields
-    vanish at the box edge) and an eighth-order difference restricted to the
-    interior for the dark-bright family, whose background is anti-periodic
-    across the edge.  Returns the pair of
-    max-norm residuals (component 1, component 2).  A stencil level outside
-    the trace's window is refused by the trace.
+    2 * STENCIL_DEPTH + 1 levels around t, all from one assemble_rows call.
+    The space derivative is spectral for the localized families (their
+    fields vanish at the box edge) and an eighth-order difference restricted
+    to the interior for the dark-bright family, whose background is
+    anti-periodic across the edge.  Returns the pair of max-norm residuals
+    (component 1, component 2).  A stencil level outside the trace's window
+    is refused by the trace.
     """
-    x = grid.x
+    x, d = grid.x, STENCIL_DEPTH
     sampler = CoefficientSampler(family, trace)
-    v = sampler.potential(x, t)
-    g = sampler.couplings(x, t)
-    d = STENCIL_DEPTH
-    levels = [assemble(family, trace, x, t + k * dt) for k in range(-d, d + 1)]
-    psis = [np.stack([lv.psi1 for lv in levels]),
-            np.stack([lv.psi2 for lv in levels])]
+    v, g = sampler.potential(x, t), sampler.couplings(x, t)
+    psis = assemble_rows(family, trace, x, t + dt * np.arange(-d, d + 1))
     dens = [np.abs(psis[0][d]) ** 2, np.abs(psis[1][d]) ** 2]
-    spectral = family.kind in ("elliptic", "sech")
     out = []
     for j in (0, 1):
-        p = psis[j]
-        psi_t = interior_diff(p, dt, axis=0)[0]
-        mid = p[d]
-        if spectral:
+        psi_t = interior_diff(psis[j], dt, axis=0)[0]
+        mid = psis[j][d]
+        if family.kind in ("elliptic", "sech"):
             psi_xx = np.fft.ifft(-grid.wavenumbers**2 * np.fft.fft(mid))
             core = slice(None)
         else:
             # zero-padded where the stencil does not reach; outside the core
             psi_xx = np.pad(interior_diff(mid, grid.dx, axis=0, order=2), d)
             core = slice(d, -d)
-        res = (
-            1j * psi_t + psi_xx - v[j] * mid
-            - (g[j, 0] * dens[0] + g[j, 1] * dens[1]) * mid
-        )
+        res = (1j * psi_t + psi_xx - v[j] * mid
+               - (g[j, 0] * dens[0] + g[j, 1] * dens[1]) * mid)
         # np.max, not nanmax: a non-finite residual must not vanish
         out.append(float(np.max(np.abs(res[core]))))
     return out[0], out[1]

@@ -724,6 +724,29 @@ class TestVerifyCommand:
         # a time past 5 shows the draw is not capped below the horizon
         assert 0.05 <= min(times) and 5.0 < max(times) <= 8.0
 
+    def test_report_names_the_worst_residual_times(self, tmp_path,
+                                                   monkeypatch):
+        # component 1 spikes at the third time, component 2 at the last;
+        # no gate moves, so small spikes still pass
+        from modcnls.transform import ConstraintResiduals
+
+        times = []
+
+        def residual(family, grid, t, trace):
+            times.append(t)
+            return (5e-5 if len(times) == 3 else 1e-9,
+                    2e-5 if len(times) == 5 else 1e-9)
+
+        monkeypatch.setattr("modcnls.cli.verify_constraints",
+                            lambda *a, **k: ConstraintResiduals(0.0, 0.0, 0.0))
+        monkeypatch.setattr("modcnls.cli.pde_residual", residual)
+        out = tmp_path / "v"
+        code = main(["verify", "--family", "sech", "--out", str(out)])
+        block = json.loads((out / "report.json").read_text())["pde_residual"]
+        assert code == 0 and block["times"] == times
+        assert (block["worst1"], block["t1"]) == (5e-5, times[2])
+        assert (block["worst2"], block["t2"]) == (2e-5, times[4])
+
     @pytest.mark.parametrize("t_end", ["0.5", "5"])
     def test_trap_off_by_a_harmonic_term_fails(self, tmp_path, monkeypatch,
                                                t_end):
@@ -792,6 +815,8 @@ class TestVerifyCommand:
                                       "potential_identity", "pde_residual"]
         assert report["pass"] is False
         assert report["pde_residual"]["worst1"] != report["pde_residual"]["worst1"]
+        # the NaN's time is the one reported
+        assert report["pde_residual"]["t1"] == report["pde_residual"]["times"][1]
 
 
 class TestConstraintLatticeRule:

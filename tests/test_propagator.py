@@ -18,7 +18,8 @@ from modcnls.propagator import (DiagnosticsTrace, PropagationConfig,
                                 pde_residual, perturb, propagate,
                                 stability_verdict, step)
 from modcnls import propagator
-from modcnls.transform import CoefficientSampler
+from modcnls.transform import (STENCIL_DEPTH, CoefficientSampler,
+                               interior_diff)
 
 from coefficient_helpers import ConstantCoefficients
 
@@ -599,6 +600,36 @@ class TestStabilityVerdict:
         assert report.max_profile_error >= 0.01
 
 
+def nine_assemble_residual(family, grid, t, trace, dt=1e-4):
+    """Oracle: the full-equation residual with one assemble call per time
+    level, the form pde_residual replaced by one assemble_rows call."""
+    x = grid.x
+    sampler = CoefficientSampler(family, trace)
+    v = sampler.potential(x, t)
+    g = sampler.couplings(x, t)
+    d = STENCIL_DEPTH
+    levels = [assemble(family, trace, x, t + k * dt) for k in range(-d, d + 1)]
+    psis = [np.stack([lv.psi1 for lv in levels]),
+            np.stack([lv.psi2 for lv in levels])]
+    dens = [np.abs(psis[0][d]) ** 2, np.abs(psis[1][d]) ** 2]
+    spectral = family.kind in ("elliptic", "sech")
+    out = []
+    for j in (0, 1):
+        p = psis[j]
+        psi_t = interior_diff(p, dt, axis=0)[0]
+        mid = p[d]
+        if spectral:
+            psi_xx = np.fft.ifft(-grid.wavenumbers**2 * np.fft.fft(mid))
+            core = slice(None)
+        else:
+            psi_xx = np.pad(interior_diff(mid, grid.dx, axis=0, order=2), d)
+            core = slice(d, -d)
+        res = (1j * psi_t + psi_xx - v[j] * mid
+               - (g[j, 0] * dens[0] + g[j, 1] * dens[1]) * mid)
+        out.append(float(np.max(np.abs(res[core]))))
+    return out[0], out[1]
+
+
 class TestPdeResidual:
     def test_sech_at_t_zero(self):
         fam = sech_family()
@@ -627,12 +658,47 @@ class TestPdeResidual:
         tr = default_trace(fam, drive="periodic", t_end=1.01)
         grid = default_grid(fam, "residual")
 
-        def zero_assemble(family, trace, x, t):
-            z = np.zeros(len(x), dtype=complex)
-            return FieldPair(x, z, z, t)
+        def zero_rows(family, trace, x, times):
+            z = np.zeros((len(times), len(x)), dtype=complex)
+            return z, z
 
-        monkeypatch.setattr("modcnls.propagator.assemble", zero_assemble)
+        monkeypatch.setattr("modcnls.propagator.assemble_rows", zero_rows)
         assert pde_residual(fam, grid, 0.5, tr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind, drive, t", [
+        ("elliptic", "periodic", 0.3),
+        ("elliptic", "quasiperiodic", 1.7),
+        ("sech", "periodic", 0.0),
+        ("sech", "quasiperiodic", 2.2),
+        ("dark_bright", "periodic", 1.0),
+    ])
+    def test_matches_one_assemble_per_level(self, kind, drive, t):
+        # default_trace gives the dark-bright pair its two-tone width
+        fam = {"elliptic": elliptic_family(), "sech": sech_family(),
+               "dark_bright": dark_bright_family(0.5)}[kind]
+        tr = default_trace(fam, drive=drive, t_end=2.51)
+        grid = default_grid(fam, "residual", drive=drive)
+        got = pde_residual(fam, grid, t, tr)
+        want = nine_assemble_residual(fam, grid, t, tr)
+        assert same_bits(got, want), (got, want)
+
+    def test_one_block_assembly_per_call(self, monkeypatch):
+        fam = elliptic_family()
+        tr = default_trace(fam, drive="quasiperiodic", t_end=1.01)
+        grid = default_grid(fam, "residual", drive="quasiperiodic")
+        rows, single = [], []
+        real = propagator.assemble_rows
+
+        def spy_rows(family, trace, x, times):
+            rows.append(np.array(times))
+            return real(family, trace, x, times)
+
+        monkeypatch.setattr(propagator, "assemble_rows", spy_rows)
+        monkeypatch.setattr(propagator, "assemble",
+                            lambda *a: single.append(a))
+        pde_residual(fam, grid, 0.5, tr)
+        assert single == [] and len(rows) == 1
+        assert same_bits(rows[0], 0.5 + 1e-4 * np.arange(-4, 5))
 
     def test_integrated_trace_needs_stencil_room(self):
         fam = elliptic_family()

@@ -414,6 +414,24 @@ class TestVerifyConstraints:
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
         assert (r.continuity, r.advection, r.flux) == want
 
+    @pytest.mark.parametrize("block_points", [25_000, 50_000, 100_000])
+    def test_walk_is_independent_of_block_size(self, monkeypatch,
+                                               block_points):
+        # every residual is the whole-lattice value at any block budget,
+        # so _BLOCK_POINTS can be retuned without changing a bit
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1.0, 1.0, 400), np.linspace(0.0, 1.0, 700)
+        monkeypatch.setattr(transform, "_BLOCK_POINTS", block_points)
+        workers = parallel.worker_count(
+            (400 - 16) // transform._MIN_STRIP_COLUMNS, 400 * 700)
+        rows = block_points // (400 - 16 + 16 * workers)
+        # several blocks, the last one short
+        assert 700 - 8 > 2 * rows and (700 - 8) % rows != 0
+        r = verify_constraints(fam, tr, x, t, corrupt_rho=0.01)
+        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=0.01)
+        assert (r.continuity, r.advection, r.flux) == want
+
     def test_non_finite_lattice_value_is_not_dropped(self):
         # one bad phase sample inside the core must surface as nan
         fam = sech_family()
