@@ -335,6 +335,7 @@ def cmd_verify(cfg):
         "config": dict(cfg),
         "constraints": {
             **constraints, "threshold": 1e-5,
+            "at": dict(zip(constraints, residuals.at)),  # [t, x] each
             "lattice": {"x": [float(x_lat[0]), float(x_lat[-1]), len(x_lat)],
                         "t": [0.0, t_end, len(t_lat)],
                         "interior": {"x": list(x_in), "t": list(t_in)}}},
@@ -348,7 +349,8 @@ def cmd_verify(cfg):
         "timing": dict(zip(("trace_s", "constraints_s",
                             "potential_identity_s", "pde_residual_s"),
                            np.diff(clock).tolist()),
-                       constraint_workers=residuals.workers),
+                       constraint_workers=residuals.workers,
+                       constraint_strip_s=residuals.strip_s),
         "failures": failures,
         "pass": not failures,
     }

@@ -24,6 +24,7 @@ finite differences on a space-time lattice as an independent check.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,10 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
 # lattice points in flight in verify_constraints, all strips together: on
-# 2 CPUs a strip's block, ~220 kB a field, and its temporaries fit a 2 MiB
-# L2.  Verify's 640 x 3,841 walk (2-core host) took 0.207 s and 39.7 MB peak
-# RSS at 50,000, 0.221 s and 43.5 MB at 100,000, and 0.223 s at 25,000
+# 2 CPUs a strip's block, ~220 kB a field, and its six buffers fit a 2 MiB
+# L2.  Verify's 640 x 3,841 walk (2-core host, medians of 6 interleaved
+# runs) took 0.157 s on 2 CPUs and 0.261 s on 1 at 50,000, 0.178 and
+# 0.274 s at 25,000, and 0.155 and 0.298 s at 100,000
 _BLOCK_POINTS = 50_000
 _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 # neighbours on each side that interior_diff reads; every halo, trim and
@@ -229,32 +231,52 @@ def _lattice_fields(stretch, x, chi, dchi, a):
     return rho, eta_of(x, chi, dchi[:, None], a[:, None]), stretch.zeta(xi)
 
 
+# Fornberg's eighth-order weights (Math. Comp. 51, 1988) by order: for the
+# pairs f[i+k] -+ f[i-k], k = 1..4, signed + - + -; the -centre; denominator
+_FORNBERG = {1: ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
+             2: ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0)}
+
+
+def _stencil(f, base, step, h, span, out, work, order=1):
+    """Difference of order 1 or 2 into out[span] (work: out's shape) of
+    f[span] shifted by base + k step along f's first axis, by in-place ufuncs
+    in the order of (672 (f1 - f-1) - ...) / (840 h), so bit for bit it."""
+    lo, hi = span.start + base, span.stop + base
+    out, work = out[span], work[span]
+    pairs, centre, scale = _FORNBERG[order]
+    for k, weight in enumerate(pairs, 1):
+        term = out if k == 1 else work
+        (np.subtract if order == 1 else np.add)(
+            f[lo + k * step:hi + k * step], f[lo - k * step:hi - k * step],
+            out=term)
+        term *= weight
+        if k > 1:
+            (np.add if k % 2 else np.subtract)(out, work, out=out)
+    if centre:
+        out -= np.multiply(f[lo:hi], centre, out=work)
+    out /= scale * h if order == 1 else scale * h * h
+    return out
+
+
 def interior_diff(f, h, axis, order=1):
     """Eighth-order central difference of order 1 or 2 along axis.
 
     Only points with STENCIL_DEPTH neighbours on each side get a value, so
     the result is 2 * STENCIL_DEPTH shorter along axis than f, and an axis
-    shorter than 2 * STENCIL_DEPTH + 1 points is refused.  The weights are
-    Fornberg's (Math. Comp. 51, 1988), applied to the symmetric pairs
-    f[i+k] -+ f[i-k].
+    shorter than 2 * STENCIL_DEPTH + 1 points is refused.
     """
     d = STENCIL_DEPTH
     n = f.shape[axis]
     if n < 2 * d + 1:
         raise ValueError(f"interior_diff: axis {axis} has {n} points, the "
                          f"stencil needs at least {2 * d + 1}")
-
-    def at(k):
-        idx = [slice(None)] * f.ndim
-        idx[axis] = slice(d + k, n - d + k)
-        return f[tuple(idx)]
-
-    if order == 1:
-        return (672.0 * (at(1) - at(-1)) - 168.0 * (at(2) - at(-2))
-                + 32.0 * (at(3) - at(-3)) - 3.0 * (at(4) - at(-4))) / (840.0 * h)
-    return (8064.0 * (at(1) + at(-1)) - 1008.0 * (at(2) + at(-2))
-            + 128.0 * (at(3) + at(-3)) - 9.0 * (at(4) + at(-4))
-            - 14350.0 * at(0)) / (5040.0 * h * h)
+    shape = list(f.shape)
+    shape[axis] = n - 2 * d
+    out = np.empty(shape, np.result_type(f, 1.0))
+    moved = out.swapaxes(0, axis)  # a view: _stencil writes into out
+    _stencil(f.swapaxes(0, axis), d, 1, h, slice(0, n - 2 * d), moved,
+             np.empty_like(moved), order)
+    return out
 
 
 def constraint_window(x, t):
@@ -274,6 +296,8 @@ class ConstraintResiduals:
     # column strips, run in parallel unless forked_map runs in-process:
     # threads running, the caller itself a worker, or no fork
     workers: int = 1
+    at: tuple = ()  # the lattice (t, x) of each maximum, as _walk_strip's
+    strip_s: tuple = ()  # each strip's own walk time, the caller's first
 
     @property
     def worst(self):
@@ -281,37 +305,61 @@ class ConstraintResiduals:
         return float(np.max([self.continuity, self.advection, self.flux]))
 
 
-def _walk_strip(stretch, x, ht, width, envelope, rows, c0, c1):
-    """Worst residuals over interior columns c0:c1, walked in row blocks.
+def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
+    """Worst residuals over interior columns c0:c1, walked in row blocks,
+    the lattice (t, x) of each and the strip's own walk time.
 
-    width holds the rows chi, chi', a of the whole t lattice, ht its step.
+    width holds chi, chi', a at every t.  A block of r rows of c columns is
+    formed in place as flat runs of r c values in six buffers made once per
+    strip, a row offset k being the flat offset k c; the 2 * STENCIL_DEPTH
+    values per row that an x stencil takes across two rows lie in columns
+    nothing reads.  Only a block that raises a maximum takes an argmax, so
+    a tie keeps the earliest (t, x) and a NaN beats any value.
     """
+    start = time.perf_counter()
     d = STENCIL_DEPTH
-    hx = float(x[1] - x[0])
+    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
     xs = x[c0 - 2 * d:c1 + 2 * d]  # two x stencils in a row reach 2d out
-    nt = len(width[0])
-    worst = np.zeros(3)
-    for r0 in range(d, nt - d, rows):
-        r1 = min(r0 + rows, nt - d)
+    c, nt = len(xs), len(t)
+    rate, eta_x, rho2, zeta_x, prod, work = np.empty((6, rows * c))
+    worst, at = np.full(3, -np.inf), [None] * 3
+
+    def block(r0, r1):  # a function: its fields go before the next's come
         rho, eta, zeta = _lattice_fields(
             stretch, xs, *(w[r0 - d:r1 + d] for w in width))
         if envelope is not None:
-            rho = rho * envelope[c0 - 2 * d:c1 + 2 * d]
-        # time stencils consume the t halo, over whole (contiguous) rows
-        inner = slice(2 * d, -2 * d)
-        rho_t = interior_diff(rho, ht, axis=0)[:, inner]
-        zeta_t = interior_diff(zeta, ht, axis=0)[:, inner]
-        rho, eta, zeta = rho[d:-d], eta[d:-d], zeta[d:-d]
-        eta_x = interior_diff(eta, hx, axis=1)  # columns d:-d
-        zeta_x = interior_diff(zeta, hx, axis=1)
-        rho2 = rho[:, d:-d] * rho[:, d:-d]
+            rho *= envelope[c0 - 2 * d:c1 + 2 * d]
+        rho, eta, zeta = rho.ravel(), eta.ravel(), zeta.ravel()
+        n, o = (r1 - r0) * c, d * c  # o: a field's first row after its t halo
+        rho_o = rho[o:o + n]
+        # the first x stencils fill [d, n - d), all that reads them [2d, n - 2d)
+        outer, inner = slice(d, n - d), slice(2 * d, n - 2 * d)
+        _stencil(eta, o, 1, hx, outer, eta_x, work)
+        np.multiply(rho_o[outer], rho_o[outer], out=rho2[outer])
+        np.multiply(rho2[outer], eta_x[outer], out=prod[outer])
+        _stencil(prod, 0, 1, hx, inner, zeta_x, work)  # (rho^2 eta_x)_x
+        r7 = _stencil(rho, o, c, ht, inner, rate, work)  # rho_t
+        r7 *= rho_o[inner]
+        r7 += zeta_x[inner]
+        _stencil(zeta, o, 1, hx, outer, zeta_x, work)
+        np.multiply(rho2[outer], zeta_x[outer], out=prod[outer])
+        _stencil(prod, 0, 1, hx, inner, rho2, work)  # r9, over rho^2
+        advect = np.multiply(eta_x[inner], 2.0, out=prod[inner])
+        advect *= zeta_x[inner]
+        r8 = _stencil(zeta, o, c, ht, inner, zeta_x, work)  # zeta_t
+        r8 += advect
+        for i, buf in enumerate((rate, zeta_x, rho2)):
+            np.abs(buf[inner], out=buf[inner])
+            residual = buf[:n].reshape(-1, c)[:, 2 * d:c - 2 * d]
+            m = residual.max()  # a NaN anywhere makes m NaN
+            if m > worst[i] or (np.isnan(m) and not np.isnan(worst[i])):
+                worst[i] = m
+                row, col = divmod(int(np.argmax(residual)), c - 4 * d)
+                at[i] = (float(t[r0 + row]), float(x[c0 + col]))
 
-        r7 = rho[:, inner] * rho_t + interior_diff(rho2 * eta_x, hx, axis=1)
-        r8 = zeta_t + 2.0 * eta_x[:, d:-d] * zeta_x[:, d:-d]
-        r9 = interior_diff(rho2 * zeta_x, hx, axis=1)
-        # np.maximum and np.max both propagate NaN
-        worst = np.maximum(worst, [np.max(np.abs(r)) for r in (r7, r8, r9)])
-    return worst
+    for r0 in range(d, nt - d, rows):
+        block(r0, min(r0 + rows, nt - d))
+    return worst, at, time.perf_counter() - start
 
 
 def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
@@ -334,7 +382,8 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     _BLOCK_POINTS points.  The width chi, chi' and a is sampled once over
     all of t, by the caller before any fork, and every strip reads its
     blocks' rows from those samples.  Each residual is the whole-lattice
-    value bit for bit; the result is the elementwise maximum over strips.
+    value bit for bit, and so is the (t, x) of each, a row-major argmax's
+    over the interior; the result is the elementwise maximum over strips.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -358,13 +407,17 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     # the strips' blocks span columns + 2 * halo * workers sampled columns
     rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
     # the width is sampled once, here, and every strip reads its rows
-    args = (family.stretch, x, float(t[1] - t[0]), _width_rows(trace, t),
-            envelope, rows)
+    args = (family.stretch, x, t, _width_rows(trace, t), envelope, rows)
     with parallel.forked_map(lambda strip: _walk_strip(*args, *strip),
                              zip(edges, edges[1:]), workers,
                              "verify_constraints") as strips:
-        worst = np.max(list(strips), axis=0)  # np.max keeps a NaN
-    return ConstraintResiduals(*(float(w) for w in worst), workers=workers)
+        strips = list(strips)
+    worst = np.max([w for w, _, _ in strips], axis=0)  # np.max keeps a NaN
+    # the earliest (t, x) of the strips at the maximum; a NaN one's if NaN
+    at = tuple(min(a[i] for w, a, _ in strips
+                   if w[i] == worst[i] or np.isnan(w[i])) for i in range(3))
+    return ConstraintResiduals(*(float(w) for w in worst), workers=workers,
+                               at=at, strip_s=tuple(s for *_, s in strips))
 
 
 def potential_identity_check(family, trace, x, t, dt=1e-4):

@@ -647,6 +647,13 @@ class TestVerifyCommand:
         assert report["pass"] is True
         assert report["constraints"]["flux"] <= 1e-5
         assert report["pde_residual"]["worst1"] <= 1e-4
+        # where each constraint peaked, inside the window it was maximized over
+        constraints = report["constraints"]
+        interior = constraints["lattice"]["interior"]
+        assert set(constraints["at"]) == {"continuity", "advection", "flux"}
+        for t, x in constraints["at"].values():
+            assert interior["t"][0] <= t <= interior["t"][1]
+            assert interior["x"][0] <= x <= interior["x"][1]
 
     def test_report_times_its_phases(self, tmp_path):
         out = tmp_path / "v"
@@ -662,6 +669,10 @@ class TestVerifyCommand:
         assert nx == 640
         assert timing["constraint_workers"] == parallel.worker_count(
             624 // transform._MIN_STRIP_COLUMNS, nx * nt)
+        # each strip's own walk time, the caller's first
+        strips = timing["constraint_strip_s"]
+        assert len(strips) == timing["constraint_workers"]
+        assert all(0 < s <= timing["constraints_s"] for s in strips)
 
     @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
     def test_short_horizon_passes(self, tmp_path, t_end):

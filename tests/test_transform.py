@@ -10,6 +10,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,10 +67,12 @@ def d1_nan_padded(f, h, axis):
     return out
 
 
-def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
+def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
+                            with_at=False):
     """Oracle: the three constraint residuals from one whole-lattice sample
     of the transform's evaluators with nan-padded stencils, maximized over
-    the core [4:-4, 8:-8]."""
+    the core [4:-4, 8:-8]; with_at adds the lattice (t, x) of each maximum
+    that a row-major argmax over the core picks."""
     chi, dchi, a = (np.asarray(query(t))[:, None] for query in
                     (trace.chi_at, trace.dchi_dt_at, trace.a_at))
     xs = x[None, :]
@@ -86,7 +89,12 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0):
     r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
     r8 = zeta_t + 2.0 * eta_x * zeta_x
     r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
-    return tuple(float(np.nanmax(np.abs(r[4:-4, 8:-8]))) for r in (r7, r8, r9))
+    core = [np.abs(r[4:-4, 8:-8]) for r in (r7, r8, r9)]
+    worst = tuple(float(np.nanmax(r)) for r in core)
+    if not with_at:
+        return worst
+    peaks = (np.unravel_index(np.argmax(r), r.shape) for r in core)
+    return worst, tuple((float(t[4 + i]), float(x[8 + j])) for i, j in peaks)
 
 
 def all_family_trace_pairs(t_end=2.0):
@@ -337,6 +345,33 @@ class TestInteriorDiff:
             errs.append(np.abs(d[0] - exact[4:-4]).max())
         assert errs[0] / errs[1] >= 2 ** 7.5, errs
 
+    def test_flat_row_run_never_leaks_across_rows(self):
+        # the walk differences a block's rows as one flat run; with +-inf
+        # and NaN in every row's first and last 2d columns, the values whose
+        # operands straddle two rows must stay out of every column read,
+        # after one x stencil and after two, NaN positions included
+        d = transform.STENCIL_DEPTH
+        rng = np.random.default_rng(20)
+        for r, c in ((1, 4 * d + 1), (7, 40), (13, 4 * d + 3)):
+            f = rng.standard_normal((r, c))
+            for edge in (slice(0, 2 * d), slice(c - 2 * d, c)):
+                f[:, edge] = rng.choice([np.inf, -np.inf, np.nan, 0.5],
+                                        (r, 2 * d))
+            n, h = r * c, 0.03
+            once, twice, work = np.empty((3, n))
+            with np.errstate(invalid="ignore"):
+                transform._stencil(f.ravel(), 0, 1, h, slice(d, n - d),
+                                    once, work)
+                transform._stencil(once, 0, 1, h, slice(2 * d, n - 2 * d),
+                                    twice, work)
+                want = interior_diff(f, h, axis=1)
+                want2 = interior_diff(want, h, axis=1)
+            got = once.reshape(r, c)[:, d:c - d]
+            got2 = twice.reshape(r, c)[:, 2 * d:c - 2 * d]
+            assert np.isnan(want).any() and np.isnan(want2).any()
+            assert got.tobytes() == want.tobytes()
+            assert got2.tobytes() == want2.tobytes()
+
     def test_short_axis_refused(self):
         assert interior_diff(np.ones(9), 0.1, axis=0, order=2).shape == (1,)
         for n in (0, 1, 8):
@@ -580,6 +615,11 @@ class TestParallelWalk:
         assert r.workers == 3 and len(forked) == 2
         assert math.isnan(r.advection) and math.isnan(r.flux)
         assert math.isfinite(r.continuity)  # continuity never reads zeta
+        # the first NaN of each, in the first interior row: zeta_x reaches
+        # d columns out, (rho^2 zeta_x)_x 2d
+        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
+        first = int(np.argmax(x > 4.0))
+        assert r.at[1:] == ((t[4], x[first - 4]), (t[4], x[first - 8]))
 
     def test_worker_failure_reaches_caller_and_no_process_outlives(
             self, monkeypatch):
@@ -639,6 +679,59 @@ class TestParallelWalk:
         assert sorted(name for name, _ in calls) == sorted(names)
         for _, ts in calls:
             np.testing.assert_array_equal(ts, t)
+
+    @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
+    def test_peaks_match_whole_lattice_argmax(self, monkeypatch, corrupt):
+        # each strip reports where its maxima sit and the caller keeps the
+        # earliest (t, x) among equal maxima, as one row-major argmax over
+        # the whole interior would
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 1000)
+        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt,
+                                       with_at=True)
+        for workers in (1, 2):
+            forked = force_workers(monkeypatch, workers)
+            r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
+            assert r.workers == workers and len(forked) == workers - 1
+            assert ((r.continuity, r.advection, r.flux), r.at) == want
+            assert len(r.strip_s) == workers and min(r.strip_s) > 0
+
+    def test_tied_peaks_go_to_the_earliest_t_then_the_smallest_x(
+            self, monkeypatch):
+        # a constant width makes every row alike, and continuity and
+        # advection exactly zero everywhere: each of those maxima ties over
+        # the whole interior, in every block and every strip
+        fam = sech_family()
+        tr = explicit_trace(0.0, 0.0)
+        x, t = np.arange(-320, 321) / 64.0, np.linspace(0.0, 1.0, 300)
+        want = whole_lattice_residuals(fam, tr, x, t, with_at=True)
+        assert want[0][:2] == (0.0, 0.0)
+        assert want[1][:2] == ((t[4], x[8]), (t[4], x[8]))
+        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            r = verify_constraints(fam, tr, x, t)
+            assert r.workers == workers
+            assert ((r.continuity, r.advection, r.flux), r.at) == want
+
+    def test_working_memory_is_bounded_by_the_block_budget(self,
+                                                           monkeypatch):
+        # on one process the walk's traced peak is a fixed multiple of the
+        # block budget, 19.0 x _BLOCK_POINTS doubles here; the bound sits
+        # below the 25.1 x of a walk that allocates a temporary per
+        # operation or keeps a block's fields while making the next's
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
+        force_workers(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            verify_constraints(fam, tr, x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * transform._BLOCK_POINTS * 8, peak
 
     def test_working_set_does_not_grow_with_workers(self, monkeypatch):
         # all strips' blocks together hold at most _BLOCK_POINTS points,
