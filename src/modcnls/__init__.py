@@ -24,8 +24,8 @@ from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
                         verify_constraints, xi_of, zeta_of)
 from .families import (FamilySpec, FieldPair, amplitude_a0, assemble,
                        dark_bright_family, default_grid, default_trace,
-                       elliptic_family, reduced_amplitudes, sech_family,
-                       tail_envelope)
+                       elliptic_envelope, elliptic_family,
+                       reduced_amplitudes, sech_family)
 from .propagator import (DiagnosticsTrace, PropagationConfig,
                          StabilityReport, pde_residual, perturb, propagate,
                          stability_verdict, step)

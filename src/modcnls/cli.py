@@ -410,7 +410,7 @@ def cmd_mathieu_trace(cfg):
     kind = "constant" if cfg["drive"] == "periodic" else "quasiperiodic"
     trace = mathieu_trace(kind, cfg["t_end"], dt=cfg["dt"],
                           epsilon=cfg["epsilon"], omega0=cfg["omega0"])
-    samples = trace.samples(trace.path.times)
+    samples = trace.samples(trace.path.times[::cfg["stride"]])
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]
     write_modulation(os.path.join(out, f"trace.{ext}"), samples,

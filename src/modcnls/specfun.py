@@ -17,7 +17,8 @@ kind.  Algorithms:
 * jacobi_elliptic: descending Landen/AGM phase recurrence
   (dlmf.nist.gov/22.20.ii) after argument reduction modulo 4K, with the
   AGM stopped once c_n <= eps a_n; dn is recovered from 1 - k^2 sn^2,
-  which keeps the identity exact.
+  which keeps the identity exact.  Both read the AGM off one ladder,
+  _agm_ladder, so a call runs the AGM once.
 """
 
 from typing import NamedTuple
@@ -242,12 +243,8 @@ def ellip_k(k):
     k = float(k)
     if not np.isfinite(k) or k < 0.0 or k >= 1.0:
         raise ValueError("ellip_k: modulus must satisfy 0 <= k < 1")
-    a, b = 1.0, float(np.sqrt((1.0 - k) * (1.0 + k)))
-    for _ in range(40):
-        if abs(a - b) <= 2e-16 * a:
-            break
-        a, b = 0.5 * (a + b), float(np.sqrt(a * b))
-    return np.pi / (2.0 * a)
+    a_list, _ = _agm_ladder(k)
+    return np.pi / (2.0 * a_list[-1])
 
 
 def _agm_ladder(k):
@@ -284,12 +281,10 @@ def jacobi_elliptic(u, k):
         sn, cn, dn = np.tanh(arr), sech, sech.copy()
         return EllipticTriple(_finish(sn, scalar), _finish(cn, scalar), _finish(dn, scalar))
 
-    big_k = ellip_k(k)
-    period = 4.0 * big_k
-    u_red = arr - period * np.round(arr / period)
-
     a_list, c_list = _agm_ladder(k)
     n_stages = len(a_list) - 1
+    period = 2.0 * np.pi / a_list[-1]  # 4K
+    u_red = arr - period * np.round(arr / period)
 
     phi = (2.0**n_stages) * a_list[n_stages] * u_red
     for n in range(n_stages, 0, -1):

@@ -966,6 +966,18 @@ class TestMathieuTraceCommand:
                 "--format", fmt]
         assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv, 1)
 
+    def test_stride_keeps_every_stride_th_row(self, tmp_path):
+        argv = ["mathieu-trace", "--drive", "quasiperiodic", "--t-end", "0.5",
+                "--dt", "1e-3"]
+        assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+        assert main(argv + ["--stride", "10",
+                            "--out", str(tmp_path / "thin")]) == 0
+        header, *rows = data_lines(tmp_path / "all" / "trace.csv")
+        thin_header, *thin = data_lines(tmp_path / "thin" / "trace.csv")
+        assert len(rows) == 501 and len(thin) == 51
+        assert thin_header == header
+        assert thin == rows[::10]
+
     def test_horizon_below_one_step(self, tmp_path):
         # two nodes, 0 and dt, cover the horizon; a(dt) = int_0^dt chi^-2
         out = tmp_path / "m"

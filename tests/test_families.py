@@ -2,7 +2,7 @@
 
 Oracles: the defining constant-coefficient system checked by finite
 differences, and extended-precision (mpmath) evaluations of the elliptic
-far tail frozen as literals.
+field, some frozen as literals and the rest computed from the definition.
 """
 
 import math
@@ -19,10 +19,10 @@ from modcnls.families import (
     dark_bright_family,
     default_grid,
     default_trace,
+    elliptic_envelope,
     elliptic_family,
     reduced_amplitudes,
     sech_family,
-    tail_envelope,
 )
 from modcnls.transform import eta_of, rho_of, zeta_of
 
@@ -131,71 +131,98 @@ class TestReducedAmplitudes:
         np.testing.assert_allclose(a2, 1.0 / np.cosh(z), rtol=1e-14)
 
 
-class TestEllipticTail:
+def envelope_oracle(xi, chi, n):
+    """rho A_1 of the elliptic pair from mpmath, straight from the
+    definition: zeta = (sqrt(pi)/2) erfc(-xi) and A_1 = (a0/sqrt2) sn/dn
+    (a0 zeta).  No half-period shift is used; the working precision grows
+    with xi^2 so that a0 zeta keeps its distance to 2 n K on the right."""
+    out = []
+    for v in np.atleast_1d(xi):
+        with mpmath.workdps(40 + int(float(v) ** 2 / 2.3)):
+            v = mpmath.mpf(float(v))
+            half = mpmath.mpf(1) / 2
+            a0 = 2 * n * mpmath.ellipk(half) / mpmath.sqrt(mpmath.pi)
+            u = a0 * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erfc(-v)
+            out.append(float(
+                mpmath.exp(v * v / 2) / mpmath.sqrt(mpmath.mpf(float(chi)))
+                * a0 / mpmath.sqrt(2)
+                * mpmath.ellipfun("sn", u, m=half)
+                / mpmath.ellipfun("dn", u, m=half)))
+    return np.array(out)
+
+
+class TestEllipticEnvelope:
     def test_matches_extended_precision_oracle(self):
         xi = np.array(sorted(TAIL_ORACLE))
-        env, sign = tail_envelope(xi, 1.0, 1)
+        env = elliptic_envelope(xi, 1.0, 1)
         want = np.array([TAIL_ORACLE[float(v)] for v in xi])
         np.testing.assert_allclose(env, want, rtol=1e-12)
-        np.testing.assert_array_equal(sign, 1.0)
 
     def test_left_right_symmetry_ground_mode(self):
-        xi = np.linspace(4.0, 9.0, 21)
-        ep, sp = tail_envelope(xi, 1.7, 1)
-        em, sm = tail_envelope(-xi, 1.7, 1)
-        np.testing.assert_allclose(ep * sp, em * sm, rtol=1e-14)
+        xi = np.linspace(0.0, 9.0, 37)
+        ep = elliptic_envelope(xi, 1.7, 1)
+        em = elliptic_envelope(-xi, 1.7, 1)
+        np.testing.assert_allclose(ep, em, rtol=1e-14)
 
     def test_right_tail_sign_alternates_with_mode(self):
-        xi = np.array([5.0])
-        for n, want in ((1, 1.0), (2, -1.0), (3, 1.0)):
-            _, sign = tail_envelope(xi, 1.0, n)
-            assert sign[0] == want
-            _, left = tail_envelope(-xi, 1.0, n)
-            assert left[0] == 1.0
+        xi = np.array([-5.0, -0.5, 0.5, 5.0])
+        for n, right in ((1, 1.0), (2, -1.0), (3, 1.0)):
+            sign = np.sign(elliptic_envelope(xi, 1.0, n))
+            np.testing.assert_array_equal(sign, [1.0, 1.0, right, right])
 
     def test_width_scaling(self):
-        xi = np.array([4.5])
-        e1, _ = tail_envelope(xi, 1.0, 1)
-        e4, _ = tail_envelope(xi, 4.0, 1)
-        assert e4[0] == pytest.approx(e1[0] / 2.0, rel=1e-14)
+        xi = np.array([-1.0, 0.0, 4.5])
+        e1 = elliptic_envelope(xi, 1.0, 1)
+        e4 = elliptic_envelope(xi, 4.0, 1)
+        np.testing.assert_allclose(e4, e1 / 2.0, rtol=1e-14)
 
     def test_seam_against_direct_evaluation(self):
-        # direct route still holds ~7 digits just past the switchover
+        # an independent cross-check: the direct route rho * A_1(zeta)
+        # still holds ~7 digits just past |xi| = 4
         fam = elliptic_family(1)
         chi = 1.3
         xi = np.linspace(4.0, 4.3, 16)
         direct = rho_of(fam.stretch, xi * chi, chi) * reduced_amplitudes(
             fam, zeta_of(fam.stretch, xi * chi, chi)
         )[0]
-        env, sign = tail_envelope(xi, chi, 1)
-        np.testing.assert_allclose(env * sign, direct, rtol=1e-6)
+        np.testing.assert_allclose(elliptic_envelope(xi, chi, 1), direct,
+                                   rtol=1e-6)
 
     def test_vanishes_far_out(self):
         # erfc underflows long before the envelope does; the erfcx route
         # keeps producing the true sub-denormal-free value
-        env, _ = tail_envelope(np.array([30.0]), 1.0, 1)
-        assert 0.0 < env[0] < 1e-190
-        env, _ = tail_envelope(np.array([40.0]), 1.0, 1)
-        assert env[0] == 0.0  # finally underflows cleanly, no nan
-
-    def test_refused_inside_core(self):
-        with pytest.raises(ValidationError):
-            tail_envelope(np.array([3.5]), 1.0, 1)
+        env = elliptic_envelope(np.array([30.0, -30.0]), 1.0, 1)
+        assert 0.0 < env[0] == env[1] < 1e-190
+        env = elliptic_envelope(np.array([40.0, -40.0]), 1.0, 2)
+        np.testing.assert_array_equal(env, 0.0)  # underflows cleanly, no nan
 
     def test_fresh_oracle_point(self):
         # recompute one tail value from scratch at extended precision
-        mpmath.mp.dps = 40
         xi = 4.7
-        K = mpmath.ellipk(mpmath.mpf(1) / 2)
-        a0 = 2 * K / mpmath.sqrt(mpmath.pi)
-        zeta = mpmath.sqrt(mpmath.pi) / 2 * (1 + mpmath.erf(xi))
-        want = float(
-            mpmath.exp(mpmath.mpf(xi) ** 2 / 2) * a0 / mpmath.sqrt(2)
-            * mpmath.ellipfun("sn", a0 * zeta, m=mpmath.mpf(1) / 2)
-            / mpmath.ellipfun("dn", a0 * zeta, m=mpmath.mpf(1) / 2)
-        )
-        env, _ = tail_envelope(np.array([xi]), 1.0, 1)
-        assert env[0] == pytest.approx(want, rel=1e-12)
+        env = elliptic_envelope(np.array([xi]), 1.0, 1)
+        assert env[0] == pytest.approx(envelope_oracle(xi, 1.0, 1)[0],
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_assembled_fields_exact_to_rounding(self, n):
+        # the core included: the error at every xi stays at the rounding
+        # of the peak
+        fam = elliptic_family(n)
+        tr = default_trace(fam, "periodic", 1.0)
+        t = 0.3
+        chi, dchi, a = tr.chi_at(t), tr.dchi_dt_at(t), tr.a_at(t)
+        xi_grid = np.concatenate([np.linspace(-8.0, 8.0, 81),
+                                  [-30.0, -12.0, 12.0, 30.0]])
+        x = chi * xi_grid
+        xi = x / chi  # the xi the evaluator sees
+        ref = envelope_oracle(xi, chi, n)
+        scale = np.abs(ref).max()
+        env_err = np.abs(elliptic_envelope(xi, chi, n) - ref).max() / scale
+        assert env_err < 4e-15, env_err
+        want = ref * np.exp(1j * eta_of(x, chi, dchi, a))
+        got = assemble(fam, tr, x, t).psi1
+        err = np.abs(got - want).max() / scale
+        assert err < 4e-15, err
 
 
 def assemble_oracle(family, trace, x, t):
@@ -205,20 +232,9 @@ def assemble_oracle(family, trace, x, t):
     chi = trace.chi_at(t)
     dchi = trace.dchi_dt_at(t)
     a = trace.a_at(t)
-    xi = x / chi
     phase = np.exp(1j * eta_of(x, chi, dchi, a))
     if family.kind == "elliptic":
-        mag1 = np.empty_like(xi)
-        inner = np.abs(xi) < 4.0
-        if np.any(inner):
-            rho_in = rho_of(family.stretch, x[inner], chi)
-            zeta_in = zeta_of(family.stretch, x[inner], chi)
-            a1_in, _ = reduced_amplitudes(family, zeta_in)
-            mag1[inner] = rho_in * a1_in
-        if np.any(~inner):
-            env, sign = tail_envelope(xi[~inner], chi, family.n)
-            mag1[~inner] = env * sign
-        psi1 = mag1 * phase
+        psi1 = elliptic_envelope(x / chi, chi, family.n) * phase
         return psi1, psi1 / SQRT2
     rho = rho_of(family.stretch, x, chi)
     zeta = zeta_of(family.stretch, x, chi)
@@ -248,21 +264,14 @@ class TestAssembleRows:
             np.testing.assert_array_equal(single.psi1, want1)
             np.testing.assert_array_equal(single.psi2, want2)
             assert single.t == t
-        if fam.kind == "elliptic":
-            # chi(t) moves the |xi| = 4 seam across grid points, so the
-            # rows split into core and tail differently
-            chi = np.array([tr.chi_at(t) for t in times])
-            tails = (np.abs(x[None, :] / chi[:, None]) >= 4.0).sum(axis=1)
-            assert len(set(tails.tolist())) > 5
 
     def test_scalar_and_array_width(self):
-        # tail_envelope takes chi per point as well as one chi for all
-        xi = np.array([-6.0, 4.5, 7.0])
-        chi = np.array([0.5, 1.0, 2.0])
-        env, _ = tail_envelope(xi, chi, 1)
-        for k in range(3):
-            one, _ = tail_envelope(xi[k:k + 1], float(chi[k]), 1)
-            assert env[k] == one[0]
+        # elliptic_envelope takes chi per point as well as one chi for all
+        xi = np.array([-6.0, 0.3, 4.5, 7.0])
+        chi = np.array([0.5, 1.0, 1.5, 2.0])
+        env = elliptic_envelope(xi, chi, 1)
+        for k in range(len(xi)):
+            assert env[k] == elliptic_envelope(xi[k:k + 1], float(chi[k]), 1)[0]
 
 
 class TestAssembledFields:

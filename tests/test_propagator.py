@@ -653,6 +653,16 @@ class TestPdeResidual:
             r1, r2 = pde_residual(fam, grid, 2.0, tr)
             assert max(r1, r2) <= 1e-4, drive
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_elliptic_fields_leave_only_stencil_error(self, n):
+        # fields at the rounding of their peak leave the stencils'
+        # truncation and rounding, far below the 1e-4 gate
+        fam = elliptic_family(n)
+        tr = default_trace(fam, drive="periodic", t_end=1.2)
+        grid = default_grid(fam, "residual")
+        r1, r2 = pde_residual(fam, grid, 1.1, tr)
+        assert max(r1, r2) < 2e-10, (r1, r2)
+
     def test_zero_fields_zero_residual(self, monkeypatch):
         fam = sech_family()
         tr = default_trace(fam, drive="periodic", t_end=1.01)
