@@ -15,7 +15,7 @@ from .errors import (DarkBackgroundError, DivergenceError,
 from .grid import SpatialGrid
 from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
                       EllipticTriple)
-from .modulation import (ModulationTrace, MathieuPath, WidthSamples,
+from .modulation import (ModulationTrace, MathieuPath, Width, WidthSamples,
                          closed_form_trace, drive_f, explicit_trace,
                          mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,

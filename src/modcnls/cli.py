@@ -39,7 +39,7 @@ from .modulation import mathieu_trace
 from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
-from .transform import (STENCIL_DEPTH, CoefficientSampler,
+from .transform import (STENCIL_DEPTH, STENCIL_DT, CoefficientSampler,
                         constraint_window, potential_identity_check,
                         verify_constraints)
 
@@ -281,9 +281,9 @@ def _constraint_lattice(family, t_end):
 # family's periodic-drive width (1.733; 1.482 for the two-tone width)
 _POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
 
-# the time stencils of verify's residual checks, at their default step
-# 1e-4, reach STENCIL_DEPTH steps to either side of a time they check
-_STENCIL_REACH = STENCIL_DEPTH * 1e-4
+# the time stencils of verify's residual checks, at their default step,
+# reach STENCIL_DEPTH steps to either side of a time they check
+_STENCIL_REACH = STENCIL_DEPTH * STENCIL_DT
 
 
 def cmd_verify(cfg):

@@ -176,8 +176,7 @@ def _fields(family: FamilySpec, trace: ModulationTrace, x, t):
     """psi_1, psi_2 on the grid x at t, a float or a column of times of
     shape (nt, 1), which gives one row per time.  Every operation acts
     elementwise, so each row is the float-t result bit for bit."""
-    chi, dchi = trace.width_at(t)[:2]
-    a = trace.a_at(t)
+    chi, dchi, _, a, _ = trace.at(t)
     xi = x / chi
     phase = np.exp(1j * eta_of(x, chi, dchi, a))
 
@@ -254,11 +253,11 @@ def default_trace(family: FamilySpec, drive="periodic", t_end=10.0,
     cosine-modulated drive, integrated to t_end; the analytic widths need
     no horizon.  The dark-bright family uses its prescribed two-tone width.
     """
+    if drive not in ("periodic", "quasiperiodic"):
+        raise ValidationError(f"default_trace: unknown drive {drive!r}")
     if family.kind == "dark_bright":
         return explicit_trace(alpha, beta)
     if drive == "periodic":
         return closed_form_trace()
-    if drive == "quasiperiodic":
-        return mathieu_trace("quasiperiodic", t_end,
-                             epsilon=epsilon, omega0=omega0)
-    raise ValidationError(f"default_trace: unknown drive {drive!r}")
+    return mathieu_trace("quasiperiodic", t_end, epsilon=epsilon,
+                         omega0=omega0)

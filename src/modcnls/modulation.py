@@ -9,11 +9,11 @@ chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
 path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
 
-A trace is what its factory hands it: one evaluator of (chi, chi', chi'')
-and one of a.  Its *_at queries and the samples(times) the export writes
-both come from them, so nothing is sampled until asked.  An integrated
-trace answers only inside the window of its oscillator path and refuses
-any other t.
+A trace is what its factory hands it: one evaluator t -> (chi, chi',
+chi'', a).  Its at(t), the queries that read it and the samples(times) the
+export writes all come from one call of it, so nothing is sampled until
+asked.  An integrated trace answers only inside the window of its
+oscillator path and refuses any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
 formed by a scan over fixed blocks of steps in O(n) work and in place
@@ -85,11 +85,11 @@ def _scalar(out):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
-def _hermite(p, t, curvature=False):
-    """Cubic Hermite interpolants at t of z1, z2 and, with curvature, of
-    z1', z2' on the path p, whose node slopes are z' and z'' = -4 f z; at
-    a node each returns the node's value exactly.  Each node array is
-    gathered once at each end of t's interval."""
+def _hermite(p, t):
+    """Cubic Hermite interpolants at t of z1, z2, z1' and z2' on the path p,
+    whose node slopes are z' and z'' = -4 f z; at a node each returns the
+    node's value exactly.  Each node array is gathered once at each end of
+    t's interval."""
     times = p.times
     h = float(times[1] - times[0])
     j = np.clip((np.floor((t - times[0]) / h)).astype(int), 0, len(times) - 2)
@@ -102,43 +102,38 @@ def _hermite(p, t, curvature=False):
     h01 = th * th * (3.0 - 2.0 * th)
     h11 = th * th * (th - 1.0)
     j1 = j + 1
-    out, ends = [], []
+    a0, a1 = p.accel[j], p.accel[j1]
+    out, slopes = [], []
     for z, dz in ((p.z1, p.dz1), (p.z2, p.dz2)):
         z0, z1, v0, v1 = z[j], z[j1], dz[j], dz[j1]
         out.append(h00 * z0 + h * h10 * v0 + h01 * z1 + h * h11 * v1)
-        ends.append((z0, z1, v0, v1))
-    if curvature:
-        a0, a1 = p.accel[j], p.accel[j1]
-        out += [h00 * v0 + h * h10 * (a0 * z0) + h01 * v1 + h * h11 * (a1 * z1)
-                for z0, z1, v0, v1 in ends]
-    return out
+        slopes.append(h00 * v0 + h * h10 * (a0 * z0) + h01 * v1
+                      + h * h11 * (a1 * z1))
+    return out + slopes
 
 
-def _closed_form_width(t):
-    """(chi, chi', chi'') of chi = sqrt(1 + 15 cos^2 2t) / 2."""
+def _closed_form(t):
+    """(chi, chi', chi'', a) of chi = sqrt(1 + 15 cos^2 2t) / 2."""
     c = np.cos(2.0 * t)
     chi = np.sqrt(1.0 + 15.0 * c * c) / 2.0
-    s4 = np.sin(4.0 * t)
+    s4, c4 = np.sin(4.0 * t), np.cos(4.0 * t)
     dchi = -(15.0 / 4.0) * s4 / chi
     # chi cubed by products, which round alike for a float and an array
-    d2chi = (-15.0 * np.cos(4.0 * t) / chi
-             - (225.0 / 16.0) * s4 * s4 / (chi * chi * chi))
-    return chi, dchi, d2chi
-
-
-def _closed_form_a(t):
-    # int_0^t 4 ds / (1 + 15 cos^2 2s); the arctan form is pole-free
+    d2chi = -15.0 * c4 / chi - (225.0 / 16.0) * s4 * s4 / (chi * chi * chi)
+    # a = int_0^t 4 ds / (1 + 15 cos^2 2s); the arctan form is pole-free
     # because 5 + 3 cos 4t never vanishes
-    return t - 0.5 * np.arctan(3.0 * np.sin(4.0 * t) / (5.0 + 3.0 * np.cos(4.0 * t)))
+    a = t - 0.5 * np.arctan(3.0 * s4 / (5.0 + 3.0 * c4))
+    return chi, dchi, d2chi, a
 
 
-def _two_tone_width(alpha, beta, t):
-    """(chi, chi', chi'') of chi = 1 + alpha sin t + beta sin(sqrt2 t)."""
+def _two_tone(alpha, beta, t):
+    """(chi, chi', chi'', a) of chi = 1 + alpha sin t + beta sin(sqrt2 t),
+    a = 0."""
     s1, s2 = np.sin(t), np.sin(_SQRT2 * t)
     chi = 1.0 + alpha * s1 + beta * s2
     dchi = alpha * np.cos(t) + _SQRT2 * beta * np.cos(_SQRT2 * t)
     d2chi = -alpha * s1 - 2.0 * beta * s2
-    return chi, dchi, d2chi
+    return chi, dchi, d2chi, np.zeros_like(t)
 
 
 def _oscillator_phase(z1, z2, w):
@@ -249,11 +244,13 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     return MathieuPath(times, *y, a_node[:n + 1], w)
 
 
-def _path_width(p, epsilon, omega0, t):
-    """(chi, chi', chi'') of chi = sqrt(2 z1^2 + 2 z2^2 / W^2) at t from the
-    Hermite interpolant of the path p, whose node drive gives the slopes of
-    z' and the drive at t gives z'' = -4 f(t) z."""
-    z1, z2, dz1, dz2 = _hermite(p, t, curvature=True)
+def _path(p, a, epsilon, omega0, t):
+    """(chi, chi', chi'', a) at t from one Hermite interpolation of the path
+    p.  chi = sqrt(2 z1^2 + 2 z2^2 / W^2); the node drive gives the slopes
+    of z' and the drive at t gives z'' = -4 f(t) z.  a is its node value a
+    at the nearest node j plus half the turn of w from t_j to t, which is
+    far below pi, so wrapping it recovers it."""
+    z1, z2, dz1, dz2 = _hermite(p, t)
     accel = -4.0 * drive_f("quasiperiodic", t, epsilon, omega0)
     w2 = p.w**2
     chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
@@ -262,42 +259,35 @@ def _path_width(p, epsilon, omega0, t):
         2.0 * dz1 * dz1 + 2.0 * z1 * (accel * z1)
         + (2.0 * dz2 * dz2 + 2.0 * z2 * (accel * z2)) / w2
     ) / chi - dchi * dchi / chi
-    return chi, dchi, d2chi
-
-
-def _path_phase(p, a, t):
-    """a at t from its node values a: a at the nearest node j plus half the
-    turn of w from t_j to t, which is far below pi, so wrapping it
-    recovers it."""
     j = np.rint(t / p.times[1]).astype(int)  # times are k dt
-    z1, z2 = _hermite(p, t)
     turn = (_oscillator_phase(z1, z2, p.w)
             - _oscillator_phase(p.z1[j], p.z2[j], p.w))
     turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
-    return a[j] + 0.5 * turn
+    return chi, dchi, d2chi, a[j] + 0.5 * turn
 
 
+# a trace's values at t, all from one call of its evaluator
+Width = namedtuple("Width", "chi dchi d2chi a adot")
 # a trace's chi, chi' and a at the times: the columns the export writes
 WidthSamples = namedtuple("WidthSamples", "times chi dchi_dt a")
 
 
 @dataclass
 class ModulationTrace:
-    """chi(t), its derivatives and the phase offset a(t), as evaluators.
+    """chi(t), its derivatives and the phase offset a(t), from one evaluator.
 
-    A trace is the two evaluators its factory sets, width(t) -> (chi, chi',
-    chi'') and phase(t) -> a.  The *_at queries the propagator and residual
-    suites call and the samples(times) the export writes both come from
-    them, so a sample is the query's value bit for bit.  drive is the
-    (kind, epsilon, omega0) whose Ermakov-Pinney equation chi solves, with
-    a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
-    integrated trace keeps its oscillator path and only answers inside the
-    window of path.times; every other trace answers at any t, and a float
-    t there stays a float with the bits of the element of any array of t.
+    A trace is the evaluator its factory sets, width(t) -> (chi, chi',
+    chi'', a).  at(t) calls it once and adds a'; the *_at queries and the
+    samples(times) the export writes read at(t), so a sample is the
+    query's value bit for bit.  drive is the (kind, epsilon, omega0) whose
+    Ermakov-Pinney equation chi solves, with a' = chi^-2, or None for a
+    prescribed width, whose a' is 0.  An integrated trace keeps its
+    oscillator path and only answers inside the window of path.times;
+    every other trace answers at any t, and a float t there stays a float
+    with the bits of the element of any array of t.
     """
 
     width: Callable
-    phase: Callable
     drive: Optional[tuple] = None
     path: Optional[MathieuPath] = None
 
@@ -311,44 +301,48 @@ class ModulationTrace:
         outside = (t < lo - 1e-9) | (t > hi + 1e-9)
         if np.any(outside):
             asked = float(t[outside].flat[0])
+            advice = (f"it starts at its first node, t = {lo:.6g}"
+                      if asked < lo else "build it to a later horizon")
             raise ValidationError(
                 f"width trace queried at t = {asked!r}, outside its window "
-                f"[{lo:.6g}, {hi:.6g}]; build it to a later horizon")
+                f"[{lo:.6g}, {hi:.6g}]; {advice}")
         return np.clip(t, lo, hi)
 
-    def width_at(self, t):
-        """(chi, chi', chi'', a') at t from one evaluation of the width."""
+    def at(self, t):
+        """Width(chi, chi', chi'', a, a') at t from one evaluation."""
         t = self._check_range(t)
-        chi, dchi, d2chi = map(_scalar, self.width(t))
+        chi, dchi, d2chi, a = map(_scalar, self.width(t))
         adot = (_scalar(np.zeros_like(t)) if self.drive is None
                 else 1.0 / (chi * chi))
-        return chi, dchi, d2chi, adot
+        return Width(chi, dchi, d2chi, a, adot)
 
+    # one-field views of at; they stay because perfbench/layers.py counts
+    # the width queries by wrapping these five names
     def chi_at(self, t):
-        return self.width_at(t)[0]
+        return self.at(t).chi
 
     def dchi_dt_at(self, t):
-        return self.width_at(t)[1]
+        return self.at(t).dchi
 
     def d2chi_dt2_at(self, t):
-        return self.width_at(t)[2]
+        return self.at(t).d2chi
 
     def a_at(self, t):
-        return _scalar(self.phase(self._check_range(t)))
+        return self.at(t).a
 
     def adot_at(self, t):
-        return self.width_at(t)[3]
+        return self.at(t).adot
 
     def samples(self, times):
-        """chi, chi' and a at the times, from the queries' evaluators."""
+        """chi, chi' and a at the times, from one evaluation."""
         times = np.asarray(times, dtype=float)
-        return WidthSamples(times, *self.width_at(times)[:2], self.a_at(times))
+        w = self.at(times)
+        return WidthSamples(times, w.chi, w.dchi, w.a)
 
 
 def closed_form_trace() -> ModulationTrace:
     """Analytic trace for the constant drive f = 1."""
-    return ModulationTrace(_closed_form_width, _closed_form_a,
-                           drive=("constant", 0.0, 0.0))
+    return ModulationTrace(_closed_form, drive=("constant", 0.0, 0.0))
 
 
 def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
@@ -388,8 +382,7 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
             f"parametrically resonant; build to an earlier horizon")
     phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
     a = 0.5 * (phase - phase[0])
-    return ModulationTrace(functools.partial(_path_width, path, eps, w0),
-                           functools.partial(_path_phase, path, a),
+    return ModulationTrace(functools.partial(_path, path, a, eps, w0),
                            drive=(kind, eps, w0), path=path)
 
 
@@ -397,5 +390,5 @@ def explicit_trace(alpha, beta) -> ModulationTrace:
     """Analytic trace for the prescribed two-tone width (phase offset 0)."""
     if not abs(alpha) + abs(beta) < 1.0:
         raise ValueError("explicit_trace: requires |alpha| + |beta| < 1")
-    width = functools.partial(_two_tone_width, float(alpha), float(beta))
-    return ModulationTrace(width, np.zeros_like)
+    return ModulationTrace(
+        functools.partial(_two_tone, float(alpha), float(beta)))

@@ -35,7 +35,8 @@ from .errors import DarkBackgroundError, DivergenceError, ValidationError
 # assemble stays importable here: perfbench/layers.py wraps it by name
 from .families import FamilySpec, FieldPair, assemble, assemble_rows
 from .grid import SpatialGrid
-from .transform import STENCIL_DEPTH, CoefficientSampler, interior_diff
+from .transform import (STENCIL_DEPTH, STENCIL_DT, CoefficientSampler,
+                        interior_diff)
 
 _FINITE_CHECK_STRIDE = 25
 # reference points evaluated per call in propagate, four records of 1024
@@ -353,7 +354,8 @@ def stability_verdict(trace: DiagnosticsTrace, threshold=0.1) -> StabilityReport
     return StabilityReport(bool(worst <= threshold), worst, t_at, threshold)
 
 
-def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace, dt=1e-4):
+def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace,
+                 dt=STENCIL_DT):
     """Max residual of each governing equation on the assembled exact fields.
 
     The time derivative uses an eighth-order stencil of assembled fields at

@@ -47,6 +47,8 @@ _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 # neighbours on each side that interior_diff reads; every halo, trim and
 # time-level count of the finite-difference checks follows from it
 STENCIL_DEPTH = 4
+# default time step of the time stencils of the residual checks
+STENCIL_DT = 1e-4
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -136,9 +138,7 @@ def potential_from_transform(family, trace, x, t):
     valid because eta_t + eta_x^2 telescopes to (chi''/(4 chi)) x^2 + a'.
     """
     x = np.asarray(x, dtype=float)
-    chi = trace.chi_at(t)
-    d2chi = trace.d2chi_dt2_at(t)
-    adot = trace.adot_at(t)
+    chi, _, d2chi, _, adot = trace.at(t)
     xi = x / chi
     s = family.stretch
     base = s.curvature_term(xi) / chi**2 - (d2chi / (4.0 * chi)) * x * x - adot
@@ -175,7 +175,7 @@ def potential(family, trace, x, t):
             f"potential: the {family.kind} flat-bump trap holds only for a "
             f"prescribed width (a' = 0, drive None) and mu = (0, 0); got "
             f"drive {trace.drive} and mu = {family.mu}")
-    chi, _, d2chi, adot = trace.width_at(t)
+    chi, _, d2chi, _, adot = trace.at(t)
     xi = x / chi
     if s.kind == "inverse_gaussian":
         g2 = s.gamma**2
@@ -210,16 +210,9 @@ class CoefficientSampler:
 
     def couplings(self, x, t):
         """g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
-        chi = self.trace.width_at(t)[0]
+        chi = self.trace.chi_at(t)
         xi = np.asarray(x, dtype=float) / chi
         return self._g * (self.family.stretch.fprime(xi, 3) / chi)
-
-
-def _width_rows(trace, t):
-    """chi, chi' and a at the times t, each as a 1-D array; chi and chi'
-    come from one evaluation of the width."""
-    chi, dchi = trace.width_at(t)[:2]
-    return tuple(map(np.atleast_1d, (chi, dchi, trace.a_at(t))))
 
 
 def _lattice_fields(stretch, x, chi, dchi, a):
@@ -407,7 +400,8 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     # the strips' blocks span columns + 2 * halo * workers sampled columns
     rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
     # the width is sampled once, here, and every strip reads its rows
-    args = (family.stretch, x, t, _width_rows(trace, t), envelope, rows)
+    w = trace.at(t)
+    args = (family.stretch, x, t, (w.chi, w.dchi, w.a), envelope, rows)
     with parallel.forked_map(lambda strip: _walk_strip(*args, *strip),
                              zip(edges, edges[1:]), workers,
                              "verify_constraints") as strips:
@@ -420,7 +414,7 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
                                at=at, strip_s=tuple(s for *_, s in strips))
 
 
-def potential_identity_check(family, trace, x, t, dt=1e-4):
+def potential_identity_check(family, trace, x, t, dt=STENCIL_DT):
     """Max gap between the closed-form trap and its finite-difference origin.
 
     Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 with
@@ -429,8 +423,8 @@ def potential_identity_check(family, trace, x, t, dt=1e-4):
     """
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
-    ts = t + dt * np.arange(-d, d + 1.0)
-    rho, eta, zeta = _lattice_fields(family.stretch, x, *_width_rows(trace, ts))
+    w = trace.at(t + dt * np.arange(-d, d + 1.0))
+    rho, eta, zeta = _lattice_fields(family.stretch, x, w.chi, w.dchi, w.a)
     hx = float(x[1] - x[0])
 
     inner = slice(d, -d)  # the points the x stencils reach

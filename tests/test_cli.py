@@ -26,7 +26,7 @@ from modcnls.export import (FORMATS, _atomic_write, write_coefficients,
 from modcnls.families import (FieldPair, dark_bright_family, default_trace,
                               elliptic_family, sech_family)
 from modcnls.grid import SpatialGrid
-from modcnls.modulation import _closed_form_a, closed_form_trace
+from modcnls.modulation import _closed_form, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
 from worker_helpers import force_workers
@@ -986,7 +986,7 @@ class TestMathieuTraceCommand:
         assert code == 0
         _, _, rows = read_csv(str(out / "trace.csv"))
         assert rows[:, 0].tolist() == [0.0, 1e-4]
-        assert rows[1, 3] == pytest.approx(_closed_form_a(1e-4), rel=1e-13)
+        assert rows[1, 3] == pytest.approx(_closed_form(1e-4)[3], rel=1e-13)
 
     def test_constant_drive_matches_closed_form(self, tmp_path):
         out = tmp_path / "m"

@@ -391,5 +391,12 @@ class TestDefaults:
         assert quasi.path is not None
         two_tone = default_trace(dark_bright_family(0.2), t_end=1.0)
         assert two_tone.drive is None and two_tone.path is None
-        with pytest.raises(ValidationError):
-            default_trace(sech_family(), "chirp", 1.0)
+
+    @pytest.mark.parametrize("family", [elliptic_family(1), sech_family(),
+                                        dark_bright_family(0.5)],
+                             ids=lambda f: f.kind)
+    def test_unknown_drive_refused_for_every_family(self, family):
+        # the dark-bright width ignores the drive, but an unknown one is
+        # still a mistake to name, not to run through
+        with pytest.raises(ValidationError, match="unknown drive 'chirp'"):
+            default_trace(family, "chirp", 1.0)

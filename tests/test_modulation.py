@@ -17,7 +17,7 @@ import pytest
 from modcnls import modulation
 from modcnls.errors import ValidationError
 from modcnls.modulation import (
-    _closed_form_a,
+    _closed_form,
     closed_form_trace,
     drive_f,
     explicit_trace,
@@ -147,7 +147,7 @@ class TestMathieuIntegration:
         # chi'' + 4 f chi = 4 / chi^3 must hold for the quasiperiodic drive too
         tr = mathieu_trace("quasiperiodic", 8.0, dt=1e-4, epsilon=0.5, omega0=1.0)
         f = drive_f("quasiperiodic", tr.path.times, 0.5, 1.0)
-        chi, _, d2chi, _ = tr.width_at(tr.path.times)
+        chi, _, d2chi, _, _ = tr.at(tr.path.times)
         res = d2chi + 4.0 * f * chi - 4.0 / chi**3
         assert np.abs(res).max() < 1e-9
 
@@ -251,7 +251,7 @@ class TestClosedFormTrace:
         closed = closed_form_trace()
         np.testing.assert_allclose(closed.chi_at(t), chi_exact(t),
                                    rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(closed.a_at(t), _closed_form_a(t))
+        np.testing.assert_array_equal(closed.a_at(t), _closed_form(t)[3])
         two_tone = explicit_trace(0.3, 0.2)
         want = 1.0 + 0.3 * np.sin(t) + 0.2 * np.sin(math.sqrt(2.0) * t)
         np.testing.assert_allclose(two_tone.chi_at(t), want, rtol=0,
@@ -301,14 +301,28 @@ class TestScalarQueries:
             # a 0-d array takes the array path to one element
             assert same_bits(got, [query(np.asarray(tk)) for tk in t]), name
             assert same_bits(got, query(t)), f"{source} {name}"
+        # and so does every field of at, which the queries read
+        got, whole = [tr.at(tk) for tk in t.tolist()], tr.at(t)
+        assert type(whole) is modulation.Width
+        for field in modulation.Width._fields:
+            column = [getattr(g, field) for g in got]
+            assert all(type(v) is float for v in column), field
+            assert same_bits(column, getattr(whole, field)), \
+                f"{source} {field}"
 
     def test_float_t_outside_an_integrated_window_is_refused(self):
+        # at and every query refuse with one message, which names the side
+        # of the window the t missed
         tr = self.TRACES["mathieu"]()
-        for name in self.QUERIES + ("width_at",):
-            with pytest.raises(ValidationError, match=r"t = 3\.5,"):
-                getattr(tr, name)(3.5)
-            with pytest.raises(ValidationError, match=r"t = -0\.25,"):
-                getattr(tr, name)(-0.25)
+        for t, says in ((3.5, r"t = 3\.5,.*build it to a later horizon"),
+                        (-0.25, r"t = -0\.25,.*it starts at its first "
+                                r"node, t = 0$")):
+            messages = set()
+            for name in self.QUERIES + ("at",):
+                with pytest.raises(ValidationError, match=says) as refused:
+                    getattr(tr, name)(t)
+                messages.add(str(refused.value))
+            assert len(messages) == 1, messages
 
     def test_closed_form_curvature_float_t_gives_the_array_element(self):
         # chi'' divides by chi^3, which a power would round one way for a
@@ -403,9 +417,9 @@ class TestPhaseFromOscillator:
     def test_constant_drive_matches_closed_form(self):
         tr = mathieu_trace("constant", 10.0, dt=1e-4)
         s = node_samples(tr)
-        assert np.abs(s.a - _closed_form_a(s.times)).max() < 2e-14
+        assert np.abs(s.a - _closed_form(s.times)[3]).max() < 2e-14
         t = np.random.default_rng(21).uniform(0, 10, 300)
-        assert np.abs(tr.a_at(t) - _closed_form_a(t)).max() < 2e-14
+        assert np.abs(tr.a_at(t) - _closed_form(t)[3]).max() < 2e-14
 
     def test_increasing_and_continuous_across_the_branch_cut(self):
         # arg w = 2a passes the cut at odd multiples of pi; a must go on

@@ -18,14 +18,16 @@ import pytest
 
 from modcnls.errors import LatticeTooCoarseError, ValidationError
 from modcnls.families import (
+    assemble,
+    assemble_rows,
     dark_bright_family,
     default_grid,
     default_trace,
     elliptic_family,
     sech_family,
 )
-from modcnls.modulation import (closed_form_trace, drive_f, explicit_trace,
-                                mathieu_trace)
+from modcnls.modulation import (Width, closed_form_trace, drive_f,
+                                explicit_trace, mathieu_trace)
 from modcnls import parallel, transform
 from modcnls.transform import (
     CoefficientSampler,
@@ -95,6 +97,21 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
         return worst
     peaks = (np.unravel_index(np.argmax(r), r.shape) for r in core)
     return worst, tuple((float(t[4 + i]), float(x[8 + j])) for i, j in peaks)
+
+
+def count_evaluations(trace):
+    """A copy of trace whose evaluator records the t of each call in the
+    list returned with it.  A call from a forked worker would not reach the
+    list, so it fails instead."""
+    caller, calls, evaluate = os.getpid(), [], trace.width
+
+    def counted(t):
+        if os.getpid() != caller:
+            raise AssertionError("the width was evaluated in a worker")
+        calls.append(np.array(t))
+        return evaluate(t)
+
+    return dataclasses.replace(trace, width=counted), calls
 
 
 def all_family_trace_pairs(t_end=2.0):
@@ -315,8 +332,9 @@ class TestLattice:
         tr = default_trace(fam, drive, t_end=2.0)
         x = np.linspace(-15, 15, 300)
         t = np.linspace(0, 2, 70)
-        rho, eta, zeta = transform._lattice_fields(
-            fam.stretch, x, *transform._width_rows(tr, t))
+        w = tr.at(t)
+        rho, eta, zeta = transform._lattice_fields(fam.stretch, x, w.chi,
+                                                   w.dchi, w.a)
         assert rho.shape == eta.shape == zeta.shape == (70, 300)
         for k in (0, 13, 51):
             tk = float(t[k])
@@ -325,6 +343,31 @@ class TestLattice:
             np.testing.assert_array_equal(eta[k], eta_of(x, chi, dchi, a))
             np.testing.assert_array_equal(zeta[k],
                                           zeta_of(fam.stretch, x, chi))
+
+
+class TestOneWidthEvaluation:
+    """Each consumer of a trace evaluates its width once per call; the
+    constraint walk's once, on the calling process, is in TestParallelWalk."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_each_consumer_evaluates_the_width_once(self, k):
+        fam, real = all_family_trace_pairs()[k]
+        x = np.linspace(-10.0, 10.0, 256)
+        times = np.linspace(0.0, 1.5, 7)
+        # the gaussian trap is f(t) x^2, which reads the drive, not the width
+        traps = 0 if fam.stretch.kind == "gaussian" else 1
+        uses = {
+            "assemble": (lambda tr: assemble(fam, tr, x, 0.7), 1),
+            "assemble_rows": (lambda tr: assemble_rows(fam, tr, x, times), 1),
+            "samples": (lambda tr: tr.samples(times), 1),
+            "potential": (lambda tr: potential(fam, tr, x, 0.7), traps),
+            "couplings": (lambda tr: CoefficientSampler(fam, tr)
+                          .couplings(x, 0.7), 1),
+        }
+        for name, (use, want) in uses.items():
+            tr, calls = count_evaluations(real)
+            use(tr)
+            assert len(calls) == want, f"{fam.kind} {name}: {len(calls)}"
 
 
 class TestInteriorDiff:
@@ -412,11 +455,11 @@ class TestVerifyConstraints:
         fam = elliptic_family(1)
         good = default_trace(fam, "periodic", 3.0)
 
-        def width_at(t):
-            chi, dchi, *rest = good.width_at(t)
-            return (chi, dchi + 1e-3 * (np.asarray(t) > 1.5), *rest)
+        def at(t):
+            w = good.at(t)
+            return w._replace(dchi=w.dchi + 1e-3 * (np.asarray(t) > 1.5))
 
-        tr = SimpleNamespace(width_at=width_at, a_at=good.a_at)
+        tr = SimpleNamespace(at=at)
         x = np.linspace(-1.0, 1.0, 640)
         r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 769))
         assert r.worst <= 1e-5, str(r)
@@ -472,12 +515,13 @@ class TestVerifyConstraints:
         fam = sech_family()
         good = default_trace(fam, "periodic", 1.0)
 
-        def a_at(t):
-            a = np.array(good.a_at(t), dtype=float)
+        def at(t):
+            w = good.at(t)
+            a = np.array(w.a, dtype=float)
             a[np.abs(np.asarray(t) - 0.5) < 1e-3] = np.nan
-            return a
+            return w._replace(a=a)
 
-        tr = SimpleNamespace(width_at=good.width_at, a_at=a_at)
+        tr = SimpleNamespace(at=at)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 513))
         assert math.isnan(r.continuity) and math.isnan(r.worst)
@@ -607,8 +651,7 @@ class TestParallelWalk:
                 zeta=lambda xi: np.where(xi > 4.0, np.nan, real.stretch.zeta(xi))),
             mu=real.mu, g_matrix=real.g_matrix)
         tr = SimpleNamespace(
-            width_at=lambda t: (np.ones_like(t), *[np.zeros_like(t)] * 3),
-            a_at=np.zeros_like)
+            at=lambda t: Width(np.ones_like(t), *[np.zeros_like(t)] * 4))
         forked = force_workers(monkeypatch, 3)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 300))
@@ -656,29 +699,13 @@ class TestParallelWalk:
     def test_width_sampled_once_on_the_calling_process(self, monkeypatch,
                                                        workers):
         fam = elliptic_family(1)
-        real = default_trace(fam, "quasiperiodic", 1.0)
+        tr, calls = count_evaluations(default_trace(fam, "quasiperiodic", 1.0))
         x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 300)
-        caller = os.getpid()
-        calls = []
-
-        def counted(name):
-            def query(ts):
-                # a worker's calls would not reach this list, so a query
-                # made in a worker fails the walk instead
-                if os.getpid() != caller:
-                    raise AssertionError(f"{name} queried in a worker")
-                calls.append((name, np.array(ts)))
-                return getattr(real, name)(ts)
-            return query
-
-        names = ("width_at", "a_at")
-        tr = SimpleNamespace(**{name: counted(name) for name in names})
         forked = force_workers(monkeypatch, workers)
         r = verify_constraints(fam, tr, x, t)
         assert r.workers == workers and len(forked) == workers - 1
-        assert sorted(name for name, _ in calls) == sorted(names)
-        for _, ts in calls:
-            np.testing.assert_array_equal(ts, t)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], t)
 
     @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
     def test_peaks_match_whole_lattice_argmax(self, monkeypatch, corrupt):
