@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from modcnls import ellip_k, erf, jacobi_elliptic
-from modcnls.export import write_table
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
@@ -45,10 +44,7 @@ print(f"k={k}: sn(K)={sn:.15f}, cn(K)={cn:.2e}, "
 
 # one full period 4K for the record
 us = np.linspace(0.0, 4.0 * K, 201)
-rows = []
-for u in us:
-    sn, cn, dn = jacobi_elliptic(u, k)
-    rows.append((u, sn, cn, dn))
 path = os.path.join(out_dir, "elliptic_triple.csv")
-write_table(path, ("u", "sn", "cn", "dn"), rows, {"k": repr(k)})
+np.savetxt(path, np.column_stack([us, *jacobi_elliptic(us, k)]), fmt="%.17g",
+           delimiter=",", header=f"# k = {k!r}\nu,sn,cn,dn", comments="")
 print(f"wrote {path}")

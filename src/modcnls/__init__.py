@@ -19,7 +19,7 @@ from .modulation import (ModulationTrace, MathieuPath, Width, WidthSamples,
                          closed_form_trace, drive_f, explicit_trace,
                          mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
-                        eta_of, potential, potential_from_transform,
+                        eta_of, potential_from_transform,
                         potential_identity_check, rho_of,
                         verify_constraints, xi_of, zeta_of)
 from .families import (FamilySpec, FieldPair, amplitude_a0, assemble,

@@ -32,7 +32,7 @@ from .errors import DivergenceError, ValidationError
 from .export import (EXTENSIONS, FIELD_COLUMNS, FORMATS, write_coefficients,
                      write_diagnostics, write_fields, write_manifest,
                      write_modulation)
-from .families import (assemble, dark_bright_family, default_grid,
+from .families import (DRIVES, assemble, dark_bright_family, default_grid,
                        default_trace, elliptic_family, sech_family)
 from .grid import SpatialGrid
 from .modulation import mathieu_trace
@@ -63,7 +63,7 @@ OPTIONS = (
            help="dark-bright width tone at frequency sqrt(2)"),
     Option("epsilon", float, 0.5, help="drive modulation depth"),
     Option("omega0", float, 1.0, help="drive modulation frequency"),
-    Option("drive", str, "periodic", ("periodic", "quasiperiodic")),
+    Option("drive", str, "periodic", DRIVES),
     Option("L", float, help="grid half width (default sized per family)"),
     Option("N", int, 1024, help="grid points, a power of two"),
     # the stepping rows take their defaults from COMMANDS

@@ -93,11 +93,6 @@ def _write_columns(path, columns, data, meta, fmt):
            meta, fmt)
 
 
-def write_table(path, columns, rows, meta, fmt="csv"):
-    data = np.array(list(rows), dtype=float).reshape(-1, len(columns))
-    _write_columns(path, columns, data.T, meta, fmt)
-
-
 def write_fields(path, fields, meta, fmt="csv"):
     """One snapshot of both components in the seven-column field layout."""
     data = (fields.x, fields.psi1.real, fields.psi1.imag,

@@ -39,7 +39,11 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
 _ELLIPTIC_MODULUS = 1.0 / _SQRT2
 
-FAMILY_KINDS = ("elliptic", "sech", "dark_bright")
+# each family kind and the stretch kind its amplitudes were solved under
+_STRETCH_OF = {"elliptic": "gaussian", "sech": "inverse_gaussian",
+               "dark_bright": "flat_bump"}
+FAMILY_KINDS = tuple(_STRETCH_OF)
+DRIVES = ("periodic", "quasiperiodic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +57,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValidationError(f"FamilySpec: unknown kind {self.kind!r}")
+        if self.stretch.kind != _STRETCH_OF[self.kind]:
+            raise ValidationError(
+                f"FamilySpec: the {self.kind} amplitudes need the "
+                f"{_STRETCH_OF[self.kind]} stretch, got {self.stretch.kind}")
         g = np.asarray(self.g_matrix, dtype=float)
         if g.shape != (2, 2) or not np.isfinite(g).all():
             raise ValidationError("FamilySpec: g_matrix must be a finite 2x2 matrix")
@@ -226,6 +234,8 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
     """
     if purpose not in ("export", "propagate", "residual"):
         raise ValidationError(f"default_grid: unknown purpose {purpose!r}")
+    if drive not in DRIVES:
+        raise ValidationError(f"default_grid: unknown drive {drive!r}")
     quasi = drive == "quasiperiodic"
     if family.kind == "elliptic":
         if purpose == "export":
@@ -253,7 +263,7 @@ def default_trace(family: FamilySpec, drive="periodic", t_end=10.0,
     cosine-modulated drive, integrated to t_end; the analytic widths need
     no horizon.  The dark-bright family uses its prescribed two-tone width.
     """
-    if drive not in ("periodic", "quasiperiodic"):
+    if drive not in DRIVES:
         raise ValidationError(f"default_trace: unknown drive {drive!r}")
     if family.kind == "dark_bright":
         return explicit_trace(alpha, beta)

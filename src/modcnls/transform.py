@@ -18,9 +18,10 @@ and fixes the trap and couplings as
     v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2
     g_jk = G_jk zeta_x^2 / rho^2 = G_jk F'(xi)^3 / chi.
 
-Everything here is closed-form in (xi, chi, chi', chi'', a'); the
-verify_constraints routine additionally recomputes the three constraints by
-finite differences on a space-time lattice as an independent check.
+Everything here is closed-form in (xi, chi, chi', chi'', a'), and
+CoefficientSampler is the one production path to the traps and couplings.
+verify_constraints recomputes the three constraints by finite differences
+on a space-time lattice as an independent check.
 """
 
 import math
@@ -146,8 +147,9 @@ def potential_from_transform(family, trace, x, t):
     return np.stack([base - mu_j * zx2 for mu_j in family.mu])
 
 
-def potential(family, trace, x, t):
-    """Trap profiles v_1, v_2 at time t, shape (2, nx); published closed forms.
+class CoefficientSampler:
+    """Samples v_j(x, t) and g_jk(x, t) for a family along a width trace;
+    the traps are the published closed forms.
 
     gaussian stretch: the width equation collapses everything to f(t) x^2.
     inverse_gaussian: harmonic part plus a shifted-Gaussian well per component.
@@ -156,57 +158,53 @@ def potential(family, trace, x, t):
     The gaussian form holds only for a width that solves the Ermakov-Pinney
     equation of a drive f, and the flat_bump form only for a prescribed
     width (a' = 0) and mu = (0, 0); any other pairing is refused with a
-    ValidationError.  The inverse_gaussian form holds for every width.
-    """
-    x = np.asarray(x, dtype=float)
-    s = family.stretch
-    v = np.empty((2,) + x.shape)
-    if s.kind == "gaussian":
-        if trace.drive is None:
-            raise ValidationError(
-                f"potential: the {family.kind} trap f(t) x^2 holds only for "
-                f"a width that solves the Ermakov-Pinney equation of its "
-                f"drive f; got a prescribed width (drive None)")
-        kind, epsilon, omega0 = trace.drive
-        return np.multiply(drive_f(kind, t, epsilon, omega0) * x, x, out=v)
-    if s.kind == "flat_bump" and (trace.drive is not None
-                                  or tuple(family.mu) != (0.0, 0.0)):
-        raise ValidationError(
-            f"potential: the {family.kind} flat-bump trap holds only for a "
-            f"prescribed width (a' = 0, drive None) and mu = (0, 0); got "
-            f"drive {trace.drive} and mu = {family.mu}")
-    chi, _, d2chi, _, adot = trace.at(t)
-    xi = x / chi
-    if s.kind == "inverse_gaussian":
-        g2 = s.gamma**2
-        quad = (1.0 / (9.0 * g2 * g2 * chi**4) - d2chi / (4.0 * chi)) * x * x
-        const = -1.0 / (3.0 * g2 * chi**2) - adot
-        well = _clipped_exp(2.0 * xi * xi / (3.0 * g2)) / chi**2
-        return np.subtract(quad + const, np.multiply.outer(family.mu, well),
-                           out=v)
-    # flat_bump, whose a' and mu vanish, as checked above
-    e = s.lam * np.exp(-xi * xi)
-    w = 1.0 + e
-    s1 = -d2chi / (4.0 * chi)
-    s2 = (e / (chi**2 * w)) * (1.0 + (e - 2.0) * xi * xi / w)
-    return np.add(s1 * x * x, s2, out=v)
-
-
-class CoefficientSampler:
-    """Samples v_j(x, t) and g_jk(x, t) for a family along a width trace.
-
-    The coupling matrix is shaped once, not per sample, and chi comes from
-    the trace, whose widths are positive by construction, so a sample
-    repeats no check.
+    ValidationError when the sampler is made.  The inverse_gaussian form
+    holds for every width.  The coupling matrix is shaped once, not per
+    sample, and chi comes from the trace, whose widths are positive by
+    construction, so a sample repeats no check.
     """
 
     def __init__(self, family, trace):
+        kind = family.stretch.kind
+        if kind == "gaussian" and trace.drive is None:
+            raise ValidationError(
+                f"CoefficientSampler: the {family.kind} trap f(t) x^2 holds "
+                f"only for a width that solves the Ermakov-Pinney equation "
+                f"of its drive f; got a prescribed width (drive None)")
+        if kind == "flat_bump" and (trace.drive is not None
+                                    or tuple(family.mu) != (0.0, 0.0)):
+            raise ValidationError(
+                f"CoefficientSampler: the {family.kind} flat-bump trap holds "
+                f"only for a prescribed width (a' = 0, drive None) and "
+                f"mu = (0, 0); got drive {trace.drive} and mu = {family.mu}")
         self.family = family
         self.trace = trace
         self._g = np.asarray(family.g_matrix, dtype=float)[:, :, None]
 
     def potential(self, x, t):
-        return potential(self.family, self.trace, x, t)
+        """Trap profiles v_1, v_2 at time t, shape (2, nx)."""
+        x = np.asarray(x, dtype=float)
+        s = self.family.stretch
+        v = np.empty((2,) + x.shape)
+        if s.kind == "gaussian":
+            kind, epsilon, omega0 = self.trace.drive
+            return np.multiply(drive_f(kind, t, epsilon, omega0) * x, x, out=v)
+        chi, _, d2chi, _, adot = self.trace.at(t)
+        xi = x / chi
+        if s.kind == "inverse_gaussian":
+            g2 = s.gamma**2
+            quad = (1.0 / (9.0 * g2 * g2 * chi**4)
+                    - d2chi / (4.0 * chi)) * x * x
+            const = -1.0 / (3.0 * g2 * chi**2) - adot
+            well = _clipped_exp(2.0 * xi * xi / (3.0 * g2)) / chi**2
+            return np.subtract(quad + const,
+                               np.multiply.outer(self.family.mu, well), out=v)
+        # flat_bump, whose a' and mu vanish, as checked when made
+        e = s.lam * np.exp(-xi * xi)
+        w = 1.0 + e
+        s1 = -d2chi / (4.0 * chi)
+        s2 = (e / (chi**2 * w)) * (1.0 + (e - 2.0) * xi * xi / w)
+        return np.add(s1 * x * x, s2, out=v)
 
     def couplings(self, x, t):
         """g_jk = G_jk F'(xi)^3 / chi, shape (2, 2, nx)."""
@@ -291,11 +289,6 @@ class ConstraintResiduals:
     workers: int = 1
     at: tuple = ()  # the lattice (t, x) of each maximum, as _walk_strip's
     strip_s: tuple = ()  # each strip's own walk time, the caller's first
-
-    @property
-    def worst(self):
-        # np.max propagates a NaN wherever it sits; the builtin max may not
-        return float(np.max([self.continuity, self.advection, self.flux]))
 
 
 def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
@@ -419,7 +412,7 @@ def potential_identity_check(family, trace, x, t, dt=STENCIL_DT):
 
     Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 with
     eighth-order stencils (2 * STENCIL_DEPTH + 1 time levels around t) and
-    compares with potential(...) on the interior of x.
+    compares with CoefficientSampler.potential on the interior of x.
     """
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
@@ -436,6 +429,6 @@ def potential_identity_check(family, trace, x, t, dt=STENCIL_DT):
 
     base = rho_xx / rho[d, inner] - eta_t - eta_x**2
     v_fd = np.stack([base - mu_j * zeta_x**2 for mu_j in family.mu])
-    v_cf = potential(family, trace, x, t)[:, inner]
+    v_cf = CoefficientSampler(family, trace).potential(x, t)[:, inner]
     gap = np.abs(v_fd - v_cf)[:, inner]
     return float(np.max(gap))

@@ -1,5 +1,6 @@
 """Coefficient sources the tests step with, next to the tests that use them,
-and the oracle the production coefficient samplers are held to."""
+the oracle CoefficientSampler is held to, and the worst of a constraint
+walk's three residuals."""
 
 import numpy as np
 
@@ -28,9 +29,10 @@ class ConstantCoefficients:
 
 def potential_oracle(family, trace, x, t):
     """The printed closed-form traps, one width query per quantity and one
-    row per component stacked: the formulas transform.potential evaluates
-    in fewer calls, which it must match bit for bit.  t is queried as a
-    0-d array, so the drive and the width take their array paths."""
+    row per component stacked: the formulas CoefficientSampler.potential
+    evaluates in fewer calls, which it must match bit for bit.  t is
+    queried as a 0-d array, so the drive and the width take their array
+    paths."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     s = family.stretch
     if s.kind == "gaussian":
@@ -67,3 +69,10 @@ def couplings_oracle(family, trace, x, t):
     xi = np.asarray(x, dtype=float) / chi
     g = np.asarray(family.g_matrix, dtype=float)[:, :, None]
     return g * (family.stretch.fprime(xi, 3) / chi)
+
+
+def worst_of(residuals):
+    """The largest of a ConstraintResiduals' three values; np.max propagates
+    a NaN wherever it sits, where the builtin max may not."""
+    return float(np.max([residuals.continuity, residuals.advection,
+                         residuals.flux]))

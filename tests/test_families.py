@@ -13,6 +13,7 @@ import pytest
 
 from modcnls.errors import ValidationError
 from modcnls.families import (
+    FamilySpec,
     amplitude_a0,
     assemble,
     assemble_rows,
@@ -24,7 +25,7 @@ from modcnls.families import (
     reduced_amplitudes,
     sech_family,
 )
-from modcnls.transform import eta_of, rho_of, zeta_of
+from modcnls.transform import StretchSpec, eta_of, rho_of, zeta_of
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -76,6 +77,26 @@ class TestFactories:
             sech_family(0.0)
         with pytest.raises(ValidationError):
             dark_bright_family(-1.0)
+
+    STRETCHES = {"gaussian": StretchSpec("gaussian"),
+                 "inverse_gaussian": StretchSpec("inverse_gaussian", gamma=6.0),
+                 "flat_bump": StretchSpec("flat_bump", lam=0.5)}
+
+    @pytest.mark.parametrize("maker", [elliptic_family, sech_family,
+                                       dark_bright_family],
+                             ids=lambda m: m.__name__)
+    def test_stretch_of_another_kind_refused(self, maker):
+        # the amplitudes solve the system only under their own stretch: an
+        # elliptic pair on the inverse-Gaussian stretch would be assembled
+        # as one family and sampled and walked as another
+        fam = maker()
+        for kind, stretch in self.STRETCHES.items():
+            if kind == fam.stretch.kind:
+                continue
+            with pytest.raises(ValidationError, match=(
+                    rf"the {fam.kind} amplitudes need the {fam.stretch.kind} "
+                    rf"stretch, got {kind}")):
+                FamilySpec(fam.kind, fam.mu, fam.g_matrix, stretch, fam.n)
 
 
 class TestReducedAmplitudes:
@@ -400,3 +421,12 @@ class TestDefaults:
         # still a mistake to name, not to run through
         with pytest.raises(ValidationError, match="unknown drive 'chirp'"):
             default_trace(family, "chirp", 1.0)
+
+    @pytest.mark.parametrize("purpose", ["export", "propagate", "residual"])
+    @pytest.mark.parametrize("family", [elliptic_family(1), sech_family(),
+                                        dark_bright_family(0.5)],
+                             ids=lambda f: f.kind)
+    def test_grid_refuses_an_unknown_drive(self, family, purpose):
+        # an unknown drive is named, not given the periodic box
+        with pytest.raises(ValidationError, match="unknown drive 'chirp'"):
+            default_grid(family, purpose, drive="chirp")
