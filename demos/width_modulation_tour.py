@@ -1,7 +1,7 @@
 """How the condensate width trace chi(t) is produced.
 
 The width obeys a Mathieu-type oscillator driven by the trap modulation
-f(t).  For the constant drive f = 1 there is a closed form; for the
+f(t).  For the periodic drive f = 1 there is a closed form; for the
 cosine-modulated drive the oscillator pair is integrated and chi comes
 out of the Wronskian combination.  Both paths are compared here, and
 both traces' samples at the integration's nodes end up in CSV.
@@ -17,14 +17,14 @@ from modcnls.export import write_modulation
 out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
 
-# constant drive: integrated oscillator vs closed form, sampled at the
+# periodic drive: integrated oscillator vs closed form, sampled at the
 # integration's nodes
 t_end = 10.0
-integrated = mathieu_trace("constant", t_end, dt=1e-4)
+integrated = mathieu_trace("periodic", t_end, dt=1e-4)
 times = integrated.path.times
 closed = closed_form_trace().samples(times)
 gap = np.abs(integrated.chi_at(times) - closed.chi).max()
-print(f"constant drive, t in [0, {t_end:g}]:")
+print(f"periodic drive, t in [0, {t_end:g}]:")
 print(f"  max |chi_integrated - chi_closed| = {gap:.2e}")
 print(f"  chi range [{closed.chi.min():.6f}, {closed.chi.max():.6f}]"
       "  (closed form pins [1/2, 2])")
@@ -46,7 +46,7 @@ print("  the trace stays positive and bounded; no parametric resonance "
       "at these drive settings")
 
 write_modulation(os.path.join(out_dir, "chi_constant.csv"), closed,
-                 {"drive": "constant", "dt": "1e-4"})
+                 {"drive": "periodic", "dt": "1e-4"})
 write_modulation(os.path.join(out_dir, "chi_quasiperiodic.csv"), quasi,
                  {"drive": "quasiperiodic", "dt": "1e-4"})
 print(f"wrote chi_constant.csv and chi_quasiperiodic.csv to {out_dir}")

@@ -15,9 +15,9 @@ from .errors import (DarkBackgroundError, DivergenceError,
 from .grid import SpatialGrid
 from .specfun import (ellip_k, erf, erfc, erfcx, erfi, jacobi_elliptic,
                       EllipticTriple)
-from .modulation import (ModulationTrace, MathieuPath, Width, WidthSamples,
-                         closed_form_trace, drive_f, explicit_trace,
-                         mathieu_trace)
+from .modulation import (DRIVES, ModulationTrace, MathieuPath, Width,
+                         WidthSamples, closed_form_trace, drive_f,
+                         explicit_trace, mathieu_trace)
 from .transform import (CoefficientSampler, ConstraintResiduals, StretchSpec,
                         eta_of, potential_from_transform,
                         potential_identity_check, rho_of,

@@ -32,10 +32,10 @@ from .errors import DivergenceError, ValidationError
 from .export import (EXTENSIONS, FIELD_COLUMNS, FORMATS, write_coefficients,
                      write_diagnostics, write_fields, write_manifest,
                      write_modulation)
-from .families import (DRIVES, assemble, dark_bright_family, default_grid,
+from .families import (assemble, dark_bright_family, default_grid,
                        default_trace, elliptic_family, sech_family)
 from .grid import SpatialGrid
-from .modulation import mathieu_trace
+from .modulation import DRIVES, mathieu_trace
 from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
@@ -51,6 +51,7 @@ Option = collections.namedtuple(
     defaults=(None, (), None, None, None))
 
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_FINITE = ("finite", math.isfinite)
 
 OPTIONS = (
     Option("family", str, "elliptic", ("elliptic", "sech", "dark-bright")),
@@ -61,8 +62,10 @@ OPTIONS = (
     Option("alpha", float, 0.3, help="dark-bright width tone at frequency 1"),
     Option("beta", float, 0.2,
            help="dark-bright width tone at frequency sqrt(2)"),
-    Option("epsilon", float, 0.5, help="drive modulation depth"),
-    Option("omega0", float, 1.0, help="drive modulation frequency"),
+    Option("epsilon", float, 0.5, domain=_FINITE,
+           help="drive modulation depth"),
+    Option("omega0", float, 1.0, domain=_FINITE,
+           help="drive modulation frequency"),
     Option("drive", str, "periodic", DRIVES),
     Option("L", float, help="grid half width (default sized per family)"),
     Option("N", int, 1024, help="grid points, a power of two"),
@@ -80,7 +83,7 @@ OPTIONS = (
     Option("mu_sign", str, "standard", ("standard", "flipped"),
            help="sign convention of the chemical-potential pair"),
     Option("format", str, "csv", FORMATS),
-    Option("corrupt_rho", float, 0.0, domain=("finite", math.isfinite),
+    Option("corrupt_rho", float, 0.0, domain=_FINITE,
            help="verify: scale rho by (1 + c x)"),
 )
 
@@ -407,8 +410,7 @@ def cmd_propagate(cfg):
 
 
 def cmd_mathieu_trace(cfg):
-    kind = "constant" if cfg["drive"] == "periodic" else "quasiperiodic"
-    trace = mathieu_trace(kind, cfg["t_end"], dt=cfg["dt"],
+    trace = mathieu_trace(cfg["drive"], cfg["t_end"], dt=cfg["dt"],
                           epsilon=cfg["epsilon"], omega0=cfg["omega0"])
     samples = trace.samples(trace.path.times[::cfg["stride"]])
     out = _prepare_out(cfg)

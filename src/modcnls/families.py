@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .grid import SpatialGrid
 from .modulation import (
     ModulationTrace,
+    check_drive,
     closed_form_trace,
     explicit_trace,
     mathieu_trace,
@@ -43,7 +44,6 @@ _ELLIPTIC_MODULUS = 1.0 / _SQRT2
 _STRETCH_OF = {"elliptic": "gaussian", "sech": "inverse_gaussian",
                "dark_bright": "flat_bump"}
 FAMILY_KINDS = tuple(_STRETCH_OF)
-DRIVES = ("periodic", "quasiperiodic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +234,7 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
     """
     if purpose not in ("export", "propagate", "residual"):
         raise ValidationError(f"default_grid: unknown purpose {purpose!r}")
-    if drive not in DRIVES:
-        raise ValidationError(f"default_grid: unknown drive {drive!r}")
+    check_drive("default_grid", drive)
     quasi = drive == "quasiperiodic"
     if family.kind == "elliptic":
         if purpose == "export":
@@ -259,12 +258,11 @@ def default_trace(family: FamilySpec, drive="periodic", t_end=10.0,
                   ) -> ModulationTrace:
     """The width trace each family is normally run with.
 
-    periodic: constant drive, served by the closed form.  quasiperiodic:
-    cosine-modulated drive, integrated to t_end; the analytic widths need
-    no horizon.  The dark-bright family uses its prescribed two-tone width.
+    periodic: f = 1, from the closed form.  quasiperiodic: f = 1 + epsilon
+    cos(omega0 t), integrated to t_end; the analytic widths need no horizon.
+    The dark-bright family uses its prescribed two-tone width.
     """
-    if drive not in DRIVES:
-        raise ValidationError(f"default_trace: unknown drive {drive!r}")
+    check_drive("default_trace", drive)
     if family.kind == "dark_bright":
         return explicit_trace(alpha, beta)
     if drive == "periodic":

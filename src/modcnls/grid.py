@@ -23,9 +23,10 @@ class SpatialGrid:
     def __post_init__(self):
         if not (self.half_width > 0 and np.isfinite(self.half_width)):
             raise ValidationError("grid half_width must be positive and finite")
-        if self.n_points < 8 or self.n_points & (self.n_points - 1):
-            raise ValidationError("grid n_points must be a power of two >= 8, "
-                                  f"got {self.n_points}")
+        if (not isinstance(self.n_points, (int, np.integer))
+                or self.n_points < 8 or self.n_points & (self.n_points - 1)):
+            raise ValidationError("grid n_points must be an integer power "
+                                  f"of two >= 8, got {self.n_points!r}")
         dx = 2.0 * self.half_width / self.n_points
         object.__setattr__(self, "x", -self.half_width + dx * np.arange(self.n_points))
         object.__setattr__(

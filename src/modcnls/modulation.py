@@ -4,7 +4,7 @@ The width obeys the Ermakov-Pinney equation chi'' + 4 f(t) chi = 4/chi^3 and
 is built from two independent solutions of the linear parametric oscillator
 z'' + 4 f(t) z = 0 (a Mathieu-type equation for the cosine drives used here)
 as chi = sqrt(2 z1^2 + 2 z2^2 / W^2), W the Wronskian.  With z1(0) = sqrt(2),
-z1'(0) = 0 the constant drive f = 1 gives the closed form
+z1'(0) = 0 the periodic drive f = 1 gives the closed form
 chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
 path.  A third source is an explicitly prescribed two-tone width used by the
 dark-bright family.
@@ -23,8 +23,8 @@ node 0, so a node's value does not depend on the horizon.
 
 Conventions fixed here and relied on elsewhere:
 
-* the drive is f = 1 + epsilon cos(omega0 t), with epsilon = 0 for the
-  constant drive;
+* a drive is the (epsilon, omega0) of f = 1 + epsilon cos(omega0 t); of
+  DRIVES, periodic is (0, 0), so f = 1 exactly, and quasiperiodic as given;
 * default initial data z1 = (sqrt(2), 0), z2 = (0, 1), so W = sqrt(2);
   chi is invariant under rescaling z2 since z2 enters as z2/W.
 * a(t) = int_0^t chi^-2 ds for the oscillator-driven sources (it cancels the
@@ -48,36 +48,36 @@ from .errors import ValidationError
 _SQRT2 = math.sqrt(2.0)
 # largest h * 2 sqrt(max|f|), the oscillator's turn per step, that
 # mathieu_trace accepts; at 0.2 RK4 keeps chi within 4.6e-4 of the closed
-# form over 10 s of the constant drive, at 0.8 it is 0.12 off
+# form over 10 s of the periodic drive, at 0.8 it is 0.12 off
 _STEP_BOUND = 0.2
 # steps per block of the oscillator's prefix scan: the scan loops over a
 # block's positions in Python and over the block totals in log2 passes
 _BLOCK = 128
 # largest |z|, |z'| of a path mathieu_trace keeps; the width squares them
 _PATH_LIMIT = 1e100
-DRIVE_KINDS = ("constant", "quasiperiodic")
+DRIVES = ("periodic", "quasiperiodic")
 
 
-def drive_f(kind, t, epsilon=0.5, omega0=1.0):
-    """Trap-strength drive: f = 1 (constant) or f = 1 + epsilon cos(omega0 t).
+def check_drive(caller, drive):
+    """Refuse a drive name outside DRIVES, naming them."""
+    if drive not in DRIVES:
+        raise ValidationError(f"{caller}: unknown drive {drive!r}; choose "
+                              f"from {', '.join(DRIVES)}")
+
+
+def drive_f(t, epsilon, omega0):
+    """Trap-strength drive f = 1 + epsilon cos(omega0 t).
 
     A float t gives a float without an array, from math.cos, which the
     tests hold to the bits of numpy's cos: the element an array of t gives.
     """
-    if kind not in DRIVE_KINDS:
-        raise ValueError(f"drive_f: unknown kind {kind!r}")
-    if kind == "quasiperiodic" and not (np.isfinite(epsilon)
-                                        and np.isfinite(omega0)):
-        raise ValueError("drive_f: epsilon and omega0 must be finite")
+    if not (math.isfinite(epsilon) and math.isfinite(omega0)):
+        raise ValidationError(f"drive_f: epsilon = {epsilon!r} and omega0 = "
+                              f"{omega0!r} must be finite")
     if isinstance(t, float):
-        return 1.0 if kind == "constant" else float(
-            1.0 + epsilon * math.cos(omega0 * t))
+        return float(1.0 + epsilon * math.cos(omega0 * t))
     t = np.asarray(t, dtype=float)
-    if kind == "constant":
-        out = np.ones_like(t)
-    else:
-        out = 1.0 + epsilon * np.cos(omega0 * t)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(1.0 + epsilon * np.cos(omega0 * t))
 
 
 def _scalar(out):
@@ -180,7 +180,7 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     Q_k = (I + D_{k-1})...(I + D_0) - I comes from a blocked scan over
     blocks of _BLOCK steps, anchored at step 0, so I + D is never rounded:
     one pass over the positions of every block at once, compensated
-    (Knuth's TwoSum) because the equal blocks of a constant drive would
+    (Knuth's TwoSum) because the equal blocks of the periodic drive would
     otherwise add up equal rounding errors; a Hillis-Steele scan over the
     block totals; and one pass applying each block's carry.  Steps past
     the last node pad the last block and reach no node.
@@ -193,10 +193,9 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
         raise ValueError("mathieu_trace: initial data are linearly dependent")
     blocks = -(-n // _BLOCK)
     a_node = np.zeros(blocks * _BLOCK + 1)
-    a_node[:n + 1] = -4.0 * drive_f("quasiperiodic", times, epsilon, omega0)
+    a_node[:n + 1] = -4.0 * drive_f(times, epsilon, omega0)
     a_mid = np.zeros(blocks * _BLOCK)
-    a_mid[:n] = -4.0 * drive_f("quasiperiodic", times[:-1] + 0.5 * h,
-                               epsilon, omega0)
+    a_mid[:n] = -4.0 * drive_f(times[:-1] + 0.5 * h, epsilon, omega0)
     # a0, am, a1 of step k sit at [k // _BLOCK, k % _BLOCK], D_k at
     # q[k % _BLOCK, :, :, k // _BLOCK]
     a0, am, a1 = (a_node[:-1].reshape(blocks, _BLOCK),
@@ -251,7 +250,7 @@ def _path(p, a, epsilon, omega0, t):
     at the nearest node j plus half the turn of w from t_j to t, which is
     far below pi, so wrapping it recovers it."""
     z1, z2, dz1, dz2 = _hermite(p, t)
-    accel = -4.0 * drive_f("quasiperiodic", t, epsilon, omega0)
+    accel = -4.0 * drive_f(t, epsilon, omega0)
     w2 = p.w**2
     chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
     dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
@@ -279,12 +278,12 @@ class ModulationTrace:
     A trace is the evaluator its factory sets, width(t) -> (chi, chi',
     chi'', a).  at(t) calls it once and adds a'; the *_at queries and the
     samples(times) the export writes read at(t), so a sample is the
-    query's value bit for bit.  drive is the (kind, epsilon, omega0) whose
-    Ermakov-Pinney equation chi solves, with a' = chi^-2, or None for a
-    prescribed width, whose a' is 0.  An integrated trace keeps its
-    oscillator path and only answers inside the window of path.times;
-    every other trace answers at any t, and a float t there stays a float
-    with the bits of the element of any array of t.
+    query's value bit for bit.  drive is the (epsilon, omega0) of the
+    f = 1 + epsilon cos(omega0 t) whose Ermakov-Pinney equation chi solves,
+    with a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
+    integrated trace keeps its oscillator path and only answers inside the
+    window of path.times; every other trace answers at any t, and a float t
+    there stays a float with the bits of the element of any array of t.
     """
 
     width: Callable
@@ -341,33 +340,35 @@ class ModulationTrace:
 
 
 def closed_form_trace() -> ModulationTrace:
-    """Analytic trace for the constant drive f = 1."""
-    return ModulationTrace(_closed_form, drive=("constant", 0.0, 0.0))
+    """Analytic trace for the periodic drive f = 1."""
+    return ModulationTrace(_closed_form, drive=(0.0, 0.0))
 
 
-def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
+def mathieu_trace(drive, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
                   z1_init=(_SQRT2, 0.0), z2_init=(0.0, 1.0)) -> ModulationTrace:
-    """Trace built by integrating the parametric oscillator for any drive.
+    """Trace built by integrating the parametric oscillator for a drive in
+    DRIVES; periodic takes epsilon = omega0 = 0 for any finite ones given.
 
     The oscillator path is sampled at 0, dt, ..., n dt with n dt >= t_end and
     kept as the trace's path; a is half the unwrapped phase of
-    w = z1 + i z2/W, counted from its start.  A step with
-    dt * 2 sqrt(max|f|) above _STEP_BOUND, max|f| = 1 + |epsilon|, is
-    refused with a ValidationError: RK4 no longer resolves the oscillator.
-    So is a path that grows past _PATH_LIMIT, or is not finite, within
-    t_end: the width squares it.
+    w = z1 + i z2/W, counted from its start.  A non-finite epsilon or
+    omega0 is refused with a ValidationError, and so is a step with
+    dt * 2 sqrt(max|f|) above _STEP_BOUND, max|f| = 1 + |epsilon|: RK4 no
+    longer resolves the oscillator.  So is a path that grows past
+    _PATH_LIMIT, or is not finite, within t_end: the width squares it.
     """
-    if kind not in DRIVE_KINDS:
-        raise ValueError(f"mathieu_trace: unknown drive kind {kind!r}")
+    check_drive("mathieu_trace", drive)
     if not (t_end > 0 and dt > 0):
         raise ValueError("mathieu_trace: t_end and dt must be positive")
-    # the constant drive is f = 1 + 0 cos(0 t), whatever omega0 was given
-    eps, w0 = ((float(epsilon), float(omega0)) if kind == "quasiperiodic"
+    if not (math.isfinite(epsilon) and math.isfinite(omega0)):
+        raise ValidationError(f"mathieu_trace: epsilon = {epsilon!r} and "
+                              f"omega0 = {omega0!r} must be finite")
+    eps, w0 = ((float(epsilon), float(omega0)) if drive == "quasiperiodic"
                else (0.0, 0.0))
     ratio = dt * 2.0 * math.sqrt(1.0 + abs(eps))
     if ratio > _STEP_BOUND:
         raise ValidationError(
-            f"mathieu_trace: dt = {dt!r} does not resolve the {kind} drive "
+            f"mathieu_trace: dt = {dt!r} does not resolve the {drive} drive "
             f"(epsilon = {eps!r}): dt * 2 sqrt(max|f|) = {ratio:.3g} exceeds "
             f"{_STEP_BOUND}")
     path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
@@ -376,14 +377,14 @@ def mathieu_trace(kind, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     if not all(-_PATH_LIMIT <= x.min() and x.max() <= _PATH_LIMIT for x in z):
         grown = ~np.logical_and.reduce([np.abs(x) <= _PATH_LIMIT for x in z])
         raise ValidationError(
-            f"mathieu_trace: the oscillator path of the {kind} drive "
+            f"mathieu_trace: the oscillator path of the {drive} drive "
             f"(epsilon = {eps!r}, omega0 = {w0!r}) passes {_PATH_LIMIT:g} "
             f"at t = {float(path.times[np.argmax(grown)]):.6g}: the drive is "
             f"parametrically resonant; build to an earlier horizon")
     phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
     a = 0.5 * (phase - phase[0])
     return ModulationTrace(functools.partial(_path, path, a, eps, w0),
-                           drive=(kind, eps, w0), path=path)
+                           drive=(eps, w0), path=path)
 
 
 def explicit_trace(alpha, beta) -> ModulationTrace:

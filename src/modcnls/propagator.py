@@ -72,8 +72,10 @@ class PropagationConfig:
                 f"({self.t_end / self.dt:.6g} steps); the run would end at "
                 f"t = {self.n_steps * self.dt:g}"
             )
-        if self.record_stride < 1:
-            raise ValidationError("PropagationConfig: record_stride must be >= 1")
+        if not (isinstance(self.record_stride, (int, np.integer))
+                and self.record_stride >= 1):
+            raise ValidationError("PropagationConfig: record_stride must be "
+                                  "an integer >= 1")
         # resolution guard: dt times the square of the highest resolvable
         # spatial frequency (cycles per unit length) must stay below pi
         g = self.grid

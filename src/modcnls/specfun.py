@@ -11,7 +11,7 @@ kind.  Algorithms:
   so the tail never underflows before exp(-x^2) does.  Errors are within a
   few ulp throughout (relative for erfc and erfcx).
 * erfi: term-recurrence series (all terms positive, condition number 1),
-  each element summed until its own terms fall below half an ulp;
+  summed until every element's terms fall below half an ulp of its sum;
   overflows to +/-inf past x^2 ~ 700 like exp(x^2) itself.
 * ellip_k: arithmetic-geometric mean, K = pi / (2 AGM(1, k')).
 * jacobi_elliptic: descending Landen/AGM phase recurrence
@@ -206,33 +206,18 @@ def erfi(x):
     if ok.any():
         xs = ax[ok]
         x2 = xs * xs
-        term = xs.copy()
-        # total is sums until an element stops; from then on it holds the
-        # sums of the elements live indexes, which are still summing
-        sums = total = xs.copy()
-        live = None
+        term, total = xs, xs.copy()
         n = 0
+        # past a term of 1e-17 of the sum every later term is below half an
+        # ulp of it, so an element that converged keeps its bits while the
+        # block sums on to its slowest element
         while True:
             for n in range(n + 1, n + 17):
                 term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
                 total += term
-            # past a term of 1e-17 of the sum every term is below half
-            # an ulp of it, so an element stops at its own convergence
-            # with the bits it would reach summing on
-            done = term <= 1e-17 * total + 1e-300
-            if done.all():
+            if np.all(term <= 1e-17 * total + 1e-300):
                 break
-            if done.any():
-                left = ~done
-                if live is None:
-                    live = np.flatnonzero(left)
-                else:
-                    sums[live[done]] = total[done]
-                    live = live[left]
-                x2, term, total = x2[left], term[left], total[left]
-        if live is not None:
-            sums[live] = total
-        out[ok] = (2.0 / _SQRT_PI) * sums
+        out[ok] = (2.0 / _SQRT_PI) * total
     out = np.copysign(out, arr)
     return _finish(out, scalar)
 

@@ -187,8 +187,7 @@ class CoefficientSampler:
         s = self.family.stretch
         v = np.empty((2,) + x.shape)
         if s.kind == "gaussian":
-            kind, epsilon, omega0 = self.trace.drive
-            return np.multiply(drive_f(kind, t, epsilon, omega0) * x, x, out=v)
+            return np.multiply(drive_f(t, *self.trace.drive) * x, x, out=v)
         chi, _, d2chi, _, adot = self.trace.at(t)
         xi = x / chi
         if s.kind == "inverse_gaussian":

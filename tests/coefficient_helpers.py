@@ -38,8 +38,7 @@ def potential_oracle(family, trace, x, t):
     if s.kind == "gaussian":
         if trace.drive is None:
             raise ValidationError("potential_oracle: prescribed width")
-        kind, epsilon, omega0 = trace.drive
-        v = drive_f(kind, t, epsilon, omega0) * x * x
+        v = drive_f(t, *trace.drive) * x * x
         return np.stack([v, v])
     if s.kind == "flat_bump" and (trace.drive is not None
                                   or tuple(family.mu) != (0.0, 0.0)):

@@ -99,12 +99,12 @@ def test_criterion_1_special_functions():
 
 def test_criterion_2_width_cross_validation():
     t0 = time.perf_counter()
-    tr = mathieu_trace("constant", 10.0, dt=1e-4)
+    tr = mathieu_trace("periodic", 10.0, dt=1e-4)
     s = tr.samples(tr.path.times)
     chi_exact = np.sqrt(1.0 + 15.0 * np.cos(2.0 * s.times) ** 2) / 2.0
     gap = float(np.abs(s.chi - chi_exact).max())
 
-    tr_scaled = mathieu_trace("constant", 10.0, dt=1e-4, z2_init=(0.0, 3.0))
+    tr_scaled = mathieu_trace("periodic", 10.0, dt=1e-4, z2_init=(0.0, 3.0))
     invariance = float(np.abs(s.chi - tr_scaled.chi_at(s.times)).max())
 
     ok = gap <= 1e-6 and invariance <= 1e-12

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import modcnls
 from modcnls import cli, export, parallel, transform
 from modcnls.cli import main
 from modcnls.errors import DivergenceError, ValidationError
@@ -466,11 +467,35 @@ class TestValidationGates:
     def test_zero_points_rejected(self, tmp_path):
         assert main(["solution", "--N", "0", "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("n", [0, 4, 6, 12, 1000, 1023])
+    @pytest.mark.parametrize("n", [0, 4, 6, 12, 1000, 1023, 1024.0])
     def test_grid_itself_demands_power_of_two(self, n):
         # the rule lives in SpatialGrid, so library callers get it too
-        with pytest.raises(ValidationError, match="power of two"):
+        with pytest.raises(ValidationError,
+                           match="n_points must be an integer power of two"):
             SpatialGrid(10.0, n)
+
+    @pytest.mark.parametrize("drive", ["periodic", "quasiperiodic"])
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", "nan"), ("epsilon", "inf"), ("omega0", "-inf")])
+    def test_non_finite_drive_parameter_refused(self, tmp_path, capsys, drive,
+                                                key, value):
+        # named as the option it is, on either drive, before any output
+        out = tmp_path / "o"
+        code = main(["solution", "--drive", drive, f"--{key}={value}",
+                     "--t-end", "0.25", "--out", str(out)])
+        assert code == 1
+        assert (f"{key} must be finite, got '{value}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_drive_names_are_the_packages(self, tmp_path, capsys):
+        # --drive takes exactly modcnls.DRIVES, which the refusal lists
+        assert cli.OPTIONS[[o.key for o in cli.OPTIONS].index("drive")
+                           ].choices == modcnls.DRIVES
+        assert main(["mathieu-trace", "--drive", "constant",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert ("unknown drive 'constant'; choose from "
+                + ", ".join(modcnls.DRIVES)) in capsys.readouterr().err
 
     def test_bad_family_parameter(self, tmp_path):
         # |alpha| + |beta| >= 1 leaves the width able to vanish
@@ -570,7 +595,7 @@ class TestPotentialCommand:
         _, cols, rows = read_csv(str(out / "coefficients.csv"))
         assert cols == list(COEFFICIENT_COLUMNS)
         assert rows.shape == (3 * 256, 8)
-        # constant drive: v = x^2 exactly, both components
+        # periodic drive: v = x^2 exactly, both components
         np.testing.assert_allclose(rows[:, 2], rows[:, 0] ** 2, atol=1e-12)
         np.testing.assert_allclose(rows[:, 3], rows[:, 0] ** 2, atol=1e-12)
 

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import modcnls
 from modcnls.errors import ValidationError
 from modcnls.families import (
     FamilySpec,
@@ -25,6 +26,7 @@ from modcnls.families import (
     reduced_amplitudes,
     sech_family,
 )
+from modcnls.modulation import mathieu_trace
 from modcnls.transform import StretchSpec, eta_of, rho_of, zeta_of
 
 SQRT_PI = math.sqrt(math.pi)
@@ -406,9 +408,9 @@ class TestDefaults:
     def test_traces(self):
         # the closed form, the integrated oscillator and the two-tone width
         closed = default_trace(elliptic_family(1), "periodic", 1.0)
-        assert closed.drive == ("constant", 0.0, 0.0) and closed.path is None
+        assert closed.drive == (0.0, 0.0) and closed.path is None
         quasi = default_trace(elliptic_family(1), "quasiperiodic", 1.0)
-        assert quasi.drive == ("quasiperiodic", 0.5, 1.0)
+        assert quasi.drive == (0.5, 1.0)
         assert quasi.path is not None
         two_tone = default_trace(dark_bright_family(0.2), t_end=1.0)
         assert two_tone.drive is None and two_tone.path is None
@@ -421,6 +423,21 @@ class TestDefaults:
         # still a mistake to name, not to run through
         with pytest.raises(ValidationError, match="unknown drive 'chirp'"):
             default_trace(family, "chirp", 1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda drive: mathieu_trace(drive, 1.0),
+        lambda drive: default_trace(sech_family(), drive, 1.0),
+        lambda drive: default_grid(sech_family(), "residual", drive=drive),
+    ], ids=["mathieu_trace", "default_trace", "default_grid"])
+    def test_one_drive_vocabulary(self, build):
+        # every drive name in the package is one of DRIVES, and a name
+        # outside them is refused with them named
+        for drive in modcnls.DRIVES:
+            build(drive)
+        with pytest.raises(ValidationError, match=(
+                "unknown drive 'constant'; choose from "
+                + ", ".join(modcnls.DRIVES) + "$")):
+            build("constant")
 
     @pytest.mark.parametrize("purpose", ["export", "propagate", "residual"])
     @pytest.mark.parametrize("family", [elliptic_family(1), sech_family(),

@@ -1,8 +1,8 @@
 """Width modulation: oscillator integration, closed forms, trace queries.
 
-Oracle for the constant drive: chi = sqrt(1 + 15 cos^2 2t) / 2, an explicit
-solution of chi'' + 4 chi = 4/chi^3 with chi(0) = 2, chi'(0) = 0.  The
-oscillator route must reproduce it to integrator accuracy.  For the
+Oracle for the periodic drive f = 1: chi = sqrt(1 + 15 cos^2 2t) / 2, an
+explicit solution of chi'' + 4 chi = 4/chi^3 with chi(0) = 2, chi'(0) = 0.
+The oscillator route must reproduce it to integrator accuracy.  For the
 quasiperiodic drive no closed form exists, so the checks are structural:
 Wronskian conservation, the defining second-order equation, and invariance
 of chi under rescaling the second solution.
@@ -35,22 +35,39 @@ def node_samples(tr):
 
 
 class TestDrive:
-    def test_constant(self):
-        assert drive_f("constant", 3.7) == 1.0
-        np.testing.assert_array_equal(drive_f("constant", np.arange(4.0)), 1.0)
+    def test_periodic(self):
+        assert drive_f(3.7, 0.0, 0.0) == 1.0
+        np.testing.assert_array_equal(drive_f(np.arange(4.0), 0.0, 0.0), 1.0)
 
     def test_quasiperiodic(self):
         t = np.linspace(0, 5, 11)
         np.testing.assert_allclose(
-            drive_f("quasiperiodic", t, epsilon=0.5, omega0=1.0),
+            drive_f(t, epsilon=0.5, omega0=1.0),
             1.0 + 0.5 * np.cos(t),
         )
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            drive_f("chirp", 0.0)
+    def test_bad_drive(self):
         with pytest.raises(ValueError):
             mathieu_trace("chirp", 1.0)
+        with pytest.raises(ValidationError, match=r"epsilon = nan and "
+                           r"omega0 = 1\.0 must be finite"):
+            drive_f(0.5, float("nan"), 1.0)
+
+    def test_periodic_is_the_quasiperiodic_oscillator_at_zero_depth(self):
+        # f = 1 + 0 cos(0 t) is f = 1 bit for bit, whatever finite
+        # epsilon and omega0 the periodic drive is handed
+        want = mathieu_trace("quasiperiodic", 2.0, dt=1e-3, epsilon=0.0,
+                             omega0=0.0)
+        for epsilon, omega0 in ((0.5, 1.0), (0.0, 0.0), (-0.3, 7.0)):
+            got = mathieu_trace("periodic", 2.0, dt=1e-3, epsilon=epsilon,
+                                omega0=omega0)
+            assert got.drive == want.drive == (0.0, 0.0)
+            for name in ("times", "z1", "dz1", "z2", "dz2", "accel"):
+                assert same_bits(getattr(got.path, name),
+                                 getattr(want.path, name)), name
+            t = np.linspace(0.0, 2.0, 777)
+            for field, value in zip(modulation.Width._fields, got.at(t)):
+                assert same_bits(value, getattr(want.at(t), field)), field
 
 
 def chi_rk4_longdouble(t_end, h, epsilon, omega0):
@@ -83,14 +100,14 @@ def chi_rk4_longdouble(t_end, h, epsilon, omega0):
 
 class TestMathieuIntegration:
     def test_reproduces_closed_form_width(self):
-        s = node_samples(mathieu_trace("constant", 10.0, dt=1e-4))
+        s = node_samples(mathieu_trace("periodic", 10.0, dt=1e-4))
         err = np.abs(s.chi - chi_exact(s.times)).max()
         assert err < 5e-14, f"chi deviates from closed form by {err:.3e}"
 
     @pytest.mark.parametrize("kind, epsilon, omega0", [
         ("quasiperiodic", 0.5, 1.0),
         ("quasiperiodic", 0.5, 4.0),  # parametric resonance: chi grows
-        ("constant", 0.0, 0.0),
+        ("periodic", 0.0, 0.0),
     ])
     def test_matches_extended_precision_rk4(self, kind, epsilon, omega0):
         # same method, same step: the difference is float64 rounding alone
@@ -146,13 +163,13 @@ class TestMathieuIntegration:
     def test_width_equation_residual(self):
         # chi'' + 4 f chi = 4 / chi^3 must hold for the quasiperiodic drive too
         tr = mathieu_trace("quasiperiodic", 8.0, dt=1e-4, epsilon=0.5, omega0=1.0)
-        f = drive_f("quasiperiodic", tr.path.times, 0.5, 1.0)
+        f = drive_f(tr.path.times, 0.5, 1.0)
         chi, _, d2chi, _, _ = tr.at(tr.path.times)
         res = d2chi + 4.0 * f * chi - 4.0 / chi**3
         assert np.abs(res).max() < 1e-9
 
     def test_state_access(self):
-        tr = mathieu_trace("constant", 1.0, dt=1e-3)
+        tr = mathieu_trace("periodic", 1.0, dt=1e-3)
         path = tr.path
         assert path.z1[0] == pytest.approx(math.sqrt(2.0))
         assert tr.chi_at(0.0) == pytest.approx(2.0)
@@ -162,14 +179,14 @@ class TestMathieuIntegration:
 
     def test_degenerate_initial_data_rejected(self):
         with pytest.raises(ValueError):
-            mathieu_trace("constant", 1.0, z2_init=(math.sqrt(2.0), 0.0))
+            mathieu_trace("periodic", 1.0, z2_init=(math.sqrt(2.0), 0.0))
         with pytest.raises(ValueError):
-            mathieu_trace("constant", -1.0)
+            mathieu_trace("periodic", -1.0)
         with pytest.raises(ValueError):
             mathieu_trace("quasiperiodic", 1.0, omega0=float("nan"))
 
     @pytest.mark.parametrize("kind, dt, ratio", [
-        ("constant", 0.4, "0.8"),  # dt * 2 sqrt(1)
+        ("periodic", 0.4, "0.8"),  # dt * 2 sqrt(1)
         ("quasiperiodic", 0.09, "0.22"),  # dt * 2 sqrt(1 + 0.5)
     ])
     def test_unresolved_step_refused(self, kind, dt, ratio):
@@ -179,7 +196,7 @@ class TestMathieuIntegration:
             assert part in str(info.value), str(info.value)
 
     def test_step_just_below_the_bound_accepted(self):
-        s = node_samples(mathieu_trace("constant", 10.0, dt=0.099))
+        s = node_samples(mathieu_trace("periodic", 10.0, dt=0.099))
         exact = chi_exact(s.times)
         assert np.max(np.abs(s.chi - exact) / exact) < 5e-4
         mathieu_trace("quasiperiodic", 10.0, dt=0.08)  # ratio 0.196
@@ -335,26 +352,25 @@ class TestScalarQueries:
         got = [tr.d2chi_dt2_at(tk) for tk in t.tolist()]
         assert same_bits(got, tr.d2chi_dt2_at(t))
 
-    @pytest.mark.parametrize("kind, epsilon, omega0", [
-        ("constant", 0.0, 0.0),
-        ("quasiperiodic", 0.5, 1.0),
-        ("quasiperiodic", 0.3, 2.7),
+    @pytest.mark.parametrize("epsilon, omega0", [
+        (0.0, 0.0),
+        (0.5, 1.0),
+        (0.3, 2.7),
     ])
-    def test_drive_float_t_gives_the_array_element(self, kind, epsilon,
-                                                   omega0):
+    def test_drive_float_t_gives_the_array_element(self, epsilon, omega0):
         # math.cos on the float path, numpy's cos on the array path: they
         # must agree on every t, so 200,000 of them over a wide range
         rng = np.random.default_rng(17)
         t = np.concatenate([self.times(0.0, 10.0),
                             rng.uniform(-1e3, 1e3, 200_000)])
-        got = [drive_f(kind, tk, epsilon, omega0) for tk in t.tolist()]
+        got = [drive_f(tk, epsilon, omega0) for tk in t.tolist()]
         assert all(type(g) is float for g in got[:10])
-        assert same_bits(got, drive_f(kind, t, epsilon, omega0))
+        assert same_bits(got, drive_f(t, epsilon, omega0))
 
 
 class TestMathieuTraceQueries:
     def test_off_grid_queries_match_closed_form(self):
-        tr = mathieu_trace("constant", 10.0, dt=1e-4)
+        tr = mathieu_trace("periodic", 10.0, dt=1e-4)
         rng = np.random.default_rng(21)
         t = rng.uniform(0, 10, 300)
         assert np.abs(tr.chi_at(t) - chi_exact(t)).max() < 1e-9
@@ -365,12 +381,12 @@ class TestMathieuTraceQueries:
         assert np.abs(tr.d2chi_dt2_at(t) - cf.d2chi_dt2_at(t)).max() < 1e-6
 
     def test_agreement_tolerance_from_acceptance(self):
-        s = node_samples(mathieu_trace("constant", 10.0, dt=1e-4))
+        s = node_samples(mathieu_trace("periodic", 10.0, dt=1e-4))
         assert np.abs(s.chi - chi_exact(s.times)).max() <= 1e-6
 
     def test_out_of_range_query_rejected(self):
         # the refusal names the first t asked outside and the window
-        tr = mathieu_trace("constant", 2.0, dt=1e-3)
+        tr = mathieu_trace("periodic", 2.0, dt=1e-3)
         with pytest.raises(ValidationError, match=r"t = 2\.5,.*\[0, 2\]"):
             tr.chi_at(np.array([1.0, 2.5, 3.0]))
         with pytest.raises(ValidationError, match=r"t = -0\.5,"):
@@ -415,7 +431,7 @@ class TestPhaseFromOscillator:
     """a = arg(z1 + i z2/W)/2 on the oscillator path, no quadrature."""
 
     def test_constant_drive_matches_closed_form(self):
-        tr = mathieu_trace("constant", 10.0, dt=1e-4)
+        tr = mathieu_trace("periodic", 10.0, dt=1e-4)
         s = node_samples(tr)
         assert np.abs(s.a - _closed_form(s.times)[3]).max() < 2e-14
         t = np.random.default_rng(21).uniform(0, 10, 300)
@@ -463,6 +479,19 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match=r"\|alpha\| \+ \|beta\| < 1"):
             explicit_trace(alpha, beta)
 
+    @pytest.mark.parametrize("drive", ["periodic", "quasiperiodic"])
+    @pytest.mark.parametrize("epsilon, omega0", [
+        (float("nan"), 1.0), (0.5, float("inf")), (-float("inf"), 1.0)])
+    def test_non_finite_drive_is_refused_before_the_step_bound(
+            self, drive, epsilon, omega0):
+        # a NaN epsilon would pass the step bound, and dt = 1 fails it for
+        # every finite epsilon: the refusal names the parameters instead
+        with pytest.raises(ValidationError, match=(
+                rf"mathieu_trace: epsilon = {epsilon!r} and "
+                rf"omega0 = {omega0!r} must be finite")):
+            mathieu_trace(drive, 10.0, dt=1.0, epsilon=epsilon,
+                          omega0=omega0)
+
     def test_resonant_path_is_refused(self):
         # epsilon = 0.5, omega0 = 4 sits in the first resonance tongue: the
         # path grows by e about every 4 time units, past 1e100 by t = 930,
@@ -479,6 +508,6 @@ class TestTraceValidation:
     def test_every_source_starts_at_zero_phase(self):
         for tr in (closed_form_trace(), explicit_trace(0.3, 0.2),
                    mathieu_trace("quasiperiodic", 1.0, dt=1e-3),
-                   mathieu_trace("constant", 1.0, dt=1e-3,
+                   mathieu_trace("periodic", 1.0, dt=1e-3,
                                  z2_init=(1.0, 3.0))):
             assert tr.a_at(0.0) == 0.0

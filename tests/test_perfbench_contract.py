@@ -3,24 +3,45 @@
 perfbench/layers.py wraps the package's functions at named module
 attributes; a renamed or removed attribute makes every traced benchmark run
 stop.  These checks load the tracer from the checkout and fail fast instead.
+Each workload's commands, at the horizons perfbench/smoke.py cuts them to,
+must move every count the smoke check requires of it.
 """
 
 import importlib.util
 import multiprocessing
 import pathlib
+import sys
 
 import modcnls
 import modcnls.cli
 from worker_helpers import force_workers
 
-LAYERS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module.  The benchmark's scripts import
+    each other by their top-level names, so the directory is on sys.path
+    while it loads, and the modules loaded from it leave sys.modules
+    again."""
+    before = set(sys.modules)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for added in set(sys.modules) - before:
+            origin = getattr(sys.modules[added], "__file__", None) or ""
+            if pathlib.Path(origin).parent == PERFBENCH:
+                del sys.modules[added]
+    return module
 
 
 def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("layers")
 
 
 def test_every_traced_attribute_exists():
@@ -46,37 +67,29 @@ def traced_metrics(*argvs):
     return metrics
 
 
-def test_traced_propagate_counts_its_layers(tmp_path):
-    metrics = traced_metrics(
-        ["propagate", "--family", "elliptic", "--drive", "periodic",
-         "--perturb", "0.03", "--seed", "1", "--t-end", "0.05",
-         "--out", str(tmp_path / "out")])
-    for name in ("transform.sampler_calls", "families.assemble_calls",
-                 "specfun.jacobi_points", "modulation.query_calls"):
-        assert metrics[name] > 0, name
+def unmoved_counts(tmp_path, workload):
+    """The counts perfbench/smoke.py requires of the workload that its
+    commands, traced at smoke's horizon, leave at 0."""
+    smoke = load_perfbench("smoke")
+    commands = smoke.WORKLOADS[workload].commands(
+        1, str(tmp_path / workload), smoke.TINY_T_END[workload])
+    metrics = traced_metrics(*[command.argv for command in commands])
+    return [name for name in smoke.KEY_COUNTS[workload] if not metrics[name]]
 
 
-def traced_dump(tmp_path):
-    # the dump workload's commands at its smoke horizon
-    common = ["--family", "sech", "--drive", "quasiperiodic",
-              "--t-end", "0.25"]
-    metrics = traced_metrics(
-        *[[command, *common, "--out", str(tmp_path / command)]
-          for command in ("solution", "potential")])
-    for name in ("export.rows", "export.bytes", "modulation.mathieu_steps",
-                 "transform.sampler_calls", "families.assemble_calls"):
-        assert metrics[name] > 0, name
-
-
-def test_traced_dump_counts_its_layers(tmp_path):
-    traced_dump(tmp_path)
+def test_traced_workloads_move_every_count_smoke_requires(tmp_path):
+    smoke = load_perfbench("smoke")
+    assert sorted(smoke.KEY_COUNTS) == sorted(smoke.WORKLOADS)
+    unmoved = {workload: unmoved_counts(tmp_path, workload)
+               for workload in smoke.KEY_COUNTS}
+    assert unmoved == {workload: [] for workload in smoke.KEY_COUNTS}
 
 
 def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
     # the tracer's wrappers also run inside the workers, which keep their
     # own counts; the caller's share still counts
     forked = force_workers(monkeypatch, 2)
-    traced_dump(tmp_path)
+    assert unmoved_counts(tmp_path, "dump_quasi") == []
     assert len(forked) == 2  # one worker per command
     assert multiprocessing.active_children() == []
 

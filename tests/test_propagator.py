@@ -73,6 +73,10 @@ class TestPropagationConfig:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError):
             self.config(dt=1e-3, t_end=1.0, record_stride=0)
+        # refused when made, not as a TypeError once propagate records
+        with pytest.raises(ValidationError, match="record_stride must be an "
+                           "integer"):
+            self.config(dt=1e-3, t_end=1.0, record_stride=2.5)
 
     def test_rejects_dt_exceeding_resolution_bound(self):
         # N/4L = 25.6 cycles; dt (N/4L)^2 > pi refused

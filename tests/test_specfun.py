@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipj
 
+from modcnls.families import default_grid, default_trace, sech_family
 from modcnls.specfun import (
     _agm_ladder,
     ellip_k,
@@ -49,6 +50,18 @@ def erfi_full_series(x):
         term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
         total += term
     return math.copysign(2.0 / math.sqrt(math.pi) * total, x)
+
+
+def sech_dump_erfi_block():
+    # erfi's argument xi / (sqrt(3) gamma) on the quasiperiodic sech dump's
+    # export grid at the smallest width of its snapshots (t = 5.75 of 0,
+    # 0.25, ..., 10), its widest block: the elements converge at six
+    # different checks of the series
+    family = sech_family()
+    trace = default_trace(family, "quasiperiodic", t_end=10.0)
+    chi = trace.chi_at(0.25 * np.arange(41)).min()
+    xi = default_grid(family, "export", drive="quasiperiodic").x / chi
+    return xi / (family.stretch.gamma * math.sqrt(3.0))
 
 
 def jacobi_ode_oracle(u_max, k, h=1e-3, record_every=10):
@@ -126,18 +139,19 @@ class TestErfFamily:
             assert abs(got - want) <= 1e-13 * want, f"erfi({x}): {got} vs {want}"
 
     def test_erfi_block_is_each_element_alone(self):
-        # every element stops at its own convergence with the bits that
-        # summing on to the block's slowest element would give
+        # a block sums on to its slowest element, and every element keeps
+        # the bits its own convergence gave
         rng = np.random.default_rng(15)
-        x = np.concatenate([rng.uniform(-26.4, 26.4, 200),
-                            [0.0, 1e-300, 0.3, 3.0, 26.4]])
-        block = erfi(x)
-        alone = np.array([erfi(float(v)) for v in x])
-        np.testing.assert_array_equal(block.view(np.int64),
-                                      alone.view(np.int64))
-        np.testing.assert_array_equal(
-            block.view(np.int64),
-            np.array([erfi_full_series(v) for v in x]).view(np.int64))
+        for x in (np.concatenate([rng.uniform(-26.4, 26.4, 200),
+                                  [0.0, 1e-300, 0.3, 3.0, 26.4]]),
+                  sech_dump_erfi_block()):
+            block = erfi(x)
+            alone = np.array([erfi(float(v)) for v in x])
+            np.testing.assert_array_equal(block.view(np.int64),
+                                          alone.view(np.int64))
+            np.testing.assert_array_equal(
+                block.view(np.int64),
+                np.array([erfi_full_series(v) for v in x]).view(np.int64))
 
     def test_erfi_odd_zero_overflow(self):
         assert erfi(0.0) == 0.0

@@ -248,7 +248,7 @@ class TestCoefficientMaps:
             # refused when the sampler is made, before any sample
             with pytest.raises(ValidationError, match=(
                     rf"CoefficientSampler: the {fam.kind} .* holds only for "
-                    r".*; got (a prescribed width|drive \(')")):
+                    r".*; got (a prescribed width|drive \(\S+, \S+\))")):
                 CoefficientSampler(fam, tr)
             return
         sampler = CoefficientSampler(fam, tr)
@@ -298,8 +298,7 @@ class TestCoefficientMaps:
         for drive in ("periodic", "quasiperiodic"):
             tr = default_trace(fam, drive, 3.0)
             for t in (0.4, 2.2):
-                kind, epsilon, omega0 = tr.drive
-                f = drive_f(kind, t, epsilon, omega0)
+                f = drive_f(t, *tr.drive)
                 v = CoefficientSampler(fam, tr).potential(x, t)
                 np.testing.assert_allclose(v[0], f * x * x, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(v[1], v[0], rtol=0)
