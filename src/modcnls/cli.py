@@ -5,9 +5,10 @@ analytic lattices, verify runs the constraint/potential/equation residual
 suites, propagate runs split-step experiments with optional perturbation,
 and mathieu-trace dumps the integrated width trace.
 
-Each option is one row of OPTIONS; the parser, the defaults and the
-config-file reader come from the rows, and flag and config-file values pass
-through one converter, so both refuse the same values with the same message.
+Each option is one row of OPTIONS; a subcommand's parser, defaults and
+config-file reader take the rows its handler reads (FAMILIES then gates the
+family options), and flag and config-file values pass through one
+converter, so both refuse the same values with the same message.
 
 Configuration precedence: built-in defaults, then a key=value config file
 given with --config, then command-line flags.  Exit codes: 0 success,
@@ -50,11 +51,20 @@ Option = collections.namedtuple(
     "Option", "key type default choices domain help name",
     defaults=(None, (), None, None, None))
 
+# each family: its factory and the options only the families naming them
+# read, the factory's argument first and then default_trace's keywords
+FAMILIES = {
+    "elliptic": (elliptic_family, ("n", "drive", "epsilon", "omega0")),
+    "sech": (sech_family, ("gamma", "drive", "epsilon", "omega0")),
+    "dark-bright": (dark_bright_family, ("lam", "alpha", "beta")),
+}
+_FAMILY_KEYS = {key for _, keys in FAMILIES.values() for key in keys}
+
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 _FINITE = ("finite", math.isfinite)
 
 OPTIONS = (
-    Option("family", str, "elliptic", ("elliptic", "sech", "dark-bright")),
+    Option("family", str, "elliptic", tuple(FAMILIES)),
     Option("n", int, 1, help="elliptic mode index"),
     Option("gamma", float, 6.0, help="sech width parameter"),
     Option("lam", float, 0.5, name="lambda",
@@ -75,7 +85,8 @@ OPTIONS = (
     Option("stride", int, domain=(">= 1", lambda v: v >= 1),
            help="steps between snapshots or records"),
     Option("perturb", float, 0.03,
-           help="perturbation amplitude for propagate"),
+           domain=("in [0, 0.2)", lambda v: 0.0 <= v < 0.2),
+           help="amplitude; 0.2 and above void the small-perturbation premise"),
     Option("perturb_mode", str, "multiplicative",
            ("multiplicative", "additive")),
     Option("seed", int, 42, domain=(">= 0", lambda v: v >= 0)),
@@ -120,12 +131,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, _) in COMMANDS.items():
+    for name, (_, text, keys, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None,
                        help="key=value file applied between defaults and flags")
         # values stay text here; resolve() converts flags and config alike
-        for opt in OPTIONS:
+        for opt in (opt for opt in OPTIONS if opt.key in keys):
             flag = "--" + (opt.name or opt.key).replace("_", "-")
             p.add_argument(flag, dest=opt.key, help=opt.help,
                            metavar="{%s}" % ",".join(opt.choices)
@@ -133,7 +144,7 @@ def build_parser():
     return parser
 
 
-def load_config_file(path):
+def load_config_file(path, command):
     pairs = {}
     try:
         with open(path) as fh:
@@ -147,10 +158,11 @@ def load_config_file(path):
         if "=" not in text:
             raise ValidationError(f"config file {path}:{i}: expected key=value")
         key, value = (part.strip() for part in text.split("=", 1))
-        opt = next((opt for opt in OPTIONS
-                    if key.replace("-", "_") in (opt.key, opt.name)), None)
+        opt = next((opt for opt in OPTIONS if opt.key in COMMANDS[command][2]
+                    and key.replace("-", "_") in (opt.key, opt.name)), None)
         if opt is None:
-            raise ValidationError(f"config file {path}:{i}: unknown key {key!r}")
+            raise ValidationError(f"config file {path}:{i}: unknown key "
+                                  f"{key!r} for {command}")
         try:
             pairs[opt.key] = convert(opt, value)
         except ValidationError as exc:
@@ -159,14 +171,18 @@ def load_config_file(path):
 
 
 def resolve(args):
-    cfg = {opt.key: opt.default for opt in OPTIONS}
-    cfg.update(COMMANDS[args.command][2])
-    if args.config is not None:
-        cfg.update(load_config_file(args.config))
-    for opt in OPTIONS:
-        raw = getattr(args, opt.key)
-        if raw is not None:
-            cfg[opt.key] = convert(opt, raw)
+    given = ({} if args.config is None
+             else load_config_file(args.config, args.command))
+    given.update({opt.key: convert(opt, getattr(args, opt.key)) for opt in
+                  OPTIONS if getattr(args, opt.key, None) is not None})
+    _, _, keys, stepping = COMMANDS[args.command]
+    cfg = {opt.key: opt.default for opt in OPTIONS if opt.key in keys}
+    cfg.update(stepping, **given)
+    if "family" in cfg:
+        for key in sorted(_FAMILY_KEYS.difference(FAMILIES[cfg["family"]][1])):
+            if key in given:
+                raise ValidationError(f"family {cfg['family']} reads no {key}")
+            del cfg[key]
     if cfg["out"] is None:
         cfg["out"] = f"modcnls-{args.command}"
     cfg["command"] = args.command
@@ -175,23 +191,20 @@ def resolve(args):
 
 
 def _family_from(cfg):
-    if cfg["family"] == "elliptic":
-        return elliptic_family(cfg["n"])
-    if cfg["family"] == "sech":
-        return sech_family(cfg["gamma"])
-    return dark_bright_family(cfg["lam"])
+    factory, keys = FAMILIES[cfg["family"]]
+    return factory(cfg[keys[0]])
 
 
 def _trace_from(cfg, family, t_end):
-    return default_trace(family, drive=cfg["drive"], t_end=t_end,
-                         epsilon=cfg["epsilon"], omega0=cfg["omega0"],
-                         alpha=cfg["alpha"], beta=cfg["beta"])
+    return default_trace(family, t_end=t_end,
+                         **{k: cfg[k] for k in FAMILIES[cfg["family"]][1][1:]})
 
 
 def _grid_from(cfg, family, purpose):
     if cfg["L"] is not None:
         return SpatialGrid(cfg["L"], cfg["N"])
-    return default_grid(family, purpose, n_points=cfg["N"], drive=cfg["drive"])
+    return default_grid(family, purpose, n_points=cfg["N"],
+                        drive=cfg.get("drive", "periodic"))
 
 
 def _prepare_out(cfg):
@@ -208,9 +221,7 @@ def _prepare_out(cfg):
 
 
 def _meta(cfg, **extra):
-    meta = {k: v for k, v in sorted(cfg.items()) if v is not None}
-    meta.update(extra)
-    return meta
+    return {**{k: v for k, v in cfg.items() if v is not None}, **extra}
 
 
 def _dump_inputs(cfg, family):
@@ -270,13 +281,16 @@ def cmd_potential(cfg):
     return 0
 
 
-def _constraint_lattice(family, t_end):
+def _constraint_lattice(family, trace, t_end):
     """The constraint walk's lattice over [0, t_end]: 640 columns on
-    |x| <= 1 (elliptic) or |x| <= 5, and 768 rows per unit of time, where
-    the eighth-order residuals clear 1e-5 for every family and drive."""
+    |x| <= 1 (elliptic) or |x| <= 5, and max(768, 768 (0.412 / chi_min)^2)
+    rows per unit of time, chi^2 being the fields' time scale, where the
+    eighth-order residuals clear 1e-5 for every family and drive."""
     half = 1.0 if family.kind == "elliptic" else 5.0
+    t = np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1)
+    rows = max(768, math.ceil(768 * (0.412 / trace.chi_at(t).min()) ** 2))
     return (np.linspace(-half, half, 640),
-            np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1))
+            np.linspace(0.0, t_end, math.ceil(rows * t_end) + 1))
 
 
 # half-width in xi = x / chi of the potential-identity lattice: the x
@@ -298,7 +312,7 @@ def cmd_verify(cfg):
     clock.append(time.perf_counter())
     out = _prepare_out(cfg)
 
-    x_lat, t_lat = _constraint_lattice(family, t_end)
+    x_lat, t_lat = _constraint_lattice(family, trace, t_end)
     residuals = verify_constraints(family, trace, x_lat, t_lat,
                                    corrupt_rho=cfg["corrupt_rho"])
     constraints = {name: getattr(residuals, name)
@@ -364,10 +378,6 @@ def cmd_verify(cfg):
 
 def cmd_propagate(cfg):
     family = _family_from(cfg)
-    if not 0.0 <= cfg["perturb"] < 0.2:
-        raise ValidationError(
-            f"--perturb must lie in [0, 0.2), got {cfg['perturb']:g}; larger "
-            "values void the small-perturbation premise")
     grid = _grid_from(cfg, family, "propagate")
     trace = _trace_from(cfg, family, cfg["t_end"])
     run = PropagationConfig(
@@ -423,18 +433,24 @@ def cmd_mathieu_trace(cfg):
     return 0
 
 
-# each subcommand: its handler, its help and its stepping defaults
+# each subcommand: its handler, its help, the options it reads and its
+# stepping defaults; the dumps keep an unread seed, which perfbench passes
+_RUN = "family n gamma lam alpha beta epsilon omega0 drive L N t_end out "
 COMMANDS = {
     "solution": (cmd_solution, "dump analytic field snapshots",
+                 (_RUN + "dt stride format seed").split(),
                  {"t_end": 10.0, "dt": 1e-3, "stride": 250}),
     "potential": (cmd_potential, "dump potential and coupling lattices",
+                  (_RUN + "dt stride format mu_sign seed").split(),
                   {"t_end": 10.0, "dt": 1e-3, "stride": 250}),
     "verify": (cmd_verify,
                "run constraint, potential, and equation residual suites",
-               {"t_end": 5.0, "dt": 1e-4, "stride": 1}),
+               (_RUN + "seed corrupt_rho").split(), {"t_end": 5.0}),
     "propagate": (cmd_propagate, "run split-step propagation with diagnostics",
+                  (_RUN + "dt stride format perturb perturb_mode seed").split(),
                   {"t_end": 10.0, "dt": 5e-4, "stride": 10}),
     "mathieu-trace": (cmd_mathieu_trace, "integrate and dump the width trace",
+                      "drive epsilon omega0 t_end dt stride out format".split(),
                       {"t_end": 10.0, "dt": 1e-4, "stride": 1}),
 }
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grid import SpatialGrid
+from .grid import SpatialGrid, is_integer
 from .modulation import (
     ModulationTrace,
     check_drive,
@@ -70,7 +70,7 @@ class FamilySpec:
 
 def elliptic_family(n=1) -> FamilySpec:
     """Proportional Jacobi-elliptic pair under the localizing stretch."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise ValidationError("elliptic_family: n must be a positive integer")
     return FamilySpec(
         kind="elliptic",
@@ -107,7 +107,7 @@ def dark_bright_family(lam=0.5) -> FamilySpec:
 
 def amplitude_a0(n=1):
     """Elliptic amplitude 2 n K(1/sqrt2) / sqrt(pi): n arches fill the window."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise ValidationError("amplitude_a0: n must be a positive integer")
     return 2.0 * n * ellip_k(_ELLIPTIC_MODULUS) / _SQRT_PI
 

@@ -7,6 +7,11 @@ import numpy as np
 from .errors import ValidationError
 
 
+def is_integer(value):
+    """True for a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Periodic grid on [-half_width, half_width) with n_points samples.
@@ -23,7 +28,7 @@ class SpatialGrid:
     def __post_init__(self):
         if not (self.half_width > 0 and np.isfinite(self.half_width)):
             raise ValidationError("grid half_width must be positive and finite")
-        if (not isinstance(self.n_points, (int, np.integer))
+        if (not is_integer(self.n_points)
                 or self.n_points < 8 or self.n_points & (self.n_points - 1)):
             raise ValidationError("grid n_points must be an integer power "
                                   f"of two >= 8, got {self.n_points!r}")

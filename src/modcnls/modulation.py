@@ -358,8 +358,9 @@ def mathieu_trace(drive, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
     _PATH_LIMIT, or is not finite, within t_end: the width squares it.
     """
     check_drive("mathieu_trace", drive)
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("mathieu_trace: t_end and dt must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (t_end, dt)):
+        raise ValidationError(f"mathieu_trace: t_end = {t_end!r} and dt = "
+                              f"{dt!r} must be finite and > 0")
     if not (math.isfinite(epsilon) and math.isfinite(omega0)):
         raise ValidationError(f"mathieu_trace: epsilon = {epsilon!r} and "
                               f"omega0 = {omega0!r} must be finite")

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DarkBackgroundError, DivergenceError, ValidationError
 # assemble stays importable here: perfbench/layers.py wraps it by name
 from .families import FamilySpec, FieldPair, assemble, assemble_rows
-from .grid import SpatialGrid
+from .grid import SpatialGrid, is_integer
 from .transform import (STENCIL_DEPTH, STENCIL_DT, CoefficientSampler,
                         interior_diff)
 
@@ -72,8 +72,7 @@ class PropagationConfig:
                 f"({self.t_end / self.dt:.6g} steps); the run would end at "
                 f"t = {self.n_steps * self.dt:g}"
             )
-        if not (isinstance(self.record_stride, (int, np.integer))
-                and self.record_stride >= 1):
+        if not (is_integer(self.record_stride) and self.record_stride >= 1):
             raise ValidationError("PropagationConfig: record_stride must be "
                                   "an integer >= 1")
         # resolution guard: dt times the square of the highest resolvable

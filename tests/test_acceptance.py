@@ -128,7 +128,7 @@ def test_criterion_3_constraint_suite():
     for label, fam, drive in combos:
         # verify's lattice over its default horizon
         tr = default_trace(fam, drive=drive, t_end=5.0)
-        x_lat, t_lat = _constraint_lattice(fam, 5.0)
+        x_lat, t_lat = _constraint_lattice(fam, tr, 5.0)
         res = verify_constraints(fam, tr, x_lat, t_lat)
         worst_constraint = max(worst_constraint, worst_of(res))
         ok = ok and worst_of(res) <= 1e-5

@@ -26,7 +26,7 @@ from modcnls.export import (FORMATS, _atomic_write, _write_columns,
                             DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
 from modcnls.families import (FieldPair, dark_bright_family, default_trace,
                               elliptic_family, sech_family)
-from modcnls.grid import SpatialGrid
+from modcnls.grid import SpatialGrid, is_integer
 from modcnls.modulation import _closed_form, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
@@ -320,55 +320,117 @@ class TestConfigResolution:
         assert not out.exists()
 
 
-def all_parsers():
+def command_parsers():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    return [parser, *sub.choices.values()]
+    return dict(sub.choices)
+
+
+def all_parsers():
+    return [cli.build_parser(), *command_parsers().values()]
+
+
+def flags_of(parser):
+    return {flag for action in parser._actions
+            for flag in action.option_strings} - {"-h", "--help"}
 
 
 def flag_of(opt):
     return "--" + (opt.name or opt.key).replace("_", "-")
 
 
+def recorded_config(out):
+    """The settings a run recorded: its manifest, or its report's config."""
+    for name, block in (("manifest.json", None), ("report.json", "config"),
+                        ("stability.json", "config")):
+        if (out / name).exists():
+            data = json.loads((out / name).read_text())
+            return data[block] if block else data
+    raise AssertionError(f"no settings recorded in {out}")
+
+
+# the options each command's handler reads, 75 (command, option) pairs;
+# the dumps also take an unread seed, which perfbench's dump workloads pass
+FAMILY_RUN = {"family", "n", "gamma", "lam", "alpha", "beta", "epsilon",
+              "omega0", "drive", "L", "N", "t_end", "out"}
+READS = {
+    "solution": FAMILY_RUN | {"dt", "stride", "format", "seed"},
+    "potential": FAMILY_RUN | {"dt", "stride", "format", "mu_sign", "seed"},
+    "verify": FAMILY_RUN | {"seed", "corrupt_rho"},
+    "propagate": FAMILY_RUN | {"dt", "stride", "format", "perturb",
+                               "perturb_mode", "seed"},
+    "mathieu-trace": {"drive", "epsilon", "omega0", "t_end", "dt", "stride",
+                      "out", "format"},
+}
+# the family options each family reads; the parser offers them all
+FAMILY_READS = {"elliptic": {"n", "drive", "epsilon", "omega0"},
+                "sech": {"gamma", "drive", "epsilon", "omega0"},
+                "dark-bright": {"lam", "alpha", "beta"}}
+FAMILY_OPTIONS = set().union(*FAMILY_READS.values())
+
+
 class TestOptionTable:
     """Flags and config files are two spellings of the same OPTIONS rows."""
 
-    # a valid value other than the mathieu-trace default, for every row
+    # a valid value other than the default, for every row
     VALID = {"family": "sech", "n": "2", "gamma": "5.5", "lam": "-0.25",
              "alpha": "0.1", "beta": "0.15", "epsilon": "0.25",
              "omega0": "1.5", "drive": "quasiperiodic", "L": "12.5",
              "N": "256", "t_end": "0.03", "dt": "5e-4", "stride": "3",
              "perturb": "0.05", "perturb_mode": "additive", "seed": "7",
              "out": None, "mu_sign": "flipped", "format": "json-lines",
-             "corrupt_rho": "0.01"}
+             "corrupt_rho": "1e-9"}
     # cheap stepping for the rows not under test
     QUICK = {"t_end": "0.02", "dt": "1e-3"}
+    # a command that reads the row, with the family that reads it; the
+    # rows not named here are mathieu-trace's
+    READER = {"family": ["solution"], "n": ["solution"],
+              "gamma": ["solution", "--family", "sech"],
+              "lam": ["solution", "--family", "dark-bright"],
+              "alpha": ["solution", "--family", "dark-bright"],
+              "beta": ["solution", "--family", "dark-bright"],
+              "L": ["solution"], "N": ["solution"],
+              "perturb": ["propagate"], "perturb_mode": ["propagate"],
+              "seed": ["propagate"], "mu_sign": ["potential"],
+              "corrupt_rho": ["verify", "--family", "sech"]}
+
+    def reader(self, key):
+        return self.READER.get(key, ["mathieu-trace"])
 
     def test_parser_dests_are_the_table(self):
-        keys = {opt.key for opt in cli.OPTIONS}
-        assert set(self.VALID) == keys
-        for parser in all_parsers()[1:]:
+        assert set(self.VALID) == {opt.key for opt in cli.OPTIONS}
+        parsers = command_parsers()
+        assert sorted(parsers) == sorted(READS)
+        for name, parser in parsers.items():
             dests = {a.dest for a in parser._actions} - {"help"}
-            assert dests == keys | {"config"}, parser.prog
+            assert dests == READS[name] | {"config"}, name
+            # and its --help lists those options alone
+            listed = set(re.findall(r"--[A-Za-z][\w-]*", parser.format_help()))
+            assert listed - {"--help"} == flags_of(parser), name
+        # 77 of the 5 x 21 (command, option) pairs, the dumps' seed included
+        assert sum(map(len, READS.values())) == 77
 
     @pytest.mark.parametrize("opt", cli.OPTIONS, ids=lambda opt: opt.key)
     def test_flag_and_config_file_resolve_alike(self, tmp_path, opt):
         out = tmp_path / "o"
         value = self.VALID[opt.key] or str(out)  # out: the run's own path
-        quick = [arg for key, text in self.QUICK.items() if key != opt.key
+        command, *family = self.reader(opt.key)
+        quick = [arg for key, text in self.QUICK.items()
+                 if key != opt.key and key in READS[command]
                  for arg in (f"--{key.replace('_', '-')}", text)]
         tail = [] if opt.key == "out" else ["--out", str(out)]
         conf = tmp_path / "run.conf"
         conf.write_text(f"{flag_of(opt)[2:]} = {value}\n")
-        manifests = []
+        configs = []
         for given in ([flag_of(opt), value], ["--config", str(conf)]):
-            assert main(["mathieu-trace", *quick, *given, *tail]) == 0
-            manifests.append(json.loads((out / "manifest.json").read_text()))
+            assert main([command, *family, *quick, *given, *tail]) == 0
+            configs.append(recorded_config(out))
             shutil.rmtree(out)
-        default = cli.resolve(cli.build_parser().parse_args(["mathieu-trace"]))
-        assert manifests[0] == manifests[1]
-        assert manifests[0][opt.key] != default[opt.key]
+        default = cli.resolve(cli.build_parser().parse_args([command,
+                                                             *family]))
+        assert configs[0] == configs[1]
+        assert configs[0][opt.key] != default[opt.key]
 
     @pytest.mark.parametrize(
         "opt", [opt for opt in cli.OPTIONS if opt.key != "out"],
@@ -379,9 +441,10 @@ class TestOptionTable:
         out = tmp_path / "o"
         conf = tmp_path / "run.conf"
         conf.write_text(f"{opt.key} = {bad}\n")
+        command, *family = self.reader(opt.key)
         errors = []
         for given in ([flag_of(opt), bad], ["--config", str(conf)]):
-            assert main(["solution", *given, "--out", str(out)]) == 1
+            assert main([command, *family, *given, "--out", str(out)]) == 1
             errors.append(capsys.readouterr().err)
         assert not out.exists()
         by_flag = errors[0].removeprefix("error: ")
@@ -450,11 +513,117 @@ class TestOptionTable:
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("\n## Command line\n")[1]
         section = section.split("\n## ")[0]
-        documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
-        defined = {flag for parser in all_parsers()
-                   for action in parser._actions
-                   for flag in action.option_strings if flag != "-h"}
-        assert documented == defined - {"--help"}
+        flag = r"(?<![\w-])--[A-Za-z][\w-]*"
+        documented = set(re.findall(flag, section))
+        assert documented == set().union(*map(flags_of, all_parsers()))
+        # each subcommand's line lists its own flags
+        lines = dict(re.findall(r"^- `([\w-]+)`: (.*)$", section, re.M))
+        for name, parser in command_parsers().items():
+            assert set(re.findall(flag, lines[name])) == flags_of(parser), name
+
+
+def header_keys(path):
+    """The settings a csv or json-lines table carries in its header."""
+    if path.suffix == ".csv":
+        return set(read_csv(str(path))[0])
+    return set(json.loads(path.read_text().splitlines()[0])["meta"])
+
+
+class TestReadOptions:
+    """A command takes only the options its handler reads, a family only
+    the family options it reads, and a run records what it read."""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, opt",
+        [(command, opt) for command in READS for opt in cli.OPTIONS
+         if opt.key not in READS[command]],
+        ids=lambda v: getattr(v, "key", v))
+    def test_option_the_command_does_not_read_is_refused(
+            self, tmp_path, capsys, via, command, opt):
+        out = tmp_path / "o"
+        value = TestOptionTable.VALID[opt.key]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag_of(opt)[2:]} = {value}\n")
+        given = ([flag_of(opt), value] if via == "flag"
+                 else ["--config", str(conf)])
+        assert main([command, *given, "--out", str(out)]) == 1
+        named = (f"unrecognized arguments: {flag_of(opt)}" if via == "flag"
+                 else f"unknown key {flag_of(opt)[2:]!r} for {command}")
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "family, key", [(family, key) for family in FAMILY_READS
+                        for key in sorted(FAMILY_OPTIONS
+                                          - FAMILY_READS[family])])
+    def test_option_the_family_does_not_read_is_refused(
+            self, tmp_path, capsys, via, family, key):
+        opt = next(opt for opt in cli.OPTIONS if opt.key == key)
+        value = TestOptionTable.VALID[key]
+        out = tmp_path / "o"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"family = {family}\n{flag_of(opt)[2:]} = {value}\n")
+        given = (["--family", family, flag_of(opt), value] if via == "flag"
+                 else ["--config", str(conf)])
+        assert main(["solution", *given, "--out", str(out)]) == 1
+        assert (f"family {family} reads no {key}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drive", modcnls.DRIVES)
+    @pytest.mark.parametrize("command", ["solution", "potential", "verify",
+                                         "propagate"])
+    def test_dark_bright_takes_no_drive(self, tmp_path, capsys, command,
+                                        drive):
+        # its width is the prescribed two-tone one, whatever the drive
+        out = tmp_path / "o"
+        assert main([command, "--family", "dark-bright", "--drive", drive,
+                     "--out", str(out)]) == 1
+        assert ("family dark-bright reads no drive"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_value_is_converted_before_the_family_gate(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "o"
+        assert main(["solution", "--family", "dark-bright", "--epsilon",
+                     "nan", "--out", str(out)]) == 1
+        assert "epsilon must be finite, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solution", "--family", "elliptic", "--L", "10"],
+        ["solution", "--family", "sech", "--drive", "quasiperiodic",
+         "--L", "20", "--format", "json-lines"],
+        ["solution", "--family", "dark-bright", "--L", "15"],
+        ["potential", "--family", "dark-bright", "--L", "15"],
+        ["potential", "--family", "elliptic", "--L", "10",
+         "--format", "json-lines"],
+        ["verify", "--family", "dark-bright", "--t-end", "1"],
+        ["propagate", "--family", "sech", "--L", "20", "--t-end", "0.02",
+         "--dt", "1e-3", "--stride", "10"],
+        ["mathieu-trace", "--t-end", "0.1"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_a_run_records_exactly_what_it_read(self, tmp_path, argv):
+        command, family = argv[0], dict(zip(argv, argv[1:])).get("--family")
+        read = READS[command]
+        if family:
+            read = read - (FAMILY_OPTIONS - FAMILY_READS[family])
+        if command in ("solution", "potential"):
+            argv = [*argv, "--t-end", "0.5", "--stride", "250"]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 0
+        expected = read | {"command", "version"}
+        assert set(recorded_config(out)) - {"times", "files"} == expected
+        tables = [p for p in out.iterdir() if p.suffix in (".csv", ".jsonl")]
+        assert tables or command == "verify"  # its report is all it writes
+        for path in tables:
+            # less the header's own entries: a snapshot's time, the zoomed
+            # window and which twin a diagnostics table is
+            keys = header_keys(path) - {"t", "window", "perturbed"}
+            assert keys == expected, path.name
 
 
 class TestValidationGates:
@@ -467,12 +636,19 @@ class TestValidationGates:
     def test_zero_points_rejected(self, tmp_path):
         assert main(["solution", "--N", "0", "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("n", [0, 4, 6, 12, 1000, 1023, 1024.0])
+    @pytest.mark.parametrize("n", [0, 4, 6, 12, 1000, 1023, 1024.0, True])
     def test_grid_itself_demands_power_of_two(self, n):
         # the rule lives in SpatialGrid, so library callers get it too
         with pytest.raises(ValidationError,
                            match="n_points must be an integer power of two"):
             SpatialGrid(10.0, n)
+
+    def test_integer_rule_refuses_bool(self):
+        # the one integer rule of n_points, record_stride and the elliptic
+        # mode index: a bool is an int to isinstance, but none of these
+        assert all(is_integer(v) for v in (0, 3, np.int64(3), np.uint8(3)))
+        assert not any(is_integer(v)
+                       for v in (True, False, np.bool_(True), 3.0, "3"))
 
     @pytest.mark.parametrize("drive", ["periodic", "quasiperiodic"])
     @pytest.mark.parametrize("key, value", [
@@ -624,7 +800,9 @@ class TestPotentialCommand:
         ("dark-bright", "csv", 2)])  # and the zoom file
     def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch,
                                           family, fmt, forks):
-        argv = ["potential", "--family", family, "--drive", "quasiperiodic",
+        # the dark-bright width is its own two-tone one: it takes no drive
+        drive = [] if family == "dark-bright" else ["--drive", "quasiperiodic"]
+        argv = ["potential", "--family", family, *drive,
                 "--t-end", "0.2", "--dt", "0.05", "--stride", "1",
                 "--N", "256", "--format", fmt]
         assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv,
@@ -862,24 +1040,30 @@ class TestConstraintLatticeRule:
     gate on every family and drive, and still catch a 1e-3 defect."""
 
     @pytest.mark.parametrize("t_end", [1.0, 5.0])
-    @pytest.mark.parametrize("family, drive", [
-        (elliptic_family(1), "periodic"),
-        (elliptic_family(1), "quasiperiodic"),
-        (sech_family(3.0), "periodic"),
-        (sech_family(3.0), "quasiperiodic"),
-        (sech_family(6.0), "periodic"),
-        (sech_family(6.0), "quasiperiodic"),
-        (dark_bright_family(0.5), "periodic"),
-        (dark_bright_family(-0.5), "periodic"),
+    @pytest.mark.parametrize("family, drive, rows", [
+        (elliptic_family(1), ("periodic",), 768),
+        (elliptic_family(1), ("quasiperiodic",), 768),
+        # chi dips to 0.374 and 0.363 by t = 0.6: more rows per unit time
+        (elliptic_family(1), ("quasiperiodic", 0.8, 0.5), 934),
+        (elliptic_family(1), ("quasiperiodic", 0.9, 0.3), 989),
+        (sech_family(3.0), ("periodic",), 768),
+        (sech_family(3.0), ("quasiperiodic",), 768),
+        (sech_family(6.0), ("periodic",), 768),
+        (sech_family(6.0), ("quasiperiodic",), 768),
+        (dark_bright_family(0.5), ("periodic",), 768),
+        (dark_bright_family(-0.5), ("periodic",), 768),
     ], ids=["elliptic-periodic", "elliptic-quasiperiodic",
+            "elliptic-quasiperiodic-0.8-0.5", "elliptic-quasiperiodic-0.9-0.3",
             "sech3-periodic", "sech3-quasiperiodic",
             "sech6-periodic", "sech6-quasiperiodic",
             "dark_bright+0.5", "dark_bright-0.5"])
     def test_rule_clears_the_gate_and_keeps_its_teeth(self, family, drive,
-                                                      t_end):
-        trace = default_trace(family, drive, t_end + cli._STENCIL_REACH)
-        x, t = cli._constraint_lattice(family, t_end)
-        assert len(t) == math.ceil(768 * t_end) + 1
+                                                      rows, t_end):
+        name, *depth_frequency = drive
+        trace = default_trace(family, name, t_end + cli._STENCIL_REACH,
+                              *depth_frequency)
+        x, t = cli._constraint_lattice(family, trace, t_end)
+        assert len(t) == math.ceil(rows * t_end) + 1
         clean = transform.verify_constraints(family, trace, x, t)
         assert worst_of(clean) < 1e-5, str(clean)
         corrupt = transform.verify_constraints(family, trace, x, t,
@@ -951,7 +1135,8 @@ class TestPropagateCommand:
         code = main(["propagate", "--family", "elliptic", "--t-end", "0.1",
                      "--dt", "1e-3", "--perturb", amplitude, "--out", str(out)])
         assert code == 1
-        assert "--perturb must lie in [0, 0.2)" in capsys.readouterr().err
+        assert (f"perturb must be in [0, 0.2), got '{amplitude}'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["0.4", "0.3"])

@@ -75,6 +75,10 @@ class TestFactories:
             elliptic_family(0)
         with pytest.raises(ValidationError):
             elliptic_family(1.5)
+        # a bool is an int to isinstance, but no mode index
+        with pytest.raises(ValidationError, match="positive integer"):
+            elliptic_family(True)
+        assert elliptic_family(np.int64(2)).n == 2
         with pytest.raises(ValidationError):
             sech_family(0.0)
         with pytest.raises(ValidationError):
@@ -132,6 +136,8 @@ class TestReducedAmplitudes:
         assert amplitude_a0(3) == pytest.approx(3 * 2.0920992401062033, abs=1e-13)
         with pytest.raises(ValidationError):
             amplitude_a0(0)
+        with pytest.raises(ValidationError, match="positive integer"):
+            amplitude_a0(True)
 
     def test_elliptic_components_proportional(self):
         fam = elliptic_family(2)

@@ -492,6 +492,17 @@ class TestTraceValidation:
             mathieu_trace(drive, 10.0, dt=1.0, epsilon=epsilon,
                           omega0=omega0)
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (float("inf"), 1e-3), (float("nan"), 1e-3), (1.0, float("inf")),
+        (1.0, float("nan")), (0.0, 1e-3), (1.0, -1e-3)])
+    def test_non_finite_horizon_or_step_is_refused_by_name(self, t_end, dt):
+        # an infinite t_end once passed the check and overflowed the step
+        # count
+        with pytest.raises(ValidationError, match=(
+                rf"mathieu_trace: t_end = {t_end!r} and dt = {dt!r} must be "
+                r"finite and > 0")):
+            mathieu_trace("quasiperiodic", t_end, dt=dt)
+
     def test_resonant_path_is_refused(self):
         # epsilon = 0.5, omega0 = 4 sits in the first resonance tongue: the
         # path grows by e about every 4 time units, past 1e100 by t = 930,

@@ -77,6 +77,12 @@ class TestPropagationConfig:
         with pytest.raises(ValidationError, match="record_stride must be an "
                            "integer"):
             self.config(dt=1e-3, t_end=1.0, record_stride=2.5)
+        # a bool is an int to isinstance, but no stride
+        with pytest.raises(ValidationError, match="record_stride must be an "
+                           "integer"):
+            self.config(dt=1e-3, t_end=1.0, record_stride=True)
+        assert self.config(dt=1e-3, t_end=1.0,
+                           record_stride=np.int32(2)).record_stride == 2
 
     def test_rejects_dt_exceeding_resolution_bound(self):
         # N/4L = 25.6 cycles; dt (N/4L)^2 > pi refused
