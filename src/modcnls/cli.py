@@ -40,9 +40,9 @@ from .modulation import DRIVES, mathieu_trace
 from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
-from .transform import (STENCIL_DEPTH, STENCIL_DT, CoefficientSampler,
-                        constraint_window, potential_identity_check,
-                        verify_constraints)
+from .transform import (LATTICE_ROWS, STENCIL_DEPTH, STENCIL_DT,
+                        CoefficientSampler, constraint_window,
+                        potential_identity_check, verify_constraints)
 
 
 # one row per option; name is the flag and config-file spelling where it is
@@ -289,8 +289,13 @@ def _constraint_lattice(family, trace, t_end):
     half = 1.0 if family.kind == "elliptic" else 5.0
     t = np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1)
     rows = max(768, math.ceil(768 * (0.412 / trace.chi_at(t).min()) ** 2))
-    return (np.linspace(-half, half, 640),
-            np.linspace(0.0, t_end, math.ceil(rows * t_end) + 1))
+    count = math.ceil(rows * t_end) + 1
+    if count < LATTICE_ROWS:
+        raise ValidationError(
+            f"verify: t_end = {t_end!r} gives {count} constraint lattice rows "
+            f"({rows} per unit of time), below the floor of {LATTICE_ROWS}; "
+            f"use t_end > {(LATTICE_ROWS - 2) / rows!r}")
+    return np.linspace(-half, half, 640), np.linspace(0.0, t_end, count)
 
 
 # half-width in xi = x / chi of the potential-identity lattice: the x
@@ -306,13 +311,13 @@ _STENCIL_REACH = STENCIL_DEPTH * STENCIL_DT
 def cmd_verify(cfg):
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
-    t_end = max(cfg["t_end"], 1.0)
+    t_end = cfg["t_end"]
     clock = [time.perf_counter()]
     trace = _trace_from(cfg, family, t_end + _STENCIL_REACH)
     clock.append(time.perf_counter())
+    x_lat, t_lat = _constraint_lattice(family, trace, t_end)
     out = _prepare_out(cfg)
 
-    x_lat, t_lat = _constraint_lattice(family, trace, t_end)
     residuals = verify_constraints(family, trace, x_lat, t_lat,
                                    corrupt_rho=cfg["corrupt_rho"])
     constraints = {name: getattr(residuals, name)
@@ -461,7 +466,10 @@ EXIT_CODES = {ValueError: 1, OSError: 1, DivergenceError: 3}
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # the root parser would refuse them in its own name
+            raise ValidationError(f"modcnls {args.command}: unrecognized "
+                                  f"arguments: {' '.join(extra)}")
         return COMMANDS[args.command][0](resolve(args))
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,12 @@
 
 The width obeys the Ermakov-Pinney equation chi'' + 4 f(t) chi = 4/chi^3 and
 is built from two independent solutions of the linear parametric oscillator
-z'' + 4 f(t) z = 0 (a Mathieu-type equation for the cosine drives used here)
-as chi = sqrt(2 z1^2 + 2 z2^2 / W^2), W the Wronskian.  With z1(0) = sqrt(2),
-z1'(0) = 0 the periodic drive f = 1 gives the closed form
-chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired in directly as the fast
-path.  A third source is an explicitly prescribed two-tone width used by the
-dark-bright family.
+z'' + 4 f(t) z = 0 (a Mathieu-type equation for the cosine drives used here),
+carried as one complex solution w = z1 + i z2/W, W the Wronskian, with
+chi = sqrt2 |w|.  With z1(0) = sqrt(2), z1'(0) = 0 the periodic drive f = 1
+gives the closed form chi = sqrt(1 + 15 cos^2 2t) / 2, which is also wired
+in directly as the fast path.  A third source is an explicitly prescribed
+two-tone width used by the dark-bright family.
 
 A trace is what its factory hands it: one evaluator t -> (chi, chi',
 chi'', a).  Its at(t), the queries that read it and the samples(times) the
@@ -19,7 +19,8 @@ The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
 formed by a scan over fixed blocks of steps in O(n) work and in place
 (Blelloch, CMU-CS-90-190).  The scan carries P - I, as P near I would
 round away the low bits of each O(h) increment, and its blocks start at
-node 0, so a node's value does not depend on the horizon.
+node 0, so a node's value does not depend on the horizon.  A t between
+nodes is one step of the same RK4 map from its nearest node.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -53,7 +54,7 @@ _STEP_BOUND = 0.2
 # steps per block of the oscillator's prefix scan: the scan loops over a
 # block's positions in Python and over the block totals in log2 passes
 _BLOCK = 128
-# largest |z|, |z'| of a path mathieu_trace keeps; the width squares them
+# largest part of w, w' on a path mathieu_trace keeps; the width squares them
 _PATH_LIMIT = 1e100
 DRIVES = ("periodic", "quasiperiodic")
 
@@ -85,33 +86,6 @@ def _scalar(out):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
-def _hermite(p, t):
-    """Cubic Hermite interpolants at t of z1, z2, z1' and z2' on the path p,
-    whose node slopes are z' and z'' = -4 f z; at a node each returns the
-    node's value exactly.  Each node array is gathered once at each end of
-    t's interval."""
-    times = p.times
-    h = float(times[1] - times[0])
-    j = np.clip((np.floor((t - times[0]) / h)).astype(int), 0, len(times) - 2)
-    # the rounded quotient can place a node at the far end of the interval
-    # before it, where th would miss 1 by an ulp
-    th = np.where(t == times[j + 1], 1.0, (t - times[j]) / h)
-    om = 1.0 - th
-    h00 = (1.0 + 2.0 * th) * om * om
-    h10 = th * om * om
-    h01 = th * th * (3.0 - 2.0 * th)
-    h11 = th * th * (th - 1.0)
-    j1 = j + 1
-    a0, a1 = p.accel[j], p.accel[j1]
-    out, slopes = [], []
-    for z, dz in ((p.z1, p.dz1), (p.z2, p.dz2)):
-        z0, z1, v0, v1 = z[j], z[j1], dz[j], dz[j1]
-        out.append(h00 * z0 + h * h10 * v0 + h01 * z1 + h * h11 * v1)
-        slopes.append(h00 * v0 + h * h10 * (a0 * z0) + h01 * v1
-                      + h * h11 * (a1 * z1))
-    return out + slopes
-
-
 def _closed_form(t):
     """(chi, chi', chi'', a) of chi = sqrt(1 + 15 cos^2 2t) / 2."""
     c = np.cos(2.0 * t)
@@ -136,27 +110,33 @@ def _two_tone(alpha, beta, t):
     return chi, dchi, d2chi, np.zeros_like(t)
 
 
-def _oscillator_phase(z1, z2, w):
-    """arg(z1 + i z2/W) in (-pi, pi]; z2/W is a real division, which
-    rounds alike for scalar and array queries."""
-    return np.angle(z1 + 1j * (z2 / w))
-
-
 @dataclass
 class MathieuPath:
-    """Trajectory of the parametric oscillator pair on a uniform time grid.
-
-    accel is the node drive -4 f; times z, it gives the accelerations
-    z'' = -4 f z at the nodes, the slopes of the Hermite interpolant of z'.
-    """
+    """Trajectory of the complex oscillator w = z1 + i z2/W on a uniform
+    time grid: w and w' at the nodes, and the node drive accel = -4 f,
+    whose product with w is w'' = -4 f w."""
 
     times: np.ndarray
-    z1: np.ndarray
-    dz1: np.ndarray
-    z2: np.ndarray
-    dz2: np.ndarray
+    w: np.ndarray
+    dw: np.ndarray
     accel: np.ndarray
-    w: float
+
+
+def _rk4_map(h, a0, am, a1):
+    """Entries D00, D01, D10, D11 of one classical RK4 step of length h
+    for y = (z, z'), z'' = a z: y -> (I + D) y, with a = -4 f at the step's
+    start, middle and end (a0, am, a1):
+    D = (h/6) [[h (a0 + 2 am) + (h^3/4) am a0,  6 + h^2 am],
+               [a0 + 4 am + a1 + (h^2/2) am (a0 + a1),
+                h (2 am + a1) + (h^3/4) a1 am]].
+    h may be negative, and D = 0 at h = 0.  Powers are products, which
+    round alike for a float and an array."""
+    h6, h2 = h / 6, h * h
+    h3 = h2 * h / 4
+    return (h6 * (h * (a0 + 2.0 * am) + h3 * am * a0),
+            h6 * (6.0 + h2 * am),
+            h6 * (a0 + 4.0 * am + a1 + (h2 / 2) * am * (a0 + a1)),
+            h6 * (h * (2.0 * am + a1) + h3 * a1 * am))
 
 
 def _combine(a, b, out):
@@ -169,28 +149,24 @@ def _combine(a, b, out):
 
 
 def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
-    """Classical RK4 for z'' + 4 f(t) z = 0, both solutions at once.
+    """Classical RK4 for w'' + 4 f(t) w = 0 from w = z1 + i z2/W: step k
+    is y_{k+1} = (I + D_k) y_k, y = (w, w'), D_k = _rk4_map of the step.
 
-    Step k is y_{k+1} = (I + D_k) y_k, y = (z, z'), with D_k the RK4
-    increment of the unit vectors in closed form: with a = -4 f at t_k,
-    t_k + h/2 and t_k + h (a0, am, a1),
-    D = (h/6) [[h (a0 + 2 am) + (h^3/4) am a0,  6 + h^2 am],
-               [a0 + 4 am + a1 + (h^2/2) am (a0 + a1),
-                h (2 am + a1) + (h^3/4) a1 am]].
     Q_k = (I + D_{k-1})...(I + D_0) - I comes from a blocked scan over
     blocks of _BLOCK steps, anchored at step 0, so I + D is never rounded:
     one pass over the positions of every block at once, compensated
     (Knuth's TwoSum) because the equal blocks of the periodic drive would
     otherwise add up equal rounding errors; a Hillis-Steele scan over the
-    block totals; and one pass applying each block's carry.  Steps past
-    the last node pad the last block and reach no node.
+    block totals; and one pass applying each block's carry to the complex
+    start.  Steps past the last node pad the last block and reach no node.
     """
     n = int(math.ceil(t_end / h - 1e-12))  # n h >= t_end
     times = h * np.arange(n + 1)
     (c1, d1), (c2, d2) = np.array([z1_init, z2_init], dtype=float).tolist()
-    w = c1 * d2 - d1 * c2
-    if abs(w) < 1e-12:
+    wronskian = c1 * d2 - d1 * c2
+    if abs(wronskian) < 1e-12:
         raise ValueError("mathieu_trace: initial data are linearly dependent")
+    w0, dw0 = complex(c1, c2 / wronskian), complex(d1, d2 / wronskian)
     blocks = -(-n // _BLOCK)
     a_node = np.zeros(blocks * _BLOCK + 1)
     a_node[:n + 1] = -4.0 * drive_f(times, epsilon, omega0)
@@ -198,16 +174,12 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     a_mid[:n] = -4.0 * drive_f(times[:-1] + 0.5 * h, epsilon, omega0)
     # a0, am, a1 of step k sit at [k // _BLOCK, k % _BLOCK], D_k at
     # q[k % _BLOCK, :, :, k // _BLOCK]
-    a0, am, a1 = (a_node[:-1].reshape(blocks, _BLOCK),
-                  a_mid.reshape(blocks, _BLOCK),
-                  a_node[1:].reshape(blocks, _BLOCK))
     q = np.empty((_BLOCK, 2, 2, blocks))
-    q[:, 0, 0] = ((h / 6) * (h * (a0 + 2.0 * am) + (h**3 / 4) * am * a0)).T
-    q[:, 0, 1] = ((h / 6) * (6.0 + h * h * am)).T
-    q[:, 1, 0] = ((h / 6) * (a0 + 4.0 * am + a1
-                             + (h * h / 2) * am * (a0 + a1))).T
-    q[:, 1, 1] = ((h / 6) * (h * (2.0 * am + a1) + (h**3 / 4) * a1 * am)).T
-    del a_mid, a0, am, a1
+    (q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1]) = (
+        d.T for d in _rk4_map(h, a_node[:-1].reshape(blocks, _BLOCK),
+                              a_mid.reshape(blocks, _BLOCK),
+                              a_node[1:].reshape(blocks, _BLOCK)))
+    del a_mid
     # Q_p = S + E, S the running sum of the increments D_p (I + Q_{p-1})
     # and E the rounding errors of its additions
     run, lost = q[0].copy(), np.zeros((2, 2, blocks))
@@ -229,39 +201,38 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
         s *= 2
     for p in range(_BLOCK):
         _combine(q[p, :, :, 1:], carry[:, :, :-1], q[p, :, :, 1:])
-    # z = c + (Q_zz c + Q_zv d), z' = d + (Q_vz c + Q_vv d) in node order
-    y = []
-    for c, d in ((c1, d1), (c2, d2)):
-        for row, start in ((0, c), (1, d)):
-            node = np.empty(blocks * _BLOCK + 1)
-            node[0] = start
-            body = node[1:].reshape(blocks, _BLOCK)
-            np.multiply(q[:, row, 0].T, c, out=body)
-            body += q[:, row, 1].T * d
-            body += start
-            y.append(node[:n + 1])
-    return MathieuPath(times, *y, a_node[:n + 1], w)
+    # w = w0 + (Q_zz w0 + Q_zv w0'), w' = w0' + (Q_vz w0 + Q_vv w0')
+    y = np.empty((2, blocks * _BLOCK + 1), dtype=complex)
+    y[:, 0] = w0, dw0
+    for row, start in enumerate((w0, dw0)):
+        body = y[row, 1:].reshape(blocks, _BLOCK)  # node order
+        np.multiply(q[:, row, 0].T, w0, out=body)
+        body += q[:, row, 1].T * dw0
+        body += start
+    return MathieuPath(times, *y[:, :n + 1], a_node[:n + 1])
 
 
 def _path(p, a, epsilon, omega0, t):
-    """(chi, chi', chi'', a) at t from one Hermite interpolation of the path
-    p.  chi = sqrt(2 z1^2 + 2 z2^2 / W^2); the node drive gives the slopes
-    of z' and the drive at t gives z'' = -4 f(t) z.  a is its node value a
-    at the nearest node j plus half the turn of w from t_j to t, which is
-    far below pi, so wrapping it recovers it."""
-    z1, z2, dz1, dz2 = _hermite(p, t)
-    accel = -4.0 * drive_f(t, epsilon, omega0)
-    w2 = p.w**2
-    chi = np.sqrt(2.0 * z1 * z1 + 2.0 * z2 * z2 / w2)
-    dchi = (2.0 * z1 * dz1 + 2.0 * z2 * dz2 / w2) / chi
-    d2chi = (
-        2.0 * dz1 * dz1 + 2.0 * z1 * (accel * z1)
-        + (2.0 * dz2 * dz2 + 2.0 * z2 * (accel * z2)) / w2
-    ) / chi - dchi * dchi / chi
+    """(chi, chi', chi'', a) at t from one _rk4_map step of s = t - t_j
+    from the path p's nearest node j; at a node D = 0 returns the node.
+    chi = sqrt2 |w|, chi' = 2 Re(conj(w) w') / chi, chi'' from
+    w'' = -4 f(t) w, and a = a_j + arg(w conj(w_j)) / 2, in real
+    arithmetic, which rounds alike for a float and an array."""
     j = np.rint(t / p.times[1]).astype(int)  # times are k dt
-    turn = (_oscillator_phase(z1, z2, p.w)
-            - _oscillator_phase(p.z1[j], p.z2[j], p.w))
-    turn -= 2.0 * math.pi * np.rint(turn / (2.0 * math.pi))
+    t_j, w_j, dw_j = p.times[j], p.w[j], p.dw[j]
+    s = t - t_j
+    accel = -4.0 * drive_f(t, epsilon, omega0)
+    d = _rk4_map(s, p.accel[j],
+                 -4.0 * drive_f(t_j + 0.5 * s, epsilon, omega0), accel)
+    w = w_j + (d[0] * w_j + d[1] * dw_j)
+    dw = dw_j + (d[2] * w_j + d[3] * dw_j)
+    x, y, dx, dy = w.real, w.imag, dw.real, dw.imag
+    x_j, y_j = w_j.real, w_j.imag
+    r2 = x * x + y * y
+    chi = np.sqrt(2.0 * r2)
+    dchi = 2.0 * (x * dx + y * dy) / chi
+    d2chi = (2.0 * (dx * dx + dy * dy + accel * r2) - dchi * dchi) / chi
+    turn = np.arctan2(y * x_j - x * y_j, x * x_j + y * y_j)
     return chi, dchi, d2chi, a[j] + 0.5 * turn
 
 
@@ -373,16 +344,17 @@ def mathieu_trace(drive, t_end, dt=1e-4, epsilon=0.5, omega0=1.0,
             f"(epsilon = {eps!r}): dt * 2 sqrt(max|f|) = {ratio:.3g} exceeds "
             f"{_STEP_BOUND}")
     path = _integrate_mathieu(t_end, dt, eps, w0, z1_init, z2_init)
-    z = (path.z1, path.dz1, path.z2, path.dz2)
+    z = (path.w.view(float), path.dw.view(float))
     # a NaN fails both comparisons
     if not all(-_PATH_LIMIT <= x.min() and x.max() <= _PATH_LIMIT for x in z):
-        grown = ~np.logical_and.reduce([np.abs(x) <= _PATH_LIMIT for x in z])
+        inside = (np.abs(np.stack(z)) <= _PATH_LIMIT).reshape(2, -1, 2)
+        grown = np.argmin(inside.all(axis=(0, 2)))
         raise ValidationError(
             f"mathieu_trace: the oscillator path of the {drive} drive "
             f"(epsilon = {eps!r}, omega0 = {w0!r}) passes {_PATH_LIMIT:g} "
-            f"at t = {float(path.times[np.argmax(grown)]):.6g}: the drive is "
+            f"at t = {float(path.times[grown]):.6g}: the drive is "
             f"parametrically resonant; build to an earlier horizon")
-    phase = np.unwrap(_oscillator_phase(path.z1, path.z2, path.w))
+    phase = np.unwrap(np.angle(path.w))
     a = 0.5 * (phase - phase[0])
     return ModulationTrace(functools.partial(_path, path, a, eps, w0),
                            drive=(eps, w0), path=path)

@@ -50,6 +50,7 @@ _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 STENCIL_DEPTH = 4
 # default time step of the time stencils of the residual checks
 STENCIL_DT = 1e-4
+LATTICE_ROWS = 64  # fewest t-rows verify_constraints walks
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -375,10 +376,9 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     if not math.isfinite(corrupt_rho):
         raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
                          f"got {corrupt_rho}")
-    if len(x) < 256 or len(t) < 64:
-        raise LatticeTooCoarseError(
-            f"constraint lattice {len(x)} x {len(t)} below the 256 x 64 floor"
-        )
+    if len(x) < 256 or len(t) < LATTICE_ROWS:
+        raise LatticeTooCoarseError(f"constraint lattice {len(x)} x {len(t)} "
+                                    f"below the 256 x {LATTICE_ROWS} floor")
     hx, ht = np.diff(x), np.diff(t)
     if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0] or np.max(np.abs(ht - ht[0])) > 1e-9 * ht[0]:
         raise ValueError("verify_constraints: lattices must be uniform")

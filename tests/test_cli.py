@@ -381,8 +381,9 @@ class TestOptionTable:
              "perturb": "0.05", "perturb_mode": "additive", "seed": "7",
              "out": None, "mu_sign": "flipped", "format": "json-lines",
              "corrupt_rho": "1e-9"}
-    # cheap stepping for the rows not under test
-    QUICK = {"t_end": "0.02", "dt": "1e-3"}
+    # cheap stepping for the rows not under test; verify's constraint
+    # lattice needs 64 rows, t_end > 62/768
+    QUICK = {"t_end": "0.1", "dt": "1e-3"}
     # a command that reads the row, with the family that reads it; the
     # rows not named here are mathieu-trace's
     READER = {"family": ["solution"], "n": ["solution"],
@@ -548,7 +549,10 @@ class TestReadOptions:
         given = ([flag_of(opt), value] if via == "flag"
                  else ["--config", str(conf)])
         assert main([command, *given, "--out", str(out)]) == 1
-        named = (f"unrecognized arguments: {flag_of(opt)}" if via == "flag"
+        # argparse reports a subcommand's leftovers from the root parser,
+        # which would name "modcnls" alone
+        named = (f"error: modcnls {command}: unrecognized arguments: "
+                 f"{flag_of(opt)} {value}\n" if via == "flag"
                  else f"unknown key {flag_of(opt)[2:]!r} for {command}")
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -879,25 +883,44 @@ class TestVerifyCommand:
         assert len(strips) == timing["constraint_workers"]
         assert all(0 < s <= timing["constraints_s"] for s in strips)
 
-    @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
-    def test_short_horizon_passes(self, tmp_path, t_end):
-        # the trap identity is then checked up to t = 1, where chi = 0.95;
-        # its lattice narrows with chi instead of staying on [-10, 10]
+    @pytest.mark.parametrize("t_end, rows", [(0.5, 385), (1.0, 769)])
+    def test_short_horizon_passes(self, tmp_path, t_end, rows):
+        # the horizon asked is the one checked; at t = 1, chi = 0.95, and
+        # the trap identity's lattice narrows with chi instead of staying
+        # on [-10, 10]
         out = tmp_path / "v"
         code = main(["verify", "--family", "elliptic", "--drive", "periodic",
-                     "--t-end", t_end, "--out", str(out)])
+                     "--t-end", str(t_end), "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert code == 0, report["failures"]
         identity = report["potential_identity"]
-        assert identity["times"] == pytest.approx(np.linspace(4e-4, 1.0, 5))
+        assert identity["times"] == pytest.approx(np.linspace(4e-4, t_end, 5))
         assert identity["t"] in identity["times"]
         assert identity["gap"] <= 1e-4 and identity["half_width"] < 10.0
+        assert max(report["pde_residual"]["times"]) <= t_end
         lattice = report["constraints"]["lattice"]
-        assert lattice["t"] == [0.0, 1.0, 769]
-        # residuals maximized over |x| <= 0.975, t in [4/768, 1 - 4/768]
+        assert lattice["t"] == [0.0, t_end, rows]
+        # residuals maximized over |x| <= 0.975, t in [4/768, T - 4/768]
         assert lattice["interior"]["x"] == pytest.approx([-0.975, 0.975],
                                                          abs=1e-4)
-        assert lattice["interior"]["t"] == pytest.approx([4 / 768, 764 / 768])
+        assert lattice["interior"]["t"] == pytest.approx(
+            [4 / 768, t_end - 4 / 768])
+
+    @pytest.mark.parametrize("drive", modcnls.DRIVES)
+    def test_horizon_below_the_lattice_floor_is_refused(self, tmp_path,
+                                                        capsys, drive):
+        # 64 rows at 768 per unit of time need t_end > 62/768 = 0.0807;
+        # the refusal comes before the output directory is made
+        out = tmp_path / "v"
+        for t_end, code in (("0.06", 1), ("0.0807", 1), ("0.0808", 0)):
+            assert main(["verify", "--family", "sech", "--drive", drive,
+                         "--t-end", t_end, "--out", str(out)]) == code, t_end
+            err = capsys.readouterr().err
+            if code:
+                assert (f"t_end = {t_end} gives 63 constraint lattice rows"
+                        if t_end == "0.0807" else f"t_end = {t_end}") in err
+                assert "below the floor of 64; use t_end > 0.0807" in err
+                assert not out.exists()
 
     def test_whole_horizon_is_checked(self, tmp_path, monkeypatch):
         walked = []

@@ -62,7 +62,7 @@ class TestDrive:
             got = mathieu_trace("periodic", 2.0, dt=1e-3, epsilon=epsilon,
                                 omega0=omega0)
             assert got.drive == want.drive == (0.0, 0.0)
-            for name in ("times", "z1", "dz1", "z2", "dz2", "accel"):
+            for name in ("times", "w", "dw", "accel"):
                 assert same_bits(getattr(got.path, name),
                                  getattr(want.path, name)), name
             t = np.linspace(0.0, 2.0, 777)
@@ -70,29 +70,35 @@ class TestDrive:
                 assert same_bits(value, getattr(want.at(t), field)), field
 
 
+def rk4_step_longdouble(z, v, t, h, epsilon, omega0):
+    """One classical RK4 step of z'' = -4 f(t) z from (z, z') at t, in
+    extended precision; t and h are long doubles."""
+    L = np.longdouble
+
+    def drive(t):
+        return 1 + L(epsilon) * np.cos(L(omega0) * t)
+
+    f0, fm, f1 = drive(t), drive(t + h / 2), drive(t + h)
+    k1z, k1v = v, -4 * f0 * z
+    k2z, k2v = v + h / 2 * k1v, -4 * fm * (z + h / 2 * k1z)
+    k3z, k3v = v + h / 2 * k2v, -4 * fm * (z + h / 2 * k2z)
+    k4z, k4v = v + h * k3v, -4 * f1 * (z + h * k3z)
+    return (z + h * (k1z + 2 * k2z + 2 * k3z + k4z) / 6,
+            v + h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6)
+
+
 def chi_rk4_longdouble(t_end, h, epsilon, omega0):
     # oracle: the same classical RK4, stepped one step after another in
     # extended precision, so its own rounding sits far below float64's
     L = np.longdouble
-    hl, eps, w0 = L(h), L(epsilon), L(omega0)
+    hl = L(h)
     n = int(math.ceil(t_end / h - 1e-12))
-
-    def drive(t):
-        return 1 + eps * np.cos(w0 * t)
-
     y = [np.sqrt(L(2)), L(0), L(0), L(1)]  # z1, z1', z2, z2'
     chi = [L(2)]
     for i in range(n):
-        t = L(i) * hl
-        f0, fm, f1 = drive(t), drive(t + hl / 2), drive(t + hl)
         for k in (0, 2):
-            z, v = y[k], y[k + 1]
-            k1z, k1v = v, -4 * f0 * z
-            k2z, k2v = v + hl / 2 * k1v, -4 * fm * (z + hl / 2 * k1z)
-            k3z, k3v = v + hl / 2 * k2v, -4 * fm * (z + hl / 2 * k2z)
-            k4z, k4v = v + hl * k3v, -4 * f1 * (z + hl * k3z)
-            y[k] = z + hl * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
-            y[k + 1] = v + hl * (k1v + 2 * k2v + 2 * k3v + k4v) / 6
+            y[k:k + 2] = rk4_step_longdouble(y[k], y[k + 1], L(i) * hl, hl,
+                                             epsilon, omega0)
         # chi = sqrt(2 z1^2 + 2 z2^2 / W^2) with W = sqrt 2
         chi.append(np.sqrt(2 * y[0] ** 2 + y[2] ** 2))
     return np.array(chi)
@@ -128,15 +134,16 @@ class TestMathieuIntegration:
         longest = paths[-1]
         for path in paths[:-1]:
             n = len(path.times)
-            for name in ("times", "z1", "dz1", "z2", "dz2", "accel"):
+            for name in ("times", "w", "dw", "accel"):
                 np.testing.assert_array_equal(getattr(path, name),
                                               getattr(longest, name)[:n])
 
     def test_build_holds_little_beyond_the_trace(self):
         # the scan works in place on one (block, 2, 2, blocks) array, so
         # the t = 10 build (10^5 steps) peaks at most 6 MB above what the
-        # trace keeps; the trace keeps the times, five node rows and the
-        # node phases, seven arrays of 10^5 floats, and no samples
+        # trace keeps; the trace keeps the times, the node drive, the node
+        # phases and the complex w and w', seven arrays' worth of 10^5
+        # floats, and no samples
         tracemalloc.start()
         try:
             trace = mathieu_trace("quasiperiodic", 10.0, dt=1e-4)
@@ -148,10 +155,11 @@ class TestMathieuIntegration:
         assert peak - kept <= 6 * 2**20, f"{(peak - kept) / 2**20:.2f} MB"
 
     def test_wronskian_conserved(self):
+        # w = z1 + i z2/W has Im(conj(w) w') = (z1 z2' - z2 z1')/W = 1
         path = mathieu_trace("quasiperiodic", 10.0, dt=1e-4).path
-        wronskian = path.z1 * path.dz2 - path.dz1 * path.z2
-        drift = np.abs(wronskian - path.w).max()
-        assert path.w == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        wronskian = np.imag(np.conj(path.w) * path.dw)
+        drift = np.abs(wronskian - 1.0).max()
+        assert wronskian[0] == pytest.approx(1.0, abs=1e-15)
         assert drift < 1e-8, f"Wronskian drifted by {drift:.3e}"
 
     def test_rescaling_second_solution_leaves_chi_alone(self):
@@ -161,17 +169,20 @@ class TestMathieuIntegration:
                       - node_samples(tr3).chi).max() < 1e-12
 
     def test_width_equation_residual(self):
-        # chi'' + 4 f chi = 4 / chi^3 must hold for the quasiperiodic drive too
+        # chi'' + 4 f chi = 4 / chi^3 must hold for the quasiperiodic drive
+        # too, at the nodes and between them
         tr = mathieu_trace("quasiperiodic", 8.0, dt=1e-4, epsilon=0.5, omega0=1.0)
-        f = drive_f(tr.path.times, 0.5, 1.0)
-        chi, _, d2chi, _, _ = tr.at(tr.path.times)
-        res = d2chi + 4.0 * f * chi - 4.0 / chi**3
-        assert np.abs(res).max() < 1e-9
+        off_node = np.random.default_rng(27).uniform(0.0, 8.0, 5000)
+        for t in (tr.path.times, off_node):
+            f = drive_f(t, 0.5, 1.0)
+            chi, _, d2chi, _, _ = tr.at(t)
+            res = d2chi + 4.0 * f * chi - 4.0 / chi**3
+            assert np.abs(res).max() < 1e-9
 
     def test_state_access(self):
         tr = mathieu_trace("periodic", 1.0, dt=1e-3)
         path = tr.path
-        assert path.z1[0] == pytest.approx(math.sqrt(2.0))
+        assert path.w[0] == pytest.approx(math.sqrt(2.0))
         assert tr.chi_at(0.0) == pytest.approx(2.0)
         assert len(path.times) == 1001
         # the node drive -4 f, with f = 1
@@ -200,6 +211,77 @@ class TestMathieuIntegration:
         exact = chi_exact(s.times)
         assert np.max(np.abs(s.chi - exact) / exact) < 5e-4
         mathieu_trace("quasiperiodic", 10.0, dt=0.08)  # ratio 0.196
+
+
+class TestOneRK4Map:
+    """An integrated trace answers every t with one step of the RK4 map
+    that built its path, of signed length s from the nearest node."""
+
+    DT = 1e-3
+
+    def trace(self):
+        return mathieu_trace("quasiperiodic", 3.0, dt=self.DT)
+
+    def test_off_node_query_is_one_rk4_step_from_its_node(self):
+        L = np.longdouble
+        tr = self.trace()
+        path = tr.path
+        t = np.random.default_rng(31).uniform(0.0, 3.0, 200)
+        j = np.rint(t / self.DT).astype(int)
+        assert np.all(t != path.times[j])
+        chi, _, _, a, _ = tr.at(t)
+        a_node = tr.a_at(path.times[j])
+        for k in range(len(t)):
+            t_j, s = L(path.times[j[k]]), L(t[k]) - L(path.times[j[k]])
+            w, dw = path.w[j[k]], path.dw[j[k]]
+            x, _ = rk4_step_longdouble(L(w.real), L(dw.real), t_j, s, 0.5, 1.0)
+            y, _ = rk4_step_longdouble(L(w.imag), L(dw.imag), t_j, s, 0.5, 1.0)
+            want = np.sqrt(2 * (x * x + y * y))
+            assert abs(chi[k] - want) <= 1e-14 * want, k
+            # a turns by half the angle from w_j to w
+            turn = np.arctan2(y * L(w.real) - x * L(w.imag),
+                              x * L(w.real) + y * L(w.imag))
+            assert abs(a[k] - (a_node[k] + turn / 2)) <= 1e-14 * abs(a[k])
+
+    def test_node_query_returns_the_node(self):
+        tr = self.trace()
+        path = tr.path
+        chi, dchi, _, a, _ = tr.at(path.times)
+        x, y, dx, dy = path.w.real, path.w.imag, path.dw.real, path.dw.imag
+        assert same_bits(chi, np.sqrt(2.0 * (x * x + y * y)))
+        assert same_bits(dchi, 2.0 * (x * dx + y * dy) / chi)
+        phase = np.unwrap(np.angle(path.w))
+        assert same_bits(a, 0.5 * (phase - phase[0]))
+
+    def test_nearest_node_switch_is_continuous(self):
+        # at every switch of a t = 3 path, the last float answered from
+        # node j and the first from node j + 1 differ by the derivative
+        # times their ulp apart, up to a few ulp of rounding; chi' is a
+        # sum of terms of size sqrt2 |w'| = sqrt(chi'^2 + 4/chi^2).  The
+        # largest gaps, 12 ulp of chi and 23 of chi', sit at the scan's
+        # block starts, where its carry rounds
+        dt = 1e-4
+        tr = mathieu_trace("quasiperiodic", 3.0, dt=dt)
+        j = np.arange(len(tr.path.times) - 1)
+        lo = (j + 0.5) * dt
+        for _ in range(4):  # onto the last float rounding to node j
+            lo = np.where(np.rint(lo / dt) > j, np.nextafter(lo, -1.0), lo)
+        for _ in range(4):
+            up = np.nextafter(lo, 9.0)
+            lo = np.where(np.rint(up / dt) == j, up, lo)
+        hi = np.nextafter(lo, 9.0)
+        assert np.array_equal(np.rint(lo / dt), j)
+        assert np.array_equal(np.rint(hi / dt), j + 1)
+        below, above = tr.at(lo), tr.at(hi)
+        for field, slope, scale, ulps in (
+                ("chi", "dchi", np.maximum(below.chi, 1.0), 16),
+                ("dchi", "d2chi",
+                 np.sqrt(below.dchi**2 + 4.0 / below.chi**2), 32),
+                ("a", "adot", np.maximum(below.a, 1.0), 8)):
+            gap = (getattr(above, field) - getattr(below, field)
+                   - getattr(below, slope) * (hi - lo))
+            worst = np.max(np.abs(gap) / np.spacing(scale))
+            assert worst <= ulps, (field, worst)
 
 
 class TestClosedFormTrace:
@@ -281,7 +363,8 @@ class TestClosedFormTrace:
 
 
 def same_bits(got, want):
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    kind = complex if np.iscomplexobj(got) or np.iscomplexobj(want) else float
+    got, want = np.asarray(got, dtype=kind), np.asarray(want, dtype=kind)
     return got.shape == want.shape and np.array_equal(got.view(np.int64),
                                                       want.view(np.int64))
 

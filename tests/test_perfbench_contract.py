@@ -128,3 +128,12 @@ def test_traced_mathieu_trace_counts_its_rows(tmp_path):
     assert metrics["modulation.mathieu_steps"] == 500
     assert metrics["export.rows"] == 501
     assert metrics["export.bytes"] > 0
+
+
+def test_traced_quasiperiodic_verify_counts_its_path_steps(tmp_path):
+    # verify builds one width, over t_end and the 4 steps of 1e-4 its time
+    # stencils reach past it, and the tracer counts that path's steps
+    metrics = traced_metrics(
+        ["verify", "--family", "elliptic", "--drive", "quasiperiodic",
+         "--t-end", "1", "--out", str(tmp_path / "v")])
+    assert metrics["modulation.mathieu_steps"] == 10_004
