@@ -285,7 +285,7 @@ def _constraint_lattice(family, trace, t_end):
     """The constraint walk's lattice over [0, t_end]: 640 columns on
     |x| <= 1 (elliptic) or |x| <= 5, and max(768, 768 (0.412 / chi_min)^2)
     rows per unit of time, chi^2 being the fields' time scale, where the
-    eighth-order residuals clear 1e-5 for every family and drive."""
+    eighth-order residuals clear their gate for every family and drive."""
     half = 1.0 if family.kind == "elliptic" else 5.0
     t = np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1)
     rows = max(768, math.ceil(768 * (0.412 / trace.chi_at(t).min()) ** 2))
@@ -307,24 +307,27 @@ _POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
 # reach STENCIL_DEPTH steps to either side of a time they check
 _STENCIL_REACH = STENCIL_DEPTH * STENCIL_DT
 
+# each suite of verify passes only on value <= its threshold, so NaN fails
+GATES = {"constraints": 1e-5, "potential_identity": 1e-4,
+         "pde_residual": 1e-4}
 
-def cmd_verify(cfg):
-    family = _family_from(cfg)
-    grid = _grid_from(cfg, family, "residual")
-    t_end = cfg["t_end"]
+
+def verify(family, trace, grid, t_end, seed, corrupt_rho=0.0,
+           ready=lambda: None):
+    """The report of the three suites over [0, t_end] against GATES: the
+    constraint walk on _constraint_lattice, the trap identity at five times
+    and the full equations on grid at five seeded times.  trace must reach
+    t_end + _STENCIL_REACH; ready() runs before the first suite."""
     clock = [time.perf_counter()]
-    trace = _trace_from(cfg, family, t_end + _STENCIL_REACH)
-    clock.append(time.perf_counter())
     x_lat, t_lat = _constraint_lattice(family, trace, t_end)
-    out = _prepare_out(cfg)
+    ready()
 
     residuals = verify_constraints(family, trace, x_lat, t_lat,
-                                   corrupt_rho=cfg["corrupt_rho"])
+                                   corrupt_rho=corrupt_rho)
     constraints = {name: getattr(residuals, name)
                    for name in ("continuity", "advection", "flux")}
-    # every gate passes only on value <= threshold, so NaN fails
     failures = [name for name, value in constraints.items()
-                if not value <= 1e-5]
+                if not value <= GATES["constraints"]]
     clock.append(time.perf_counter())
 
     # the trap identity is checked on x = chi(t) xi, so the lattice
@@ -336,48 +339,59 @@ def cmd_verify(cfg):
                      for t in t_pots])
     # argmax stops at the first NaN, so a NaN gap is the one reported
     k = int(np.argmax(gaps))
-    if not gaps[k] <= 1e-4:
+    if not gaps[k] <= GATES["potential_identity"]:
         failures.append("potential_identity")
     clock.append(time.perf_counter())
 
-    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
+    rng = np.random.Generator(np.random.PCG64(seed))
     times = sorted(rng.uniform(0.05, t_end, 5).tolist())
     residual = np.array([pde_residual(family, grid, float(t), trace)
                          for t in times])
     # argmax stops at the first NaN, so a NaN residual is the one reported
     at = np.argmax(residual, axis=0)
     worst = residual[at, [0, 1]].tolist()
-    if not (worst[0] <= 1e-4 and worst[1] <= 1e-4):
+    if not all(value <= GATES["pde_residual"] for value in worst):
         failures.append("pde_residual")
     clock.append(time.perf_counter())
 
     # the x and t ranges the residuals were maximized over
     x_in, t_in = constraint_window(x_lat, t_lat)
-    report = {
-        "config": dict(cfg),
+    return {
         "constraints": {
-            **constraints, "threshold": 1e-5,
+            **constraints, "threshold": GATES["constraints"],
             "at": dict(zip(constraints, residuals.at)),  # [t, x] each
             "lattice": {"x": [float(x_lat[0]), float(x_lat[-1]), len(x_lat)],
                         "t": [0.0, t_end, len(t_lat)],
                         "interior": {"x": list(x_in), "t": list(t_in)}}},
         "potential_identity": {
-            "gap": float(gaps[k]), "threshold": 1e-4, "t": float(t_pots[k]),
-            "times": t_pots.tolist(),
+            "gap": float(gaps[k]), "threshold": GATES["potential_identity"],
+            "t": float(t_pots[k]), "times": t_pots.tolist(),
             "half_width": float(trace.chi_at(t_pots[k]) * xi[-1])},
         "pde_residual": {"times": times, "worst1": worst[0],
-                         "worst2": worst[1], "threshold": 1e-4,
+                         "worst2": worst[1],
+                         "threshold": GATES["pde_residual"],
                          "t1": times[at[0]], "t2": times[at[1]]},
-        "timing": dict(zip(("trace_s", "constraints_s",
-                            "potential_identity_s", "pde_residual_s"),
-                           np.diff(clock).tolist()),
+        "timing": dict(zip(("constraints_s", "potential_identity_s",
+                            "pde_residual_s"), np.diff(clock).tolist()),
                        constraint_workers=residuals.workers,
                        constraint_strip_s=residuals.strip_s),
         "failures": failures,
         "pass": not failures,
     }
-    write_manifest(os.path.join(out, "report.json"), report)
-    print(json.dumps({"pass": report["pass"], "failures": failures}))
+
+
+def cmd_verify(cfg):
+    family = _family_from(cfg)
+    grid = _grid_from(cfg, family, "residual")
+    start = time.perf_counter()
+    trace = _trace_from(cfg, family, cfg["t_end"] + _STENCIL_REACH)
+    trace_s = time.perf_counter() - start
+    report = verify(family, trace, grid, cfg["t_end"], cfg["seed"],
+                    cfg["corrupt_rho"], ready=lambda: _prepare_out(cfg))
+    report["timing"]["trace_s"] = trace_s
+    write_manifest(os.path.join(cfg["out"], "report.json"),
+                   {"config": dict(cfg), **report})
+    print(json.dumps({"pass": report["pass"], "failures": report["failures"]}))
     return 0 if report["pass"] else 2
 
 

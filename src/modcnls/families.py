@@ -226,11 +226,13 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
     L = 20 at the default gamma = 6, and the dark-bright pair flattens onto
     its background within L = 15.  The residual purpose serves the spectral
     equation check, whose box must keep edge values below roughly 1e-7 or
-    wraparound ringing in the second derivative dominates; the
-    quasiperiodic drive stretches chi to about 2.75, so those boxes are
-    wider.  The dark-bright residual box is narrower than its export box:
-    there the second derivative is a finite difference and a tighter box
-    buys resolution.
+    wraparound ringing in the second derivative dominates.  The
+    quasiperiodic drive stretches chi to about 2.75: at 19 and 38 the box
+    edges no longer set verify's residual (8.7e-9 and 1.7e-10 at worst over
+    eleven seeds, from 1.2e-6 and 3.0e-7 at 16 and 32), and at N = 1024 a
+    wider box stops resolving chi's minimum, 0.41.  The dark-bright residual
+    box is narrower than its export box: there the second derivative is a
+    finite difference and a tighter box buys resolution.
     """
     if purpose not in ("export", "propagate", "residual"):
         raise ValidationError(f"default_grid: unknown purpose {purpose!r}")
@@ -242,10 +244,10 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
         elif purpose == "propagate":
             half = 16.0 if quasi else 12.0
         else:
-            half = 16.0 if quasi else 14.0
+            half = 19.0 if quasi else 14.0
     elif family.kind == "sech":
         if purpose == "residual":
-            half = 32.0 if quasi else 25.0
+            half = 38.0 if quasi else 25.0
         else:
             half = 24.0 if quasi else 20.0
     else:

@@ -16,11 +16,11 @@ asked.  An integrated trace answers only inside the window of its
 oscillator path and refuses any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
-formed by a scan over fixed blocks of steps in O(n) work and in place
-(Blelloch, CMU-CS-90-190).  The scan carries P - I, as P near I would
-round away the low bits of each O(h) increment, and its blocks start at
-node 0, so a node's value does not depend on the horizon.  A t between
-nodes is one step of the same RK4 map from its nearest node.
+formed in O(n) work and in place by a scan within fixed blocks of steps
+and a carry across them in step order.  The scan carries P - I, as P near
+I would round away the low bits of each O(h) increment, and its blocks
+start at node 0, so a node's value does not depend on the horizon.  A t
+between nodes is one step of the same RK4 map from its nearest node.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -51,8 +51,8 @@ _SQRT2 = math.sqrt(2.0)
 # mathieu_trace accepts; at 0.2 RK4 keeps chi within 4.6e-4 of the closed
 # form over 10 s of the periodic drive, at 0.8 it is 0.12 off
 _STEP_BOUND = 0.2
-# steps per block of the oscillator's prefix scan: the scan loops over a
-# block's positions in Python and over the block totals in log2 passes
+# steps per block of the oscillator's prefix scan: the scan loops in Python
+# over a block's positions, then over the block totals one at a time
 _BLOCK = 128
 # largest part of w, w' on a path mathieu_trace keeps; the width squares them
 _PATH_LIMIT = 1e100
@@ -156,8 +156,8 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     blocks of _BLOCK steps, anchored at step 0, so I + D is never rounded:
     one pass over the positions of every block at once, compensated
     (Knuth's TwoSum) because the equal blocks of the periodic drive would
-    otherwise add up equal rounding errors; a Hillis-Steele scan over the
-    block totals; and one pass applying each block's carry to the complex
+    otherwise add up equal rounding errors; a carry over the block totals
+    in step order; and one pass applying each block's carry to the complex
     start.  Steps past the last node pad the last block and reach no node.
     """
     n = int(math.ceil(t_end / h - 1e-12))  # n h >= t_end
@@ -193,12 +193,15 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
         lost += (run - (total - part)) + (inc - part)
         run = total
         np.add(run, lost, out=q[p])
-    # carry[:, :, j] = Q at the end of block j
-    carry = q[-1].copy()
-    s = 1
-    while s < blocks:
-        _combine(carry[:, :, s:], carry[:, :, :-s], carry[:, :, s:])
-        s *= 2
+    # carry[:, :, j] = Q at the end of block j, by _combine's arithmetic
+    carry = [q[-1, :, :, 0].ravel().tolist()]
+    for t00, t01, t10, t11 in q[-1, :, :, 1:].reshape(4, -1).T.tolist():
+        c00, c01, c10, c11 = carry[-1]
+        carry.append([(t00 * c00 + t01 * c10) + (t00 + c00),
+                      (t00 * c01 + t01 * c11) + (t01 + c01),
+                      (t10 * c00 + t11 * c10) + (t10 + c10),
+                      (t10 * c01 + t11 * c11) + (t11 + c11)])
+    carry = np.ascontiguousarray(np.transpose(carry)).reshape(2, 2, blocks)
     for p in range(_BLOCK):
         _combine(q[p, :, :, 1:], carry[:, :, :-1], q[p, :, :, 1:])
     # w = w0 + (Q_zz w0 + Q_zv w0'), w' = w0' + (Q_vz w0 + Q_vv w0')

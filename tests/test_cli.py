@@ -24,8 +24,8 @@ from modcnls.export import (FORMATS, _atomic_write, _write_columns,
                             write_coefficients, write_diagnostics,
                             write_fields, write_modulation, COEFFICIENT_COLUMNS,
                             DIAGNOSTICS_COLUMNS, FIELD_COLUMNS, TRACE_COLUMNS)
-from modcnls.families import (FieldPair, dark_bright_family, default_trace,
-                              elliptic_family, sech_family)
+from modcnls.families import (FieldPair, dark_bright_family, default_grid,
+                              default_trace, elliptic_family, sech_family)
 from modcnls.grid import SpatialGrid, is_integer
 from modcnls.modulation import _closed_form, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
@@ -854,8 +854,6 @@ class TestVerifyCommand:
         assert main(["verify", "--family", "sech", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True
-        assert report["constraints"]["flux"] <= 1e-5
-        assert report["pde_residual"]["worst1"] <= 1e-4
         # where each constraint peaked, inside the window it was maximized over
         constraints = report["constraints"]
         interior = constraints["lattice"]["interior"]
@@ -863,11 +861,6 @@ class TestVerifyCommand:
         for t, x in constraints["at"].values():
             assert interior["t"][0] <= t <= interior["t"][1]
             assert interior["x"][0] <= x <= interior["x"][1]
-
-    def test_report_times_its_phases(self, tmp_path):
-        out = tmp_path / "v"
-        assert main(["verify", "--family", "sech", "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
         timing = report["timing"]
         for phase in ("trace_s", "constraints_s", "potential_identity_s",
                       "pde_residual_s"):
@@ -882,6 +875,25 @@ class TestVerifyCommand:
         strips = timing["constraint_strip_s"]
         assert len(strips) == timing["constraint_workers"]
         assert all(0 < s <= timing["constraints_s"] for s in strips)
+
+    @pytest.mark.parametrize("argv, family, drive", [
+        (["--drive", "quasiperiodic"], elliptic_family(1), "quasiperiodic"),
+        (["--family", "dark-bright"], dark_bright_family(0.5), "periodic")])
+    def test_report_is_the_library_verify(self, tmp_path, argv, family,
+                                          drive):
+        # the written report is verify's under the run's config, its
+        # timing joined by the trace build's; a node of the Mathieu path
+        # is the same bits whatever horizon it is built to
+        out = tmp_path / "v"
+        assert main(["verify", *argv, "--out", str(out)]) == 0
+        written = json.loads((out / "report.json").read_text())
+        report = cli.verify(family, default_trace(family, drive, 5.2),
+                            default_grid(family, "residual", drive=drive),
+                            5.0, 42)
+        timing = report.pop("timing")
+        assert set(written.pop("timing")) == {"trace_s", *timing}
+        assert written == {"config": written["config"],
+                           **json.loads(json.dumps(report))}
 
     @pytest.mark.parametrize("t_end, rows", [(0.5, 385), (1.0, 769)])
     def test_short_horizon_passes(self, tmp_path, t_end, rows):
@@ -1001,12 +1013,6 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert code == 2
         assert "potential_identity" in report["failures"]
-
-    def test_dark_negative_lambda_passes(self, tmp_path):
-        out = tmp_path / "v"
-        code = main(["verify", "--family", "dark-bright", "--lambda", "-0.5",
-                     "--out", str(out)])
-        assert code == 0
 
     def test_corrupted_envelope_fails_naming_flux(self, tmp_path, capsys):
         out = tmp_path / "v"

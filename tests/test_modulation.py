@@ -253,13 +253,25 @@ class TestOneRK4Map:
         phase = np.unwrap(np.angle(path.w))
         assert same_bits(a, 0.5 * (phase - phase[0]))
 
+    def test_every_node_is_one_rk4_step_from_the_node_before(self):
+        # the carry composes the block totals in step order, as the steps
+        # compose, so a block start rounds like any other node
+        dt = 1e-4
+        path = mathieu_trace("quasiperiodic", 3.0, dt=dt).path
+        w, dw = path.w[:-1], path.dw[:-1]
+        mid = -4.0 * drive_f(path.times[:-1] + 0.5 * dt, 0.5, 1.0)
+        d = modulation._rk4_map(dt, path.accel[:-1], mid, path.accel[1:])
+        stepped = w + (d[0] * w + d[1] * dw)
+        ulps = np.abs(path.w[1:] - stepped) / np.spacing(np.abs(path.w[1:]))
+        assert ulps.max() <= 16, (np.argmax(ulps) + 1, ulps.max())
+
     def test_nearest_node_switch_is_continuous(self):
         # at every switch of a t = 3 path, the last float answered from
         # node j and the first from node j + 1 differ by the derivative
         # times their ulp apart, up to a few ulp of rounding; chi' is a
         # sum of terms of size sqrt2 |w'| = sqrt(chi'^2 + 4/chi^2).  The
-        # largest gaps, 12 ulp of chi and 23 of chi', sit at the scan's
-        # block starts, where its carry rounds
+        # largest gaps are 7 ulp of chi and 18 of chi'; the scan's block
+        # starts round like any other node
         dt = 1e-4
         tr = mathieu_trace("quasiperiodic", 3.0, dt=dt)
         j = np.arange(len(tr.path.times) - 1)

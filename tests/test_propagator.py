@@ -655,14 +655,6 @@ class TestPdeResidual:
         r1, r2 = pde_residual(fam, grid, 1.0, tr)
         assert r1 <= 1e-4 and r2 <= 1e-4
 
-    def test_elliptic_both_drives(self):
-        fam = elliptic_family()
-        for drive in ("periodic", "quasiperiodic"):
-            tr = default_trace(fam, drive=drive, t_end=2.51)
-            grid = default_grid(fam, "residual", drive=drive)
-            r1, r2 = pde_residual(fam, grid, 2.0, tr)
-            assert max(r1, r2) <= 1e-4, drive
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_elliptic_fields_leave_only_stencil_error(self, n):
         # fields at the rounding of their peak leave the stencils'
