@@ -281,14 +281,21 @@ def cmd_potential(cfg):
     return 0
 
 
+# constraint lattice rows per unit of time while chi >= 0.412
+_CONSTRAINT_ROWS = 384
+
+
 def _constraint_lattice(family, trace, t_end):
     """The constraint walk's lattice over [0, t_end]: 640 columns on
-    |x| <= 1 (elliptic) or |x| <= 5, and max(768, 768 (0.412 / chi_min)^2)
-    rows per unit of time, chi^2 being the fields' time scale, where the
-    eighth-order residuals clear their gate for every family and drive."""
+    |x| <= 1 (elliptic) or |x| <= 5, and max(R, R (0.412 / chi_min)^2) rows
+    per unit of time, R = _CONSTRAINT_ROWS and chi_min taken on R rows per
+    unit of time, chi^2 being the fields' time scale.  With the walk's
+    twelfth-order time differences the residuals then clear their gate for
+    every family and drive; fewer than LATTICE_ROWS rows are refused."""
     half = 1.0 if family.kind == "elliptic" else 5.0
-    t = np.linspace(0.0, t_end, math.ceil(768 * t_end) + 1)
-    rows = max(768, math.ceil(768 * (0.412 / trace.chi_at(t).min()) ** 2))
+    r = _CONSTRAINT_ROWS
+    t = np.linspace(0.0, t_end, math.ceil(r * t_end) + 1)
+    rows = max(r, math.ceil(r * (0.412 / trace.chi_at(t).min()) ** 2))
     count = math.ceil(rows * t_end) + 1
     if count < LATTICE_ROWS:
         raise ValidationError(

@@ -17,10 +17,11 @@ oscillator path and refuses any other t.
 
 The oscillator's RK4 path is the prefix product of its 2x2 step matrices,
 formed in O(n) work and in place by a scan within fixed blocks of steps
-and a carry across them in step order.  The scan carries P - I, as P near
-I would round away the low bits of each O(h) increment, and its blocks
-start at node 0, so a node's value does not depend on the horizon.  A t
-between nodes is one step of the same RK4 map from its nearest node.
+and a carry across them in step order, both compensated.  The scan
+carries P - I, as P near I would round away the low bits of each O(h)
+increment, and its blocks start at node 0, so a node's value does not
+depend on the horizon.  A t between nodes is one step of the same RK4 map
+from its nearest node.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -157,8 +158,9 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
     one pass over the positions of every block at once, compensated
     (Knuth's TwoSum) because the equal blocks of the periodic drive would
     otherwise add up equal rounding errors; a carry over the block totals
-    in step order; and one pass applying each block's carry to the complex
-    start.  Steps past the last node pad the last block and reach no node.
+    in step order, compensated alike; and one pass applying each block's
+    carry to the complex start.  Steps past the last node pad the last
+    block and reach no node.
     """
     n = int(math.ceil(t_end / h - 1e-12))  # n h >= t_end
     times = h * np.arange(n + 1)
@@ -193,14 +195,20 @@ def _integrate_mathieu(t_end, h, epsilon, omega0, z1_init, z2_init):
         lost += (run - (total - part)) + (inc - part)
         run = total
         np.add(run, lost, out=q[p])
-    # carry[:, :, j] = Q at the end of block j, by _combine's arithmetic
-    carry = [q[-1, :, :, 0].ravel().tolist()]
+    # carry[:, :, j] = Q at the end of block j, the running sum of the
+    # increments T_j (I + Q_{j-1}), T_j block j's total, and its rounding
+    # errors, compensated as the pass over the positions is
+    run, lost = q[-1, :, :, 0].ravel().tolist(), [0.0] * 4
+    carry = [run]
     for t00, t01, t10, t11 in q[-1, :, :, 1:].reshape(4, -1).T.tolist():
         c00, c01, c10, c11 = carry[-1]
-        carry.append([(t00 * c00 + t01 * c10) + (t00 + c00),
-                      (t00 * c01 + t01 * c11) + (t01 + c01),
-                      (t10 * c00 + t11 * c10) + (t10 + c10),
-                      (t10 * c01 + t11 * c11) + (t11 + c11)])
+        inc = ((t00 * c00 + t01 * c10) + t00, (t00 * c01 + t01 * c11) + t01,
+               (t10 * c00 + t11 * c10) + t10, (t10 * c01 + t11 * c11) + t11)
+        total = [s + i for s, i in zip(run, inc)]
+        lost = [e + (s - (u - (u - s))) + (i - (u - s))
+                for e, s, i, u in zip(lost, run, inc, total)]
+        run = total
+        carry.append([s + e for s, e in zip(run, lost)])
     carry = np.ascontiguousarray(np.transpose(carry)).reshape(2, 2, blocks)
     for p in range(_BLOCK):
         _combine(q[p, :, :, 1:], carry[:, :, :-1], q[p, :, :, 1:])

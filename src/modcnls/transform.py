@@ -40,17 +40,20 @@ _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
 # lattice points in flight in verify_constraints, all strips together: on
 # 2 CPUs a strip's block, ~220 kB a field, and its six buffers fit a 2 MiB
-# L2.  Verify's 640 x 3,841 walk (2-core host, medians of 6 interleaved
-# runs) took 0.157 s on 2 CPUs and 0.261 s on 1 at 50,000, 0.178 and
-# 0.274 s at 25,000, and 0.155 and 0.298 s at 100,000
+# L2.  Verify's 640 x 1,921 walk (2-core shared host, medians of 6
+# interleaved runs) took 0.063 s on 2 CPUs and 0.085 s on 1 at 50,000,
+# 0.068 and 0.090 s at 25,000, and 0.059 and 0.094 s at 100,000
 _BLOCK_POINTS = 50_000
 _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
-# neighbours on each side that interior_diff reads; every halo, trim and
-# time-level count of the finite-difference checks follows from it
+# neighbours on each side that interior_diff and every x stencil read; the
+# x halos and trims and potential_identity_check's time levels follow from it
 STENCIL_DEPTH = 4
+# neighbours on each side that the constraint walk's time differences read;
+# the walk's t halo and constraint_window's t trim follow from it
+TIME_DEPTH = 6
 # default time step of the time stencils of the residual checks
 STENCIL_DT = 1e-4
-LATTICE_ROWS = 64  # fewest t-rows verify_constraints walks
+LATTICE_ROWS = 32  # fewest t-rows verify_constraints walks
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -222,19 +225,24 @@ def _lattice_fields(stretch, x, chi, dchi, a):
     return rho, eta_of(x, chi, dchi[:, None], a[:, None]), stretch.zeta(xi)
 
 
-# Fornberg's eighth-order weights (Math. Comp. 51, 1988) by order: for the
-# pairs f[i+k] -+ f[i-k], k = 1..4, signed + - + -; the -centre; denominator
-_FORNBERG = {1: ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
-             2: ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0)}
+# Fornberg's central weights (Math. Comp. 51, 1988) by (order, depth),
+# eighth order at depth 4 and twelfth at 6: for the pairs f[i+k] -+ f[i-k],
+# k = 1..depth, signed + - + ...; the -centre; denominator
+_FORNBERG = {(1, 4): ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
+             (2, 4): ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0),
+             (1, 6): ((23760.0, 7425.0, 2200.0, 495.0, 72.0, 5.0), 0.0,
+                      27720.0)}
 
 
-def _stencil(f, base, step, h, span, out, work, order=1):
-    """Difference of order 1 or 2 into out[span] (work: out's shape) of
-    f[span] shifted by base + k step along f's first axis, by in-place ufuncs
-    in the order of (672 (f1 - f-1) - ...) / (840 h), so bit for bit it."""
+def _stencil(f, base, step, h, span, out, work, order=1,
+             depth=STENCIL_DEPTH):
+    """Difference of order 1 or 2 and depth 4 or 6 into out[span] (work:
+    out's shape) of f[span] shifted by base + k step along f's first axis,
+    by in-place ufuncs in the order of (672 (f1 - f-1) - ...) / (840 h),
+    so bit for bit it."""
     lo, hi = span.start + base, span.stop + base
     out, work = out[span], work[span]
-    pairs, centre, scale = _FORNBERG[order]
+    pairs, centre, scale = _FORNBERG[order, depth]
     for k, weight in enumerate(pairs, 1):
         term = out if k == 1 else work
         (np.subtract if order == 1 else np.add)(
@@ -272,11 +280,11 @@ def interior_diff(f, h, axis, order=1):
 
 def constraint_window(x, t):
     """The x and t ranges verify_constraints maximizes its residuals over:
-    the lattice less the 2 * STENCIL_DEPTH columns and the STENCIL_DEPTH
-    rows its stencils consume at each edge."""
-    d = STENCIL_DEPTH
+    the lattice less the 2 * STENCIL_DEPTH columns and the TIME_DEPTH rows
+    its stencils consume at each edge."""
+    d, e = STENCIL_DEPTH, TIME_DEPTH
     return ((float(x[2 * d]), float(x[-2 * d - 1])),
-            (float(t[d]), float(t[-d - 1])))
+            (float(t[e]), float(t[-e - 1])))
 
 
 @dataclass(frozen=True)
@@ -295,15 +303,17 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
     """Worst residuals over interior columns c0:c1, walked in row blocks,
     the lattice (t, x) of each and the strip's own walk time.
 
-    width holds chi, chi', a at every t.  A block of r rows of c columns is
-    formed in place as flat runs of r c values in six buffers made once per
-    strip, a row offset k being the flat offset k c; the 2 * STENCIL_DEPTH
+    width holds chi, chi', a at every t.  The x derivatives are eighth
+    order, the time derivatives rho_t and zeta_t twelfth order, as their
+    error sets the residuals.  A block of r rows of c columns is formed in
+    place as flat runs of r c values in six buffers made once per strip, a
+    row offset k being the flat offset k c; the 2 * STENCIL_DEPTH
     values per row that an x stencil takes across two rows lie in columns
     nothing reads.  Only a block that raises a maximum takes an argmax, so
     a tie keeps the earliest (t, x) and a NaN beats any value.
     """
     start = time.perf_counter()
-    d = STENCIL_DEPTH
+    d, e = STENCIL_DEPTH, TIME_DEPTH
     hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
     xs = x[c0 - 2 * d:c1 + 2 * d]  # two x stencils in a row reach 2d out
     c, nt = len(xs), len(t)
@@ -312,11 +322,11 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
 
     def block(r0, r1):  # a function: its fields go before the next's come
         rho, eta, zeta = _lattice_fields(
-            stretch, xs, *(w[r0 - d:r1 + d] for w in width))
+            stretch, xs, *(w[r0 - e:r1 + e] for w in width))
         if envelope is not None:
             rho *= envelope[c0 - 2 * d:c1 + 2 * d]
         rho, eta, zeta = rho.ravel(), eta.ravel(), zeta.ravel()
-        n, o = (r1 - r0) * c, d * c  # o: a field's first row after its t halo
+        n, o = (r1 - r0) * c, e * c  # o: a field's first row after its t halo
         rho_o = rho[o:o + n]
         # the first x stencils fill [d, n - d), all that reads them [2d, n - 2d)
         outer, inner = slice(d, n - d), slice(2 * d, n - 2 * d)
@@ -324,7 +334,7 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
         np.multiply(rho_o[outer], rho_o[outer], out=rho2[outer])
         np.multiply(rho2[outer], eta_x[outer], out=prod[outer])
         _stencil(prod, 0, 1, hx, inner, zeta_x, work)  # (rho^2 eta_x)_x
-        r7 = _stencil(rho, o, c, ht, inner, rate, work)  # rho_t
+        r7 = _stencil(rho, o, c, ht, inner, rate, work, depth=e)  # rho_t
         r7 *= rho_o[inner]
         r7 += zeta_x[inner]
         _stencil(zeta, o, 1, hx, outer, zeta_x, work)
@@ -332,7 +342,7 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
         _stencil(prod, 0, 1, hx, inner, rho2, work)  # r9, over rho^2
         advect = np.multiply(eta_x[inner], 2.0, out=prod[inner])
         advect *= zeta_x[inner]
-        r8 = _stencil(zeta, o, c, ht, inner, zeta_x, work)  # zeta_t
+        r8 = _stencil(zeta, o, c, ht, inner, zeta_x, work, depth=e)  # zeta_t
         r8 += advect
         for i, buf in enumerate((rate, zeta_x, rho2)):
             np.abs(buf[inner], out=buf[inner])
@@ -343,28 +353,28 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
                 row, col = divmod(int(np.argmax(residual)), c - 4 * d)
                 at[i] = (float(t[r0 + row]), float(x[c0 + col]))
 
-    for r0 in range(d, nt - d, rows):
-        block(r0, min(r0 + rows, nt - d))
+    for r0 in range(e, nt - e, rows):
+        block(r0, min(r0 + rows, nt - e))
     return worst, at, time.perf_counter() - start
 
 
 def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
     """Finite-difference residuals of the three transform constraints.
 
-    x and t must be uniform lattices, at least 256 x 64 points; residuals are
-    maximized over the interior, constraint_window(x, t) (2 * STENCIL_DEPTH
-    points trimmed in x, STENCIL_DEPTH in t to clear the eighth-order
-    stencils).  A non-finite residual anywhere in the interior makes that
-    maximum NaN.  corrupt_rho multiplies the envelope by
-    (1 + corrupt_rho * x), a deliberate defect used to demonstrate that the
-    check has teeth.
+    x and t must be uniform lattices, at least 256 x LATTICE_ROWS points;
+    residuals are maximized over the interior, constraint_window(x, t)
+    (2 * STENCIL_DEPTH points trimmed in x to clear two eighth-order x
+    stencils, TIME_DEPTH in t to clear a twelfth-order time stencil).  A
+    non-finite residual anywhere in the interior makes that maximum NaN.
+    corrupt_rho multiplies the envelope by (1 + corrupt_rho * x), a
+    deliberate defect used to demonstrate that the check has teeth.
 
     The interior columns are split into parallel.worker_count strips, at
     least _MIN_STRIP_COLUMNS wide, which run through parallel.forked_map:
     the caller walks the first, forked processes the others (or the
     caller all, where forked_map runs in-process).  A strip is walked in
     blocks of t-rows with a 2 * STENCIL_DEPTH-column x halo and a
-    STENCIL_DEPTH-row t halo; all strips' blocks together hold at most
+    TIME_DEPTH-row t halo; all strips' blocks together hold at most
     _BLOCK_POINTS points.  The width chi, chi' and a is sampled once over
     all of t, by the caller before any fork, and every strip reads its
     blocks' rows from those samples.  Each residual is the whole-lattice

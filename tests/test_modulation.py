@@ -89,18 +89,20 @@ def rk4_step_longdouble(z, v, t, h, epsilon, omega0):
 
 def chi_rk4_longdouble(t_end, h, epsilon, omega0):
     # oracle: the same classical RK4, stepped one step after another in
-    # extended precision, so its own rounding sits far below float64's
+    # extended precision, so its own rounding sits far below float64's;
+    # arrays of epsilon and omega0 step one drive per column at once
     L = np.longdouble
     hl = L(h)
     n = int(math.ceil(t_end / h - 1e-12))
-    y = [np.sqrt(L(2)), L(0), L(0), L(1)]  # z1, z1', z2, z2'
-    chi = [L(2)]
+    # (z1, z2) and (z1', z2'), stepped together
+    drives = np.ones(np.shape(epsilon), L)
+    z = np.multiply.outer(np.array([np.sqrt(L(2)), 0], L), drives)
+    v = np.multiply.outer(np.array([0, 1], L), drives)
+    chi = [2 * drives]
     for i in range(n):
-        for k in (0, 2):
-            y[k:k + 2] = rk4_step_longdouble(y[k], y[k + 1], L(i) * hl, hl,
-                                             epsilon, omega0)
+        z, v = rk4_step_longdouble(z, v, L(i) * hl, hl, epsilon, omega0)
         # chi = sqrt(2 z1^2 + 2 z2^2 / W^2) with W = sqrt 2
-        chi.append(np.sqrt(2 * y[0] ** 2 + y[2] ** 2))
+        chi.append(np.sqrt(2 * z[0] ** 2 + z[1] ** 2))
     return np.array(chi)
 
 
@@ -121,6 +123,19 @@ class TestMathieuIntegration:
         want = chi_rk4_longdouble(5.0, 1e-3, epsilon, omega0)
         err = float(np.max(np.abs(node_samples(tr).chi - want) / want))
         assert err < 1e-14, f"relative chi error {err:.3e}"
+
+    def test_long_path_carries_its_blocks_without_drift(self):
+        # the t = 10 path joins 782 block totals; carried with TwoSum its
+        # chi stays 1.0e-15 (quasiperiodic) and 2.8e-15 (periodic) from
+        # the oracle, where a plain sequential carry drifts to 1.0e-14 and
+        # 1.6e-14, the periodic drive's equal blocks adding equal errors
+        want = chi_rk4_longdouble(10.0, 1e-4, np.array([0.5, 0.0]),
+                                  np.array([1.0, 0.0]))
+        for column, kind in enumerate(("quasiperiodic", "periodic")):
+            chi = node_samples(mathieu_trace(kind, 10.0, dt=1e-4)).chi
+            err = float(np.max(np.abs(chi - want[:, column])
+                               / want[:, column]))
+            assert err < 4e-15, f"{kind}: relative chi drift {err:.3e}"
 
     def test_path_does_not_depend_on_horizon(self):
         # the path at a node is the same bits whatever t_end it was built

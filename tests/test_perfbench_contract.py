@@ -14,6 +14,7 @@ import sys
 
 import modcnls
 import modcnls.cli
+from modcnls.families import default_trace, elliptic_family
 from worker_helpers import force_workers
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -95,13 +96,16 @@ def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
 
 
 def traced_verify(tmp_path):
-    # the constraint walk on a 640 x 769 lattice; the erf count is only
-    # checked for being nonzero, as the strips that forked workers walk
-    # are counted in the workers
+    # the constraint walk on _constraint_lattice's lattice; the erf count
+    # is only checked for being nonzero, as the strips that forked workers
+    # walk are counted in the workers
     metrics = traced_metrics(
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
-    assert metrics["transform.lattice_points"] == 640 * 769
+    family = elliptic_family(1)
+    x, t = modcnls.cli._constraint_lattice(family, default_trace(
+        family, "periodic", 1 + modcnls.cli._STENCIL_REACH), 1.0)
+    assert metrics["transform.lattice_points"] == len(x) * len(t)
     for name in ("specfun.erf_points", "transform.constraints_s",
                  "modulation.query_points"):
         assert metrics[name] > 0, name

@@ -11,6 +11,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,23 +49,36 @@ from worker_helpers import force_workers
 SQRT_PI = math.sqrt(math.pi)
 
 
-def d1_nan_padded(f, h, axis):
-    """Eighth-order first derivative over the whole lattice, nan on the
-    four-deep edges: the unblocked form verify_constraints replaced."""
+def d1_nan_padded(f, h, axis, depth=4):
+    """Central first derivative over the whole lattice, nan on the
+    depth-deep edges: eighth order at depth 4, as the walk's x differences,
+    and twelfth order at depth 6, as its time differences; the unblocked
+    forms verify_constraints replaced."""
     out = np.full_like(f, np.nan)
     sl = [slice(None)] * f.ndim
 
     def ix(k):
         s = sl.copy()
-        s[axis] = slice(4 + k, f.shape[axis] - 4 + k or None)
+        s[axis] = slice(depth + k, f.shape[axis] - depth + k or None)
         return tuple(s)
 
     core = sl.copy()
-    core[axis] = slice(4, -4)
-    out[tuple(core)] = (
-        672.0 * (f[ix(1)] - f[ix(-1)]) - 168.0 * (f[ix(2)] - f[ix(-2)])
-        + 32.0 * (f[ix(3)] - f[ix(-3)]) - 3.0 * (f[ix(4)] - f[ix(-4)])
-    ) / (840.0 * h)
+    core[axis] = slice(depth, -depth)
+    if depth == 4:
+        out[tuple(core)] = (
+            672.0 * (f[ix(1)] - f[ix(-1)]) - 168.0 * (f[ix(2)] - f[ix(-2)])
+            + 32.0 * (f[ix(3)] - f[ix(-3)]) - 3.0 * (f[ix(4)] - f[ix(-4)])
+        ) / (840.0 * h)
+    else:
+        assert depth == 6
+        out[tuple(core)] = (
+            23760.0 * (f[ix(1)] - f[ix(-1)])
+            - 7425.0 * (f[ix(2)] - f[ix(-2)])
+            + 2200.0 * (f[ix(3)] - f[ix(-3)])
+            - 495.0 * (f[ix(4)] - f[ix(-4)])
+            + 72.0 * (f[ix(5)] - f[ix(-5)])
+            - 5.0 * (f[ix(6)] - f[ix(-6)])
+        ) / (27720.0 * h)
     return out
 
 
@@ -72,7 +86,7 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
                             with_at=False):
     """Oracle: the three constraint residuals from one whole-lattice sample
     of the transform's evaluators with nan-padded stencils, maximized over
-    the core [4:-4, 8:-8]; with_at adds the lattice (t, x) of each maximum
+    the core [6:-6, 8:-8]; with_at adds the lattice (t, x) of each maximum
     that a row-major argmax over the core picks."""
     chi, dchi, a = (np.asarray(query(t))[:, None] for query in
                     (trace.chi_at, trace.dchi_dt_at, trace.a_at))
@@ -83,19 +97,19 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
     if corrupt_rho:
         rho = rho * (1.0 + corrupt_rho * x[None, :])
     hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
-    rho_t = d1_nan_padded(rho, ht, axis=0)
+    rho_t = d1_nan_padded(rho, ht, axis=0, depth=6)
     eta_x = d1_nan_padded(eta, hx, axis=1)
-    zeta_t = d1_nan_padded(zeta, ht, axis=0)
+    zeta_t = d1_nan_padded(zeta, ht, axis=0, depth=6)
     zeta_x = d1_nan_padded(zeta, hx, axis=1)
     r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
     r8 = zeta_t + 2.0 * eta_x * zeta_x
     r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
-    core = [np.abs(r[4:-4, 8:-8]) for r in (r7, r8, r9)]
+    core = [np.abs(r[6:-6, 8:-8]) for r in (r7, r8, r9)]
     worst = tuple(float(np.nanmax(r)) for r in core)
     if not with_at:
         return worst
     peaks = (np.unravel_index(np.argmax(r), r.shape) for r in core)
-    return worst, tuple((float(t[4 + i]), float(x[8 + j])) for i, j in peaks)
+    return worst, tuple((float(t[6 + i]), float(x[8 + j])) for i, j in peaks)
 
 
 def count_evaluations(trace):
@@ -383,6 +397,38 @@ class TestInteriorDiff:
             errs.append(np.abs(d[0] - exact[4:-4]).max())
         assert errs[0] / errs[1] >= 2 ** 7.5, errs
 
+    def test_first_derivative_weights_are_the_exact_central_ones(self):
+        # the weight of f[i+k] in the central first derivative on the
+        # nodes -depth..depth is L_k'(0), L_k their Lagrange basis, in exact
+        # rationals; each first-derivative row holds those of its depth
+        def central(depth):
+            nodes = range(-depth, depth + 1)
+            return [Fraction(1, k) * math.prod(
+                        Fraction(-j, k - j) for j in nodes if j not in (0, k))
+                    for k in range(1, depth + 1)]
+
+        rows = {depth: row for (order, depth), row
+                in transform._FORNBERG.items() if order == 1}
+        assert sorted(rows) == [4, 6]
+        for depth, (pairs, centre, scale) in rows.items():
+            got = [(-1) ** (k + 1) * Fraction(weight) / Fraction(scale)
+                   for k, weight in enumerate(pairs, 1)]
+            assert (got, centre) == (central(depth), 0.0), depth
+
+    def test_twelfth_order_time_weights(self):
+        # _stencil with the depth-6 row: halving h must cut the error on a
+        # smooth function by about 2^12; a tenth-order stencil gives 2^10
+        errs = []
+        for h in (0.15, 0.075):
+            x = 1.0 + h * np.arange(-30, 31)
+            f = np.exp(np.sin(x))
+            n = len(x)
+            out, work = np.empty((2, n))
+            d = transform._stencil(f, 0, 1, h, slice(6, n - 6), out, work,
+                                   depth=6)
+            errs.append(np.abs(d - (np.cos(x) * f)[6:-6]).max())
+        assert errs[0] / errs[1] >= 2 ** 11.5, errs
+
     def test_flat_row_run_never_leaks_across_rows(self):
         # the walk differences a block's rows as one flat run; with +-inf
         # and NaN in every row's first and last 2d columns, the values whose
@@ -452,7 +498,7 @@ class TestVerifyConstraints:
         assert r.continuity > 1e-5, str(r)
 
     @pytest.mark.parametrize("kind, drive, nx, nt, corrupt", [
-        ("elliptic", "quasiperiodic", 640, 1000, 0.0),
+        ("elliptic", "quasiperiodic", 640, 1001, 0.0),
         ("elliptic", "periodic", 768, 1536, 0.01),
         ("sech", "periodic", 512, 768, 0.0),
         ("dark_bright", "periodic", 512, 512, 0.0),
@@ -470,8 +516,9 @@ class TestVerifyConstraints:
         workers = parallel.worker_count(
             (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
         rows = transform._BLOCK_POINTS // (nx - 16 + 16 * workers)
-        # several blocks, the last one short
-        assert nt - 8 > 2 * rows and (nt - 8) % rows != 0
+        # several blocks, the last one short, over the rows less two t halos
+        inner = nt - 2 * transform.TIME_DEPTH
+        assert inner > 2 * rows and inner % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
         assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
@@ -489,8 +536,9 @@ class TestVerifyConstraints:
         workers = parallel.worker_count(
             (400 - 16) // transform._MIN_STRIP_COLUMNS, 400 * 700)
         rows = block_points // (400 - 16 + 16 * workers)
-        # several blocks, the last one short
-        assert 700 - 8 > 2 * rows and (700 - 8) % rows != 0
+        # several blocks, the last one short, over the rows less two t halos
+        inner = 700 - 2 * transform.TIME_DEPTH
+        assert inner > 2 * rows and inner % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=0.01)
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=0.01)
         assert (r.continuity, r.advection, r.flux) == want
@@ -531,12 +579,21 @@ class TestVerifyConstraints:
         assert worst_of(r) == max(r.continuity, r.advection, r.flux)
 
     def test_coarse_lattice_refused(self):
+        # the floor is 256 columns by LATTICE_ROWS rows, and a lattice at it
+        # is walked
         fam = sech_family()
         tr = default_trace(fam, "periodic", 1.0)
-        with pytest.raises(LatticeTooCoarseError):
-            verify_constraints(fam, tr, np.linspace(-5, 5, 128), np.linspace(0, 1, 70))
-        with pytest.raises(LatticeTooCoarseError):
-            verify_constraints(fam, tr, np.linspace(-5, 5, 300), np.linspace(0, 1, 32))
+        rows = transform.LATTICE_ROWS
+        with pytest.raises(LatticeTooCoarseError, match=f"255 x {rows} "):
+            verify_constraints(fam, tr, np.linspace(-5, 5, 255),
+                               np.linspace(0, 1, rows))
+        with pytest.raises(LatticeTooCoarseError,
+                           match=f"256 x {rows - 1} below the 256 x {rows}"):
+            verify_constraints(fam, tr, np.linspace(-5, 5, 256),
+                               np.linspace(0, 1, rows - 1))
+        r = verify_constraints(fam, tr, np.linspace(-5, 5, 256),
+                               np.linspace(0, 1, rows))
+        assert math.isfinite(worst_of(r))
 
     def test_nonuniform_lattice_refused(self):
         fam = sech_family()
@@ -578,7 +635,7 @@ class TestParallelWalk:
             forked = force_workers(monkeypatch, workers)
             # strips of unequal width, each walked in several row blocks
             assert workers == 1 or (nx - 16) % workers != 0
-            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 992
+            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 988
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
             assert r.workers == workers and len(forked) == workers - 1
             assert (r.continuity, r.advection, r.flux) == want, workers
@@ -648,7 +705,7 @@ class TestParallelWalk:
         # d columns out, (rho^2 zeta_x)_x 2d
         x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
         first = int(np.argmax(x > 4.0))
-        assert r.at[1:] == ((t[4], x[first - 4]), (t[4], x[first - 8]))
+        assert r.at[1:] == ((t[6], x[first - 4]), (t[6], x[first - 8]))
 
     def test_worker_failure_reaches_caller_and_no_process_outlives(
             self, monkeypatch):
@@ -720,7 +777,7 @@ class TestParallelWalk:
         x, t = np.arange(-320, 321) / 64.0, np.linspace(0.0, 1.0, 300)
         want = whole_lattice_residuals(fam, tr, x, t, with_at=True)
         assert want[0][:2] == (0.0, 0.0)
-        assert want[1][:2] == ((t[4], x[8]), (t[4], x[8]))
+        assert want[1][:2] == ((t[6], x[8]), (t[6], x[8]))
         monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
@@ -754,13 +811,13 @@ class TestParallelWalk:
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
         sample = transform._lattice_fields
-        d = transform.STENCIL_DEPTH
+        d, e = transform.STENCIL_DEPTH, transform.TIME_DEPTH
         for workers in (1, 2):
             # each strip samples its interior columns and two 2d halos
             budget = transform._BLOCK_POINTS // (2560 - 4 * d + 4 * d * workers)
 
             def spy(stretch, xs, chi, *rest, budget=budget):
-                rows = len(chi) - 2 * d  # less the block's t halo
+                rows = len(chi) - 2 * e  # less the block's t halo
                 if rows > budget:
                     raise AssertionError(f"a block of {rows} rows, "
                                          f"{budget} allowed")
