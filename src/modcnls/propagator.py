@@ -15,9 +15,10 @@ One kernel steps the fields, held as one complex array of shape
 member.  Between records the closing half kinetic step of one step and the
 opening half of the next are applied as one full step exp(-i k^2 dt)
 (Weideman & Herbst, SIAM J. Numer. Anal. 23, 1986); they split again only
-at records, which need the physical fields.  The members of an ensemble,
-e.g. a clean run and its perturbed twins, share one coefficient sample per
-step and one reference solution per record.
+at records, which need the physical fields.  An ensemble, e.g. a clean run
+and its perturbed twins, is stepped in shares of members, one process per
+share (see propagate); the members of a share use one coefficient sample
+per step and one reference solution per record.
 
 Coefficient sources are duck-typed: anything with potential(x, t) -> (2, nx)
 and couplings(x, t) -> (2, 2, nx) works, e.g. CoefficientSampler.  Every run
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import DarkBackgroundError, DivergenceError, ValidationError
 # assemble stays importable here: perfbench/layers.py wraps it by name
 from .families import FamilySpec, FieldPair, assemble, assemble_rows
@@ -44,6 +46,12 @@ _FINITE_CHECK_STRIDE = 25
 # Jacobi and erf kernels, few enough that the block's temporaries stay in
 # cache and add no measurable peak memory
 _REFERENCE_POINTS = 4096
+# a member's step on N points counts as N / _POINT_STEPS_PER_VALUE values
+# towards parallel.worker_count: a second share pays for its own fork,
+# coefficient samples and reference rows, and two members of 1024 points
+# split measurably faster only from about 500 steps, so the two-member
+# floor sits at 489
+_POINT_STEPS_PER_VALUE = 10
 
 
 @dataclass(frozen=True)
@@ -281,17 +289,35 @@ def _diagnostics(fields, exact, grid):
                             _profile_errors(dens[:, 1], exact[1]), peak])
 
 
+def _table(psi, cfg, reference, times):
+    """The diagnostics of the ensemble psi at each of times, shape
+    (records, members, 5): psi is stepped with its own coefficient samples
+    and reference rows."""
+    records = itertools.chain(
+        [(0.0, psi)], _strang(psi, cfg, 0.0, cfg.n_steps, cfg.record_stride))
+    return np.array([
+        _diagnostics(fields, exact, cfg.grid) for (_, fields), exact
+        in zip(records, _references(reference, cfg.grid.x, times))])
+
+
 def propagate(initial, cfg: PropagationConfig, reference=None):
     """Evolve initial fields to cfg.t_end, recording diagnostics.
 
     initial is one FieldPair, which gives one DiagnosticsTrace, or a
-    sequence of them, an ensemble stepped together, which gives one trace
-    per member in order.  Each member's trace is bit for bit that of its
-    own run.
+    sequence of them, an ensemble, which gives one trace per member in
+    order.  Each member's trace is bit for bit that of its own run.
+
+    The ensemble is cut into contiguous shares of members, as many as
+    parallel.worker_count allows for its work, and the shares run through
+    parallel.forked_map: the calling process steps the first and a forked
+    worker each of the others, each share as one ensemble with its own
+    coefficient samples and reference rows.  Only each share's table of
+    diagnostics travels back.
 
     reference is a (family, trace) pair giving the analytic solution for
     the profile-error columns; without it those columns are nan.  It is
-    evaluated for all members at once, a block of upcoming records per call.
+    evaluated for all members of a share at once, a block of upcoming
+    records per call.
 
     There is no dark-bright propagation: PropagationConfig refuses its
     coefficient source (see DarkBackgroundError).
@@ -301,11 +327,13 @@ def propagate(initial, cfg: PropagationConfig, reference=None):
     psi = _stack(members, cfg, "propagate")
     times = [0.0] + [k * cfg.dt for k in
                      _record_steps(cfg.n_steps, cfg.record_stride)]
-    records = itertools.chain(
-        [(0.0, psi)], _strang(psi, cfg, 0.0, cfg.n_steps, cfg.record_stride))
-    table = np.array([
-        _diagnostics(fields, exact, cfg.grid) for (_, fields), exact
-        in zip(records, _references(reference, cfg.grid.x, times))])
+    point_steps = len(psi) * cfg.n_steps * cfg.grid.n_points
+    shares = parallel.worker_count(len(psi),
+                                   point_steps // _POINT_STEPS_PER_VALUE)
+    with parallel.forked_map(
+            lambda share: _table(share, cfg, reference, times),
+            np.array_split(psi, shares), shares, "propagate") as tables:
+        table = np.concatenate(list(tables), axis=1)
     # (records, members, column) -> one contiguous column per member
     columns = table.transpose(1, 2, 0).copy()
     traces = [DiagnosticsTrace(np.array(times), *member)

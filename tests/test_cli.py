@@ -4,7 +4,6 @@ and byte-level reproducibility."""
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import re
@@ -31,7 +30,7 @@ from modcnls.modulation import _closed_form, closed_form_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
 from coefficient_helpers import worst_of
-from worker_helpers import force_workers
+from worker_helpers import assert_reaped, force_workers
 
 
 def data_lines(path):
@@ -251,7 +250,7 @@ def test_forked_blocks_write_the_same_bytes(tmp_path, monkeypatch, writer,
         forked = force_workers(monkeypatch, 2)
         write(str(tmp_path / "forked"), fmt)
     assert len(forked) == 1
-    assert multiprocessing.active_children() == []
+    assert_reaped(forked)
     assert ((tmp_path / "forked").read_bytes()
             == (tmp_path / "serial").read_bytes())
 
@@ -699,7 +698,7 @@ def dump_with_workers(monkeypatch, tmp_path, argv, workers):
         m.chdir(run_dir)
         forked = force_workers(m, workers)
         assert main([*argv, "--out", "out"]) == 0
-    assert multiprocessing.active_children() == []
+    assert_reaped(forked)
     files = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
     return files, len(forked)
 
@@ -845,7 +844,7 @@ class TestPotentialCommand:
             assert "Traceback" not in err
         assert [name for name in os.listdir(out)
                 if name.startswith("coefficients") or ".tmp-" in name] == []
-        assert multiprocessing.active_children() == []
+        assert_reaped(forked)
 
 
 class TestVerifyCommand:
@@ -1203,6 +1202,14 @@ class TestPropagateCommand:
         err = capsys.readouterr().err
         assert "whole number of steps" in err and f"dt {dt}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch, mode):
+        # the perturbed twin is stepped by one worker; each diagnostics
+        # table is one block, so no writer forks
+        argv = ["propagate", "--family", "sech", "--t-end", "0.1",
+                "--dt", "1e-3", "--perturb", "0.03", "--perturb-mode", mode]
+        assert_workers_write_the_same_bytes(monkeypatch, tmp_path, argv, 1)
 
     def test_divergence_maps_to_exit_three(self, monkeypatch, tmp_path):
         def blow_up(*args, **kwargs):

@@ -1,7 +1,6 @@
 """The usable-CPU rule and forked_map: order, errors, dead workers, and no
-process left behind."""
+process or pipe left behind."""
 
-import multiprocessing
 import os
 import threading
 
@@ -11,6 +10,8 @@ from modcnls import parallel
 from modcnls.errors import DivergenceError
 from modcnls.parallel import forked_map, worker_count
 
+from worker_helpers import assert_reaped, spy_forks
+
 
 def pid_of(job):
     return job, os.getpid()
@@ -18,12 +19,14 @@ def pid_of(job):
 
 def mapped(fn, jobs, workers):
     """list(forked_map(...)), checking that every process the call forked
-    has ended; processes that were running before it are not its own."""
-    before = set(multiprocessing.active_children())
-    with forked_map(fn, jobs, workers, "out.csv") as results:
-        got = list(results)
-    assert set(multiprocessing.active_children()) <= before
-    return got
+    has been reaped, whether the call returns or raises."""
+    with pytest.MonkeyPatch.context() as m:
+        forked = spy_forks(m)
+        try:
+            with forked_map(fn, jobs, workers, "out.csv") as results:
+                return list(results)
+        finally:
+            assert_reaped(forked)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -53,7 +56,6 @@ def fail_late(job):
 def test_worker_exception_raised_in_the_caller():
     with pytest.raises(ValueError, match="job 9 refused"):
         mapped(fail_late, range(10), 2)
-    assert multiprocessing.active_children() == []
 
 
 def diverge_late(job):
@@ -77,15 +79,53 @@ def die_late(job):
 def test_dead_worker_names_the_output():
     with pytest.raises(ChildProcessError, match=r"out\.csv: .* code 7"):
         mapped(die_late, range(10), 2)
-    assert multiprocessing.active_children() == []
 
 
-def test_caller_stopping_early_stops_the_workers():
+def never_ends(job):
+    if job == 9:
+        threading.Event().wait()
+    return job
+
+
+def test_caller_stopping_early_stops_the_workers(monkeypatch):
+    # the last worker would run for ever: it must be terminated, not waited
+    # for, and reaped
+    forked = spy_forks(monkeypatch)
+    with pytest.raises(KeyError):
+        with forked_map(never_ends, range(10), 3, "out.csv") as results:
+            next(results)
+            raise KeyError("consumer failed")
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def unpicklable(job):
+    return lambda: job
+
+
+def test_unpicklable_result_is_a_dead_worker(capfd):
+    with pytest.raises(ChildProcessError, match=r"out\.csv: .* code 1"):
+        mapped(unpicklable, range(4), 2)
+    assert "pickle" in capfd.readouterr().err  # the worker's traceback
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to list open descriptors")
+def test_every_pipe_end_is_closed():
+    before = open_fds()
+    assert len(mapped(pid_of, range(10), 4)) == 10
+    for fn, error in ((fail_late, ValueError), (die_late, ChildProcessError)):
+        with pytest.raises(error):
+            mapped(fn, range(10), 3)
     with pytest.raises(KeyError):
         with forked_map(pid_of, range(10), 3, "out.csv") as results:
             next(results)
             raise KeyError("consumer failed")
-    assert multiprocessing.active_children() == []
+    assert open_fds() == before
 
 
 def test_no_fork_while_other_threads_run():
@@ -102,9 +142,9 @@ def test_no_fork_while_other_threads_run():
 
 
 def test_no_fork_without_the_fork_start_method(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    assert {pid for _, pid in mapped(pid_of, range(6), 2)} == {os.getpid()}
+    monkeypatch.delattr(os, "fork")
+    with forked_map(pid_of, range(6), 2, "out.csv") as results:
+        assert {pid for _, pid in results} == {os.getpid()}
 
 
 def forks_nothing(job):
@@ -115,7 +155,6 @@ def test_a_worker_forks_no_workers_of_its_own():
     # job 0 runs in the caller, which forks while the outer worker still
     # runs job 1; the worker forks nothing
     assert mapped(forks_nothing, range(2), 2) == [False, True]
-    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_follows_cpus_jobs_and_size(monkeypatch):

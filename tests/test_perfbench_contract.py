@@ -8,14 +8,13 @@ must move every count the smoke check requires of it.
 """
 
 import importlib.util
-import multiprocessing
 import pathlib
 import sys
 
 import modcnls
 import modcnls.cli
 from modcnls.families import default_trace, elliptic_family
-from worker_helpers import force_workers
+from worker_helpers import assert_reaped, force_workers
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -92,7 +91,7 @@ def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
     forked = force_workers(monkeypatch, 2)
     assert unmoved_counts(tmp_path, "dump_quasi") == []
     assert len(forked) == 2  # one worker per command
-    assert multiprocessing.active_children() == []
+    assert_reaped(forked)
 
 
 def traced_verify(tmp_path):
@@ -120,7 +119,7 @@ def test_traced_verify_in_forked_workers(tmp_path, monkeypatch):
     forked = force_workers(monkeypatch, 2)
     traced_verify(tmp_path)
     assert len(forked) == 1  # the walk's one worker
-    assert multiprocessing.active_children() == []
+    assert_reaped(forked)
 
 
 def test_traced_mathieu_trace_counts_its_rows(tmp_path):

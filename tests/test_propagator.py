@@ -3,6 +3,7 @@ and the full-equation residual oracle."""
 
 import dataclasses
 import itertools
+import os
 
 import mpmath
 import numpy as np
@@ -17,11 +18,12 @@ from modcnls.grid import SpatialGrid
 from modcnls.propagator import (DiagnosticsTrace, PropagationConfig,
                                 pde_residual, perturb, propagate,
                                 stability_verdict, step)
-from modcnls import propagator
+from modcnls import parallel, propagator
 from modcnls.transform import (STENCIL_DEPTH, CoefficientSampler,
                                interior_diff)
 
 from coefficient_helpers import ConstantCoefficients
+from worker_helpers import assert_reaped, force_workers, spy_forks
 
 COLUMNS = ("times", "norm1", "norm2", "profile_error1", "profile_error2",
            "peak_pos1")
@@ -520,6 +522,100 @@ class TestPropagate:
         # a run without a coefficient source cannot even be configured
         with pytest.raises(TypeError, match="coefficient_source"):
             PropagationConfig(SpatialGrid(10.0, 128), dt=1e-3, t_end=0.1)
+
+
+class TestSharedOutEnsemble:
+    """propagate steps contiguous shares of its members on forked workers;
+    every member's trace stays the in-process ensemble's, bit for bit."""
+
+    def setup(self, size):
+        fam, tr, grid = family_setup(sech_family, t_end=0.06)
+        cfg = PropagationConfig(grid, dt=1e-3, t_end=0.05,
+                                coefficient_source=CoefficientSampler(fam, tr),
+                                record_stride=4)
+        psi0 = assemble(fam, tr, grid.x, 0.0)
+        members = [psi0] + [perturb(psi0, 0.03, seed, mode)
+                            for seed, mode in ((1, "multiplicative"),
+                                               (2, "additive"),
+                                               (3, "multiplicative"))]
+        return fam, tr, cfg, members[:size]
+
+    @pytest.mark.parametrize("reference", [True, False])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_members_match_the_in_process_ensemble(self, monkeypatch,
+                                                   workers, size, reference):
+        fam, tr, cfg, members = self.setup(size)
+        reference = (fam, tr) if reference else None
+        with monkeypatch.context() as m:
+            none = force_workers(m, 1)
+            want = propagate(members, cfg, reference=reference)
+        forked = force_workers(monkeypatch, workers)
+        got = propagate(members, cfg, reference=reference)
+        assert none == [] and len(forked) == min(workers, size) - 1
+        assert_reaped(forked)
+        assert len(got) == size
+        for a, b in zip(got, want):
+            for name in COLUMNS:
+                assert same_bits(getattr(a, name), getattr(b, name)), name
+
+    def test_divergence_in_a_worker_share_keeps_its_time(self, monkeypatch):
+        # the second member overflows its density at the first step, so
+        # only the worker that steps it diverges, and at the first check
+        fam, tr, cfg, members = self.setup(1)
+        psi0 = members[0]
+        huge = FieldPair(psi0.x, psi0.psi1 * 1e160, psi0.psi2 * 1e160, 0.0)
+        forked = force_workers(monkeypatch, 2)
+        with pytest.raises(DivergenceError) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            propagate([psi0, huge], cfg, reference=(fam, tr))
+        assert info.value.t == pytest.approx(25 * cfg.dt)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_step_forks_nothing(self, monkeypatch):
+        fam, tr, cfg, members = self.setup(1)
+        forked = force_workers(monkeypatch, 2)
+        step(members[0], 0.0, cfg)
+        assert forked == []
+
+    def test_propagate_in_a_worker_forks_nothing(self, monkeypatch):
+        fam, tr, cfg, members = self.setup(2)
+        forked = force_workers(monkeypatch, 2)
+
+        def run(job):
+            before = len(forked)
+            traces = propagate(members, cfg, reference=(fam, tr))
+            return os.getpid(), len(forked) - before, traces
+
+        with parallel.forked_map(run, range(2), 2, "runs") as results:
+            (caller, caller_forks, a), (worker, worker_forks, b) = results
+        # the caller's propagate forks a share while the outer worker runs;
+        # the worker's runs both in its own process
+        assert caller == os.getpid() != worker
+        assert (caller_forks, worker_forks) == (1, 0)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        for x, y in zip(a, b):
+            for name in COLUMNS:
+                assert same_bits(getattr(x, name), getattr(y, name)), name
+
+    def test_split_floor(self, monkeypatch):
+        # two members of 1024 points split from 489 steps on two CPUs; one
+        # member never does
+        grid = SpatialGrid(10.0, 1024)
+        psi = np.ones(1024, dtype=complex)
+        member = FieldPair(grid.x, psi, psi, 0.0)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        forked = spy_forks(monkeypatch)
+        for n_steps, members, forks in ((488, 2, 0), (489, 2, 1),
+                                        (2000, 1, 0)):
+            cfg = PropagationConfig(grid, dt=1e-3, t_end=n_steps * 1e-3,
+                                    coefficient_source=ConstantCoefficients())
+            forked.clear()
+            propagate([member] * members, cfg)
+            assert len(forked) == forks, n_steps
+        assert_reaped(forked)
 
 
 class TestPerturb:

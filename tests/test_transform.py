@@ -8,7 +8,6 @@ against finite-difference reconstruction from the (rho, eta, zeta) lattices.
 import dataclasses
 import itertools
 import math
-import multiprocessing
 import os
 import tracemalloc
 from fractions import Fraction
@@ -44,7 +43,7 @@ from modcnls.transform import (
 
 from coefficient_helpers import (couplings_oracle, potential_oracle,
                                 worst_of)
-from worker_helpers import force_workers
+from worker_helpers import assert_reaped, force_workers, spy_forks
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -639,7 +638,7 @@ class TestParallelWalk:
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
             assert r.workers == workers and len(forked) == workers - 1
             assert (r.continuity, r.advection, r.flux) == want, workers
-        assert multiprocessing.active_children() == []
+            assert_reaped(forked)
 
     def test_fresh_traces_on_more_workers_than_cpus(self, monkeypatch):
         # each walk samples a fresh trace before its five strips fork; no
@@ -670,6 +669,7 @@ class TestParallelWalk:
                 (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
             return workers
 
+        forked = spy_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
         assert strips(643, 1000) == 4  # 627 interior columns
@@ -682,7 +682,8 @@ class TestParallelWalk:
         assert strips(643, 1000) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert strips(643, 1000) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 3 + 2 + 2
+        assert_reaped(forked)
 
     def test_nan_seen_by_the_last_strip_only(self, monkeypatch):
         # constant width, so xi = x: zeta is NaN only for x > 4, which only
@@ -731,12 +732,12 @@ class TestParallelWalk:
         monkeypatch.setattr(transform, "_lattice_fields", spy)
         assert verify_constraints(fam, tr, x, t).workers == 3
         assert len(forked) == 2
-        assert multiprocessing.active_children() == []
+        assert_reaped(forked)
         monkeypatch.setattr(transform, "_lattice_fields", failing)
         with pytest.raises(RuntimeError, match="right strip cannot be sampled"):
             verify_constraints(fam, tr, x, t)
         assert len(forked) == 4
-        assert multiprocessing.active_children() == []
+        assert_reaped(forked)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_width_sampled_once_on_the_calling_process(self, monkeypatch,
