@@ -78,8 +78,7 @@ def drive_f(t, epsilon, omega0):
                               f"{omega0!r} must be finite")
     if isinstance(t, float):
         return float(1.0 + epsilon * math.cos(omega0 * t))
-    t = np.asarray(t, dtype=float)
-    return _scalar(1.0 + epsilon * np.cos(omega0 * t))
+    return _scalar(1.0 + epsilon * np.cos(omega0 * np.asarray(t)))
 
 
 def _scalar(out):
@@ -227,23 +226,25 @@ def _path(p, a, epsilon, omega0, t):
     """(chi, chi', chi'', a) at t from one _rk4_map step of s = t - t_j
     from the path p's nearest node j; at a node D = 0 returns the node.
     chi = sqrt2 |w|, chi' = 2 Re(conj(w) w') / chi, chi'' from
-    w'' = -4 f(t) w, and a = a_j + arg(w conj(w_j)) / 2, in real
-    arithmetic, which rounds alike for a float and an array."""
-    j = np.rint(t / p.times[1]).astype(int)  # times are k dt
-    t_j, w_j, dw_j = p.times[j], p.w[j], p.dw[j]
+    w'' = -4 f(t) w, and a = a_j + arg(w conj(w_j)) / 2, rounding alike for
+    a float and an array.  A complex t (a complex D) continues z1 and z2,
+    stepped apart, and arg, the arctan of a ratio (arctan2 for real t)."""
+    j = np.rint(t.real / p.times[1]).astype(int)  # times are k dt
+    t_j, x_j, y_j = p.times[j], p.w[j].real, p.w[j].imag
+    dx_j, dy_j = p.dw[j].real, p.dw[j].imag
     s = t - t_j
     accel = -4.0 * drive_f(t, epsilon, omega0)
     d = _rk4_map(s, p.accel[j],
                  -4.0 * drive_f(t_j + 0.5 * s, epsilon, omega0), accel)
-    w = w_j + (d[0] * w_j + d[1] * dw_j)
-    dw = dw_j + (d[2] * w_j + d[3] * dw_j)
-    x, y, dx, dy = w.real, w.imag, dw.real, dw.imag
-    x_j, y_j = w_j.real, w_j.imag
+    x, y = (z + (d[0] * z + d[1] * dz) for z, dz in ((x_j, dx_j), (y_j, dy_j)))
+    dx, dy = (dz + (d[2] * z + d[3] * dz)
+              for z, dz in ((x_j, dx_j), (y_j, dy_j)))
     r2 = x * x + y * y
     chi = np.sqrt(2.0 * r2)
     dchi = 2.0 * (x * dx + y * dy) / chi
     d2chi = (2.0 * (dx * dx + dy * dy + accel * r2) - dchi * dchi) / chi
-    turn = np.arctan2(y * x_j - x * y_j, x * x_j + y * y_j)
+    num, den = y * x_j - x * y_j, x * x_j + y * y_j
+    turn = np.arctan2(num, den) if den.dtype == float else np.arctan(num / den)
     return chi, dchi, d2chi, a[j] + 0.5 * turn
 
 
@@ -272,28 +273,31 @@ class ModulationTrace:
     drive: Optional[tuple] = None
     path: Optional[MathieuPath] = None
 
-    def _check_range(self, t):
-        """t as an array, or as it is for a float t on an analytic trace;
-        refused outside the window of an integrated trace."""
+    def _evaluate(self, t):
+        """width(t) for real or complex t, refused if Re t is outside an
+        integrated trace's window: at's evaluation, the complex steps'."""
+        if not isinstance(t, float) or self.path is not None:
+            t = np.array(t, dtype=complex if np.iscomplexobj(t) else float)
         if self.path is None:  # the analytic widths extend to all t
-            return t if isinstance(t, float) else np.asarray(t, dtype=float)
-        t = np.asarray(t, dtype=float)
+            return self.width(t)  # a float t stays a float
         lo, hi = float(self.path.times[0]), float(self.path.times[-1])
-        outside = (t < lo - 1e-9) | (t > hi + 1e-9)
+        outside = (t.real < lo - 1e-9) | (t.real > hi + 1e-9)
         if np.any(outside):
-            asked = float(t[outside].flat[0])
+            asked = float(t.real[outside].flat[0])
             advice = (f"it starts at its first node, t = {lo:.6g}"
                       if asked < lo else "build it to a later horizon")
             raise ValidationError(
                 f"width trace queried at t = {asked!r}, outside its window "
                 f"[{lo:.6g}, {hi:.6g}]; {advice}")
-        return np.clip(t, lo, hi)
+        np.clip(t.real, lo, hi, out=t.real)  # t is a copy
+        return self.width(t)
 
     def at(self, t):
-        """Width(chi, chi', chi'', a, a') at t from one evaluation."""
-        t = self._check_range(t)
-        chi, dchi, d2chi, a = map(_scalar, self.width(t))
-        adot = (_scalar(np.zeros_like(t)) if self.drive is None
+        """Width(chi, chi', chi'', a, a') at real t from one evaluation."""
+        if np.iscomplexobj(t):
+            raise TypeError("ModulationTrace.at: complex t is not supported")
+        chi, dchi, d2chi, a = map(_scalar, self._evaluate(t))
+        adot = (_scalar(np.zeros_like(chi)) if self.drive is None
                 else 1.0 / (chi * chi))
         return Width(chi, dchi, d2chi, a, adot)
 

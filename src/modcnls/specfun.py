@@ -2,17 +2,19 @@
 elliptic integral of the first kind, and the Jacobi elliptic functions.
 
 No scipy.  Everything accepts floats or numpy arrays and returns the same
-kind.  Algorithms:
+kind.  erf and erfi also take complex x in their analytic kernels, so the
+complex step Im f(x + ih) / h is f'(x); erfc, erfcx and jacobi_elliptic
+refuse it.  Algorithms:
 
 * erf / erfc / erfcx: one kernel, Cody's rational Chebyshev
-  approximations (Math. Comp. 23, 1969) on three ranges of |x|.  On
+  approximations (Math. Comp. 23, 1969) on three ranges of |Re x|.  On
   |x| <= 0.46875 it approximates erf itself; on 0.46875 < |x| <= 4 and on
   |x| > 4 it approximates the scaled complement erfcx = exp(x^2) erfc(x),
   so the tail never underflows before exp(-x^2) does.  Errors are within a
   few ulp throughout (relative for erfc and erfcx).
-* erfi: term-recurrence series (all terms positive, condition number 1),
-  summed until every element's terms fall below half an ulp of its sum;
-  overflows to +/-inf past x^2 ~ 700 like exp(x^2) itself.
+* erfi: term-recurrence series (all terms positive for real x, condition
+  number 1), summed until every element's terms fall below half an ulp of
+  its sum; overflows to +/-inf past x^2 ~ 700 like exp(x^2) itself.
 * ellip_k: arithmetic-geometric mean, K = pi / (2 AGM(1, k')).
 * jacobi_elliptic: descending Landen/AGM phase recurrence
   (dlmf.nist.gov/22.20.ii) after argument reduction modulo 4K, with the
@@ -37,15 +39,17 @@ class EllipticTriple(NamedTuple):
     dn: object
 
 
-def _prepare(x, name):
-    arr = np.asarray(x, dtype=float)
+def _prepare(x, name, complex_ok=False):
+    if np.iscomplexobj(x) and not complex_ok:
+        raise TypeError(f"{name}: complex input is not supported")
+    arr = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite input")
     return arr, arr.ndim == 0
 
 
 def _finish(arr, scalar):
-    return float(arr) if scalar else arr
+    return arr.item() if scalar else arr
 
 
 # W. J. Cody, "Rational Chebyshev approximations for the error function",
@@ -100,7 +104,7 @@ def _exp_sq(y, sign):
     """exp(sign * y^2) with y^2 split as s^2 + (y - s)(y + s), s = y rounded
     down to 1/16, so the rounding of y^2 does not reach the exponential."""
     y = np.minimum(y, 40.0)  # a copy; exp(+-1600) is already inf or 0
-    s = np.trunc(16.0 * y)
+    s = np.trunc(16.0 * y.real)
     s /= 16.0
     rest = y - s
     y += s
@@ -111,21 +115,22 @@ def _exp_sq(y, sign):
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
         np.exp(rest, out=rest)
-    s *= rest
-    return s
+    rest *= s
+    return rest
 
 
 def _cody(arr, kind):
     """Cody's erf, erfc or erfcx (kind) of |arr|, before the sign fix-up.
 
-    Near zero the kernel returns erf itself, in the other two ranges the
-    scaled complement erfcx, so erfc is never 1 - erf in the tail.
+    |arr| is arr times the sign of Re arr.  Near zero the kernel returns
+    erf itself, in the other two ranges the scaled complement erfcx, so
+    erfc is never 1 - erf in the tail.
     """
-    ax = np.abs(arr).ravel()  # at least 1-d, so the ranges work in place
+    ax = np.where(arr.real < 0, -arr, arr).ravel()  # at least 1-d
     out = np.empty_like(ax)
-    small = ax <= _CODY_SMALL
-    mid = ~small & (ax <= _CODY_MID)
-    big = ax > _CODY_MID
+    small = ax.real <= _CODY_SMALL
+    mid = ~small & (ax.real <= _CODY_MID)
+    big = ax.real > _CODY_MID
     for mask, eval_range in ((small, _near_zero), (mid, _middle), (big, _tail)):
         if mask.all():
             out = eval_range(ax, kind)
@@ -163,9 +168,10 @@ def _unscale(scaled, y, kind):
 
 def erf(x):
     """Error function, odd by construction, +/-1 to machine precision for
-    |x| > 6."""
-    arr, scalar = _prepare(x, "erf")
-    out = np.copysign(_cody(arr, "erf"), arr)
+    |x| > 6; complex x is taken on the branch of Re x."""
+    arr, scalar = _prepare(x, "erf", complex_ok=True)
+    out = _cody(arr, "erf")
+    np.negative(out, out=out, where=arr.real < 0)
     return _finish(out, scalar)
 
 
@@ -195,12 +201,12 @@ def erfcx(x):
 def erfi(x):
     """Imaginary error function erfi(x) = -i erf(ix), real for real x.
 
-    All series terms share one sign, so the sum is perfectly conditioned;
-    the result overflows to +/-inf once exp(x^2) would."""
-    arr, scalar = _prepare(x, "erfi")
-    ax = np.abs(arr)
+    For real x all series terms share one sign, so the sum is perfectly
+    conditioned; the result overflows to +/-inf once exp(Re x^2) would."""
+    arr, scalar = _prepare(x, "erfi", complex_ok=True)
+    ax = np.where(arr.real < 0, -arr, arr)
     out = np.empty_like(ax)
-    over = ax * ax > _EXP_OVERFLOW
+    over = ax.real * ax.real > _EXP_OVERFLOW
     out[over] = np.inf
     ok = ~over
     if ok.any():
@@ -215,10 +221,10 @@ def erfi(x):
             for n in range(n + 1, n + 17):
                 term = term * x2 * (2 * n - 1) / (n * (2 * n + 1))
                 total += term
-            if np.all(term <= 1e-17 * total + 1e-300):
+            if np.all(np.abs(term) <= 1e-17 * np.abs(total) + 1e-300):
                 break
         out[ok] = (2.0 / _SQRT_PI) * total
-    out = np.copysign(out, arr)
+    np.negative(out, out=out, where=arr.real < 0)
     return _finish(out, scalar)
 
 

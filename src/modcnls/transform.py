@@ -20,8 +20,10 @@ and fixes the trap and couplings as
 
 Everything here is closed-form in (xi, chi, chi', chi'', a'), and
 CoefficientSampler is the one production path to the traps and couplings.
-verify_constraints recomputes the three constraints by finite differences
-on a space-time lattice as an independent check.
+verify_constraints recomputes the three constraints on a space-time
+lattice as an independent check: x derivatives by finite differences, time
+derivatives exact to rounding as the complex step Im f(t + ih) / h of the
+fields at complex t (Squire & Trapp, SIAM Rev. 40, 110, 1998).
 """
 
 import math
@@ -38,22 +40,19 @@ from .specfun import erf, erfi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
-# lattice points in flight in verify_constraints, all strips together: on
-# 2 CPUs a strip's block, ~220 kB a field, and its six buffers fit a 2 MiB
-# L2.  Verify's 640 x 1,921 walk (2-core shared host, medians of 6
-# interleaved runs) took 0.063 s on 2 CPUs and 0.085 s on 1 at 50,000,
-# 0.068 and 0.090 s at 25,000, and 0.059 and 0.094 s at 100,000
-_BLOCK_POINTS = 50_000
+# lattice points in flight in verify_constraints, all strips together: a
+# strip's block, ~200 kB a complex field, and its buffers fit a 2 MiB L2.
+# The default elliptic and sech quasiperiodic walks (2-core shared host, 2
+# CPUs, medians of 15) took 0.029, 0.032 s; 0.032, 0.038 s at 50,000
+_BLOCK_POINTS = 25_000
 _MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 # neighbours on each side that interior_diff and every x stencil read; the
-# x halos and trims and potential_identity_check's time levels follow from it
+# x halos and trims follow from it
 STENCIL_DEPTH = 4
-# neighbours on each side that the constraint walk's time differences read;
-# the walk's t halo and constraint_window's t trim follow from it
-TIME_DEPTH = 6
-# default time step of the time stencils of the residual checks
+# default time step of pde_residual's time stencil
 STENCIL_DT = 1e-4
-LATTICE_ROWS = 32  # fewest t-rows verify_constraints walks
+# h of the complex steps; h^2 is far below an ulp, so Re f(t + ih) = f(t)
+_COMPLEX_STEP = 1e-30
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -69,6 +68,8 @@ class StretchSpec:
     gaussian            F' = exp(-xi^2)            (localizing, bounded zeta)
     inverse_gaussian    F' = exp(+xi^2 / 3 gamma^2) (anti-localizing)
     flat_bump           F' = 1 + lam exp(-xi^2)     (asymptotically identity)
+
+    fprime and zeta continue to complex xi, for the complex-step checks.
     """
 
     kind: str
@@ -86,7 +87,7 @@ class StretchSpec:
     def fprime(self, xi, power=1):
         """F'(xi) ** power; the exponential stretches take the power inside
         the exponent, so the clip bounds the argument of the result."""
-        xi = np.asarray(xi, dtype=float)
+        xi = np.asarray(xi)
         if self.kind == "gaussian":
             return np.exp(-power * xi * xi)
         if self.kind == "inverse_gaussian":
@@ -94,7 +95,7 @@ class StretchSpec:
         return (1.0 + self.lam * np.exp(-xi * xi)) ** power
 
     def zeta(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = np.asarray(xi)
         if self.kind == "gaussian":
             return 0.5 * _SQRT_PI * (1.0 + erf(xi))
         if self.kind == "inverse_gaussian":
@@ -221,33 +222,29 @@ def _lattice_fields(stretch, x, chi, dchi, a):
     and zeta share one xi, as rho_of and zeta_of would each form it."""
     x, chi = x[None, :], chi[:, None]
     xi = x / chi
+    zeta = stretch.zeta(xi)  # first, so erf's temporaries meet no rho, eta
     rho = 1.0 / np.sqrt(chi * stretch.fprime(xi))
-    return rho, eta_of(x, chi, dchi[:, None], a[:, None]), stretch.zeta(xi)
+    return rho, eta_of(x, chi, dchi[:, None], a[:, None]), zeta
 
 
-# Fornberg's central weights (Math. Comp. 51, 1988) by (order, depth),
-# eighth order at depth 4 and twelfth at 6: for the pairs f[i+k] -+ f[i-k],
-# k = 1..depth, signed + - + ...; the -centre; denominator
-_FORNBERG = {(1, 4): ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
-             (2, 4): ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0),
-             (1, 6): ((23760.0, 7425.0, 2200.0, 495.0, 72.0, 5.0), 0.0,
-                      27720.0)}
+# Fornberg's eighth-order central weights (Math. Comp. 51, 1988) by order:
+# for the pairs f[i+k] -+ f[i-k], k = 1..4, signed + - + -; -centre; scale
+_FORNBERG = {1: ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
+             2: ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0)}
 
 
-def _stencil(f, base, step, h, span, out, work, order=1,
-             depth=STENCIL_DEPTH):
-    """Difference of order 1 or 2 and depth 4 or 6 into out[span] (work:
-    out's shape) of f[span] shifted by base + k step along f's first axis,
-    by in-place ufuncs in the order of (672 (f1 - f-1) - ...) / (840 h),
-    so bit for bit it."""
+def _stencil(f, base, h, span, out, work, order=1):
+    """Eighth-order difference of order 1 or 2 into out[span] (work: out's
+    shape) of f[span] shifted by base along f's first axis, by in-place
+    ufuncs in the order of (672 (f1 - f-1) - ...) / (840 h), so bit for bit
+    it."""
     lo, hi = span.start + base, span.stop + base
     out, work = out[span], work[span]
-    pairs, centre, scale = _FORNBERG[order, depth]
+    pairs, centre, scale = _FORNBERG[order]
     for k, weight in enumerate(pairs, 1):
         term = out if k == 1 else work
         (np.subtract if order == 1 else np.add)(
-            f[lo + k * step:hi + k * step], f[lo - k * step:hi - k * step],
-            out=term)
+            f[lo + k:hi + k], f[lo - k:hi - k], out=term)
         term *= weight
         if k > 1:
             (np.add if k % 2 else np.subtract)(out, work, out=out)
@@ -273,18 +270,17 @@ def interior_diff(f, h, axis, order=1):
     shape[axis] = n - 2 * d
     out = np.empty(shape, np.result_type(f, 1.0))
     moved = out.swapaxes(0, axis)  # a view: _stencil writes into out
-    _stencil(f.swapaxes(0, axis), d, 1, h, slice(0, n - 2 * d), moved,
+    _stencil(f.swapaxes(0, axis), d, h, slice(0, n - 2 * d), moved,
              np.empty_like(moved), order)
     return out
 
 
 def constraint_window(x, t):
     """The x and t ranges verify_constraints maximizes its residuals over:
-    the lattice less the 2 * STENCIL_DEPTH columns and the TIME_DEPTH rows
-    its stencils consume at each edge."""
-    d, e = STENCIL_DEPTH, TIME_DEPTH
-    return ((float(x[2 * d]), float(x[-2 * d - 1])),
-            (float(t[e]), float(t[-e - 1])))
+    every t, and x less the 2 * STENCIL_DEPTH columns its two x stencils
+    consume at each edge."""
+    d = 2 * STENCIL_DEPTH
+    return (float(x[d]), float(x[-d - 1])), (float(t[0]), float(t[-1]))
 
 
 @dataclass(frozen=True)
@@ -303,46 +299,44 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
     """Worst residuals over interior columns c0:c1, walked in row blocks,
     the lattice (t, x) of each and the strip's own walk time.
 
-    width holds chi, chi', a at every t.  The x derivatives are eighth
-    order, the time derivatives rho_t and zeta_t twelfth order, as their
-    error sets the residuals.  A block of r rows of c columns is formed in
-    place as flat runs of r c values in six buffers made once per strip, a
-    row offset k being the flat offset k c; the 2 * STENCIL_DEPTH
-    values per row that an x stencil takes across two rows lie in columns
-    nothing reads.  Only a block that raises a maximum takes an argmax, so
-    a tie keeps the earliest (t, x) and a NaN beats any value.
+    width holds chi, chi', a at every t + ih, h = _COMPLEX_STEP, so the
+    fields' real parts are their values at t and their imaginary parts
+    over h are rho_t and zeta_t.  The x derivatives are eighth order, in
+    place on a block of r rows of c columns as flat runs of r c values in
+    six buffers made once per strip; the 2 * STENCIL_DEPTH values per row
+    that an x stencil takes across two rows lie in columns nothing reads.
+    Only a block that raises a maximum takes an argmax, so a tie keeps the
+    earliest (t, x) and a NaN beats any value.
     """
     start = time.perf_counter()
-    d, e = STENCIL_DEPTH, TIME_DEPTH
-    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
+    d, h, hx = STENCIL_DEPTH, _COMPLEX_STEP, float(x[1] - x[0])
     xs = x[c0 - 2 * d:c1 + 2 * d]  # two x stencils in a row reach 2d out
-    c, nt = len(xs), len(t)
+    c = len(xs)
     rate, eta_x, rho2, zeta_x, prod, work = np.empty((6, rows * c))
     worst, at = np.full(3, -np.inf), [None] * 3
 
     def block(r0, r1):  # a function: its fields go before the next's come
-        rho, eta, zeta = _lattice_fields(
-            stretch, xs, *(w[r0 - e:r1 + e] for w in width))
+        rho, eta, zeta = _lattice_fields(stretch, xs,
+                                         *(w[r0:r1] for w in width))
         if envelope is not None:
             rho *= envelope[c0 - 2 * d:c1 + 2 * d]
-        rho, eta, zeta = rho.ravel(), eta.ravel(), zeta.ravel()
-        n, o = (r1 - r0) * c, e * c  # o: a field's first row after its t halo
-        rho_o = rho[o:o + n]
+        rho, eta, zeta = rho.ravel(), eta.ravel().real, zeta.ravel()
+        rho_re, rho_im, n = rho.real, rho.imag, (r1 - r0) * c
         # the first x stencils fill [d, n - d), all that reads them [2d, n - 2d)
         outer, inner = slice(d, n - d), slice(2 * d, n - 2 * d)
-        _stencil(eta, o, 1, hx, outer, eta_x, work)
-        np.multiply(rho_o[outer], rho_o[outer], out=rho2[outer])
+        _stencil(eta, 0, hx, outer, eta_x, work)
+        np.multiply(rho_re[outer], rho_re[outer], out=rho2[outer])
         np.multiply(rho2[outer], eta_x[outer], out=prod[outer])
-        _stencil(prod, 0, 1, hx, inner, zeta_x, work)  # (rho^2 eta_x)_x
-        r7 = _stencil(rho, o, c, ht, inner, rate, work, depth=e)  # rho_t
-        r7 *= rho_o[inner]
+        _stencil(prod, 0, hx, inner, zeta_x, work)  # (rho^2 eta_x)_x
+        r7 = np.multiply(rho_re[inner], rho_im[inner], out=rate[inner])
+        r7 /= h  # rho rho_t
         r7 += zeta_x[inner]
-        _stencil(zeta, o, 1, hx, outer, zeta_x, work)
+        _stencil(zeta.real, 0, hx, outer, zeta_x, work)
         np.multiply(rho2[outer], zeta_x[outer], out=prod[outer])
-        _stencil(prod, 0, 1, hx, inner, rho2, work)  # r9, over rho^2
+        _stencil(prod, 0, hx, inner, rho2, work)  # r9, over rho^2
         advect = np.multiply(eta_x[inner], 2.0, out=prod[inner])
         advect *= zeta_x[inner]
-        r8 = _stencil(zeta, o, c, ht, inner, zeta_x, work, depth=e)  # zeta_t
+        r8 = np.divide(zeta.imag[inner], h, out=zeta_x[inner])  # zeta_t
         r8 += advect
         for i, buf in enumerate((rate, zeta_x, rho2)):
             np.abs(buf[inner], out=buf[inner])
@@ -353,45 +347,43 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
                 row, col = divmod(int(np.argmax(residual)), c - 4 * d)
                 at[i] = (float(t[r0 + row]), float(x[c0 + col]))
 
-    for r0 in range(e, nt - e, rows):
-        block(r0, min(r0 + rows, nt - e))
+    for r0 in range(0, len(t), rows):
+        block(r0, min(r0 + rows, len(t)))
     return worst, at, time.perf_counter() - start
 
 
 def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
-    """Finite-difference residuals of the three transform constraints.
+    """Residuals of the three transform constraints on the lattice x by t.
 
-    x and t must be uniform lattices, at least 256 x LATTICE_ROWS points;
-    residuals are maximized over the interior, constraint_window(x, t)
-    (2 * STENCIL_DEPTH points trimmed in x to clear two eighth-order x
-    stencils, TIME_DEPTH in t to clear a twelfth-order time stencil).  A
-    non-finite residual anywhere in the interior makes that maximum NaN.
+    x must be uniform, at least 256 points, and t at least one time; the
+    residuals are maximized over constraint_window(x, t): every t, and x
+    less the 2 * STENCIL_DEPTH points two x stencils consume at each edge.
+    As rho_t and zeta_t are exact to rounding, the rows need only cover the
+    horizon.  A non-finite residual in there makes that maximum NaN.
     corrupt_rho multiplies the envelope by (1 + corrupt_rho * x), a
-    deliberate defect used to demonstrate that the check has teeth.
+    deliberate defect that shows the check has teeth.
 
     The interior columns are split into parallel.worker_count strips, at
-    least _MIN_STRIP_COLUMNS wide, which run through parallel.forked_map:
-    the caller walks the first, forked processes the others (or the
-    caller all, where forked_map runs in-process).  A strip is walked in
-    blocks of t-rows with a 2 * STENCIL_DEPTH-column x halo and a
-    TIME_DEPTH-row t halo; all strips' blocks together hold at most
-    _BLOCK_POINTS points.  The width chi, chi' and a is sampled once over
-    all of t, by the caller before any fork, and every strip reads its
-    blocks' rows from those samples.  Each residual is the whole-lattice
-    value bit for bit, and so is the (t, x) of each, a row-major argmax's
-    over the interior; the result is the elementwise maximum over strips.
+    least _MIN_STRIP_COLUMNS wide, run through parallel.forked_map: the
+    caller walks the first, forked processes the others (or the caller
+    all, where forked_map runs in-process).  A strip is walked in blocks of
+    rows with a 2 * STENCIL_DEPTH-column x halo, all strips' blocks holding
+    at most _BLOCK_POINTS points.  The caller samples the width once, at
+    every t + ih, before any fork.  Each residual and its (t, x), a
+    row-major argmax's over the interior, is the whole-lattice value bit
+    for bit: the elementwise maximum over strips.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if not math.isfinite(corrupt_rho):
         raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
                          f"got {corrupt_rho}")
-    if len(x) < 256 or len(t) < LATTICE_ROWS:
+    if len(x) < 256 or len(t) < 1:
         raise LatticeTooCoarseError(f"constraint lattice {len(x)} x {len(t)} "
-                                    f"below the 256 x {LATTICE_ROWS} floor")
-    hx, ht = np.diff(x), np.diff(t)
-    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0] or np.max(np.abs(ht - ht[0])) > 1e-9 * ht[0]:
-        raise ValueError("verify_constraints: lattices must be uniform")
+                                    f"below the 256 x 1 floor")
+    hx = np.diff(x)
+    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0]:
+        raise ValueError("verify_constraints: the x lattice must be uniform")
     envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
 
     halo = 2 * STENCIL_DEPTH
@@ -402,8 +394,8 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     # the strips' blocks span columns + 2 * halo * workers sampled columns
     rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
     # the width is sampled once, here, and every strip reads its rows
-    w = trace.at(t)
-    args = (family.stretch, x, t, (w.chi, w.dchi, w.a), envelope, rows)
+    chi, dchi, _, a = trace._evaluate(t + 1j * _COMPLEX_STEP)
+    args = (family.stretch, x, t, (chi, dchi, a), envelope, rows)
     with parallel.forked_map(lambda strip: _walk_strip(*args, *strip),
                              zip(edges, edges[1:]), workers,
                              "verify_constraints") as strips:
@@ -416,27 +408,28 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
                                at=at, strip_s=tuple(s for *_, s in strips))
 
 
-def potential_identity_check(family, trace, x, t, dt=STENCIL_DT):
+def potential_identity_check(family, trace, x, t):
     """Max gap between the closed-form trap and its finite-difference origin.
 
-    Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 with
-    eighth-order stencils (2 * STENCIL_DEPTH + 1 time levels around t) and
-    compares with CoefficientSampler.potential on the interior of x.
+    Rebuilds v_j = rho_xx/rho - eta_t - eta_x^2 - mu_j zeta_x^2 from the
+    fields at t + ih, the x derivatives by eighth-order stencils on their
+    real parts and eta_t as the complex step Im eta / h, and compares with
+    CoefficientSampler.potential on the interior of x.
     """
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
-    w = trace.at(t + dt * np.arange(-d, d + 1.0))
-    rho, eta, zeta = _lattice_fields(family.stretch, x, w.chi, w.dchi, w.a)
+    chi, dchi, _, a = trace._evaluate(np.array([t + 1j * _COMPLEX_STEP]))
+    rho, eta, zeta = (f[0] for f in _lattice_fields(family.stretch, x, chi,
+                                                    dchi, a))
     hx = float(x[1] - x[0])
 
     inner = slice(d, -d)  # the points the x stencils reach
-    rho_xx = interior_diff(rho[d], hx, axis=0, order=2)
-    eta_x = interior_diff(eta[d], hx, axis=0)
-    zeta_x = interior_diff(zeta[d], hx, axis=0)
-    # time derivative at the middle level
-    eta_t = interior_diff(eta, dt, axis=0)[0, inner]
+    rho_xx = interior_diff(rho.real, hx, axis=0, order=2)
+    eta_x = interior_diff(eta.real, hx, axis=0)
+    zeta_x = interior_diff(zeta.real, hx, axis=0)
+    eta_t = eta.imag[inner] / _COMPLEX_STEP
 
-    base = rho_xx / rho[d, inner] - eta_t - eta_x**2
+    base = rho_xx / rho.real[inner] - eta_t - eta_x**2
     v_fd = np.stack([base - mu_j * zeta_x**2 for mu_j in family.mu])
     v_cf = CoefficientSampler(family, trace).potential(x, t)[:, inner]
     gap = np.abs(v_fd - v_cf)[:, inner]

@@ -2,6 +2,7 @@
 and byte-level reproducibility."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -910,40 +911,33 @@ class TestVerifyCommand:
         assert identity["gap"] <= 1e-4 and identity["half_width"] < 10.0
         assert max(report["pde_residual"]["times"]) <= t_end
         # the lattice is _constraint_lattice's at this horizon, its
-        # residuals maximized over |x| <= 0.975 and the rows less the
-        # TIME_DEPTH the time stencils consume at each edge
-        family = elliptic_family(1)
-        _, t = cli._constraint_lattice(family, default_trace(
-            family, "periodic", t_end + cli._STENCIL_REACH), t_end)
+        # residuals maximized over |x| <= 0.975 and every row
+        _, t = cli._constraint_lattice(elliptic_family(1), t_end)
         lattice = report["constraints"]["lattice"]
         assert lattice["t"] == [0.0, t_end, len(t)]
         assert lattice["interior"]["x"] == pytest.approx([-0.975, 0.975],
                                                          abs=1e-4)
-        e = transform.TIME_DEPTH
-        assert lattice["interior"]["t"] == [t[e], t[-e - 1]]
+        assert lattice["interior"]["t"] == [0.0, t_end]
 
     @pytest.mark.parametrize("drive", modcnls.DRIVES)
-    def test_horizon_below_the_lattice_floor_is_refused(self, tmp_path,
-                                                        capsys, drive):
-        # LATTICE_ROWS rows at _CONSTRAINT_ROWS per unit of time need
-        # t_end > (LATTICE_ROWS - 2) / _CONSTRAINT_ROWS, the bound itself
-        # giving one row fewer; 0.0808, the least horizon an eighth-order
-        # walk on its 64-row floor accepted, still passes.  The refusal
-        # comes before the output directory is made
-        floor = transform.LATTICE_ROWS
-        bound = repr((floor - 2) / cli._CONSTRAINT_ROWS)
+    def test_horizon_below_the_first_pde_residual_time_is_refused(
+            self, tmp_path, capsys, drive):
+        # pde_residual's times are drawn from [0.05, t_end], so a horizon
+        # below 0.05 would check times past it; it is refused, naming t_end
+        # and the bound, before the output directory is made, and a horizon
+        # just above passes, its lattice three rows
         out = tmp_path / "v"
-        for t_end, code in (("0.06", 1), (bound, 1), ("0.0808", 0)):
-            assert main(["verify", "--family", "sech", "--drive", drive,
-                         "--t-end", t_end, "--out", str(out)]) == code, t_end
-            err = capsys.readouterr().err
-            if code:
-                assert (f"t_end = {t_end} gives {floor - 1} constraint "
-                        f"lattice rows" if t_end == bound
-                        else f"t_end = {t_end}") in err
-                assert (f"below the floor of {floor}; use t_end > {bound}"
-                        in err)
-                assert not out.exists()
+        assert main(["verify", "--family", "sech", "--drive", drive,
+                     "--t-end", "0.0499", "--out", str(out)]) == 1
+        assert ("verify: t_end = 0.0499 is below 0.05, the earliest time of "
+                "its pde_residual checks; use t_end >= 0.05"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert main(["verify", "--family", "sech", "--drive", drive,
+                     "--t-end", "0.0501", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["constraints"]["lattice"]["t"] == [0.0, 0.0501, 6]
+        assert min(report["pde_residual"]["times"]) >= 0.05
 
     def test_whole_horizon_is_checked(self, tmp_path, monkeypatch):
         walked = []
@@ -960,14 +954,14 @@ class TestVerifyCommand:
         assert code == 0, report["failures"]
         (t,) = walked
         assert t[0] == 0.0 and t[-1] == 3.0
-        assert len(t) - 1 >= cli._CONSTRAINT_ROWS * 3
-        # the residuals are maximized over the lattice less the columns
-        # two x stencils and the rows a time stencil consume at each edge
+        assert len(t) - 1 == cli._ROWS_PER_UNIT_TIME * 3
+        # the residuals are maximized over every row and the lattice less
+        # the columns two x stencils consume at each edge
         x = np.linspace(-5.0, 5.0, 640)
-        c, e = 2 * transform.STENCIL_DEPTH, transform.TIME_DEPTH
+        c = 2 * transform.STENCIL_DEPTH
         assert report["constraints"]["lattice"] == {
             "x": [-5.0, 5.0, 640], "t": [0.0, 3.0, len(t)],
-            "interior": {"x": [x[c], x[-c - 1]], "t": [t[e], t[-e - 1]]}}
+            "interior": {"x": [x[c], x[-c - 1]], "t": [0.0, 3.0]}}
         # the trap identity reaches the horizon too
         assert report["potential_identity"]["times"][-1] == 3.0
 
@@ -1079,50 +1073,76 @@ class TestVerifyCommand:
 class TestConstraintLatticeRule:
     """The one lattice rule of verify's constraint walk must clear the 1e-5
     gate on every family and drive, and still catch a 1e-3 defect.  This
-    table is the one place the rule's rows per unit of time are pinned.
-    Each case's ceiling, by horizon, is the worst residual that the walk of
-    eighth-order time differences on max(768, 768 (0.412 / chi_min)^2) rows
-    per unit of time read, rounded up in the third digit, with 5% headroom
-    where that was the rounding floor (sech6-periodic and dark-bright)."""
+    table is the one place the rule's 80 rows per unit of time are pinned.
+    Each case's ceiling, by horizon, is the worst residual the walk read at
+    them, with 5% headroom, rounded up in the third digit: the rounding
+    floor of the x stencils, as the complex-step time derivatives are
+    exact to rounding."""
 
     @pytest.mark.parametrize("t_end", [1.0, 5.0])
-    @pytest.mark.parametrize("family, drive, rows, ceiling", [
-        (elliptic_family(1), ("periodic",), 384, {1.0: 3.52e-9, 5.0: 9.01e-9}),
-        (elliptic_family(1), ("quasiperiodic",), 384,
-         {1.0: 4.50e-7, 5.0: 4.50e-7}),
-        # chi dips to 0.374 and 0.363 by t = 0.6: more rows per unit time
-        (elliptic_family(1), ("quasiperiodic", 0.8, 0.5), 467,
-         {1.0: 3.54e-6, 5.0: 3.54e-6}),
-        (elliptic_family(1), ("quasiperiodic", 0.9, 0.3), 495,
-         {1.0: 6.76e-6, 5.0: 6.76e-6}),
-        (sech_family(3.0), ("periodic",), 384, {1.0: 1.26e-9, 5.0: 1.28e-9}),
-        (sech_family(3.0), ("quasiperiodic",), 384,
-         {1.0: 5.91e-7, 5.0: 5.91e-7}),
-        (sech_family(6.0), ("periodic",), 384,
-         {1.0: 1.01e-10, 5.0: 1.17e-10}),
-        (sech_family(6.0), ("quasiperiodic",), 384,
-         {1.0: 1.11e-9, 5.0: 1.11e-9}),
-        (dark_bright_family(0.5), ("periodic",), 384,
-         {1.0: 1.62e-11, 5.0: 3.23e-11}),
-        (dark_bright_family(-0.5), ("periodic",), 384,
-         {1.0: 1.62e-11, 5.0: 5.14e-11}),
+    @pytest.mark.parametrize("family, drive, ceiling", [
+        (elliptic_family(1), ("periodic",), {1.0: 3.39e-9, 5.0: 7.18e-9}),
+        (elliptic_family(1), ("quasiperiodic",), {1.0: 2.0e-8, 5.0: 2.0e-8}),
+        # chi dips to 0.374 and 0.363 by t = 0.6, with no more rows
+        (elliptic_family(1), ("quasiperiodic", 0.8, 0.5),
+         {1.0: 6.77e-8, 5.0: 6.77e-8}),
+        (elliptic_family(1), ("quasiperiodic", 0.9, 0.3),
+         {1.0: 9.31e-8, 5.0: 1.35e-7}),
+        (sech_family(3.0), ("periodic",), {1.0: 1.15e-10, 5.0: 1.21e-10}),
+        (sech_family(3.0), ("quasiperiodic",),
+         {1.0: 9.21e-10, 5.0: 9.21e-10}),
+        (sech_family(6.0), ("periodic",), {1.0: 9.26e-11, 5.0: 9.98e-11}),
+        (sech_family(6.0), ("quasiperiodic",),
+         {1.0: 1.22e-10, 5.0: 1.22e-10}),
+        (dark_bright_family(0.5), ("periodic",),
+         {1.0: 1.47e-11, 5.0: 2.9e-11}),
+        (dark_bright_family(-0.5), ("periodic",),
+         {1.0: 1.35e-11, 5.0: 5.08e-11}),
     ], ids=["elliptic-periodic", "elliptic-quasiperiodic",
             "elliptic-quasiperiodic-0.8-0.5", "elliptic-quasiperiodic-0.9-0.3",
             "sech3-periodic", "sech3-quasiperiodic",
             "sech6-periodic", "sech6-quasiperiodic",
             "dark_bright+0.5", "dark_bright-0.5"])
     def test_rule_clears_the_gate_and_keeps_its_teeth(self, family, drive,
-                                                      rows, ceiling, t_end):
+                                                      ceiling, t_end):
         name, *depth_frequency = drive
         trace = default_trace(family, name, t_end + cli._STENCIL_REACH,
                               *depth_frequency)
-        x, t = cli._constraint_lattice(family, trace, t_end)
-        assert len(t) == math.ceil(rows * t_end) + 1
+        x, t = cli._constraint_lattice(family, t_end)
+        assert len(t) == math.ceil(80 * t_end) + 1
         clean = transform.verify_constraints(family, trace, x, t)
         assert worst_of(clean) <= ceiling[t_end] < 1e-5, str(clean)
         corrupt = transform.verify_constraints(family, trace, x, t,
                                                corrupt_rho=1e-3)
         assert worst_of(corrupt) > 1e-5, str(corrupt)
+
+    @pytest.mark.parametrize("family, drive, skewed", [
+        (elliptic_family(1), "periodic", 5.3e-5),
+        (elliptic_family(1), "quasiperiodic", 7.1e-4),
+        (sech_family(6.0), "periodic", 5.4e-6),
+        (sech_family(6.0), "quasiperiodic", 1.4e-5),
+    ], ids=["elliptic-periodic", "elliptic-quasiperiodic", "sech-periodic",
+            "sech-quasiperiodic"])
+    def test_walk_keeps_its_teeth_on_chi_prime(self, family, drive, skewed):
+        # chi' alone scaled by 1 + 1e-7 in the width the walk reads: rho_t
+        # and zeta_t come from chi at t + ih, so the defect stays in eta_x.
+        # Each continuity residual rises at least 100-fold, and the worst
+        # residual (continuity for elliptic, advection for sech) reads
+        # within 10% of the twelfth-order walk's on the 1,921-row lattice
+        # it replaced; a time derivative taken through the trace's chi'
+        # would cancel the defect
+        good = default_trace(family, drive, 5.0 + cli._STENCIL_REACH)
+
+        def width(t):
+            chi, dchi, d2chi, a = good.width(t)
+            return chi, dchi * (1.0 + 1e-7), d2chi, a
+
+        x, t = cli._constraint_lattice(family, 5.0)
+        clean = transform.verify_constraints(family, good, x, t)
+        bad = transform.verify_constraints(
+            family, dataclasses.replace(good, width=width), x, t)
+        assert bad.continuity >= 100 * clean.continuity, (bad, clean)
+        assert worst_of(bad) == pytest.approx(skewed, rel=0.1), str(bad)
 
 
 class TestPropagateCommand:

@@ -508,6 +508,48 @@ class TestMathieuTraceQueries:
         np.testing.assert_allclose(tr.adot_at(t), 1.0 / tr.chi_at(t) ** 2, rtol=1e-12)
 
 
+class TestComplexStepEntry:
+    """The residual checks evaluate a width once at t + ih through the
+    trace's private entry, and read chi' and a' off its imaginary parts."""
+
+    H = 1e-30
+
+    @pytest.mark.parametrize("make", [
+        lambda: mathieu_trace("quasiperiodic", 5.0),
+        lambda: mathieu_trace("quasiperiodic", 5.0, epsilon=0.9, omega0=0.3),
+        closed_form_trace,
+        lambda: explicit_trace(0.3, 0.2),
+    ], ids=["mathieu", "mathieu-0.9-0.3", "closed_form", "two_tone"])
+    def test_imaginary_parts_are_the_derivatives(self, make):
+        # the RK4 query's step map is a polynomial in s, so its complex
+        # step is the map's own derivative: chi' and a' of the trace to a
+        # few ulp, and chi'' from chi' at complex t
+        tr = make()
+        t = np.linspace(0.0, 5.0, 1921)
+        chi, dchi, _, a = tr._evaluate(t + 1j * self.H)
+        w = tr.at(t)
+        np.testing.assert_allclose(chi.imag / self.H, w.dchi, rtol=4e-15,
+                                   atol=4e-15)
+        np.testing.assert_allclose(a.imag / self.H, w.adot, rtol=4e-15,
+                                   atol=0)
+        np.testing.assert_allclose(dchi.imag / self.H, w.d2chi, rtol=4e-15,
+                                   atol=4e-14)
+        np.testing.assert_allclose(chi.real, w.chi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a.real, w.a, rtol=0, atol=1e-15)
+        if tr.path is not None:  # z1 and z2 stepped apart keep their bits
+            assert chi.real.tobytes() == w.chi.tobytes()
+            assert a.real.tobytes() == w.a.tobytes()
+
+    def test_window_is_checked_on_the_real_part(self):
+        tr = mathieu_trace("periodic", 2.0, dt=1e-3)
+        with pytest.raises(ValidationError, match=r"t = 2\.5,.*\[0, 2\]"):
+            tr._evaluate(np.array([1.0, 2.5]) + 1j * self.H)
+        t = np.array([2.0 + 5e-10 + 1j * self.H])  # clipped onto the node
+        assert tr._evaluate(t)[0].real.tobytes() == tr.chi_at(
+            np.array([2.0])).tobytes()
+        assert t.real[0] == 2.0 + 5e-10  # the caller's times are kept
+
+
 class TestExplicitTrace:
     def test_two_tone_width(self):
         tr = explicit_trace(0.3, 0.2)

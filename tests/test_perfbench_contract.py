@@ -13,7 +13,7 @@ import sys
 
 import modcnls
 import modcnls.cli
-from modcnls.families import default_trace, elliptic_family
+from modcnls.families import elliptic_family
 from worker_helpers import assert_reaped, force_workers
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,8 +102,7 @@ def traced_verify(tmp_path):
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
     family = elliptic_family(1)
-    x, t = modcnls.cli._constraint_lattice(family, default_trace(
-        family, "periodic", 1 + modcnls.cli._STENCIL_REACH), 1.0)
+    x, t = modcnls.cli._constraint_lattice(family, 1.0)
     assert metrics["transform.lattice_points"] == len(x) * len(t)
     for name in ("specfun.erf_points", "transform.constraints_s",
                  "modulation.query_points"):

@@ -8,6 +8,8 @@ Oracles used here, none of which share code with the implementation:
 * mpmath spot values for the erf family tails, and dense mpmath grids
   across the range breakpoints of the erf kernel (|x| = 0.46875 and 4).
 * scipy.special.ellipj for sn/cn/dn at the package's modulus 1/sqrt(2).
+* For the complex step, the closed-form derivatives of erf and erfi, and
+  scipy.special.erf and erfi off the real axis.
 """
 
 import math
@@ -15,9 +17,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import ellipj
 
 from modcnls.families import default_grid, default_trace, sech_family
+from modcnls.modulation import closed_form_trace, mathieu_trace
+from modcnls.transform import StretchSpec
 from modcnls.specfun import (
     _agm_ladder,
     ellip_k,
@@ -171,6 +176,65 @@ class TestErfFamily:
                 fn(np.nan)
             with pytest.raises(ValueError):
                 fn(np.array([0.0, np.inf]))
+
+
+class TestComplexArgument:
+    """erf and erfi take complex x in their analytic kernels, so the
+    complex step Im f(x + ih) / h is f'(x); what cannot take it says so."""
+
+    H = 1e-30
+
+    @pytest.mark.parametrize("fn, half, slope", [
+        (erf, 6.0, lambda x: np.exp(-x * x)),
+        (erfi, 20.0, lambda x: np.exp(x * x)),
+    ], ids=["erf", "erfi"])
+    def test_complex_step_is_the_derivative(self, fn, half, slope):
+        # across every range of the Cody kernel and the erfi series; the
+        # real part is the real function's value to rounding (numpy divides
+        # a complex by a real through a reciprocal, so not bit for bit)
+        x = np.concatenate([np.linspace(-half, half, 4001),
+                            [0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0]])
+        z = fn(x + 1j * self.H)
+        want = 2.0 / math.sqrt(math.pi) * slope(x)
+        np.testing.assert_allclose(z.imag / self.H, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(z.real, fn(x), rtol=1e-14, atol=1e-300)
+
+    def test_off_the_axis_against_scipy(self):
+        rng = np.random.default_rng(16)
+        z = rng.uniform(-5, 5, 2000) + 1j * rng.uniform(-0.3, 0.3, 2000)
+        np.testing.assert_allclose(erf(z), scipy.special.erf(z), rtol=1e-13)
+        w = rng.uniform(-5, 5, 2000) + 1j * rng.uniform(-0.3, 0.3, 2000)
+        np.testing.assert_allclose(erfi(w), scipy.special.erfi(w),
+                                   rtol=1e-13)
+        assert isinstance(erf(0.5 + 0.5j), complex)
+
+    @pytest.mark.parametrize("name, fn, slope", [
+        ("erf", erf, lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x)),
+        ("erfi", erfi, lambda x: 2.0 / math.sqrt(math.pi) * math.exp(x * x)),
+        ("fprime", StretchSpec("gaussian").fprime,
+         lambda x: -2.0 * x * math.exp(-x * x)),
+        # zeta' = F' for the inverse-gaussian stretch, through erfi
+        ("zeta", StretchSpec("inverse_gaussian", gamma=2.0).zeta,
+         lambda x: math.exp(x * x / 12.0)),
+        ("erfc", erfc, None),
+        ("erfcx", erfcx, None),
+        ("jacobi_elliptic", lambda u: jacobi_elliptic(u, 0.5), None),
+        ("ModulationTrace.at", lambda t: closed_form_trace().at(t), None),
+        ("ModulationTrace.at",
+         lambda t: mathieu_trace("quasiperiodic", 1.0).chi_at(t), None),
+    ], ids=["erf", "erfi", "fprime", "zeta", "erfc", "erfcx",
+            "jacobi_elliptic", "closed_form_at", "mathieu_chi_at"])
+    def test_complex_input_is_computed_or_refused_by_name(self, name, fn,
+                                                          slope):
+        # no complex value loses its imaginary part silently: each function
+        # either carries it, as the complex step needs, or refuses it
+        z = np.array([0.7 + 1j * self.H])
+        if slope is None:
+            with pytest.raises(TypeError, match=f"^{name}: complex"):
+                fn(z)
+        else:
+            assert fn(z).imag[0] / self.H == pytest.approx(slope(0.7),
+                                                           rel=1e-14)
 
 
 def around(x0, half_width=0.05, n=201):

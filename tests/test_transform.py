@@ -26,7 +26,7 @@ from modcnls.families import (
     elliptic_family,
     sech_family,
 )
-from modcnls.modulation import (Width, closed_form_trace, drive_f,
+from modcnls.modulation import (closed_form_trace, drive_f,
                                 explicit_trace, mathieu_trace)
 from modcnls import parallel, transform
 from modcnls.transform import (
@@ -51,8 +51,8 @@ SQRT_PI = math.sqrt(math.pi)
 def d1_nan_padded(f, h, axis, depth=4):
     """Central first derivative over the whole lattice, nan on the
     depth-deep edges: eighth order at depth 4, as the walk's x differences,
-    and twelfth order at depth 6, as its time differences; the unblocked
-    forms verify_constraints replaced."""
+    and twelfth order at depth 6, the finite-difference oracle's time
+    differences."""
     out = np.full_like(f, np.nan)
     sl = [slice(None)] * f.ndim
 
@@ -82,33 +82,51 @@ def d1_nan_padded(f, h, axis, depth=4):
 
 
 def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
-                            with_at=False):
+                            with_at=False, differences=False):
     """Oracle: the three constraint residuals from one whole-lattice sample
-    of the transform's evaluators with nan-padded stencils, maximized over
-    the core [6:-6, 8:-8]; with_at adds the lattice (t, x) of each maximum
-    that a row-major argmax over the core picks."""
-    chi, dchi, a = (np.asarray(query(t))[:, None] for query in
-                    (trace.chi_at, trace.dchi_dt_at, trace.a_at))
+    of the fields with nan-padded x stencils, maximized over the core
+    [:, 8:-8]; with_at adds the lattice (t, x) of each maximum that a
+    row-major argmax over the core picks.
+
+    The time derivatives are the complex step Im f(t + ih) / h of the
+    fields at t + ih, as the walk takes them, so its blocks and strips must
+    give these residuals bit for bit.  With differences, they are instead
+    twelfth-order differences of the fields the public queries give at
+    real t, independent of the complex step, over the core [6:-6, 8:-8]."""
+    h = transform._COMPLEX_STEP
+    if differences:
+        chi, dchi, a = (np.asarray(query(t))[:, None] for query in
+                        (trace.chi_at, trace.dchi_dt_at, trace.a_at))
+    else:  # the evaluator itself: the public queries refuse complex t
+        chi, dchi, _, a = (np.asarray(v)[:, None]
+                           for v in trace.width(t + 1j * h))
     xs = x[None, :]
     rho = rho_of(family.stretch, xs, chi)
     eta = eta_of(xs, chi, dchi, a)
     zeta = zeta_of(family.stretch, xs, chi)
     if corrupt_rho:
         rho = rho * (1.0 + corrupt_rho * x[None, :])
-    hx, ht = float(x[1] - x[0]), float(t[1] - t[0])
-    rho_t = d1_nan_padded(rho, ht, axis=0, depth=6)
+    hx = float(x[1] - x[0])
+    if differences:
+        ht = float(t[1] - t[0])
+        rho_rho_t = rho * d1_nan_padded(rho, ht, axis=0, depth=6)
+        zeta_t = d1_nan_padded(zeta, ht, axis=0, depth=6)
+    else:
+        rho_rho_t = rho.real * rho.imag / h
+        zeta_t = zeta.imag / h
+        rho, eta, zeta = rho.real, eta.real, zeta.real
     eta_x = d1_nan_padded(eta, hx, axis=1)
-    zeta_t = d1_nan_padded(zeta, ht, axis=0, depth=6)
     zeta_x = d1_nan_padded(zeta, hx, axis=1)
-    r7 = rho * rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
+    r7 = rho_rho_t + d1_nan_padded(rho * rho * eta_x, hx, axis=1)
     r8 = zeta_t + 2.0 * eta_x * zeta_x
     r9 = d1_nan_padded(rho * rho * zeta_x, hx, axis=1)
-    core = [np.abs(r[6:-6, 8:-8]) for r in (r7, r8, r9)]
+    e = 6 if differences else 0
+    core = [np.abs(r[e:len(t) - e, 8:-8]) for r in (r7, r8, r9)]
     worst = tuple(float(np.nanmax(r)) for r in core)
     if not with_at:
         return worst
     peaks = (np.unravel_index(np.argmax(r), r.shape) for r in core)
-    return worst, tuple((float(t[6 + i]), float(x[8 + j])) for i, j in peaks)
+    return worst, tuple((float(t[e + i]), float(x[8 + j])) for i, j in peaks)
 
 
 def count_evaluations(trace):
@@ -398,35 +416,16 @@ class TestInteriorDiff:
 
     def test_first_derivative_weights_are_the_exact_central_ones(self):
         # the weight of f[i+k] in the central first derivative on the
-        # nodes -depth..depth is L_k'(0), L_k their Lagrange basis, in exact
-        # rationals; each first-derivative row holds those of its depth
-        def central(depth):
-            nodes = range(-depth, depth + 1)
-            return [Fraction(1, k) * math.prod(
-                        Fraction(-j, k - j) for j in nodes if j not in (0, k))
-                    for k in range(1, depth + 1)]
-
-        rows = {depth: row for (order, depth), row
-                in transform._FORNBERG.items() if order == 1}
-        assert sorted(rows) == [4, 6]
-        for depth, (pairs, centre, scale) in rows.items():
-            got = [(-1) ** (k + 1) * Fraction(weight) / Fraction(scale)
-                   for k, weight in enumerate(pairs, 1)]
-            assert (got, centre) == (central(depth), 0.0), depth
-
-    def test_twelfth_order_time_weights(self):
-        # _stencil with the depth-6 row: halving h must cut the error on a
-        # smooth function by about 2^12; a tenth-order stencil gives 2^10
-        errs = []
-        for h in (0.15, 0.075):
-            x = 1.0 + h * np.arange(-30, 31)
-            f = np.exp(np.sin(x))
-            n = len(x)
-            out, work = np.empty((2, n))
-            d = transform._stencil(f, 0, 1, h, slice(6, n - 6), out, work,
-                                   depth=6)
-            errs.append(np.abs(d - (np.cos(x) * f)[6:-6]).max())
-        assert errs[0] / errs[1] >= 2 ** 11.5, errs
+        # nodes -4..4 is L_k'(0), L_k their Lagrange basis, in exact
+        # rationals
+        nodes = range(-4, 5)
+        exact = [Fraction(1, k) * math.prod(
+                     Fraction(-j, k - j) for j in nodes if j not in (0, k))
+                 for k in range(1, 5)]
+        pairs, centre, scale = transform._FORNBERG[1]
+        got = [(-1) ** (k + 1) * Fraction(weight) / Fraction(scale)
+               for k, weight in enumerate(pairs, 1)]
+        assert (got, centre) == (exact, 0.0)
 
     def test_flat_row_run_never_leaks_across_rows(self):
         # the walk differences a block's rows as one flat run; with +-inf
@@ -443,10 +442,10 @@ class TestInteriorDiff:
             n, h = r * c, 0.03
             once, twice, work = np.empty((3, n))
             with np.errstate(invalid="ignore"):
-                transform._stencil(f.ravel(), 0, 1, h, slice(d, n - d),
-                                    once, work)
-                transform._stencil(once, 0, 1, h, slice(2 * d, n - 2 * d),
-                                    twice, work)
+                transform._stencil(f.ravel(), 0, h, slice(d, n - d), once,
+                                   work)
+                transform._stencil(once, 0, h, slice(2 * d, n - 2 * d),
+                                   twice, work)
                 want = interior_diff(f, h, axis=1)
                 want2 = interior_diff(want, h, axis=1)
             got = once.reshape(r, c)[:, d:c - d]
@@ -485,11 +484,11 @@ class TestVerifyConstraints:
         fam = elliptic_family(1)
         good = default_trace(fam, "periodic", 3.0)
 
-        def at(t):
-            w = good.at(t)
-            return w._replace(dchi=w.dchi + 1e-3 * (np.asarray(t) > 1.5))
+        def width(t):
+            chi, dchi, d2chi, a = good.width(t)
+            return chi, dchi + 1e-3 * (t.real > 1.5), d2chi, a
 
-        tr = SimpleNamespace(at=at)
+        tr = dataclasses.replace(good, width=width)
         x = np.linspace(-1.0, 1.0, 640)
         r = verify_constraints(fam, tr, x, np.linspace(0.0, 1.0, 769))
         assert worst_of(r) <= 1e-5, str(r)
@@ -515,9 +514,8 @@ class TestVerifyConstraints:
         workers = parallel.worker_count(
             (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
         rows = transform._BLOCK_POINTS // (nx - 16 + 16 * workers)
-        # several blocks, the last one short, over the rows less two t halos
-        inner = nt - 2 * transform.TIME_DEPTH
-        assert inner > 2 * rows and inner % rows != 0
+        # several blocks, the last one short
+        assert nt > 2 * rows and nt % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
         assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
@@ -535,25 +533,54 @@ class TestVerifyConstraints:
         workers = parallel.worker_count(
             (400 - 16) // transform._MIN_STRIP_COLUMNS, 400 * 700)
         rows = block_points // (400 - 16 + 16 * workers)
-        # several blocks, the last one short, over the rows less two t halos
-        inner = 700 - 2 * transform.TIME_DEPTH
-        assert inner > 2 * rows and inner % rows != 0
+        # several blocks, the last one short
+        assert 700 > 2 * rows and 700 % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=0.01)
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=0.01)
         assert (r.continuity, r.advection, r.flux) == want
+
+    @pytest.mark.parametrize("kind, drive", [
+        ("elliptic", "quasiperiodic"), ("sech", "periodic"),
+        ("dark_bright", "periodic")])
+    @pytest.mark.parametrize("defect", ["clean", "corrupt_rho", "chi_drift"])
+    def test_complex_step_agrees_with_the_difference_oracle(self, kind,
+                                                            drive, defect):
+        # an independent cross-check: twelfth-order time differences of the
+        # public queries, on the rows they can difference.  A defect's
+        # residual (1e-5 to 10) agrees to 1e-7 relative; the clean
+        # residuals, and the rest of a defect's, are both below the 1e-7
+        # rounding floor of the x stencils on this lattice
+        fam = {"elliptic": elliptic_family(1), "sech": sech_family(),
+               "dark_bright": dark_bright_family(0.5)}[kind]
+        good = default_trace(fam, drive, 1.0)
+
+        def drift(t):  # chi off by 1e-4 t: a defect rho_t and zeta_t see
+            chi, dchi, d2chi, a = good.width(t)
+            return chi * (1.0 + 1e-4 * t), dchi, d2chi, a
+
+        tr = (dataclasses.replace(good, width=drift)
+              if defect == "chi_drift" else good)
+        corrupt = 0.01 if defect == "corrupt_rho" else 0.0
+        half = 1.0 if kind == "elliptic" else 5.0
+        x, t = np.linspace(-half, half, 512), np.linspace(0.0, 1.0, 1001)
+        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt,
+                                       differences=True)
+        r = verify_constraints(fam, tr, x, t[6:-6], corrupt_rho=corrupt)
+        got = (r.continuity, r.advection, r.flux)
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+        assert (max(got) > 1e-5) == (defect != "clean"), got
 
     def test_non_finite_lattice_value_is_not_dropped(self):
         # one bad phase sample inside the core must surface as nan
         fam = sech_family()
         good = default_trace(fam, "periodic", 1.0)
 
-        def at(t):
-            w = good.at(t)
-            a = np.array(w.a, dtype=float)
-            a[np.abs(np.asarray(t) - 0.5) < 1e-3] = np.nan
-            return w._replace(a=a)
+        def width(t):
+            chi, dchi, d2chi, a = good.width(t)
+            return chi, dchi, d2chi, np.where(abs(t.real - 0.5) < 1e-3,
+                                              np.nan, a)
 
-        tr = SimpleNamespace(at=at)
+        tr = dataclasses.replace(good, width=width)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 513))
         assert math.isnan(r.continuity) and math.isnan(worst_of(r))
@@ -578,21 +605,17 @@ class TestVerifyConstraints:
         assert worst_of(r) == max(r.continuity, r.advection, r.flux)
 
     def test_coarse_lattice_refused(self):
-        # the floor is 256 columns by LATTICE_ROWS rows, and a lattice at it
-        # is walked
+        # the floor is 256 columns by one time, and a lattice at it is
+        # walked: a complex step needs no neighbouring rows
         fam = sech_family()
         tr = default_trace(fam, "periodic", 1.0)
-        rows = transform.LATTICE_ROWS
-        with pytest.raises(LatticeTooCoarseError, match=f"255 x {rows} "):
-            verify_constraints(fam, tr, np.linspace(-5, 5, 255),
-                               np.linspace(0, 1, rows))
+        with pytest.raises(LatticeTooCoarseError, match="255 x 1 "):
+            verify_constraints(fam, tr, np.linspace(-5, 5, 255), [0.5])
         with pytest.raises(LatticeTooCoarseError,
-                           match=f"256 x {rows - 1} below the 256 x {rows}"):
-            verify_constraints(fam, tr, np.linspace(-5, 5, 256),
-                               np.linspace(0, 1, rows - 1))
-        r = verify_constraints(fam, tr, np.linspace(-5, 5, 256),
-                               np.linspace(0, 1, rows))
-        assert math.isfinite(worst_of(r))
+                           match="256 x 0 below the 256 x 1 floor"):
+            verify_constraints(fam, tr, np.linspace(-5, 5, 256), [])
+        r = verify_constraints(fam, tr, np.linspace(-5, 5, 256), [0.5])
+        assert math.isfinite(worst_of(r)) and r.at[0][0] == 0.5
 
     def test_nonuniform_lattice_refused(self):
         fam = sech_family()
@@ -634,7 +657,7 @@ class TestParallelWalk:
             forked = force_workers(monkeypatch, workers)
             # strips of unequal width, each walked in several row blocks
             assert workers == 1 or (nx - 16) % workers != 0
-            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 988
+            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 1000
             r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
             assert r.workers == workers and len(forked) == workers - 1
             assert (r.continuity, r.advection, r.flux) == want, workers
@@ -692,10 +715,10 @@ class TestParallelWalk:
         fam = SimpleNamespace(
             stretch=SimpleNamespace(
                 fprime=real.stretch.fprime,
-                zeta=lambda xi: np.where(xi > 4.0, np.nan, real.stretch.zeta(xi))),
+                zeta=lambda xi: np.where(xi.real > 4.0, np.nan,
+                                         real.stretch.zeta(xi))),
             mu=real.mu, g_matrix=real.g_matrix)
-        tr = SimpleNamespace(
-            at=lambda t: Width(np.ones_like(t), *[np.zeros_like(t)] * 4))
+        tr = explicit_trace(0.0, 0.0)
         forked = force_workers(monkeypatch, 3)
         r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
                                np.linspace(0, 1, 300))
@@ -706,7 +729,7 @@ class TestParallelWalk:
         # d columns out, (rho^2 zeta_x)_x 2d
         x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
         first = int(np.argmax(x > 4.0))
-        assert r.at[1:] == ((t[6], x[first - 4]), (t[6], x[first - 8]))
+        assert r.at[1:] == ((t[0], x[first - 4]), (t[0], x[first - 8]))
 
     def test_worker_failure_reaches_caller_and_no_process_outlives(
             self, monkeypatch):
@@ -749,7 +772,8 @@ class TestParallelWalk:
         r = verify_constraints(fam, tr, x, t)
         assert r.workers == workers and len(forked) == workers - 1
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], t)
+        np.testing.assert_array_equal(calls[0],
+                                      t + 1j * transform._COMPLEX_STEP)
 
     @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
     def test_peaks_match_whole_lattice_argmax(self, monkeypatch, corrupt):
@@ -778,7 +802,7 @@ class TestParallelWalk:
         x, t = np.arange(-320, 321) / 64.0, np.linspace(0.0, 1.0, 300)
         want = whole_lattice_residuals(fam, tr, x, t, with_at=True)
         assert want[0][:2] == (0.0, 0.0)
-        assert want[1][:2] == ((t[6], x[8]), (t[6], x[8]))
+        assert want[1][:2] == ((t[0], x[8]), (t[0], x[8]))
         monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
@@ -789,9 +813,9 @@ class TestParallelWalk:
     def test_working_memory_is_bounded_by_the_block_budget(self,
                                                            monkeypatch):
         # on one process the walk's traced peak is a fixed multiple of the
-        # block budget, 19.0 x _BLOCK_POINTS doubles here; the bound sits
-        # below the 25.1 x of a walk that allocates a temporary per
-        # operation or keeps a block's fields while making the next's
+        # block budget, 19.3 x _BLOCK_POINTS doubles here; the bound sits
+        # below the 25.3 x of a walk that keeps a block's three complex
+        # fields while making the next's
         fam = elliptic_family(1)
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
@@ -812,13 +836,13 @@ class TestParallelWalk:
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
         sample = transform._lattice_fields
-        d, e = transform.STENCIL_DEPTH, transform.TIME_DEPTH
+        d = transform.STENCIL_DEPTH
         for workers in (1, 2):
             # each strip samples its interior columns and two 2d halos
             budget = transform._BLOCK_POINTS // (2560 - 4 * d + 4 * d * workers)
 
             def spy(stretch, xs, chi, *rest, budget=budget):
-                rows = len(chi) - 2 * e  # less the block's t halo
+                rows = len(chi)
                 if rows > budget:
                     raise AssertionError(f"a block of {rows} rows, "
                                          f"{budget} allowed")
@@ -828,3 +852,25 @@ class TestParallelWalk:
             monkeypatch.setattr(transform, "_lattice_fields", spy)
             r = verify_constraints(fam, tr, x, t)
             assert r.workers == workers and len(forked) == workers - 1
+
+    def test_each_row_is_sampled_once(self, monkeypatch):
+        # no t halo: across a strip's blocks the fields are formed at
+        # exactly the strip's sampled columns times the lattice's rows,
+        # each row once and in order, at t + ih
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 1000)
+        sample, blocks = transform._lattice_fields, []
+
+        def spy(stretch, xs, chi, *rest):
+            blocks.append((len(xs), chi.copy()))
+            return sample(stretch, xs, chi, *rest)
+
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(transform, "_lattice_fields", spy)
+        verify_constraints(fam, tr, x, t)
+        assert len(blocks) > 2
+        assert sum(c * len(chi) for c, chi in blocks) == len(x) * len(t)
+        rows = np.concatenate([chi for _, chi in blocks])
+        assert rows.tobytes() == tr._evaluate(
+            t + 1j * transform._COMPLEX_STEP)[0].tobytes()
