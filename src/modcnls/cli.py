@@ -40,9 +40,8 @@ from .modulation import DRIVES, mathieu_trace
 from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
                          stability_verdict)
-from .transform import (STENCIL_DEPTH, STENCIL_DT, CoefficientSampler,
-                        constraint_window, potential_identity_check,
-                        verify_constraints)
+from .transform import (CoefficientSampler, constraint_window,
+                        potential_identity_check, verify_constraints)
 
 
 # one row per option; name is the flag and config-file spelling where it is
@@ -300,9 +299,6 @@ def _constraint_lattice(family, t_end):
 # family's periodic-drive width (1.733; 1.482 for the two-tone width)
 _POTENTIAL_XI = {"elliptic": 5.75, "sech": 11.5, "dark_bright": 10.0}
 
-# pde_residual's time stencil, at its default step, reaches STENCIL_DEPTH
-# steps to either side of a time it checks
-_STENCIL_REACH = STENCIL_DEPTH * STENCIL_DT
 _PDE_FROM = 0.05  # the earliest pde_residual time, so the least horizon
 
 # each suite of verify passes only on value <= its threshold, so NaN fails
@@ -315,8 +311,9 @@ def verify(family, trace, grid, t_end, seed, corrupt_rho=0.0,
     """The report of the three suites over [0, t_end] against GATES: the
     constraint walk on _constraint_lattice, the trap identity at five times
     and the full equations on grid at five seeded times in [_PDE_FROM,
-    t_end], a t_end below _PDE_FROM refused.  trace must reach
-    t_end + _STENCIL_REACH; ready() runs before the first suite."""
+    t_end], a t_end below _PDE_FROM refused.  Every time derivative is a
+    complex step, so trace need only reach t_end; ready() runs before the
+    first suite."""
     if not t_end >= _PDE_FROM:
         raise ValidationError(
             f"verify: t_end = {t_end!r} is below {_PDE_FROM}, the earliest "
@@ -336,7 +333,7 @@ def verify(family, trace, grid, t_end, seed, corrupt_rho=0.0,
     # the trap identity is checked on x = chi(t) xi, so the lattice
     # narrows with the fields and resolves them at any chi(t)
     xi = np.linspace(-1.0, 1.0, 768) * _POTENTIAL_XI[family.kind]
-    t_pots = np.linspace(_STENCIL_REACH, t_end, 5)
+    t_pots = np.linspace(0.0, t_end, 5)
     gaps = np.array([potential_identity_check(family, trace,
                                               trace.chi_at(t) * xi, t)
                      for t in t_pots])
@@ -375,9 +372,7 @@ def verify(family, trace, grid, t_end, seed, corrupt_rho=0.0,
                          "threshold": GATES["pde_residual"],
                          "t1": times[at[0]], "t2": times[at[1]]},
         "timing": dict(zip(("constraints_s", "potential_identity_s",
-                            "pde_residual_s"), np.diff(clock).tolist()),
-                       constraint_workers=residuals.workers,
-                       constraint_strip_s=residuals.strip_s),
+                            "pde_residual_s"), np.diff(clock).tolist())),
         "failures": failures,
         "pass": not failures,
     }
@@ -387,7 +382,7 @@ def cmd_verify(cfg):
     family = _family_from(cfg)
     grid = _grid_from(cfg, family, "residual")
     start = time.perf_counter()
-    trace = _trace_from(cfg, family, cfg["t_end"] + _STENCIL_REACH)
+    trace = _trace_from(cfg, family, cfg["t_end"])
     trace_s = time.perf_counter() - start
     report = verify(family, trace, grid, cfg["t_end"], cfg["seed"],
                     cfg["corrupt_rho"], ready=lambda: _prepare_out(cfg))

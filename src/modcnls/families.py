@@ -113,13 +113,14 @@ def amplitude_a0(n=1):
 
 
 def _sech(z):
-    e = np.exp(-np.abs(z))
+    e = np.exp(np.where(z.real < 0, z, -z))  # exp(-|z|) on the branch of Re z
     return 2.0 * e / (1.0 + e * e)
 
 
 def reduced_amplitudes(family: FamilySpec, zeta):
-    """A_1, A_2 on the reduced coordinate; see the family table above."""
-    zeta = np.asarray(zeta, dtype=float)
+    """A_1, A_2 on the reduced coordinate; see the family table above.
+    Complex zeta is taken on the branch of Re zeta."""
+    zeta = np.asarray(zeta, dtype=complex if np.iscomplexobj(zeta) else float)
     if family.kind == "elliptic":
         a0 = amplitude_a0(family.n)
         sn, _, dn = jacobi_elliptic(a0 * zeta, _ELLIPTIC_MODULUS)
@@ -163,10 +164,11 @@ def elliptic_envelope(xi, chi, n=1):
     (within 4e-15 of max |rho A_1| against mpmath for n = 1, 2, 3).  For
     n >= 2, delta still passes the interior zeros of sn (delta = 2K), and
     there sn(delta) is accurate to about ulp(2K) absolutely, not
-    relatively.  chi is a scalar or an array that broadcasts against xi.
+    relatively.  chi is a scalar or an array that broadcasts against xi;
+    complex xi and chi are taken on the branch of Re xi.
     """
-    xi = np.asarray(xi, dtype=float)
-    ax = np.abs(xi)
+    xi = np.asarray(xi, dtype=complex if np.iscomplexobj(xi) else float)
+    ax = np.where(xi.real < 0, -xi, xi)
     a0 = amplitude_a0(n)
     half = 0.5 * a0 * _SQRT_PI
     # sn(delta)/delta and dn(delta) are 1 to rounding long before 1e-290;
@@ -177,7 +179,26 @@ def elliptic_envelope(xi, chi, n=1):
         (a0 / _SQRT2) * half * np.exp(-0.5 * xi * xi) * erfcx(ax)
         / np.sqrt(chi) * (sn / delta) / dn
     )
-    return env if n % 2 else np.where(xi > 0, -env, env)
+    return env if n % 2 else np.where(xi.real > 0, -env, env)
+
+
+def amplitudes_and_phase(family: FamilySpec, x, chi, dchi, a):
+    """The real amplitudes R_1, R_2 and the phase eta of
+    psi_j = R_j e^{i eta} on the grid x, from the width values chi, chi'
+    and a (scalars, or columns that give one row per time).
+
+    Complex width values, those of a complex t, continue every field
+    analytically on the branch of Re xi, so Im R_j(t + ih) / h and
+    Im eta(t + ih) / h are the time derivatives of R_j and eta.
+    """
+    xi = x / chi
+    eta = eta_of(x, chi, dchi, a)
+    if family.kind == "elliptic":
+        r1 = elliptic_envelope(xi, chi, family.n)
+        return r1, r1 / _SQRT2, eta
+    rho = rho_of(family.stretch, x, chi)
+    a1, a2 = reduced_amplitudes(family, zeta_of(family.stretch, x, chi))
+    return rho * a1, rho * a2, eta
 
 
 def _fields(family: FamilySpec, trace: ModulationTrace, x, t):
@@ -185,17 +206,11 @@ def _fields(family: FamilySpec, trace: ModulationTrace, x, t):
     shape (nt, 1), which gives one row per time.  Every operation acts
     elementwise, so each row is the float-t result bit for bit."""
     chi, dchi, _, a, _ = trace.at(t)
-    xi = x / chi
-    phase = np.exp(1j * eta_of(x, chi, dchi, a))
-
-    if family.kind == "elliptic":
-        psi1 = elliptic_envelope(xi, chi, family.n) * phase
-        return psi1, psi1 / _SQRT2
-
-    rho = rho_of(family.stretch, x, chi)
-    zeta = zeta_of(family.stretch, x, chi)
-    a1, a2 = reduced_amplitudes(family, zeta)
-    return rho * a1 * phase, rho * a2 * phase
+    r1, r2, eta = amplitudes_and_phase(family, x, chi, dchi, a)
+    phase = np.exp(1j * eta)
+    psi1 = r1 * phase
+    # the elliptic pair's psi_2 has always been psi_1 / sqrt2, these bits
+    return psi1, psi1 / _SQRT2 if family.kind == "elliptic" else r2 * phase
 
 
 def assemble(family: FamilySpec, trace: ModulationTrace, x, t) -> FieldPair:

@@ -82,8 +82,11 @@ def drive_f(t, epsilon, omega0):
 
 
 def _scalar(out):
-    """A 0-d result as a float, an array as it is."""
-    return out if getattr(out, "ndim", 0) else float(out)
+    """A 0-d result as a float, or a complex if it is one (numpy's complex
+    scalars are Python complexes); an array as it is."""
+    if getattr(out, "ndim", 0):
+        return out
+    return complex(out) if isinstance(out, complex) else float(out)
 
 
 def _closed_form(t):
@@ -278,6 +281,10 @@ class ModulationTrace:
         integrated trace's window: at's evaluation, the complex steps'."""
         if not isinstance(t, float) or self.path is not None:
             t = np.array(t, dtype=complex if np.iscomplexobj(t) else float)
+            if t.ndim == 0 and t.dtype == complex:
+                # numpy rounds a product of complex scalars apart from its
+                # array loops, so a complex scalar is a one-element array
+                return tuple(v[0] for v in self._evaluate(t[None]))
         if self.path is None:  # the analytic widths extend to all t
             return self.width(t)  # a float t stays a float
         lo, hi = float(self.path.times[0]), float(self.path.times[-1])

@@ -3,9 +3,9 @@
 usable_cpus is the package's one rule for how many CPUs that is: the
 process's CPU affinity, else os.cpu_count().  forked_map is the package's
 one way to use them: propagate steps its ensemble's shares of members, the
-constraint walk its column strips and the dump writers their blocks of rows
-on one process per usable CPU, as worker_count sizes them.  Nothing in the
-package starts a thread.
+solution command writes its snapshots and the dump writers render their
+blocks of rows on one process per usable CPU, as worker_count sizes them.
+Nothing in the package starts a thread.
 """
 
 import contextlib

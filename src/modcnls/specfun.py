@@ -2,9 +2,9 @@
 elliptic integral of the first kind, and the Jacobi elliptic functions.
 
 No scipy.  Everything accepts floats or numpy arrays and returns the same
-kind.  erf and erfi also take complex x in their analytic kernels, so the
-complex step Im f(x + ih) / h is f'(x); erfc, erfcx and jacobi_elliptic
-refuse it.  Algorithms:
+kind.  Every function of x also takes complex x, on the branch of Re x,
+in its analytic kernel, so the complex step Im f(x + ih) / h is f'(x).
+Algorithms:
 
 * erf / erfc / erfcx: one kernel, Cody's rational Chebyshev
   approximations (Math. Comp. 23, 1969) on three ranges of |Re x|.  On
@@ -39,9 +39,7 @@ class EllipticTriple(NamedTuple):
     dn: object
 
 
-def _prepare(x, name, complex_ok=False):
-    if np.iscomplexobj(x) and not complex_ok:
-        raise TypeError(f"{name}: complex input is not supported")
+def _prepare(x, name):
     arr = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite input")
@@ -169,7 +167,7 @@ def _unscale(scaled, y, kind):
 def erf(x):
     """Error function, odd by construction, +/-1 to machine precision for
     |x| > 6; complex x is taken on the branch of Re x."""
-    arr, scalar = _prepare(x, "erf", complex_ok=True)
+    arr, scalar = _prepare(x, "erf")
     out = _cody(arr, "erf")
     np.negative(out, out=out, where=arr.real < 0)
     return _finish(out, scalar)
@@ -178,10 +176,10 @@ def erf(x):
 def erfc(x):
     """Complement 1 - erf(x), computed directly in the tail (no subtraction
     of nearly equal quantities for x > 0.46875); underflows to 0 past
-    x ~ 27."""
+    x ~ 27; complex x is taken on the branch of Re x."""
     arr, scalar = _prepare(x, "erfc")
     out = _cody(arr, "erfc")
-    neg = arr < 0
+    neg = arr.real < 0
     out[neg] = 2.0 - out[neg]
     return _finish(out, scalar)
 
@@ -189,10 +187,10 @@ def erfc(x):
 def erfcx(x):
     """Scaled complement exp(x^2) erfc(x).  Decays like 1/(x sqrt(pi)) for
     large positive x; overflows to +inf for x < -26.6 or so, where
-    exp(x^2) itself overflows."""
+    exp(x^2) itself overflows; complex x is taken on the branch of Re x."""
     arr, scalar = _prepare(x, "erfcx")
     out = _cody(arr, "erfcx")
-    neg = arr < 0
+    neg = arr.real < 0
     if neg.any():
         out[neg] = 2.0 * _exp_sq(-arr[neg], 1.0) - out[neg]
     return _finish(out, scalar)
@@ -203,7 +201,7 @@ def erfi(x):
 
     For real x all series terms share one sign, so the sum is perfectly
     conditioned; the result overflows to +/-inf once exp(Re x^2) would."""
-    arr, scalar = _prepare(x, "erfi", complex_ok=True)
+    arr, scalar = _prepare(x, "erfi")
     ax = np.where(arr.real < 0, -arr, arr)
     out = np.empty_like(ax)
     over = ax.real * ax.real > _EXP_OVERFLOW
@@ -254,10 +252,11 @@ def _agm_ladder(k):
 
 
 def jacobi_elliptic(u, k):
-    """Jacobi sn, cn, dn at real argument u and scalar modulus k in [0, 1].
+    """Jacobi sn, cn, dn at argument u and scalar modulus k in [0, 1].
 
     Uses the descending AGM phase recurrence with argument reduction modulo
     the full period 4K; exact circular (k=0) and hyperbolic (k=1) limits.
+    Complex u is taken on the branch of Re u, reduced by Re u's period.
     """
     arr, scalar = _prepare(u, "jacobi_elliptic")
     k = float(k)
@@ -267,7 +266,7 @@ def jacobi_elliptic(u, k):
         sn, cn, dn = np.sin(arr), np.cos(arr), np.ones_like(arr)
         return EllipticTriple(_finish(sn, scalar), _finish(cn, scalar), _finish(dn, scalar))
     if k > 1.0 - 1e-12:
-        e = np.exp(-np.abs(arr))
+        e = np.exp(np.where(arr.real < 0, arr, -arr))  # exp(-|u|)
         sech = 2.0 * e / (1.0 + e * e)
         sn, cn, dn = np.tanh(arr), sech, sech.copy()
         return EllipticTriple(_finish(sn, scalar), _finish(cn, scalar), _finish(dn, scalar))
@@ -275,7 +274,7 @@ def jacobi_elliptic(u, k):
     a_list, c_list = _agm_ladder(k)
     n_stages = len(a_list) - 1
     period = 2.0 * np.pi / a_list[-1]  # 4K
-    u_red = arr - period * np.round(arr / period)
+    u_red = arr - period * np.round(arr.real / period)
 
     phi = (2.0**n_stages) * a_list[n_stages] * u_red
     for n in range(n_stages, 0, -1):

@@ -21,18 +21,17 @@ and fixes the trap and couplings as
 Everything here is closed-form in (xi, chi, chi', chi'', a'), and
 CoefficientSampler is the one production path to the traps and couplings.
 verify_constraints recomputes the three constraints on a space-time
-lattice as an independent check: x derivatives by finite differences, time
+lattice as an independent check, walked in row blocks in the calling
+process: x derivatives by finite differences, time
 derivatives exact to rounding as the complex step Im f(t + ih) / h of the
 fields at complex t (Squire & Trapp, SIAM Rev. 40, 110, 1998).
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import LatticeTooCoarseError, ValidationError
 from .modulation import drive_f
 from .specfun import erf, erfi
@@ -40,19 +39,14 @@ from .specfun import erf, erfi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
-# lattice points in flight in verify_constraints, all strips together: a
-# strip's block, ~200 kB a complex field, and its buffers fit a 2 MiB L2.
-# The default elliptic and sech quasiperiodic walks (2-core shared host, 2
-# CPUs, medians of 15) took 0.029, 0.032 s; 0.032, 0.038 s at 50,000
+# lattice points in a verify_constraints block: a block, ~200 kB a complex
+# field, and its buffers fit a 2 MiB L2
 _BLOCK_POINTS = 25_000
-_MIN_STRIP_COLUMNS = 128  # interior columns per verify_constraints strip
 # neighbours on each side that interior_diff and every x stencil read; the
-# x halos and trims follow from it
+# trims of the x stencils follow from it
 STENCIL_DEPTH = 4
-# default time step of pde_residual's time stencil
-STENCIL_DT = 1e-4
 # h of the complex steps; h^2 is far below an ulp, so Re f(t + ih) = f(t)
-_COMPLEX_STEP = 1e-30
+COMPLEX_STEP = 1e-30
 
 STRETCH_KINDS = ("gaussian", "inverse_gaussian", "flat_bump")
 
@@ -288,38 +282,56 @@ class ConstraintResiduals:
     continuity: float      # rho rho_t + (rho^2 eta_x)_x
     advection: float       # zeta_t + 2 eta_x zeta_x
     flux: float            # (rho^2 zeta_x)_x
-    # column strips, run in parallel unless forked_map runs in-process:
-    # threads running, the caller itself a worker, or no fork
-    workers: int = 1
-    at: tuple = ()  # the lattice (t, x) of each maximum, as _walk_strip's
-    strip_s: tuple = ()  # each strip's own walk time, the caller's first
+    at: tuple = ()  # the lattice (t, x) of each maximum
 
 
-def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
-    """Worst residuals over interior columns c0:c1, walked in row blocks,
-    the lattice (t, x) of each and the strip's own walk time.
+def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
+    """Residuals of the three transform constraints on the lattice x by t.
 
-    width holds chi, chi', a at every t + ih, h = _COMPLEX_STEP, so the
+    x must be uniform, at least 256 points, and t at least one time; the
+    residuals are maximized over constraint_window(x, t): every t, and x
+    less the 2 * STENCIL_DEPTH points two x stencils consume at each edge.
+    As rho_t and zeta_t are exact to rounding, the rows need only cover the
+    horizon.  A non-finite residual in there makes that maximum NaN.
+    corrupt_rho multiplies the envelope by (1 + corrupt_rho * x), a
+    deliberate defect that shows the check has teeth.
+
+    The width is sampled once, at every t + ih, h = COMPLEX_STEP, so the
     fields' real parts are their values at t and their imaginary parts
-    over h are rho_t and zeta_t.  The x derivatives are eighth order, in
-    place on a block of r rows of c columns as flat runs of r c values in
-    six buffers made once per strip; the 2 * STENCIL_DEPTH values per row
-    that an x stencil takes across two rows lie in columns nothing reads.
-    Only a block that raises a maximum takes an argmax, so a tie keeps the
-    earliest (t, x) and a NaN beats any value.
+    over h are rho_t and zeta_t.  The lattice is walked in blocks of whole
+    rows, at most _BLOCK_POINTS points each, in the calling process.  The
+    x derivatives are eighth order, in place on a block of r rows of c
+    columns as flat runs of r c values in six buffers made once; the
+    2 * STENCIL_DEPTH values per row that an x stencil takes across two
+    rows lie in columns nothing reads.  Only a block that raises a maximum
+    takes an argmax, so each (t, x) is a row-major argmax's over the
+    interior: a tie keeps the earliest t, then the smallest x, and a NaN
+    beats any value.
     """
-    start = time.perf_counter()
-    d, h, hx = STENCIL_DEPTH, _COMPLEX_STEP, float(x[1] - x[0])
-    xs = x[c0 - 2 * d:c1 + 2 * d]  # two x stencils in a row reach 2d out
-    c = len(xs)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not math.isfinite(corrupt_rho):
+        raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
+                         f"got {corrupt_rho}")
+    if len(x) < 256 or len(t) < 1:
+        raise LatticeTooCoarseError(f"constraint lattice {len(x)} x {len(t)} "
+                                    f"below the 256 x 1 floor")
+    hx = np.diff(x)
+    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0]:
+        raise ValueError("verify_constraints: the x lattice must be uniform")
+    envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
+
+    d, h, hx, c = STENCIL_DEPTH, COMPLEX_STEP, float(hx[0]), len(x)
+    rows = max(1, _BLOCK_POINTS // c)
+    chi, dchi, _, a = trace._evaluate(t + 1j * h)
     rate, eta_x, rho2, zeta_x, prod, work = np.empty((6, rows * c))
     worst, at = np.full(3, -np.inf), [None] * 3
 
     def block(r0, r1):  # a function: its fields go before the next's come
-        rho, eta, zeta = _lattice_fields(stretch, xs,
-                                         *(w[r0:r1] for w in width))
+        rho, eta, zeta = _lattice_fields(family.stretch, x,
+                                         *(w[r0:r1] for w in (chi, dchi, a)))
         if envelope is not None:
-            rho *= envelope[c0 - 2 * d:c1 + 2 * d]
+            rho *= envelope
         rho, eta, zeta = rho.ravel(), eta.ravel().real, zeta.ravel()
         rho_re, rho_im, n = rho.real, rho.imag, (r1 - r0) * c
         # the first x stencils fill [d, n - d), all that reads them [2d, n - 2d)
@@ -345,67 +357,11 @@ def _walk_strip(stretch, x, t, width, envelope, rows, c0, c1):
             if m > worst[i] or (np.isnan(m) and not np.isnan(worst[i])):
                 worst[i] = m
                 row, col = divmod(int(np.argmax(residual)), c - 4 * d)
-                at[i] = (float(t[r0 + row]), float(x[c0 + col]))
+                at[i] = (float(t[r0 + row]), float(x[2 * d + col]))
 
     for r0 in range(0, len(t), rows):
         block(r0, min(r0 + rows, len(t)))
-    return worst, at, time.perf_counter() - start
-
-
-def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
-    """Residuals of the three transform constraints on the lattice x by t.
-
-    x must be uniform, at least 256 points, and t at least one time; the
-    residuals are maximized over constraint_window(x, t): every t, and x
-    less the 2 * STENCIL_DEPTH points two x stencils consume at each edge.
-    As rho_t and zeta_t are exact to rounding, the rows need only cover the
-    horizon.  A non-finite residual in there makes that maximum NaN.
-    corrupt_rho multiplies the envelope by (1 + corrupt_rho * x), a
-    deliberate defect that shows the check has teeth.
-
-    The interior columns are split into parallel.worker_count strips, at
-    least _MIN_STRIP_COLUMNS wide, run through parallel.forked_map: the
-    caller walks the first, forked processes the others (or the caller
-    all, where forked_map runs in-process).  A strip is walked in blocks of
-    rows with a 2 * STENCIL_DEPTH-column x halo, all strips' blocks holding
-    at most _BLOCK_POINTS points.  The caller samples the width once, at
-    every t + ih, before any fork.  Each residual and its (t, x), a
-    row-major argmax's over the interior, is the whole-lattice value bit
-    for bit: the elementwise maximum over strips.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not math.isfinite(corrupt_rho):
-        raise ValueError(f"verify_constraints: corrupt_rho must be finite, "
-                         f"got {corrupt_rho}")
-    if len(x) < 256 or len(t) < 1:
-        raise LatticeTooCoarseError(f"constraint lattice {len(x)} x {len(t)} "
-                                    f"below the 256 x 1 floor")
-    hx = np.diff(x)
-    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0]:
-        raise ValueError("verify_constraints: the x lattice must be uniform")
-    envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
-
-    halo = 2 * STENCIL_DEPTH
-    columns = len(x) - 2 * halo
-    workers = parallel.worker_count(columns // _MIN_STRIP_COLUMNS,
-                                    len(x) * len(t))
-    edges = [halo + columns * k // workers for k in range(workers + 1)]
-    # the strips' blocks span columns + 2 * halo * workers sampled columns
-    rows = max(1, _BLOCK_POINTS // (columns + 2 * halo * workers))
-    # the width is sampled once, here, and every strip reads its rows
-    chi, dchi, _, a = trace._evaluate(t + 1j * _COMPLEX_STEP)
-    args = (family.stretch, x, t, (chi, dchi, a), envelope, rows)
-    with parallel.forked_map(lambda strip: _walk_strip(*args, *strip),
-                             zip(edges, edges[1:]), workers,
-                             "verify_constraints") as strips:
-        strips = list(strips)
-    worst = np.max([w for w, _, _ in strips], axis=0)  # np.max keeps a NaN
-    # the earliest (t, x) of the strips at the maximum; a NaN one's if NaN
-    at = tuple(min(a[i] for w, a, _ in strips
-                   if w[i] == worst[i] or np.isnan(w[i])) for i in range(3))
-    return ConstraintResiduals(*(float(w) for w in worst), workers=workers,
-                               at=at, strip_s=tuple(s for *_, s in strips))
+    return ConstraintResiduals(*(float(w) for w in worst), at=tuple(at))
 
 
 def potential_identity_check(family, trace, x, t):
@@ -418,7 +374,7 @@ def potential_identity_check(family, trace, x, t):
     """
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
-    chi, dchi, _, a = trace._evaluate(np.array([t + 1j * _COMPLEX_STEP]))
+    chi, dchi, _, a = trace._evaluate(np.array([t + 1j * COMPLEX_STEP]))
     rho, eta, zeta = (f[0] for f in _lattice_fields(family.stretch, x, chi,
                                                     dchi, a))
     hx = float(x[1] - x[0])
@@ -427,7 +383,7 @@ def potential_identity_check(family, trace, x, t):
     rho_xx = interior_diff(rho.real, hx, axis=0, order=2)
     eta_x = interior_diff(eta.real, hx, axis=0)
     zeta_x = interior_diff(zeta.real, hx, axis=0)
-    eta_t = eta.imag[inner] / _COMPLEX_STEP
+    eta_t = eta.imag[inner] / COMPLEX_STEP
 
     base = rho_xx / rho.real[inner] - eta_t - eta_x**2
     v_fd = np.stack([base - mu_j * zeta_x**2 for mu_j in family.mu])

@@ -10,6 +10,7 @@ of chi under rescaling the second solution.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,31 @@ class TestComplexStepEntry:
         if tr.path is not None:  # z1 and z2 stepped apart keep their bits
             assert chi.real.tobytes() == w.chi.tobytes()
             assert a.real.tobytes() == w.a.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: mathieu_trace("quasiperiodic", 2.0),
+        lambda: mathieu_trace("periodic", 2.0),
+        closed_form_trace,
+        lambda: explicit_trace(0.3, 0.2),
+    ], ids=["mathieu", "mathieu-periodic", "closed_form", "two_tone"])
+    def test_complex_scalar_t_gives_the_array_element(self, make):
+        # a 0-d complex t stays complex and is evaluated as a one-element
+        # array, so each value is that array's element bit for bit, also
+        # where numpy's complex scalar products would round apart
+        tr = make()
+        times = np.random.default_rng(21).uniform(0.0, 2.0, 60)
+        for t in np.concatenate([[0.0, 2.0], times]).tolist():
+            z = t + 1j * self.H
+            for got, want in zip(tr._evaluate(z), tr._evaluate(np.array([z]))):
+                assert np.iscomplexobj(got) and same_bits([got], want), t
+
+    def test_drive_keeps_a_complex_scalar(self):
+        t = 0.3 + 1j * self.H
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning included
+            got = drive_f(t, 0.5, 1.0)
+        assert isinstance(got, complex) and got.imag < 0
+        assert same_bits([got], drive_f(np.array([t]), 0.5, 1.0))
 
     def test_window_is_checked_on_the_real_part(self):
         tr = mathieu_trace("periodic", 2.0, dt=1e-3)

@@ -95,17 +95,16 @@ def test_traced_dump_in_forked_workers(tmp_path, monkeypatch):
 
 
 def traced_verify(tmp_path):
-    # the constraint walk on _constraint_lattice's lattice; the erf count
-    # is only checked for being nonzero, as the strips that forked workers
-    # walk are counted in the workers
+    # the constraint walk on _constraint_lattice's lattice, in the calling
+    # process, so its erf calls see every lattice point
     metrics = traced_metrics(
         ["verify", "--family", "elliptic", "--drive", "periodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
     family = elliptic_family(1)
     x, t = modcnls.cli._constraint_lattice(family, 1.0)
     assert metrics["transform.lattice_points"] == len(x) * len(t)
-    for name in ("specfun.erf_points", "transform.constraints_s",
-                 "modulation.query_points"):
+    assert metrics["specfun.erf_points"] >= len(x) * len(t)
+    for name in ("transform.constraints_s", "modulation.query_points"):
         assert metrics[name] > 0, name
 
 
@@ -114,11 +113,11 @@ def test_traced_verify_counts_its_layers(tmp_path):
 
 
 def test_traced_verify_in_forked_workers(tmp_path, monkeypatch):
-    # the caller's strip still counts while a worker walks the other
+    # with every forked_map given two processes, verify still forks
+    # nothing, and its counts are whole
     forked = force_workers(monkeypatch, 2)
     traced_verify(tmp_path)
-    assert len(forked) == 1  # the walk's one worker
-    assert_reaped(forked)
+    assert forked == []
 
 
 def test_traced_mathieu_trace_counts_its_rows(tmp_path):
@@ -133,9 +132,9 @@ def test_traced_mathieu_trace_counts_its_rows(tmp_path):
 
 
 def test_traced_quasiperiodic_verify_counts_its_path_steps(tmp_path):
-    # verify builds one width, over t_end and the 4 steps of 1e-4 its time
-    # stencils reach past it, and the tracer counts that path's steps
+    # verify builds one width, to t_end, as its time derivatives are
+    # complex steps, and the tracer counts that path's steps
     metrics = traced_metrics(
         ["verify", "--family", "elliptic", "--drive", "quasiperiodic",
          "--t-end", "1", "--out", str(tmp_path / "v")])
-    assert metrics["modulation.mathieu_steps"] == 10_004
+    assert metrics["modulation.mathieu_steps"] == 10_000

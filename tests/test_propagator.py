@@ -11,7 +11,8 @@ import pytest
 
 from modcnls.errors import (DarkBackgroundError, DivergenceError,
                             ValidationError)
-from modcnls.families import (assemble, dark_bright_family, default_grid,
+from modcnls.families import (amplitudes_and_phase, assemble,
+                              dark_bright_family, default_grid,
                               default_trace, elliptic_family, sech_family,
                               FieldPair)
 from modcnls.grid import SpatialGrid
@@ -19,8 +20,8 @@ from modcnls.propagator import (DiagnosticsTrace, PropagationConfig,
                                 pde_residual, perturb, propagate,
                                 stability_verdict, step)
 from modcnls import parallel, propagator
-from modcnls.transform import (STENCIL_DEPTH, CoefficientSampler,
-                               interior_diff)
+from modcnls.transform import (COMPLEX_STEP, STENCIL_DEPTH,
+                               CoefficientSampler, interior_diff)
 
 from coefficient_helpers import ConstantCoefficients
 from worker_helpers import assert_reaped, force_workers, spy_forks
@@ -707,8 +708,9 @@ class TestStabilityVerdict:
 
 
 def nine_assemble_residual(family, grid, t, trace, dt=1e-4):
-    """Oracle: the full-equation residual with one assemble call per time
-    level, the form pde_residual replaced by one assemble_rows call."""
+    """Oracle: the full-equation residual with psi_t an eighth-order
+    difference of one assemble call per time level, independent of the
+    complex step pde_residual takes."""
     x = grid.x
     sampler = CoefficientSampler(family, trace)
     v = sampler.potential(x, t)
@@ -766,11 +768,12 @@ class TestPdeResidual:
         tr = default_trace(fam, drive="periodic", t_end=1.01)
         grid = default_grid(fam, "residual")
 
-        def zero_rows(family, trace, x, times):
-            z = np.zeros((len(times), len(x)), dtype=complex)
-            return z, z
+        def zero_amplitudes(family, x, chi, dchi, a):
+            z = np.zeros(len(x), dtype=complex)
+            return z, z, z
 
-        monkeypatch.setattr("modcnls.propagator.assemble_rows", zero_rows)
+        monkeypatch.setattr(propagator, "amplitudes_and_phase",
+                            zero_amplitudes)
         assert pde_residual(fam, grid, 0.5, tr) == (0.0, 0.0)
 
     @pytest.mark.parametrize("kind, drive, t", [
@@ -780,40 +783,60 @@ class TestPdeResidual:
         ("sech", "quasiperiodic", 2.2),
         ("dark_bright", "periodic", 1.0),
     ])
-    def test_matches_one_assemble_per_level(self, kind, drive, t):
-        # default_trace gives the dark-bright pair its two-tone width
+    def test_complex_step_agrees_with_nine_level_differences(self, kind,
+                                                             drive, t):
+        # the independent cross-check of psi_t: an eighth-order difference
+        # over dt = 1e-4 rounds to some 100 ulp of the fields over dt, up
+        # to 2.8e-11 here, so the two time derivatives, and with them the
+        # two residuals, agree within 5e-11, far below the 1e-4 gate
         fam = {"elliptic": elliptic_family(), "sech": sech_family(),
                "dark_bright": dark_bright_family(0.5)}[kind]
         tr = default_trace(fam, drive=drive, t_end=2.51)
         grid = default_grid(fam, "residual", drive=drive)
+        x, d = grid.x, STENCIL_DEPTH
+        chi, dchi, _, a = tr._evaluate(t + 1j * COMPLEX_STEP)
+        *amplitudes, eta = amplitudes_and_phase(fam, x, chi, dchi, a)
+        levels = [assemble(fam, tr, x, t + k * 1e-4) for k in range(-d, d + 1)]
+        for j, r in enumerate(amplitudes):
+            step = ((r.imag + 1j * eta.imag * r.real) / COMPLEX_STEP
+                    * np.exp(1j * eta.real))
+            rows = np.stack([(lv.psi1, lv.psi2)[j] for lv in levels])
+            stencil = interior_diff(rows, 1e-4, axis=0)[0]
+            assert np.abs(step - stencil).max() <= 5e-11, (kind, j)
         got = pde_residual(fam, grid, t, tr)
         want = nine_assemble_residual(fam, grid, t, tr)
-        assert same_bits(got, want), (got, want)
+        assert got == pytest.approx(want, rel=0, abs=5e-11)
 
-    def test_one_block_assembly_per_call(self, monkeypatch):
+    def test_width_evaluated_once_at_t_plus_ih(self, monkeypatch):
+        # the fields and their time derivatives come from one complex
+        # evaluation of the width; only the couplings read it at real t
         fam = elliptic_family()
-        tr = default_trace(fam, drive="quasiperiodic", t_end=1.01)
+        good = default_trace(fam, drive="quasiperiodic", t_end=1.01)
         grid = default_grid(fam, "residual", drive="quasiperiodic")
-        rows, single = [], []
-        real = propagator.assemble_rows
+        calls = []
 
-        def spy_rows(family, trace, x, times):
-            rows.append(np.array(times))
-            return real(family, trace, x, times)
+        def width(t):
+            calls.append(np.array(t))
+            return good.width(t)
 
-        monkeypatch.setattr(propagator, "assemble_rows", spy_rows)
         monkeypatch.setattr(propagator, "assemble",
-                            lambda *a: single.append(a))
-        pde_residual(fam, grid, 0.5, tr)
-        assert single == [] and len(rows) == 1
-        assert same_bits(rows[0], 0.5 + 1e-4 * np.arange(-4, 5))
+                            lambda *a: pytest.fail("assemble called"))
+        monkeypatch.setattr(propagator, "assemble_rows",
+                            lambda *a: pytest.fail("assemble_rows called"))
+        pde_residual(fam, grid, 0.5, dataclasses.replace(good, width=width))
+        complex_calls = [c for c in calls if np.iscomplexobj(c)]
+        assert len(complex_calls) == 1
+        assert same_bits(complex_calls[0], np.array([0.5 + 1j * COMPLEX_STEP]))
 
-    def test_integrated_trace_needs_stencil_room(self):
+    def test_integrated_trace_answers_to_its_window(self):
+        # a complex step reaches no time but t itself, so t = 1e-5 is
+        # checked; past the end of the trace's path it is refused
         fam = elliptic_family()
         tr = default_trace(fam, drive="quasiperiodic", t_end=1.01)
         grid = default_grid(fam, "residual", drive="quasiperiodic")
-        with pytest.raises(ValidationError):
-            pde_residual(fam, grid, 1e-5, tr)
+        assert max(pde_residual(fam, grid, 1e-5, tr)) < 1e-8
+        with pytest.raises(ValidationError, match="outside its window"):
+            pde_residual(fam, grid, 1.02, tr)
 
 
 class TestConvergenceOrder:

@@ -8,8 +8,8 @@ Oracles used here, none of which share code with the implementation:
 * mpmath spot values for the erf family tails, and dense mpmath grids
   across the range breakpoints of the erf kernel (|x| = 0.46875 and 4).
 * scipy.special.ellipj for sn/cn/dn at the package's modulus 1/sqrt(2).
-* For the complex step, the closed-form derivatives of erf and erfi, and
-  scipy.special.erf and erfi off the real axis.
+* For the complex step, the closed-form derivatives of erf, erfc, erfcx,
+  erfi and sn/cn/dn, and scipy.special.erf and erfi off the real axis.
 """
 
 import math
@@ -25,6 +25,7 @@ from modcnls.modulation import closed_form_trace, mathieu_trace
 from modcnls.transform import StretchSpec
 from modcnls.specfun import (
     _agm_ladder,
+    _exp_sq,
     ellip_k,
     erf,
     erfc,
@@ -179,16 +180,22 @@ class TestErfFamily:
 
 
 class TestComplexArgument:
-    """erf and erfi take complex x in their analytic kernels, so the
-    complex step Im f(x + ih) / h is f'(x); what cannot take it says so."""
+    """Every function of x takes complex x in its analytic kernel, on the
+    branch of Re x, so the complex step Im f(x + ih) / h is f'(x); what
+    cannot take it says so."""
 
     H = 1e-30
 
-    @pytest.mark.parametrize("fn, half, slope", [
-        (erf, 6.0, lambda x: np.exp(-x * x)),
-        (erfi, 20.0, lambda x: np.exp(x * x)),
-    ], ids=["erf", "erfi"])
-    def test_complex_step_is_the_derivative(self, fn, half, slope):
+    @pytest.mark.parametrize("fn, half, slope, rtol", [
+        (erf, 6.0, lambda x: np.exp(-x * x), 1e-14),
+        (erfc, 6.0, lambda x: -np.exp(-x * x), 1e-14),
+        # erfcx' = 2x erfcx - 2/sqrt(pi), whose two terms cancel 20-fold
+        # near x = 4, so the oracle itself is good to 2e-14 there
+        (erfcx, 6.0, lambda x: math.sqrt(math.pi) * x * erfcx(x) - 1.0,
+         1e-13),
+        (erfi, 20.0, lambda x: np.exp(x * x), 1e-14),
+    ], ids=["erf", "erfc", "erfcx", "erfi"])
+    def test_complex_step_is_the_derivative(self, fn, half, slope, rtol):
         # across every range of the Cody kernel and the erfi series; the
         # real part is the real function's value to rounding (numpy divides
         # a complex by a real through a reciprocal, so not bit for bit)
@@ -196,8 +203,46 @@ class TestComplexArgument:
                             [0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0]])
         z = fn(x + 1j * self.H)
         want = 2.0 / math.sqrt(math.pi) * slope(x)
-        np.testing.assert_allclose(z.imag / self.H, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(z.imag / self.H, want, rtol=rtol, atol=0)
         np.testing.assert_allclose(z.real, fn(x), rtol=1e-14, atol=1e-300)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0 / math.sqrt(2.0), 1.0])
+    def test_jacobi_complex_step_is_the_derivative(self, k):
+        # sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn over three periods,
+        # the circular and hyperbolic limits included
+        u = np.linspace(-12.0, 12.0, 4001)
+        sn, cn, dn = jacobi_elliptic(u + 1j * self.H, k)
+        s, c, d = jacobi_elliptic(u, k)
+        for got, want in ((sn, c * d), (cn, -s * d), (dn, -k * k * s * c)):
+            np.testing.assert_allclose(got.imag / self.H, want, rtol=0,
+                                       atol=2e-15)
+        for got, want in ((sn, s), (cn, c), (dn, d)):
+            np.testing.assert_allclose(got.real, want, rtol=0, atol=1e-15)
+
+    def test_real_argument_keeps_the_real_kernels_bits(self):
+        # on 500,000 real points each function gives the bits of its form
+        # before it took complex x: erfc and erfcx fold x < 0 onto |x|,
+        # jacobi_elliptic reduces u by its own period, and its k = 1 limit
+        # is sech from exp(-|u|)
+        rng = np.random.default_rng(19)
+        x = np.concatenate([rng.uniform(-26.0, 26.0, 499_990),
+                            [0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0,
+                             26.0, -26.0, 1e-300, -1e-300]])
+        ax = np.abs(x)
+        c = erfc(ax)
+        assert erfc(x).tobytes() == np.where(x < 0, 2.0 - c, c).tobytes()
+        cx = erfcx(ax)
+        folded = np.where(x < 0, 2.0 * _exp_sq(ax, 1.0) - cx, cx)
+        assert erfcx(x).tobytes() == folded.tobytes()
+        k = 1.0 / math.sqrt(2.0)
+        for got, want in zip(jacobi_elliptic(x, k),
+                             jacobi_clipped_oracle(x, k)):
+            assert got.tobytes() == want.tobytes()
+        e = np.exp(-ax)
+        sech = 2.0 * e / (1.0 + e * e)
+        for got, want in zip(jacobi_elliptic(x, 1.0),
+                             (np.tanh(x), sech, sech)):
+            assert got.tobytes() == want.tobytes()
 
     def test_off_the_axis_against_scipy(self):
         rng = np.random.default_rng(16)
@@ -216,9 +261,12 @@ class TestComplexArgument:
         # zeta' = F' for the inverse-gaussian stretch, through erfi
         ("zeta", StretchSpec("inverse_gaussian", gamma=2.0).zeta,
          lambda x: math.exp(x * x / 12.0)),
-        ("erfc", erfc, None),
-        ("erfcx", erfcx, None),
-        ("jacobi_elliptic", lambda u: jacobi_elliptic(u, 0.5), None),
+        ("erfc", erfc,
+         lambda x: -2.0 / math.sqrt(math.pi) * math.exp(-x * x)),
+        ("erfcx", erfcx,
+         lambda x: 2.0 * x * float(erfcx(x)) - 2.0 / math.sqrt(math.pi)),
+        ("jacobi_elliptic", lambda u: jacobi_elliptic(u, 0.5).sn,
+         lambda u: float(np.prod(jacobi_elliptic(u, 0.5)[1:]))),
         ("ModulationTrace.at", lambda t: closed_form_trace().at(t), None),
         ("ModulationTrace.at",
          lambda t: mathieu_trace("quasiperiodic", 1.0).chi_at(t), None),

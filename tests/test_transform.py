@@ -28,7 +28,7 @@ from modcnls.families import (
 )
 from modcnls.modulation import (closed_form_trace, drive_f,
                                 explicit_trace, mathieu_trace)
-from modcnls import parallel, transform
+from modcnls import transform
 from modcnls.transform import (
     CoefficientSampler,
     StretchSpec,
@@ -43,7 +43,7 @@ from modcnls.transform import (
 
 from coefficient_helpers import (couplings_oracle, potential_oracle,
                                 worst_of)
-from worker_helpers import assert_reaped, force_workers, spy_forks
+from worker_helpers import force_workers
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -93,7 +93,7 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
     give these residuals bit for bit.  With differences, they are instead
     twelfth-order differences of the fields the public queries give at
     real t, independent of the complex step, over the core [6:-6, 8:-8]."""
-    h = transform._COMPLEX_STEP
+    h = transform.COMPLEX_STEP
     if differences:
         chi, dchi, a = (np.asarray(query(t))[:, None] for query in
                         (trace.chi_at, trace.dchi_dt_at, trace.a_at))
@@ -372,7 +372,7 @@ class TestLattice:
 
 class TestOneWidthEvaluation:
     """Each consumer of a trace evaluates its width once per call; the
-    constraint walk's once, on the calling process, is in TestParallelWalk."""
+    constraint walk's once, at every t + ih, is in TestOneProcessWalk."""
 
     @pytest.mark.parametrize("k", range(6))
     def test_each_consumer_evaluates_the_width_once(self, k):
@@ -497,8 +497,8 @@ class TestVerifyConstraints:
 
     @pytest.mark.parametrize("kind, drive, nx, nt, corrupt", [
         ("elliptic", "quasiperiodic", 640, 1001, 0.0),
-        ("elliptic", "periodic", 768, 1536, 0.01),
-        ("sech", "periodic", 512, 768, 0.0),
+        ("elliptic", "periodic", 768, 1537, 0.01),
+        ("sech", "periodic", 512, 769, 0.0),
         ("dark_bright", "periodic", 512, 512, 0.0),
     ])
     def test_blocked_walk_matches_whole_lattice(self, kind, drive, nx, nt,
@@ -509,15 +509,11 @@ class TestVerifyConstraints:
         half = 1.0 if kind == "elliptic" else 5.0
         x = np.linspace(-half, half, nx)
         t = np.linspace(0.0, 1.0, nt)
-        # the blocks of all strips hold at most _BLOCK_POINTS points: each
-        # strip samples its interior columns plus an 8-column halo per side
-        workers = parallel.worker_count(
-            (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
-        rows = transform._BLOCK_POINTS // (nx - 16 + 16 * workers)
+        # each block holds whole rows, at most _BLOCK_POINTS points
+        rows = transform._BLOCK_POINTS // nx
         # several blocks, the last one short
         assert nt > 2 * rows and nt % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
-        assert r.workers == workers
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
         assert (r.continuity, r.advection, r.flux) == want
 
@@ -530,9 +526,7 @@ class TestVerifyConstraints:
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1.0, 1.0, 400), np.linspace(0.0, 1.0, 700)
         monkeypatch.setattr(transform, "_BLOCK_POINTS", block_points)
-        workers = parallel.worker_count(
-            (400 - 16) // transform._MIN_STRIP_COLUMNS, 400 * 700)
-        rows = block_points // (400 - 16 + 16 * workers)
+        rows = block_points // 400
         # several blocks, the last one short
         assert 700 > 2 * rows and 700 % rows != 0
         r = verify_constraints(fam, tr, x, t, corrupt_rho=0.01)
@@ -638,79 +632,26 @@ class TestVerifyConstraints:
         assert worst_of(r) < 1e-4
 
 
-class TestParallelWalk:
-    """verify_constraints walks its column strips through forked_map: the
-    caller walks the first strip and forked processes the others, and
-    every residual must stay the whole-lattice value."""
+class TestOneProcessWalk:
+    """verify_constraints walks the whole lattice in row blocks in the
+    calling process; every residual and its (t, x) must stay the
+    whole-lattice value."""
 
-    @pytest.mark.parametrize("nx", [259, 643])
-    @pytest.mark.parametrize("corrupt", [0.0, 0.01])
-    def test_strips_match_whole_lattice(self, monkeypatch, nx, corrupt):
+    def test_forks_nothing_whatever_the_cpus(self, monkeypatch):
+        # the walk calls no forked_map, so no CPU count or job size that
+        # would fork there forks it
         fam = elliptic_family(1)
         tr = default_trace(fam, "quasiperiodic", 1.0)
-        x = np.linspace(-1.0, 1.0, nx)
-        t = np.linspace(0.0, 1.0, 1000)
-        want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt)
-        # strips of any width, so the 243 interior columns of nx = 259 split
-        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
-        for workers in (1, 2, 4):
-            forked = force_workers(monkeypatch, workers)
-            # strips of unequal width, each walked in several row blocks
-            assert workers == 1 or (nx - 16) % workers != 0
-            assert 2 * (transform._BLOCK_POINTS // (nx - 16 + 16 * workers)) < 1000
-            r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
-            assert r.workers == workers and len(forked) == workers - 1
-            assert (r.continuity, r.advection, r.flux) == want, workers
-            assert_reaped(forked)
-
-    def test_fresh_traces_on_more_workers_than_cpus(self, monkeypatch):
-        # each walk samples a fresh trace before its five strips fork; no
-        # walk may change a residual
-        fam = elliptic_family(1)
         x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 300)
-        want = whole_lattice_residuals(
-            fam, default_trace(fam, "quasiperiodic", 1.0), x, t)
-        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
-        forked = force_workers(monkeypatch, 5)
-        for _ in range(3):
-            tr = default_trace(fam, "quasiperiodic", 1.0)  # a fresh trace
-            r = verify_constraints(fam, tr, x, t)
-            assert (r.continuity, r.advection, r.flux) == want
-        assert r.workers == 5 and len(forked) == 3 * 4
+        want = whole_lattice_residuals(fam, tr, x, t, with_at=True)
+        forked = force_workers(monkeypatch, 4)
+        r = verify_constraints(fam, tr, x, t)
+        assert forked == []
+        assert ((r.continuity, r.advection, r.flux), r.at) == want
 
-    def test_strip_count_follows_usable_cpus(self, monkeypatch):
-        # parallel.worker_count, the dump writers' rule: one strip per
-        # usable CPU, at most one per _MIN_STRIP_COLUMNS interior columns
-        # and per VALUES_PER_WORKER lattice values
-        fam = elliptic_family(1)
-        tr = default_trace(fam, "quasiperiodic", 1.0)
-
-        def strips(nx, nt):
-            x, t = np.linspace(-1.0, 1.0, nx), np.linspace(0.0, 1.0, nt)
-            workers = verify_constraints(fam, tr, x, t).workers
-            assert workers == parallel.worker_count(
-                (nx - 16) // transform._MIN_STRIP_COLUMNS, nx * nt)
-            return workers
-
-        forked = spy_forks(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
-        assert strips(643, 1000) == 4  # 627 interior columns
-        assert strips(643, 300) == 3   # 192,900 values
-        assert strips(259, 1000) == 1  # 243 interior columns
-        assert strips(256, 64) == 1
-        # a platform without an affinity call falls back to the CPU count
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert strips(643, 1000) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert strips(643, 1000) == 1
-        assert len(forked) == 3 + 2 + 2
-        assert_reaped(forked)
-
-    def test_nan_seen_by_the_last_strip_only(self, monkeypatch):
-        # constant width, so xi = x: zeta is NaN only for x > 4, which only
-        # the last of three strips over [-5, 5] samples, in a worker
+    def test_first_nan_position_is_reported(self):
+        # constant width, so xi = x: zeta is NaN only for x > 4, from the
+        # first row on; each NaN maximum reports its first lattice point
         real = sech_family()
         fam = SimpleNamespace(
             stretch=SimpleNamespace(
@@ -719,146 +660,48 @@ class TestParallelWalk:
                                          real.stretch.zeta(xi))),
             mu=real.mu, g_matrix=real.g_matrix)
         tr = explicit_trace(0.0, 0.0)
-        forked = force_workers(monkeypatch, 3)
-        r = verify_constraints(fam, tr, np.linspace(-5, 5, 512),
-                               np.linspace(0, 1, 300))
-        assert r.workers == 3 and len(forked) == 2
+        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
+        r = verify_constraints(fam, tr, x, t)
         assert math.isnan(r.advection) and math.isnan(r.flux)
         assert math.isfinite(r.continuity)  # continuity never reads zeta
-        # the first NaN of each, in the first interior row: zeta_x reaches
-        # d columns out, (rho^2 zeta_x)_x 2d
-        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
+        # the first NaN of each, in the first row: zeta_x reaches d columns
+        # out, (rho^2 zeta_x)_x 2d
         first = int(np.argmax(x > 4.0))
         assert r.at[1:] == ((t[0], x[first - 4]), (t[0], x[first - 8]))
 
-    def test_worker_failure_reaches_caller_and_no_process_outlives(
-            self, monkeypatch):
-        fam = sech_family()
-        tr = default_trace(fam, "periodic", 1.0)
-        x, t = np.linspace(-5, 5, 512), np.linspace(0, 1, 300)
-        sample = transform._lattice_fields
-        caller = os.getpid()
-
-        def spy(stretch, xs, *width):
-            # the caller walks the first strip, a worker each of the others
-            if (os.getpid() == caller) != (xs[0] == x[0]):
-                raise AssertionError(f"the strip from x = {xs[0]} was walked "
-                                     f"by process {os.getpid()}")
-            return sample(stretch, xs, *width)
-
-        def failing(stretch, xs, *width):
-            if os.getpid() != caller and xs[0] > 0:
-                raise RuntimeError("right strip cannot be sampled")
-            return sample(stretch, xs, *width)
-
-        forked = force_workers(monkeypatch, 3)
-        monkeypatch.setattr(transform, "_lattice_fields", spy)
-        assert verify_constraints(fam, tr, x, t).workers == 3
-        assert len(forked) == 2
-        assert_reaped(forked)
-        monkeypatch.setattr(transform, "_lattice_fields", failing)
-        with pytest.raises(RuntimeError, match="right strip cannot be sampled"):
-            verify_constraints(fam, tr, x, t)
-        assert len(forked) == 4
-        assert_reaped(forked)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_width_sampled_once_on_the_calling_process(self, monkeypatch,
-                                                       workers):
-        fam = elliptic_family(1)
-        tr, calls = count_evaluations(default_trace(fam, "quasiperiodic", 1.0))
-        x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 300)
-        forked = force_workers(monkeypatch, workers)
-        r = verify_constraints(fam, tr, x, t)
-        assert r.workers == workers and len(forked) == workers - 1
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0],
-                                      t + 1j * transform._COMPLEX_STEP)
-
     @pytest.mark.parametrize("corrupt", [0.0, 1e-3])
-    def test_peaks_match_whole_lattice_argmax(self, monkeypatch, corrupt):
-        # each strip reports where its maxima sit and the caller keeps the
-        # earliest (t, x) among equal maxima, as one row-major argmax over
-        # the whole interior would
+    def test_peaks_match_whole_lattice_argmax(self, corrupt):
+        # only a block that raises a maximum takes an argmax, and the
+        # walk's (t, x) are one row-major argmax's over the whole interior
         fam = elliptic_family(1)
         tr = default_trace(fam, "quasiperiodic", 1.0)
         x, t = np.linspace(-1.0, 1.0, 643), np.linspace(0.0, 1.0, 1000)
         want = whole_lattice_residuals(fam, tr, x, t, corrupt_rho=corrupt,
                                        with_at=True)
-        for workers in (1, 2):
-            forked = force_workers(monkeypatch, workers)
-            r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
-            assert r.workers == workers and len(forked) == workers - 1
-            assert ((r.continuity, r.advection, r.flux), r.at) == want
-            assert len(r.strip_s) == workers and min(r.strip_s) > 0
+        r = verify_constraints(fam, tr, x, t, corrupt_rho=corrupt)
+        assert ((r.continuity, r.advection, r.flux), r.at) == want
 
-    def test_tied_peaks_go_to_the_earliest_t_then_the_smallest_x(
-            self, monkeypatch):
+    def test_tied_peaks_go_to_the_earliest_t_then_the_smallest_x(self):
         # a constant width makes every row alike, and continuity and
         # advection exactly zero everywhere: each of those maxima ties over
-        # the whole interior, in every block and every strip
+        # the whole interior, in every block
         fam = sech_family()
         tr = explicit_trace(0.0, 0.0)
         x, t = np.arange(-320, 321) / 64.0, np.linspace(0.0, 1.0, 300)
+        assert len(t) > 2 * (transform._BLOCK_POINTS // len(x))
         want = whole_lattice_residuals(fam, tr, x, t, with_at=True)
         assert want[0][:2] == (0.0, 0.0)
         assert want[1][:2] == ((t[0], x[8]), (t[0], x[8]))
-        monkeypatch.setattr(transform, "_MIN_STRIP_COLUMNS", 1)
-        for workers in (1, 2, 3):
-            force_workers(monkeypatch, workers)
-            r = verify_constraints(fam, tr, x, t)
-            assert r.workers == workers
-            assert ((r.continuity, r.advection, r.flux), r.at) == want
+        r = verify_constraints(fam, tr, x, t)
+        assert ((r.continuity, r.advection, r.flux), r.at) == want
 
-    def test_working_memory_is_bounded_by_the_block_budget(self,
-                                                           monkeypatch):
-        # on one process the walk's traced peak is a fixed multiple of the
-        # block budget, 19.3 x _BLOCK_POINTS doubles here; the bound sits
-        # below the 25.3 x of a walk that keeps a block's three complex
-        # fields while making the next's
+    def test_width_and_each_row_are_sampled_once(self, monkeypatch):
+        # no t halo: the width is evaluated once, at every t + ih, and the
+        # blocks form the fields at every column times the lattice's rows,
+        # each row once and in order, none holding over _BLOCK_POINTS
         fam = elliptic_family(1)
-        tr = default_trace(fam, "quasiperiodic", 1.0)
-        x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
-        force_workers(monkeypatch, 1)
-        tracemalloc.start()
-        try:
-            verify_constraints(fam, tr, x, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 22 * transform._BLOCK_POINTS * 8, peak
-
-    def test_working_set_does_not_grow_with_workers(self, monkeypatch):
-        # all strips' blocks together hold at most _BLOCK_POINTS points,
-        # whatever the worker count; every process checks its own blocks,
-        # so a full-size block per process fails the walk
-        fam = elliptic_family(1)
-        tr = default_trace(fam, "quasiperiodic", 1.0)
-        x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
-        sample = transform._lattice_fields
-        d = transform.STENCIL_DEPTH
-        for workers in (1, 2):
-            # each strip samples its interior columns and two 2d halos
-            budget = transform._BLOCK_POINTS // (2560 - 4 * d + 4 * d * workers)
-
-            def spy(stretch, xs, chi, *rest, budget=budget):
-                rows = len(chi)
-                if rows > budget:
-                    raise AssertionError(f"a block of {rows} rows, "
-                                         f"{budget} allowed")
-                return sample(stretch, xs, chi, *rest)
-
-            forked = force_workers(monkeypatch, workers)
-            monkeypatch.setattr(transform, "_lattice_fields", spy)
-            r = verify_constraints(fam, tr, x, t)
-            assert r.workers == workers and len(forked) == workers - 1
-
-    def test_each_row_is_sampled_once(self, monkeypatch):
-        # no t halo: across a strip's blocks the fields are formed at
-        # exactly the strip's sampled columns times the lattice's rows,
-        # each row once and in order, at t + ih
-        fam = elliptic_family(1)
-        tr = default_trace(fam, "quasiperiodic", 1.0)
+        tr, calls = count_evaluations(default_trace(fam, "quasiperiodic",
+                                                    1.0))
         x, t = np.linspace(-1, 1, 643), np.linspace(0, 1, 1000)
         sample, blocks = transform._lattice_fields, []
 
@@ -866,11 +709,29 @@ class TestParallelWalk:
             blocks.append((len(xs), chi.copy()))
             return sample(stretch, xs, chi, *rest)
 
-        force_workers(monkeypatch, 1)
         monkeypatch.setattr(transform, "_lattice_fields", spy)
         verify_constraints(fam, tr, x, t)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], t + 1j * transform.COMPLEX_STEP)
         assert len(blocks) > 2
-        assert sum(c * len(chi) for c, chi in blocks) == len(x) * len(t)
+        assert all(c == len(x) and c * len(chi) <= transform._BLOCK_POINTS
+                   for c, chi in blocks)
         rows = np.concatenate([chi for _, chi in blocks])
         assert rows.tobytes() == tr._evaluate(
-            t + 1j * transform._COMPLEX_STEP)[0].tobytes()
+            t + 1j * transform.COMPLEX_STEP)[0].tobytes()
+
+    def test_working_memory_is_bounded_by_the_block_budget(self):
+        # the walk's traced peak is a fixed multiple of the block budget,
+        # 19.3 x _BLOCK_POINTS doubles here; the bound sits below the
+        # 25.3 x of a walk that keeps a block's three complex fields while
+        # making the next's
+        fam = elliptic_family(1)
+        tr = default_trace(fam, "quasiperiodic", 1.0)
+        x, t = np.linspace(-1, 1, 2560), np.linspace(0, 1, 1024)
+        tracemalloc.start()
+        try:
+            verify_constraints(fam, tr, x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * transform._BLOCK_POINTS * 8, peak
