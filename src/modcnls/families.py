@@ -232,6 +232,17 @@ def assemble_rows(family: FamilySpec, trace: ModulationTrace, x, times):
     return _fields(family, trace, x, np.asarray(times, dtype=float)[:, None])
 
 
+# family kind -> purpose -> (periodic, quasiperiodic) half-widths
+_HALF_WIDTHS = {
+    "elliptic": {"export": (10.0, 10.0), "propagate": (12.0, 16.0),
+                 "residual": (14.0, 19.0)},
+    "sech": {"export": (20.0, 24.0), "propagate": (20.0, 24.0),
+             "residual": (25.0, 38.0)},
+    "dark_bright": {"export": (15.0, 15.0), "propagate": (15.0, 15.0),
+                    "residual": (12.0, 12.0)},
+}
+
+
 def default_grid(family: FamilySpec, purpose="export", n_points=1024,
                  drive="periodic") -> SpatialGrid:
     """Half-widths sized so the fields fit the box for the given use.
@@ -252,22 +263,9 @@ def default_grid(family: FamilySpec, purpose="export", n_points=1024,
     if purpose not in ("export", "propagate", "residual"):
         raise ValidationError(f"default_grid: unknown purpose {purpose!r}")
     check_drive("default_grid", drive)
-    quasi = drive == "quasiperiodic"
-    if family.kind == "elliptic":
-        if purpose == "export":
-            half = 10.0
-        elif purpose == "propagate":
-            half = 16.0 if quasi else 12.0
-        else:
-            half = 19.0 if quasi else 14.0
-    elif family.kind == "sech":
-        if purpose == "residual":
-            half = 38.0 if quasi else 25.0
-        else:
-            half = 24.0 if quasi else 20.0
-    else:
-        half = 12.0 if purpose == "residual" else 15.0
-    return SpatialGrid(half, n_points)
+    periodic, quasi = _HALF_WIDTHS[family.kind][purpose]
+    return SpatialGrid(quasi if drive == "quasiperiodic" else periodic,
+                       n_points)
 
 
 def default_trace(family: FamilySpec, drive="periodic", t_end=10.0,

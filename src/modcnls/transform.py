@@ -21,16 +21,18 @@ and fixes the trap and couplings as
 Everything here is closed-form in (xi, chi, chi', chi'', a'), and
 CoefficientSampler is the one production path to the traps and couplings.
 verify_constraints recomputes the three constraints on a space-time
-lattice as an independent check, walked in row blocks in the calling
-process: x derivatives by finite differences, time
-derivatives exact to rounding as the complex step Im f(t + ih) / h of the
-fields at complex t (Squire & Trapp, SIAM Rev. 40, 110, 1998).
+lattice as an independent check, walked in blocks of whole rows in the
+calling process, each block's residuals 2-D arrays as the constraints
+read: x derivatives by interior_diff, the package's one stencil routine,
+time derivatives exact to rounding as the complex step Im f(t + ih) / h of
+the fields at complex t (Squire & Trapp, SIAM Rev. 40, 110, 1998).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import LatticeTooCoarseError, ValidationError
 from .modulation import drive_f
@@ -39,8 +41,8 @@ from .specfun import erf, erfi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
 _EXP_CLIP = 700.0
-# lattice points in a verify_constraints block: a block, ~200 kB a complex
-# field, and its buffers fit a 2 MiB L2
+# lattice points in a verify_constraints block, 200 kB a real field; the
+# walk's working memory is a fixed multiple of it
 _BLOCK_POINTS = 25_000
 # neighbours on each side that interior_diff and every x stencil read; the
 # trims of the x stencils follow from it
@@ -227,45 +229,38 @@ _FORNBERG = {1: ((672.0, 168.0, 32.0, 3.0), 0.0, 840.0),
              2: ((8064.0, 1008.0, 128.0, 9.0), 14350.0, 5040.0)}
 
 
-def _stencil(f, base, h, span, out, work, order=1):
-    """Eighth-order difference of order 1 or 2 into out[span] (work: out's
-    shape) of f[span] shifted by base along f's first axis, by in-place
-    ufuncs in the order of (672 (f1 - f-1) - ...) / (840 h), so bit for bit
-    it."""
-    lo, hi = span.start + base, span.stop + base
-    out, work = out[span], work[span]
-    pairs, centre, scale = _FORNBERG[order]
-    for k, weight in enumerate(pairs, 1):
-        term = out if k == 1 else work
-        (np.subtract if order == 1 else np.add)(
-            f[lo + k:hi + k], f[lo - k:hi - k], out=term)
-        term *= weight
-        if k > 1:
-            (np.add if k % 2 else np.subtract)(out, work, out=out)
-    if centre:
-        out -= np.multiply(f[lo:hi], centre, out=work)
-    out /= scale * h if order == 1 else scale * h * h
-    return out
-
-
 def interior_diff(f, h, axis, order=1):
-    """Eighth-order central difference of order 1 or 2 along axis.
+    """Eighth-order central difference of order 1 or 2 along axis, bit for
+    bit (672 (f1 - f-1) - 168 (f2 - f-2) + ...) / (840 h) as it reads.
 
     Only points with STENCIL_DEPTH neighbours on each side get a value, so
     the result is 2 * STENCIL_DEPTH shorter along axis than f, and an axis
-    shorter than 2 * STENCIL_DEPTH + 1 points is refused.
+    shorter than 2 * STENCIL_DEPTH + 1 points is refused.  The terms are
+    slices of f along axis, summed in place in two new C-contiguous arrays.
     """
     d = STENCIL_DEPTH
+    axis = normalize_axis_index(axis, f.ndim)
     n = f.shape[axis]
     if n < 2 * d + 1:
         raise ValueError(f"interior_diff: axis {axis} has {n} points, the "
                          f"stencil needs at least {2 * d + 1}")
-    shape = list(f.shape)
-    shape[axis] = n - 2 * d
-    out = np.empty(shape, np.result_type(f, 1.0))
-    moved = out.swapaxes(0, axis)  # a view: _stencil writes into out
-    _stencil(f.swapaxes(0, axis), d, h, slice(0, n - 2 * d), moved,
-             np.empty_like(moved), order)
+
+    def shifted(k):  # f[i + k] for every interior i
+        return f[(slice(None),) * axis + (slice(d + k, n - d + k),)]
+
+    pairs, centre, scale = _FORNBERG[order]
+    out = np.empty(shifted(0).shape, np.result_type(f, 1.0))
+    work = np.empty_like(out)
+    for k, weight in enumerate(pairs, 1):
+        term = out if k == 1 else work
+        (np.subtract if order == 1 else np.add)(shifted(k), shifted(-k),
+                                                out=term)
+        term *= weight
+        if k > 1:
+            (np.add if k % 2 else np.subtract)(out, work, out=out)
+    if centre:
+        out -= np.multiply(shifted(0), centre, out=work)
+    out /= scale * h if order == 1 else scale * h * h
     return out
 
 
@@ -285,28 +280,38 @@ class ConstraintResiduals:
     at: tuple = ()  # the lattice (t, x) of each maximum
 
 
+def _lattice_spacing(x, caller):
+    """The spacing of x, refused unless x is finite, strictly increasing
+    and uniform to 1e-9 of its spacing."""
+    hx = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(hx > 0)):
+        raise ValueError(f"{caller}: the x lattice must be finite and "
+                         f"strictly increasing")
+    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0]:
+        raise ValueError(f"{caller}: the x lattice must be uniform")
+    return float(hx[0])
+
+
 def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResiduals:
     """Residuals of the three transform constraints on the lattice x by t.
 
-    x must be uniform, at least 256 points, and t at least one time; the
-    residuals are maximized over constraint_window(x, t): every t, and x
-    less the 2 * STENCIL_DEPTH points two x stencils consume at each edge.
-    As rho_t and zeta_t are exact to rounding, the rows need only cover the
-    horizon.  A non-finite residual in there makes that maximum NaN.
-    corrupt_rho multiplies the envelope by (1 + corrupt_rho * x), a
-    deliberate defect that shows the check has teeth.
+    x must be finite, increasing, uniform and at least 256 points, t at
+    least one time; the residuals are maximized over constraint_window(x,
+    t): every t, and x less the 2 * STENCIL_DEPTH points two x stencils
+    consume at each edge.  As rho_t and zeta_t are exact to rounding, the
+    rows need only cover the horizon.  A non-finite residual in there makes
+    that maximum NaN.  corrupt_rho multiplies the envelope by (1 +
+    corrupt_rho * x), a deliberate defect that shows the check has teeth.
 
     The width is sampled once, at every t + ih, h = COMPLEX_STEP, so the
     fields' real parts are their values at t and their imaginary parts
     over h are rho_t and zeta_t.  The lattice is walked in blocks of whole
-    rows, at most _BLOCK_POINTS points each, in the calling process.  The
-    x derivatives are eighth order, in place on a block of r rows of c
-    columns as flat runs of r c values in six buffers made once; the
-    2 * STENCIL_DEPTH values per row that an x stencil takes across two
-    rows lie in columns nothing reads.  Only a block that raises a maximum
-    takes an argmax, so each (t, x) is a row-major argmax's over the
-    interior: a tie keeps the earliest t, then the smallest x, and a NaN
-    beats any value.
+    rows, at most _BLOCK_POINTS points each, in the calling process; each
+    block's residuals are 2-D arrays written as the constraints read, the
+    x derivatives by interior_diff along its rows.  Only a block that
+    raises a maximum takes an argmax, so each (t, x) is a row-major
+    argmax's over the interior: a tie keeps the earliest t, then the
+    smallest x, and a NaN beats any value.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -316,15 +321,12 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
     if len(x) < 256 or len(t) < 1:
         raise LatticeTooCoarseError(f"constraint lattice {len(x)} x {len(t)} "
                                     f"below the 256 x 1 floor")
-    hx = np.diff(x)
-    if np.max(np.abs(hx - hx[0])) > 1e-9 * hx[0]:
-        raise ValueError("verify_constraints: the x lattice must be uniform")
+    hx = _lattice_spacing(x, "verify_constraints")
     envelope = (1.0 + corrupt_rho * x) if corrupt_rho else None
 
-    d, h, hx, c = STENCIL_DEPTH, COMPLEX_STEP, float(hx[0]), len(x)
+    d, h, c = STENCIL_DEPTH, COMPLEX_STEP, len(x)
     rows = max(1, _BLOCK_POINTS // c)
     chi, dchi, _, a = trace._evaluate(t + 1j * h)
-    rate, eta_x, rho2, zeta_x, prod, work = np.empty((6, rows * c))
     worst, at = np.full(3, -np.inf), [None] * 3
 
     def block(r0, r1):  # a function: its fields go before the next's come
@@ -332,27 +334,17 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
                                          *(w[r0:r1] for w in (chi, dchi, a)))
         if envelope is not None:
             rho *= envelope
-        rho, eta, zeta = rho.ravel(), eta.ravel().real, zeta.ravel()
-        rho_re, rho_im, n = rho.real, rho.imag, (r1 - r0) * c
-        # the first x stencils fill [d, n - d), all that reads them [2d, n - 2d)
-        outer, inner = slice(d, n - d), slice(2 * d, n - 2 * d)
-        _stencil(eta, 0, hx, outer, eta_x, work)
-        np.multiply(rho_re[outer], rho_re[outer], out=rho2[outer])
-        np.multiply(rho2[outer], eta_x[outer], out=prod[outer])
-        _stencil(prod, 0, hx, inner, zeta_x, work)  # (rho^2 eta_x)_x
-        r7 = np.multiply(rho_re[inner], rho_im[inner], out=rate[inner])
-        r7 /= h  # rho rho_t
-        r7 += zeta_x[inner]
-        _stencil(zeta.real, 0, hx, outer, zeta_x, work)
-        np.multiply(rho2[outer], zeta_x[outer], out=prod[outer])
-        _stencil(prod, 0, hx, inner, rho2, work)  # r9, over rho^2
-        advect = np.multiply(eta_x[inner], 2.0, out=prod[inner])
-        advect *= zeta_x[inner]
-        r8 = np.divide(zeta.imag[inner], h, out=zeta_x[inner])  # zeta_t
-        r8 += advect
-        for i, buf in enumerate((rate, zeta_x, rho2)):
-            np.abs(buf[inner], out=buf[inner])
-            residual = buf[:n].reshape(-1, c)[:, 2 * d:c - 2 * d]
+        inner = slice(2 * d, c - 2 * d)  # the columns both stencils reach
+        eta_x = interior_diff(eta.real, hx, axis=1)
+        zeta_x = interior_diff(zeta.real, hx, axis=1)
+        rho2 = rho.real[:, d:c - d] * rho.real[:, d:c - d]
+        continuity = (rho.real[:, inner] * rho.imag[:, inner] / h
+                      + interior_diff(rho2 * eta_x, hx, axis=1))
+        advection = (zeta.imag[:, inner] / h
+                     + 2.0 * eta_x[:, d:-d] * zeta_x[:, d:-d])
+        flux = interior_diff(rho2 * zeta_x, hx, axis=1)
+        for i, residual in enumerate((continuity, advection, flux)):
+            residual = np.abs(residual, out=residual)
             m = residual.max()  # a NaN anywhere makes m NaN
             if m > worst[i] or (np.isnan(m) and not np.isnan(worst[i])):
                 worst[i] = m
@@ -374,10 +366,14 @@ def potential_identity_check(family, trace, x, t):
     """
     d = STENCIL_DEPTH
     x = np.asarray(x, dtype=float)
+    if len(x) < 4 * d + 1:
+        raise LatticeTooCoarseError(
+            f"potential_identity_check: {len(x)} points, below the "
+            f"{4 * d + 1}-point floor")
+    hx = _lattice_spacing(x, "potential_identity_check")
     chi, dchi, _, a = trace._evaluate(np.array([t + 1j * COMPLEX_STEP]))
     rho, eta, zeta = (f[0] for f in _lattice_fields(family.stretch, x, chi,
                                                     dchi, a))
-    hx = float(x[1] - x[0])
 
     inner = slice(d, -d)  # the points the x stencils reach
     rho_xx = interior_diff(rho.real, hx, axis=0, order=2)

@@ -403,10 +403,25 @@ class TestAssembledFields:
 
 class TestDefaults:
     def test_grids(self):
+        # every (family, purpose, drive) half-width, as the boxes were sized
+        want = {  # purpose: (periodic, quasiperiodic)
+            "elliptic": {"export": (10.0, 10.0), "propagate": (12.0, 16.0),
+                         "residual": (14.0, 19.0)},
+            "sech": {"export": (20.0, 24.0), "propagate": (20.0, 24.0),
+                     "residual": (25.0, 38.0)},
+            "dark_bright": {"export": (15.0, 15.0),
+                            "propagate": (15.0, 15.0),
+                            "residual": (12.0, 12.0)},
+        }
+        families = {"elliptic": elliptic_family(1), "sech": sech_family(),
+                    "dark_bright": dark_bright_family(0.1)}
+        got = {kind: {purpose: tuple(
+                   default_grid(fam, purpose, drive=drive).half_width
+                   for drive in ("periodic", "quasiperiodic"))
+                   for purpose in ("export", "propagate", "residual")}
+               for kind, fam in families.items()}
+        assert got == want
         assert default_grid(elliptic_family(1)).half_width == 10.0
-        assert default_grid(elliptic_family(1), "propagate").half_width == 12.0
-        assert default_grid(sech_family()).half_width == 20.0
-        assert default_grid(dark_bright_family(0.1)).half_width == 15.0
         assert default_grid(sech_family()).n_points == 1024
         with pytest.raises(ValidationError):
             default_grid(sech_family(), "plot")

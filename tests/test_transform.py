@@ -427,32 +427,47 @@ class TestInteriorDiff:
                for k, weight in enumerate(pairs, 1)]
         assert (got, centre) == (exact, 0.0)
 
-    def test_flat_row_run_never_leaks_across_rows(self):
-        # the walk differences a block's rows as one flat run; with +-inf
-        # and NaN in every row's first and last 2d columns, the values whose
-        # operands straddle two rows must stay out of every column read,
-        # after one x stencil and after two, NaN positions included
-        d = transform.STENCIL_DEPTH
-        rng = np.random.default_rng(20)
-        for r, c in ((1, 4 * d + 1), (7, 40), (13, 4 * d + 3)):
-            f = rng.standard_normal((r, c))
-            for edge in (slice(0, 2 * d), slice(c - 2 * d, c)):
-                f[:, edge] = rng.choice([np.inf, -np.inf, np.nan, 0.5],
-                                        (r, 2 * d))
-            n, h = r * c, 0.03
-            once, twice, work = np.empty((3, n))
-            with np.errstate(invalid="ignore"):
-                transform._stencil(f.ravel(), 0, h, slice(d, n - d), once,
-                                   work)
-                transform._stencil(once, 0, h, slice(2 * d, n - 2 * d),
-                                   twice, work)
-                want = interior_diff(f, h, axis=1)
-                want2 = interior_diff(want, h, axis=1)
-            got = once.reshape(r, c)[:, d:c - d]
-            got2 = twice.reshape(r, c)[:, 2 * d:c - 2 * d]
-            assert np.isnan(want).any() and np.isnan(want2).any()
-            assert got.tobytes() == want.tobytes()
-            assert got2.tobytes() == want2.tobytes()
+    @staticmethod
+    def fornberg(f, h, order):
+        """The 1-D interior difference as the formula reads, term by term."""
+        def p(k):
+            s = f[4 + k:len(f) - 4 + k]
+            return s if k == 0 else (
+                (s - f[4 - k:len(f) - 4 - k]) if order == 1
+                else (s + f[4 - k:len(f) - 4 - k]))
+        if order == 1:
+            return (672.0 * p(1) - 168.0 * p(2) + 32.0 * p(3)
+                    - 3.0 * p(4)) / (840.0 * h)
+        return (8064.0 * p(1) - 1008.0 * p(2) + 128.0 * p(3)
+                - 9.0 * p(4) - 14350.0 * p(0)) / (5040.0 * h * h)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+    @pytest.mark.parametrize("shape", [(40,), (12, 30), (10, 11, 13)])
+    def test_every_axis_is_its_one_d_slices(self, shape, kind, order):
+        # on every axis, negative ones included, each 1-D slice of the
+        # result is bit for bit the formula on that slice of f; the result
+        # is float for integer f and C-contiguous for C-contiguous f
+        rng = np.random.default_rng(34)
+        f = {"real": lambda: rng.standard_normal(shape),
+             "complex": lambda: (rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape)),
+             "integer": lambda: rng.integers(-1000, 1000, shape)}[kind]()
+        h = 0.07
+        for axis in range(-len(shape), len(shape)):
+            got = interior_diff(f, h, axis=axis, order=order)
+            want_shape = list(shape)
+            want_shape[axis] -= 2 * transform.STENCIL_DEPTH
+            assert got.shape == tuple(want_shape)
+            assert got.dtype == (complex if kind == "complex" else float)
+            assert got.flags.c_contiguous
+            rows_f = np.moveaxis(f, axis, -1).reshape(-1, shape[axis])
+            rows_d = np.moveaxis(got, axis, -1).reshape(-1, want_shape[axis])
+            for row_f, row_d in zip(rows_f, rows_d):
+                want = self.fornberg(row_f, h, order)
+                assert row_d.tobytes() == want.tobytes()
+                assert row_d.tobytes() == interior_diff(
+                    row_f, h, axis=0, order=order).tobytes()
 
     def test_short_axis_refused(self):
         assert interior_diff(np.ones(9), 0.1, axis=0, order=2).shape == (1,)
@@ -632,6 +647,65 @@ class TestVerifyConstraints:
         assert worst_of(r) < 1e-4
 
 
+class TestLatticeRule:
+    """verify_constraints and potential_identity_check take x only when it
+    is finite, strictly increasing and uniform to 1e-9 of its spacing, and
+    potential_identity_check only from 4 * STENCIL_DEPTH + 1 points."""
+
+    @staticmethod
+    def checks(x):
+        fam = sech_family()
+        tr = default_trace(fam, "periodic", 1.0)
+        return {
+            "verify_constraints": lambda: verify_constraints(
+                fam, tr, x, np.linspace(0.0, 1.0, 5)),
+            "potential_identity_check": lambda:
+                transform.potential_identity_check(fam, tr, x, 0.5),
+        }
+
+    @pytest.mark.parametrize("name", ["verify_constraints",
+                                      "potential_identity_check"])
+    @pytest.mark.parametrize("case", ["decreasing", "constant", "nan", "inf"])
+    def test_not_finite_and_increasing_refused(self, name, case):
+        # a uniform decreasing x was refused as not uniform, its tolerance
+        # negative, and a constant x passed into a division by zero
+        x = np.linspace(-10.0, 10.0, 768)
+        x = {"decreasing": x[::-1], "constant": np.full_like(x, 0.5),
+             "nan": np.where(x == x[300], np.nan, x),
+             "inf": np.append(x[:-1], np.inf)}[case]
+        with pytest.raises(ValueError, match=f"{name}: the x lattice must "
+                           f"be finite and strictly increasing"):
+            self.checks(x)[name]()
+
+    @pytest.mark.parametrize("name", ["verify_constraints",
+                                      "potential_identity_check"])
+    @pytest.mark.parametrize("case", ["two_spacings", "quadratic"])
+    def test_nonuniform_refused(self, name, case):
+        # potential_identity_check took any x, and differenced it as if
+        # uniform
+        u = np.linspace(-1.0, 1.0, 768)
+        x = {"two_spacings": 10.0 * np.where(u < 0, u, 2.0 * u),
+             "quadratic": 10.0 * u * np.abs(u) + 20.0 * u}[case]
+        assert np.all(np.diff(x) > 0)
+        with pytest.raises(ValueError,
+                           match=f"{name}: the x lattice must be uniform"):
+            self.checks(x)[name]()
+
+    def test_potential_identity_floor(self):
+        # below 17 points the gap was an empty maximum; from 17 on it is
+        # taken
+        d = transform.STENCIL_DEPTH
+        assert 4 * d + 1 == 17
+        for n in range(9, 17):
+            with pytest.raises(LatticeTooCoarseError,
+                               match=f"{n} points, below the 17-point floor"):
+                self.checks(np.linspace(-1.0, 1.0, n))[
+                    "potential_identity_check"]()
+        gap = self.checks(np.linspace(-1.0, 1.0, 17))[
+            "potential_identity_check"]()
+        assert math.isfinite(gap)
+
+
 class TestOneProcessWalk:
     """verify_constraints walks the whole lattice in row blocks in the
     calling process; every residual and its (t, x) must stay the
@@ -722,7 +796,7 @@ class TestOneProcessWalk:
 
     def test_working_memory_is_bounded_by_the_block_budget(self):
         # the walk's traced peak is a fixed multiple of the block budget,
-        # 19.3 x _BLOCK_POINTS doubles here; the bound sits below the
+        # 13.9 x _BLOCK_POINTS doubles here; the bound sits below the
         # 25.3 x of a walk that keeps a block's three complex fields while
         # making the next's
         fam = elliptic_family(1)
