@@ -7,8 +7,9 @@ and mathieu-trace dumps the integrated width trace.
 
 Each option is one row of OPTIONS; a subcommand's parser, defaults and
 config-file reader take the rows its handler reads (FAMILIES then gates the
-family options), and flag and config-file values pass through one
-converter, so both refuse the same values with the same message.
+family options, and the periodic drive refuses its unread epsilon and
+omega0), and flag and config-file values pass through one converter, so
+both refuse the same values with the same message.
 
 Configuration precedence: built-in defaults, then a key=value config file
 given with --config, then command-line flags.  Exit codes: 0 success,
@@ -39,7 +40,7 @@ from .grid import SpatialGrid
 from .modulation import DRIVES, mathieu_trace
 from .parallel import forked_map, worker_count
 from .propagator import (PropagationConfig, pde_residual, perturb, propagate,
-                         stability_verdict)
+                         residual_grid_check, stability_verdict)
 from .transform import (CoefficientSampler, constraint_window,
                         potential_identity_check, verify_constraints)
 
@@ -58,6 +59,8 @@ FAMILIES = {
     "dark-bright": (dark_bright_family, ("lam", "alpha", "beta")),
 }
 _FAMILY_KEYS = {key for _, keys in FAMILIES.values() for key in keys}
+# the options only the quasiperiodic drive reads
+_DRIVE_KEYS = ("epsilon", "omega0")
 
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 _FINITE = ("finite", math.isfinite)
@@ -72,9 +75,9 @@ OPTIONS = (
     Option("beta", float, 0.2,
            help="dark-bright width tone at frequency sqrt(2)"),
     Option("epsilon", float, 0.5, domain=_FINITE,
-           help="drive modulation depth"),
+           help="quasiperiodic drive modulation depth"),
     Option("omega0", float, 1.0, domain=_FINITE,
-           help="drive modulation frequency"),
+           help="quasiperiodic drive modulation frequency"),
     Option("drive", str, "periodic", DRIVES),
     Option("L", float, help="grid half width (default sized per family)"),
     Option("N", int, 1024, help="grid points, a power of two"),
@@ -182,6 +185,11 @@ def resolve(args):
             if key in given:
                 raise ValidationError(f"family {cfg['family']} reads no {key}")
             del cfg[key]
+    if cfg.get("drive") == "periodic":  # f = 1: no depth, no frequency
+        for key in _DRIVE_KEYS:
+            if key in given:
+                raise ValidationError(f"drive periodic reads no {key}")
+            del cfg[key]
     if cfg["out"] is None:
         cfg["out"] = f"modcnls-{args.command}"
     cfg["command"] = args.command
@@ -195,8 +203,8 @@ def _family_from(cfg):
 
 
 def _trace_from(cfg, family, t_end):
-    return default_trace(family, t_end=t_end,
-                         **{k: cfg[k] for k in FAMILIES[cfg["family"]][1][1:]})
+    return default_trace(family, t_end=t_end, **{
+        k: cfg[k] for k in FAMILIES[cfg["family"]][1][1:] if k in cfg})
 
 
 def _grid_from(cfg, family, purpose):
@@ -311,13 +319,14 @@ def verify(family, trace, grid, t_end, seed, corrupt_rho=0.0,
     """The report of the three suites over [0, t_end] against GATES: the
     constraint walk on _constraint_lattice, the trap identity at five times
     and the full equations on grid at five seeded times in [_PDE_FROM,
-    t_end], a t_end below _PDE_FROM refused.  Every time derivative is a
-    complex step, so trace need only reach t_end; ready() runs before the
-    first suite."""
+    t_end], a t_end below _PDE_FROM refused, and so is a dark-bright grid
+    its x stencil does not fit.  Every time derivative is a complex step,
+    so trace need only reach t_end; ready() runs before the first suite."""
     if not t_end >= _PDE_FROM:
         raise ValidationError(
             f"verify: t_end = {t_end!r} is below {_PDE_FROM}, the earliest "
             f"time of its pde_residual checks; use t_end >= {_PDE_FROM}")
+    residual_grid_check(family, grid)
     clock = [time.perf_counter()]
     x_lat, t_lat = _constraint_lattice(family, t_end)
     ready()
@@ -438,7 +447,7 @@ def cmd_propagate(cfg):
 
 def cmd_mathieu_trace(cfg):
     trace = mathieu_trace(cfg["drive"], cfg["t_end"], dt=cfg["dt"],
-                          epsilon=cfg["epsilon"], omega0=cfg["omega0"])
+                          **{k: cfg[k] for k in _DRIVE_KEYS if k in cfg})
     samples = trace.samples(trace.path.times[::cfg["stride"]])
     out = _prepare_out(cfg)
     ext = EXTENSIONS[cfg["format"]]

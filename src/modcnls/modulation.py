@@ -231,7 +231,20 @@ def _path(p, a, epsilon, omega0, t):
     chi = sqrt2 |w|, chi' = 2 Re(conj(w) w') / chi, chi'' from
     w'' = -4 f(t) w, and a = a_j + arg(w conj(w_j)) / 2, rounding alike for
     a float and an array.  A complex t (a complex D) continues z1 and z2,
-    stepped apart, and arg, the arctan of a ratio (arctan2 for real t)."""
+    stepped apart, and arg, the arctan of a ratio (arctan2 for real t).
+    Re t must be within 1e-9 of p.times' window, onto which it is clipped."""
+    t = np.array(t, dtype=complex if np.iscomplexobj(t) else float)
+    lo, hi = float(p.times[0]), float(p.times[-1])
+    inside = (t.real >= lo - 1e-9) & (t.real <= hi + 1e-9)  # False at NaN
+    if not np.all(inside):
+        asked = float(t.real[~inside].flat[0])
+        advice = (f"it starts at its first node, t = {lo:.6g}" if asked < lo
+                  else "build it to a later horizon" if asked > hi
+                  else "t must be a number")
+        raise ValidationError(
+            f"width trace queried at t = {asked!r}, outside its window "
+            f"[{lo:.6g}, {hi:.6g}]; {advice}")
+    np.clip(t.real, lo, hi, out=t.real)
     j = np.rint(t.real / p.times[1]).astype(int)  # times are k dt
     t_j, x_j, y_j = p.times[j], p.w[j].real, p.w[j].imag
     dx_j, dy_j = p.dw[j].real, p.dw[j].imag
@@ -267,8 +280,8 @@ class ModulationTrace:
     query's value bit for bit.  drive is the (epsilon, omega0) of the
     f = 1 + epsilon cos(omega0 t) whose Ermakov-Pinney equation chi solves,
     with a' = chi^-2, or None for a prescribed width, whose a' is 0.  An
-    integrated trace keeps its oscillator path and only answers inside the
-    window of path.times; every other trace answers at any t, and a float t
+    integrated trace keeps its oscillator path, and its evaluator refuses t
+    outside path.times; an analytic width answers at any t, and a float t
     there stays a float with the bits of the element of any array of t.
     """
 
@@ -276,34 +289,16 @@ class ModulationTrace:
     drive: Optional[tuple] = None
     path: Optional[MathieuPath] = None
 
-    def _evaluate(self, t):
-        """width(t) for real or complex t, refused if Re t is outside an
-        integrated trace's window: at's evaluation, the complex steps'."""
-        if not isinstance(t, float) or self.path is not None:
-            t = np.array(t, dtype=complex if np.iscomplexobj(t) else float)
+    def at(self, t):
+        """Width(chi, chi', chi'', a, a') at real or complex t, scalar or
+        array, from one call of width."""
+        if not isinstance(t, float):  # a float t stays a float
+            t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
             if t.ndim == 0 and t.dtype == complex:
                 # numpy rounds a product of complex scalars apart from its
                 # array loops, so a complex scalar is a one-element array
-                return tuple(v[0] for v in self._evaluate(t[None]))
-        if self.path is None:  # the analytic widths extend to all t
-            return self.width(t)  # a float t stays a float
-        lo, hi = float(self.path.times[0]), float(self.path.times[-1])
-        outside = (t.real < lo - 1e-9) | (t.real > hi + 1e-9)
-        if np.any(outside):
-            asked = float(t.real[outside].flat[0])
-            advice = (f"it starts at its first node, t = {lo:.6g}"
-                      if asked < lo else "build it to a later horizon")
-            raise ValidationError(
-                f"width trace queried at t = {asked!r}, outside its window "
-                f"[{lo:.6g}, {hi:.6g}]; {advice}")
-        np.clip(t.real, lo, hi, out=t.real)  # t is a copy
-        return self.width(t)
-
-    def at(self, t):
-        """Width(chi, chi', chi'', a, a') at real t from one evaluation."""
-        if np.iscomplexobj(t):
-            raise TypeError("ModulationTrace.at: complex t is not supported")
-        chi, dchi, d2chi, a = map(_scalar, self._evaluate(t))
+                return Width(*(v[0] for v in self.at(t[None])))
+        chi, dchi, d2chi, a = map(_scalar, self.width(t))
         adot = (_scalar(np.zeros_like(chi)) if self.drive is None
                 else 1.0 / (chi * chi))
         return Width(chi, dchi, d2chi, a, adot)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import DarkBackgroundError, DivergenceError, ValidationError
+from .errors import (DarkBackgroundError, DivergenceError,
+                     LatticeTooCoarseError, ValidationError)
 # assemble stays importable here: perfbench/layers.py wraps it by name
 from .families import (FamilySpec, FieldPair, amplitudes_and_phase, assemble,
                        assemble_rows)
@@ -384,6 +385,16 @@ def stability_verdict(trace: DiagnosticsTrace, threshold=0.1) -> StabilityReport
     return StabilityReport(bool(worst <= threshold), worst, t_at, threshold)
 
 
+def residual_grid_check(family: FamilySpec, grid: SpatialGrid):
+    """Refuse a grid pde_residual cannot difference: the dark-bright psi_xx
+    is an interior stencil of 2 * STENCIL_DEPTH + 1 points."""
+    floor = 2 * STENCIL_DEPTH + 1
+    if family.kind == "dark_bright" and len(grid.x) < floor:
+        raise LatticeTooCoarseError(
+            f"dark-bright N = {len(grid.x)} is below the {floor}-point "
+            f"floor of its x stencil")
+
+
 def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace):
     """Max residual of each governing equation on the exact fields.
 
@@ -397,12 +408,13 @@ def pde_residual(family: FamilySpec, grid: SpatialGrid, t, trace):
     the interior for the dark-bright family, whose background is
     anti-periodic across the edge.  Returns the pair of max-norm residuals
     (component 1, component 2).  A t outside an integrated trace's window
-    is refused by the trace.
+    is refused by the trace, and a grid by residual_grid_check.
     """
+    residual_grid_check(family, grid)
     x, d = grid.x, STENCIL_DEPTH
     sampler = CoefficientSampler(family, trace)
     v, g = sampler.potential(x, t), sampler.couplings(x, t)
-    chi, dchi, _, a = trace._evaluate(t + 1j * COMPLEX_STEP)
+    chi, dchi, _, a, _ = trace.at(t + 1j * COMPLEX_STEP)
     *amplitudes, eta = amplitudes_and_phase(family, x, chi, dchi, a)
     phase = np.exp(1j * eta.real)
     psis = [r.real * phase for r in amplitudes]

@@ -326,7 +326,7 @@ def verify_constraints(family, trace, x, t, corrupt_rho=0.0) -> ConstraintResidu
 
     d, h, c = STENCIL_DEPTH, COMPLEX_STEP, len(x)
     rows = max(1, _BLOCK_POINTS // c)
-    chi, dchi, _, a = trace._evaluate(t + 1j * h)
+    chi, dchi, _, a, _ = trace.at(t + 1j * h)
     worst, at = np.full(3, -np.inf), [None] * 3
 
     def block(r0, r1):  # a function: its fields go before the next's come
@@ -371,7 +371,7 @@ def potential_identity_check(family, trace, x, t):
             f"potential_identity_check: {len(x)} points, below the "
             f"{4 * d + 1}-point floor")
     hx = _lattice_spacing(x, "potential_identity_check")
-    chi, dchi, _, a = trace._evaluate(np.array([t + 1j * COMPLEX_STEP]))
+    chi, dchi, _, a, _ = trace.at(np.array([t + 1j * COMPLEX_STEP]))
     rho, eta, zeta = (f[0] for f in _lattice_fields(family.stretch, x, chi,
                                                     dchi, a))
 

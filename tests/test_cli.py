@@ -19,7 +19,8 @@ import pytest
 import modcnls
 from modcnls import cli, export, transform
 from modcnls.cli import main
-from modcnls.errors import DivergenceError, ValidationError
+from modcnls.errors import (DivergenceError, LatticeTooCoarseError,
+                            ValidationError)
 from modcnls.export import (FORMATS, _atomic_write, _write_columns,
                             write_coefficients, write_diagnostics,
                             write_fields, write_modulation, COEFFICIENT_COLUMNS,
@@ -27,7 +28,7 @@ from modcnls.export import (FORMATS, _atomic_write, _write_columns,
 from modcnls.families import (FieldPair, dark_bright_family, default_grid,
                               default_trace, elliptic_family, sech_family)
 from modcnls.grid import SpatialGrid, is_integer
-from modcnls.modulation import _closed_form, closed_form_trace
+from modcnls.modulation import _closed_form, closed_form_trace, explicit_trace
 from modcnls.propagator import DiagnosticsTrace
 from modcnls.transform import CoefficientSampler
 from coefficient_helpers import worst_of
@@ -368,6 +369,8 @@ FAMILY_READS = {"elliptic": {"n", "drive", "epsilon", "omega0"},
                 "sech": {"gamma", "drive", "epsilon", "omega0"},
                 "dark-bright": {"lam", "alpha", "beta"}}
 FAMILY_OPTIONS = set().union(*FAMILY_READS.values())
+# the drive options only the quasiperiodic drive reads; f = 1 has neither
+DRIVE_OPTIONS = {"epsilon", "omega0"}
 
 
 class TestOptionTable:
@@ -394,7 +397,9 @@ class TestOptionTable:
               "L": ["solution"], "N": ["solution"],
               "perturb": ["propagate"], "perturb_mode": ["propagate"],
               "seed": ["propagate"], "mu_sign": ["potential"],
-              "corrupt_rho": ["verify", "--family", "sech"]}
+              "corrupt_rho": ["verify", "--family", "sech"],
+              "epsilon": ["mathieu-trace", "--drive", "quasiperiodic"],
+              "omega0": ["mathieu-trace", "--drive", "quasiperiodic"]}
 
     def reader(self, key):
         return self.READER.get(key, ["mathieu-trace"])
@@ -576,6 +581,25 @@ class TestReadOptions:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(DRIVE_OPTIONS))
+    @pytest.mark.parametrize("command, family", [
+        ("solution", "elliptic"), ("verify", "sech"),
+        ("mathieu-trace", None)])
+    def test_option_the_periodic_drive_does_not_read_is_refused(
+            self, tmp_path, capsys, via, key, command, family):
+        # f = 1 has no depth and no frequency, so a run that was given one
+        # would record a value it never read
+        out = tmp_path / "o"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"drive = periodic\n{key} = 0.9\n")
+        given = (["--drive", "periodic", f"--{key}", "0.9"] if via == "flag"
+                 else ["--config", str(conf)])
+        fam = ["--family", family] if family else []
+        assert main([command, *fam, *given, "--out", str(out)]) == 1
+        assert f"drive periodic reads no {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("drive", modcnls.DRIVES)
     @pytest.mark.parametrize("command", ["solution", "potential", "verify",
                                          "propagate"])
@@ -615,6 +639,8 @@ class TestReadOptions:
         read = READS[command]
         if family:
             read = read - (FAMILY_OPTIONS - FAMILY_READS[family])
+        if "--drive" not in argv:  # the periodic drive reads no epsilon
+            read = read - DRIVE_OPTIONS
         if command in ("solution", "potential"):
             argv = [*argv, "--t-end", "0.5", "--stride", "250"]
         out = tmp_path / "o"
@@ -930,6 +956,24 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["constraints"]["lattice"]["t"] == [0.0, 0.0501, 6]
         assert min(report["pde_residual"]["times"]) >= 0.05
+
+    def test_dark_bright_grid_below_its_stencil_is_refused(
+            self, tmp_path, capsys, monkeypatch):
+        # the dark-bright psi_xx is a nine-point stencil, so N = 8 is
+        # refused, naming N and the floor, before any suite runs or the
+        # output directory is made
+        monkeypatch.setattr(cli, "verify_constraints",
+                            lambda *a, **k: pytest.fail("walk ran"))
+        out = tmp_path / "v"
+        assert main(["verify", "--family", "dark-bright", "--N", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: dark-bright N = 8 is below the 9-point "
+                       "floor of its x stencil\n")
+        assert not out.exists()
+        with pytest.raises(LatticeTooCoarseError):
+            cli.verify(dark_bright_family(0.5), explicit_trace(0.3, 0.2),
+                       SpatialGrid(15.0, 8), 1.0, 42)
 
     def test_whole_horizon_is_checked(self, tmp_path, monkeypatch):
         walked = []

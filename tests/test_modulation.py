@@ -509,53 +509,66 @@ class TestMathieuTraceQueries:
         np.testing.assert_allclose(tr.adot_at(t), 1.0 / tr.chi_at(t) ** 2, rtol=1e-12)
 
 
-class TestComplexStepEntry:
-    """The residual checks evaluate a width once at t + ih through the
-    trace's private entry, and read chi' and a' off its imaginary parts."""
+class TestComplexT:
+    """at answers complex t as it answers real t: the residual checks
+    evaluate a width once at t + ih and read chi', chi'' and a' off the
+    imaginary parts."""
 
     H = 1e-30
+    TRACES = {
+        "closed_form": closed_form_trace,
+        "two_tone": lambda: explicit_trace(0.3, 0.2),
+        "mathieu": lambda: mathieu_trace("quasiperiodic", 5.0),
+        "mathieu-0.9-0.3": lambda: mathieu_trace("quasiperiodic", 5.0,
+                                                 epsilon=0.9, omega0=0.3),
+        "mathieu-periodic": lambda: mathieu_trace("periodic", 5.0),
+    }
+    KINDS = ["closed_form", "two_tone", "mathieu", "mathieu-periodic"]
 
-    @pytest.mark.parametrize("make", [
-        lambda: mathieu_trace("quasiperiodic", 5.0),
-        lambda: mathieu_trace("quasiperiodic", 5.0, epsilon=0.9, omega0=0.3),
-        closed_form_trace,
-        lambda: explicit_trace(0.3, 0.2),
-    ], ids=["mathieu", "mathieu-0.9-0.3", "closed_form", "two_tone"])
-    def test_imaginary_parts_are_the_derivatives(self, make):
+    @pytest.mark.parametrize("source", sorted(TRACES))
+    def test_imaginary_parts_are_the_derivatives(self, source):
         # the RK4 query's step map is a polynomial in s, so its complex
         # step is the map's own derivative: chi' and a' of the trace to a
         # few ulp, and chi'' from chi' at complex t
-        tr = make()
+        tr = self.TRACES[source]()
         t = np.linspace(0.0, 5.0, 1921)
-        chi, dchi, _, a = tr._evaluate(t + 1j * self.H)
-        w = tr.at(t)
-        np.testing.assert_allclose(chi.imag / self.H, w.dchi, rtol=4e-15,
+        z, w = tr.at(t + 1j * self.H), tr.at(t)
+        np.testing.assert_allclose(z.chi.imag / self.H, w.dchi, rtol=4e-15,
                                    atol=4e-15)
-        np.testing.assert_allclose(a.imag / self.H, w.adot, rtol=4e-15,
+        np.testing.assert_allclose(z.a.imag / self.H, w.adot, rtol=4e-15,
                                    atol=0)
-        np.testing.assert_allclose(dchi.imag / self.H, w.d2chi, rtol=4e-15,
-                                   atol=4e-14)
-        np.testing.assert_allclose(chi.real, w.chi, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(a.real, w.a, rtol=0, atol=1e-15)
-        if tr.path is not None:  # z1 and z2 stepped apart keep their bits
-            assert chi.real.tobytes() == w.chi.tobytes()
-            assert a.real.tobytes() == w.a.tobytes()
+        np.testing.assert_allclose(z.dchi.imag / self.H, w.d2chi,
+                                   rtol=4e-15, atol=4e-14)
 
-    @pytest.mark.parametrize("make", [
-        lambda: mathieu_trace("quasiperiodic", 2.0),
-        lambda: mathieu_trace("periodic", 2.0),
-        closed_form_trace,
-        lambda: explicit_trace(0.3, 0.2),
-    ], ids=["mathieu", "mathieu-periodic", "closed_form", "two_tone"])
-    def test_complex_scalar_t_gives_the_array_element(self, make):
-        # a 0-d complex t stays complex and is evaluated as a one-element
-        # array, so each value is that array's element bit for bit, also
-        # where numpy's complex scalar products would round apart
-        tr = make()
-        times = np.random.default_rng(21).uniform(0.0, 2.0, 60)
-        for t in np.concatenate([[0.0, 2.0], times]).tolist():
+    @pytest.mark.parametrize("source", sorted(TRACES))
+    def test_real_parts_are_the_values_at_t(self, source):
+        # on this grid chi keeps the bits of real t on every trace, and a
+        # on the two-tone and quasiperiodic widths; the closed form's and
+        # the periodic path's a, and every dchi and d2chi, round apart by
+        # a few ulp of their largest terms (numpy's complex quotients
+        # multiply by a reciprocal)
+        tr = self.TRACES[source]()
+        t = np.linspace(0.0, 5.0, 1921)
+        z, w = tr.at(t + 1j * self.H), tr.at(t)
+        np.testing.assert_allclose(z.chi.real, w.chi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(z.a.real, w.a, rtol=0, atol=1e-15)
+        assert z.chi.real.tobytes() == w.chi.tobytes()
+        if source not in ("closed_form", "mathieu-periodic"):
+            assert z.a.real.tobytes() == w.a.tobytes()
+        for got, want in ((z.dchi, w.dchi), (z.d2chi, w.d2chi)):
+            np.testing.assert_allclose(got.real, want, rtol=0, atol=4e-15
+                                       * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("source", KINDS)
+    def test_complex_scalar_t_gives_the_array_element(self, source):
+        # a 0-d complex t is evaluated as a one-element array, so each
+        # value is that array's element bit for bit, also where numpy's
+        # complex scalar products would round apart
+        tr = self.TRACES[source]()
+        times = np.random.default_rng(21).uniform(0.0, 5.0, 60)
+        for t in np.concatenate([[0.0, 5.0], times]).tolist():
             z = t + 1j * self.H
-            for got, want in zip(tr._evaluate(z), tr._evaluate(np.array([z]))):
+            for got, want in zip(tr.at(z), tr.at(np.array([z]))):
                 assert np.iscomplexobj(got) and same_bits([got], want), t
 
     def test_drive_keeps_a_complex_scalar(self):
@@ -566,14 +579,34 @@ class TestComplexStepEntry:
         assert isinstance(got, complex) and got.imag < 0
         assert same_bits([got], drive_f(np.array([t]), 0.5, 1.0))
 
-    def test_window_is_checked_on_the_real_part(self):
-        tr = mathieu_trace("periodic", 2.0, dt=1e-3)
-        with pytest.raises(ValidationError, match=r"t = 2\.5,.*\[0, 2\]"):
-            tr._evaluate(np.array([1.0, 2.5]) + 1j * self.H)
-        t = np.array([2.0 + 5e-10 + 1j * self.H])  # clipped onto the node
-        assert tr._evaluate(t)[0].real.tobytes() == tr.chi_at(
-            np.array([2.0])).tobytes()
-        assert t.real[0] == 2.0 + 5e-10  # the caller's times are kept
+    @pytest.mark.parametrize("source", KINDS)
+    def test_window_is_checked_on_the_real_part(self, source):
+        # the path evaluator owns the window: it refuses a Re t past it
+        # however at is reached, and clips one within 1e-9 onto the node;
+        # the analytic widths answer at any t
+        tr = self.TRACES[source]()
+        late = np.array([1.0, 5.5]) + 1j * self.H
+        if tr.path is None:
+            assert np.all(np.isfinite(tr.at(late).chi))
+            return
+        for ask in (tr.at, tr.width):
+            with pytest.raises(ValidationError, match=r"t = 5\.5,.*\[0, 5\]"):
+                ask(late)
+        t = np.array([5.0 + 5e-10 + 1j * self.H])
+        assert tr.at(t).chi.real.tobytes() == tr.chi_at(
+            np.array([5.0])).tobytes()
+        assert t.real[0] == 5.0 + 5e-10  # the caller's times are kept
+
+    @pytest.mark.parametrize("t", [
+        float("nan"), np.array([1.0, np.nan]), complex(np.nan, 1e-30),
+        np.array([2.0 + 1e-30j, complex(np.nan, 0.0)])],
+        ids=["float", "array", "complex", "complex-array"])
+    def test_nan_t_is_outside_the_window(self, t):
+        tr = self.TRACES["mathieu"]()
+        with pytest.raises(ValidationError,
+                           match=r"t = nan, outside its window "
+                                 r"\[0, 5\]; t must be a number"):
+            tr.at(t)
 
 
 class TestExplicitTrace:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from modcnls.errors import (DarkBackgroundError, DivergenceError,
-                            ValidationError)
+                            LatticeTooCoarseError, ValidationError)
 from modcnls.families import (amplitudes_and_phase, assemble,
                               dark_bright_family, default_grid,
                               default_trace, elliptic_family, sech_family,
@@ -794,7 +794,7 @@ class TestPdeResidual:
         tr = default_trace(fam, drive=drive, t_end=2.51)
         grid = default_grid(fam, "residual", drive=drive)
         x, d = grid.x, STENCIL_DEPTH
-        chi, dchi, _, a = tr._evaluate(t + 1j * COMPLEX_STEP)
+        chi, dchi, _, a, _ = tr.at(t + 1j * COMPLEX_STEP)
         *amplitudes, eta = amplitudes_and_phase(fam, x, chi, dchi, a)
         levels = [assemble(fam, tr, x, t + k * 1e-4) for k in range(-d, d + 1)]
         for j, r in enumerate(amplitudes):
@@ -807,7 +807,7 @@ class TestPdeResidual:
         want = nine_assemble_residual(fam, grid, t, tr)
         assert got == pytest.approx(want, rel=0, abs=5e-11)
 
-    def test_width_evaluated_once_at_t_plus_ih(self, monkeypatch):
+    def test_width_is_called_once_at_t_plus_ih(self, monkeypatch):
         # the fields and their time derivatives come from one complex
         # evaluation of the width; only the couplings read it at real t
         fam = elliptic_family()
@@ -837,6 +837,22 @@ class TestPdeResidual:
         assert max(pde_residual(fam, grid, 1e-5, tr)) < 1e-8
         with pytest.raises(ValidationError, match="outside its window"):
             pde_residual(fam, grid, 1.02, tr)
+
+    def test_dark_bright_grid_below_its_stencil_is_refused(self):
+        # the dark-bright psi_xx reads 2 * STENCIL_DEPTH + 1 = 9 points, so
+        # N = 8 is refused and N = 16 differenced; the spectral families
+        # take N = 8
+        assert 2 * STENCIL_DEPTH + 1 == 9
+        fam = dark_bright_family(0.5)
+        tr = default_trace(fam, t_end=1.01)
+        with pytest.raises(LatticeTooCoarseError,
+                           match=r"^dark-bright N = 8 is below the 9-point "
+                                 r"floor of its x stencil$"):
+            pde_residual(fam, SpatialGrid(15.0, 8), 0.5, tr)
+        assert len(pde_residual(fam, SpatialGrid(15.0, 16), 0.5, tr)) == 2
+        sech = sech_family()
+        assert len(pde_residual(sech, SpatialGrid(15.0, 8), 0.5,
+                                default_trace(sech, t_end=1.01))) == 2
 
 
 class TestConvergenceOrder:

@@ -97,9 +97,8 @@ def whole_lattice_residuals(family, trace, x, t, corrupt_rho=0.0,
     if differences:
         chi, dchi, a = (np.asarray(query(t))[:, None] for query in
                         (trace.chi_at, trace.dchi_dt_at, trace.a_at))
-    else:  # the evaluator itself: the public queries refuse complex t
-        chi, dchi, _, a = (np.asarray(v)[:, None]
-                           for v in trace.width(t + 1j * h))
+    else:
+        chi, dchi, _, a, _ = (v[:, None] for v in trace.at(t + 1j * h))
     xs = x[None, :]
     rho = rho_of(family.stretch, xs, chi)
     eta = eta_of(xs, chi, dchi, a)
@@ -375,7 +374,7 @@ class TestOneWidthEvaluation:
     constraint walk's once, at every t + ih, is in TestOneProcessWalk."""
 
     @pytest.mark.parametrize("k", range(6))
-    def test_each_consumer_evaluates_the_width_once(self, k):
+    def test_each_consumer_calls_the_width_once(self, k):
         fam, real = all_family_trace_pairs()[k]
         x = np.linspace(-10.0, 10.0, 256)
         times = np.linspace(0.0, 1.5, 7)
@@ -791,8 +790,8 @@ class TestOneProcessWalk:
         assert all(c == len(x) and c * len(chi) <= transform._BLOCK_POINTS
                    for c, chi in blocks)
         rows = np.concatenate([chi for _, chi in blocks])
-        assert rows.tobytes() == tr._evaluate(
-            t + 1j * transform.COMPLEX_STEP)[0].tobytes()
+        assert rows.tobytes() == tr.at(
+            t + 1j * transform.COMPLEX_STEP).chi.tobytes()
 
     def test_working_memory_is_bounded_by_the_block_budget(self):
         # the walk's traced peak is a fixed multiple of the block budget,
